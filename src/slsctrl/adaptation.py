@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .solver import _assemble_normal_terms
-
 
 @dataclass
 class AdaptationMaps:
@@ -46,11 +44,14 @@ def precompute_gain_maps(stacked, cost, controller):
     the dynamics fixed.  F_x = (I - K S_u) H^{-1} S_u' Q and
     F_u = (I - K S_u) H^{-1} R.
     """
-    H, _, QSu = _assemble_normal_terms(stacked, cost)
+    Su = stacked.S_u.dense
+    QSu = cost.q_matmat(Su)
+    H = Su.T @ QSu + cost.assemble_dense_r()
+    H = (H + H.T) / 2
     factor = scipy.linalg.cho_factor(H, lower=True)
     E_x = scipy.linalg.cho_solve(factor, QSu.T)
     E_u = scipy.linalg.cho_solve(factor, cost.assemble_dense_r())
-    M = np.eye(H.shape[0]) - controller.K.dense @ stacked.S_u.dense
+    M = np.eye(H.shape[0]) - controller.K.dense @ Su
     return AdaptationMaps(F_x=M @ E_x, F_u=M @ E_u)
 
 

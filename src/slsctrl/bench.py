@@ -99,7 +99,6 @@ def bench_mug_sugar(trials=10, seed=0, scenario_path=None, overrides=None):
                             overrides)
     plant = build_plant(scenario)
     cost = build_cost(scenario)
-    cost.validate_input_weights()
     noise = build_noise(scenario)
     if not cost.correlations:
         raise ValueError("the pouring benchmark needs at least one correlation term")
@@ -261,7 +260,6 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
                             overrides)
     plant = build_plant(scenario)
     cost = build_cost(scenario)
-    cost.validate_input_weights()
     system = linear_system_from_plant(plant, scenario.horizon)
     stacked = build_stacked(system)
     t0 = time.perf_counter()

@@ -117,13 +117,6 @@ class CostSpec:
         cur = self.Q.get((i, j))
         self.Q[(i, j)] = block.copy() if cur is None else cur + block
 
-    def validate_input_weights(self):
-        for t in range(self.horizon + 1):
-            try:
-                np.linalg.cholesky(self.R[t])
-            except np.linalg.LinAlgError:
-                raise ValueError(f"R block at t={t} is not positive definite") from None
-
     # -- assembly / products ----------------------------------------------
 
     def assemble_dense_q(self):
@@ -269,8 +262,13 @@ def build_viapoint_cost(horizon, viapoints, control_weight, state_dim=None, inpu
         input_dim = cw.shape[0]
     elif cw.ndim == 1:
         input_dim = cw.size
+    # every step shares this one weight, so one factorization validates R
+    control_weight = CostSpec._as_weight(control_weight, input_dim)
+    try:
+        np.linalg.cholesky(control_weight)
+    except np.linalg.LinAlgError:
+        raise ValueError("control weight is not positive definite") from None
     cost = CostSpec(horizon, state_dim, input_dim, control_weight=control_weight)
-    cost.validate_input_weights()
 
     seen_targets = {}
     for t, target, weight in viapoints:

@@ -25,6 +25,7 @@ from .costs import (
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
+from .solver import riccati_gains
 from .stacked import NoiseModel, TimeVaryingLinearSystem
 
 
@@ -474,40 +475,20 @@ def batch_lqt(stacked, cost, x0=None):
 
 
 def dp_lqt(system, cost):
-    """Memoryless tracking controller via a backward Riccati recursion.
+    """Memoryless tracking controller: the synthesis recursion without held states.
 
-    Only block-diagonal Q is representable: a value function of the current
-    state cannot carry cross-time couplings, so off-diagonal blocks raise.
-    Gains are returned in the convention u_t = K_t x_t + kappa_t; the final
-    input has no dynamic effect and is driven to its target (K_T = 0).
+    Only block-diagonal Q is accepted: with cross-time blocks the optimal
+    policy needs past states, which a per-step feedback cannot hold, so
+    off-diagonal blocks raise.  Gains are returned in the convention
+    u_t = K_t x_t + kappa_t; the final input has no dynamic effect and is
+    driven to its target (K_T = 0).
     """
     if any(i != j for (i, j) in cost.Q):
         raise ValueError(
             "dp_lqt requires block-diagonal Q; cross-time correlation terms "
             "cannot be represented by a memoryless recursion"
         )
-    T = system.horizon
-    m, n = system.state_dim, system.input_dim
-    if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
-        raise ValueError("cost dimensions do not match the system")
-    gs = cost.x_d_blocks
-    vs = cost.u_d_blocks
-
-    gains = np.zeros((T + 1, n, m))
-    offsets = np.zeros((T + 1, n))
-    P = np.zeros((m, m))
-    q = np.zeros(m)
-    for t in range(T, -1, -1):
-        A, B, Q, R = system.A[t], system.B[t], cost.q_block(t, t), cost.R[t]
-        M = R + B.T @ P @ B
-        Kt = np.linalg.solve(M, B.T @ P @ A)          # u = -Kt x + kappa
-        kappa = np.linalg.solve(M, R @ vs[t] + B.T @ q)
-        Abar = A - B @ Kt
-        P_new = Q + Kt.T @ R @ Kt + Abar.T @ P @ Abar
-        q = Q @ gs[t] + Kt.T @ R @ (kappa - vs[t]) - Abar.T @ P @ B @ kappa + Abar.T @ q
-        P = (P_new + P_new.T) / 2
-        gains[t] = -Kt
-        offsets[t] = kappa
+    _, gains, offsets = riccati_gains(system, cost)
     return StepFeedbackController(gains, offsets)
 
 

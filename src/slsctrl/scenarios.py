@@ -626,7 +626,6 @@ def _solve_scenario(scenario, plant, x0, trace=False):
     if kind in ("esls", "dp-lqt", "batch-lqt"):
         system = linear_system_from_plant(plant, scenario.horizon)
         cost = build_cost(scenario)
-        cost.validate_input_weights()
         extras["cost"] = cost
         if kind == "esls":
             stacked = build_stacked(system)
@@ -670,7 +669,6 @@ def _solve_scenario(scenario, plant, x0, trace=False):
             extras["history"] = result.history
     elif kind == "mpc-lqt":
         cost = build_cost(scenario)
-        cost.validate_input_weights()
         extras["cost"] = cost
         system = linear_system_from_plant(plant, scenario.horizon)
         controller = dp_lqt(system, cost.diagonal_projection())

@@ -1,32 +1,39 @@
 """Closed-loop map synthesis for stacked tracking problems.
 
-Instead of searching over feedback gains, the synthesis optimizes the causal
-closed-loop response maps (phi_x, phi_u) that send the stacked disturbance
-w = [x_0, w_0, ...] to states and inputs, subject to the achievability
-constraint phi_x = S_x + S_u phi_u.  The problem separates across block
-columns: column i sees only the trailing cost blocks (both timesteps >= i)
-and its own disturbance, so each column is an independent regularized least
-squares with a closed-form solution.  Feedforward (d_x, d_u) solves the
-deterministic tracking problem once; the realized trajectory is then
-x = phi_x w + d_x regardless of the disturbance scale, which is why no noise
-covariance enters the synthesis.
+The synthesis optimizes the causal closed-loop maps (phi_x, phi_u) from the
+stacked disturbance w = [x_0, w_0, ...] to states and inputs, subject to
+phi_x = S_x + S_u phi_u.  Block column i sees only the cost blocks with both
+timesteps >= i; its optimum is the response of the optimal causal policy to
+a disturbance at step i.  The feedforward (d_x, d_u) solves the
+deterministic tracking problem, and x = phi_x w + d_x whatever the noise
+scale, so no noise covariance enters.
 
-The feedback law is recovered as K = phi_u phi_x^{-1} (phi_x has identity
-diagonal blocks, so the inverse is a unit-triangular substitution) and
-k = (I - K S_u) d_u.  K's sub-diagonal blocks act on past states: the
-controller carries memory, which is what lets cross-time cost terms bind
-future behavior to realized history.
+That policy comes from a backward Riccati recursion.  A cross-time block
+Q(s, j), s < j, makes the cost-to-go at every t in (s, j] depend on x_s, so
+the recursion runs on the augmented state
+
+    z_t = [x_t; x_s for s in held_t],   held_t = {s < t : Q(s, j) != 0, j >= t},
+
+where terms sharing s share one slot, and gives u_t = K_t z_t + k_t in
+O(T (m (1 + h))^3) time for h held states (h = 0 is the ordinary tracker).
+Only the step Hessian R_t + B_t' P B_t must be positive definite; the
+cost-to-go may be indefinite in the held states.  The law acts on states,
+so K = phi_u phi_x^{-1} and k = d_u - K d_x: its blocks K[t, s], s < t, are
+the memory that lets cross-time terms bind future inputs to realized
+history.  phi_x and phi_u are derived from the gains on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
+from .costs import CostSpec
 from .stacked import (
     BlockLowerTriangular,
+    TimeVaryingLinearSystem,
     achievability_residual,
     feedforward_residual,
 )
@@ -34,18 +41,73 @@ from .stacked import (
 
 @dataclass
 class SystemResponse:
-    """Synthesized closed-loop maps and feedforward trajectories."""
+    """Per-step gains of the synthesized policy and its deterministic plan.
 
-    phi_x: BlockLowerTriangular
-    phi_u: BlockLowerTriangular
+    The policy is u_t = gains[t] z_t + k[t] with z_t = [x_t; x_s for s in
+    held[t]].  ``phi_x`` and ``phi_u`` are built from it on first access.
+    """
+
+    system: TimeVaryingLinearSystem
+    cost: CostSpec
+    held: list        # per step, the sorted held timesteps
+    gains: list       # per step, (n, m (1 + len(held[t])))
+    k: np.ndarray     # (T+1, n)
     d_x: np.ndarray
     d_u: np.ndarray
 
+    @cached_property
+    def _maps(self):
+        """Closed-loop maps by block forward propagation of the policy."""
+        A, B = self.system.A, self.system.B
+        T, m, n = self.system.horizon, self.system.state_dim, self.system.input_dim
+        phi_x = np.zeros(((T + 1) * m, (T + 1) * m))
+        phi_u = np.zeros(((T + 1) * n, (T + 1) * m))
+        for t in range(T + 1):
+            c = (t + 1) * m    # columns of disturbances up to step t
+            phi_x[t * m:c, t * m:c] = np.eye(m)
+            rows = [phi_x[s * m:(s + 1) * m, :c] for s in (t, *self.held[t])]
+            phi_u[t * n:(t + 1) * n, :c] = self.gains[t] @ np.vstack(rows)
+            if t < T:
+                phi_x[c:c + m, :c] = A[t] @ rows[0] + B[t] @ phi_u[t * n:(t + 1) * n, :c]
+        return (BlockLowerTriangular(phi_x, m, m, copy=False),
+                BlockLowerTriangular(phi_u, n, m, copy=False))
+
+    @property
+    def phi_x(self):
+        return self._maps[0]
+
+    @property
+    def phi_u(self):
+        return self._maps[1]
+
+    def stationarity(self):
+        """Relative gradient of the deterministic tracking cost at (d_x, d_u).
+
+        The gradient in u is S_u'(Q d_x - b) + R (d_u - u_d), which is
+        H d_u - r with H = S_u'QS_u + R and r = S_u'b + R u_d when
+        d_x = S_u d_u; this returns its norm over ||r||.  Both S_u' products
+        come from one adjoint pass over A_t and B_t, a route that shares
+        nothing with the recursion.
+        """
+        A, B, cost = self.system.A, self.system.B, self.cost
+        T, m, n = self.system.horizon, self.system.state_dim, self.system.input_dim
+        g = np.stack([cost.q_matvec(self.d_x), cost.linear_term], axis=1).reshape(T + 1, m, 2)
+        Su_t_g = np.zeros((T + 1, n, 2))
+        lam = np.zeros((m, 2))    # adjoint of x_{t+1}
+        for t in range(T, -1, -1):
+            Su_t_g[t] = B[t].T @ lam
+            lam = g[t] + A[t].T @ lam
+        u = np.stack([self.d_u, cost.u_d], axis=1).reshape(T + 1, n, 2)
+        Hu_r = Su_t_g + cost.R @ u
+        r = np.linalg.norm(Hu_r[..., 1])
+        return float(np.linalg.norm(Hu_r[..., 0] - Hu_r[..., 1]) / max(r, np.finfo(float).tiny))
+
     def residuals(self, stacked):
-        """Structural residuals: achievability and feedforward consistency."""
+        """Structural residuals: achievability, feedforward consistency and stationarity."""
         return {
             "achievability": achievability_residual(stacked, self.phi_x, self.phi_u),
             "feedforward": feedforward_residual(stacked, self.d_x, self.d_u),
+            "stationarity": self.stationarity(),
         }
 
 
@@ -116,145 +178,107 @@ class Controller:
         return self.nominal_u + self.k - self.K @ self.nominal_x
 
 
-def _assemble_normal_terms(stacked, cost):
-    """Shared pieces of all column problems: H = S_u'QS_u + R and G = S_u'QS_x."""
-    Su = stacked.S_u.dense
-    Sx = stacked.S_x.dense
-    QSu = cost.q_matmat(Su)
-    QSx = cost.q_matmat(Sx)
-    H = Su.T @ QSu + cost.assemble_dense_r()
-    H = (H + H.T) / 2
-    G = Su.T @ QSx
-    return H, G, QSu
+def held_states(cost):
+    """Per step t, the sorted earlier timesteps s with a cost block (s, j), j >= t."""
+    reach = {}
+    for (i, j) in cost.Q:
+        if i != j:
+            reach[min(i, j)] = max(reach.get(min(i, j), 0), i, j)
+    return [tuple(sorted(s for s, e in reach.items() if s < t <= e))
+            for t in range(cost.horizon + 1)]
 
 
-def _reversed_cholesky(H):
-    """Cholesky of H with block order reversed; leading slices factor trailing H."""
-    try:
-        return scipy.linalg.cholesky(H[::-1, ::-1], lower=True)
-    except scipy.linalg.LinAlgError:
-        raise ValueError(
-            "normal matrix is not positive definite; check that R is PD and Q is PSD"
-        ) from None
+def riccati_gains(system, cost):
+    """Backward recursion over the held-state augmentation (see module notes).
 
-
-def _solve_trailing(L_rev, rhs_trailing, N):
-    """Solve H[k:, k:] X = rhs via the reversed Cholesky factor (k = N - s)."""
-    s = rhs_trailing.shape[0]
-    rhs_rev = rhs_trailing[::-1]
-    y = scipy.linalg.solve_triangular(L_rev[:s, :s], rhs_rev, lower=True)
-    z = scipy.linalg.solve_triangular(L_rev[:s, :s].T, y, lower=False)
-    return z[::-1]
-
-
-def solve_sls_column(stacked, cost, col):
-    """Solve one block column of the closed-loop map problem independently.
-
-    Returns full-height (phi_x_col, phi_u_col) of shapes ((T+1)m, m) and
-    ((T+1)n, m), zero above block ``col``.  The trailing cost blocks
-    Q^{i:}, R^{i:} keep an off-diagonal correlation block exactly when both
-    of its timesteps are >= i.
-
-    This is a direct, self-contained assembly (used by tests as a
-    cross-check); :func:`solve_esls` computes the same solution through a
-    shared factorization.
+    Returns (held, gains, k) of the optimal policy u_t = gains[t] z_t + k[t].
+    Raises ValueError on mismatched or non-finite data and on a step Hessian
+    that is not positive definite.
     """
-    T = stacked.horizon
-    m, n = stacked.state_dim, stacked.input_dim
-    if not (0 <= col <= T):
-        raise ValueError(f"column {col} outside horizon [0, {T}]")
-    km, kn = col * m, col * n
-    Su_t = stacked.S_u.dense[km:, kn:]
-    Sx_col = stacked.S_x.dense[km:, km:km + m]
-
-    nt = T + 1 - col
-    Qt = np.zeros((nt * m, nt * m))
+    T, m, n = system.horizon, system.state_dim, system.input_dim
+    if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
+        raise ValueError("cost dimensions do not match the system")
+    b, u_d = cost.linear_term.reshape(T + 1, m), cost.u_d.reshape(T + 1, n)
+    for name, blocks in [("A_t", np.asarray(system.A)), ("B_t", np.asarray(system.B)),
+                         ("R_t", cost.R), ("linear term", b), ("u_d", u_d)]:
+        bad = ~np.isfinite(blocks.reshape(T + 1, -1)).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite {name} at t={int(np.argmax(bad))}")
     for (i, j), blk in cost.Q.items():
-        if i >= col and j >= col:
-            Qt[(i - col) * m:(i - col + 1) * m, (j - col) * m:(j - col + 1) * m] = blk
-    Rt = np.zeros((nt * n, nt * n))
-    for t in range(col, T + 1):
-        Rt[(t - col) * n:(t - col + 1) * n, (t - col) * n:(t - col + 1) * n] = cost.R[t]
-
-    M = Su_t.T @ Qt @ Su_t + Rt
-    rhs = Su_t.T @ Qt @ Sx_col
-    phi_u_t = -np.linalg.solve((M + M.T) / 2, rhs)
-    phi_x_t = Sx_col + Su_t @ phi_u_t
-
-    phi_x = np.zeros(((T + 1) * m, m))
-    phi_u = np.zeros(((T + 1) * n, m))
-    phi_x[km:] = phi_x_t
-    phi_u[kn:] = phi_u_t
-    return phi_x, phi_u
+        if not np.isfinite(blk).all():
+            raise ValueError(f"non-finite Q block ({i}, {j})")
+    held = held_states(cost)
+    gains, k = [None] * (T + 1), np.zeros((T + 1, n))
+    # cost-to-go of z_{t+1} as z'Pz - 2p'z; nothing follows step T
+    P, p, held_next = np.zeros((m, m)), np.zeros(m), ()
+    for t in range(T, -1, -1):
+        slot = {s: a for a, s in enumerate((t, *held[t]))}
+        d = m * len(slot)
+        # stage cost of z_t: x_t'Q_tt x_t + 2 sum_s x_s'Q_st x_t - 2 b_t'x_t
+        M = np.zeros((d, d))
+        for s, a in slot.items():
+            if (s, t) in cost.Q:
+                M[a * m:(a + 1) * m, :m] = cost.Q[(s, t)]
+                M[:m, a * m:(a + 1) * m] = cost.Q[(s, t)].T
+        lin = np.zeros(d)
+        lin[:m] = b[t]
+        # z_{t+1} = E z_t + [B_t; 0] u_t
+        E = np.zeros((P.shape[0], d))
+        E[:m, :m] = system.A[t]
+        for a, s in enumerate(held_next, start=1):
+            E[a * m:(a + 1) * m, slot[s] * m:(slot[s] + 1) * m] = np.eye(m)
+        Bt = system.B[t]
+        PE = P @ E
+        Huu = cost.R[t] + Bt.T @ P[:m, :m] @ Bt
+        Huz = Bt.T @ PE[:m]
+        try:
+            np.linalg.cholesky(Huu)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"step Hessian R_t + B_t'P B_t at t={t} is not positive "
+                             "definite; check that R is PD and Q is PSD") from None
+        sol = np.linalg.solve(Huu, np.column_stack([Huz, cost.R[t] @ u_d[t] + Bt.T @ p[:m]]))
+        gains[t], k[t] = -sol[:, :d], sol[:, d]
+        P = M + E.T @ PE + Huz.T @ gains[t]
+        P = (P + P.T) / 2
+        p = lin + E.T @ p - Huz.T @ k[t]
+        held_next = held[t]
+    return held, gains, k
 
 
 def solve_esls(stacked, cost):
-    """Synthesize closed-loop maps and feedforward for a stacked tracking cost.
+    """Synthesize the optimal causal policy and plan for a stacked tracking cost.
 
-    Parameters
-    ----------
-    stacked : StackedSystem
-        Response operators of the (possibly time-varying) linear dynamics.
-    cost : CostSpec
-        Block-sparse quadratic cost; R blocks must be positive definite.
-
-    Returns
-    -------
-    SystemResponse
-        phi_x with identity diagonal blocks, strictly causal phi_u lower
-        blocks per column, and the deterministic plan (d_x, d_u).  By
-        construction phi_x = S_x + S_u phi_u and d_x = S_u d_u hold to
-        floating-point accuracy.
-
-    Notes
-    -----
-    Column i solves
-
-        min || [S_x^i + S_u^{i:} phi] ||^2_{Q^{i:}} + || phi ||^2_{R^{i:}}
-
-    whose normal matrix is the trailing slice H[i:, i:] of the shared
-    H = S_u'QS_u + R; one Cholesky of H in reversed block order then serves
-    every column.  The feedforward solves the same normal equations with the
-    tracking linear term: d_u = H^{-1} (S_u' b + R u_d), where b is the exact
-    accumulated linear part of the cost.
+    Only the per-step blocks A_t, B_t of ``stacked`` are read; the R blocks
+    of ``cost`` must be positive definite.  Returns a :class:`SystemResponse`
+    with the per-step gains, the plan (d_x, d_u) from x_0 = 0, which solves
+    H d_u = S_u'b + R u_d, and lazily derived maps phi_x (identity diagonal
+    blocks) and phi_u whose block columns solve the trailing least squares
+    of the map parameterization.  Raises ValueError on mismatched or
+    non-finite data and on a step Hessian that is not positive definite
+    (the message names the step).
     """
-    T = stacked.horizon
-    m, n = stacked.state_dim, stacked.input_dim
-    if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
-        raise ValueError("cost dimensions do not match the stacked system")
-    N = (T + 1) * n
-    H, G, QSu = _assemble_normal_terms(stacked, cost)
-    L_rev = _reversed_cholesky(H)
-
-    phi_u = np.zeros((N, (T + 1) * m))
-    for i in range(T + 1):
-        rhs = G[i * n:, i * m:(i + 1) * m]
-        phi_u[i * n:, i * m:(i + 1) * m] = -_solve_trailing(L_rev, rhs, N)
-    phi_u = BlockLowerTriangular(phi_u, n, m, copy=False)
-    phi_x = BlockLowerTriangular(
-        stacked.S_x.dense + stacked.S_u.dense @ phi_u.dense, m, m, copy=False
-    )
-
-    rhs_ff = stacked.S_u.dense.T @ cost.linear_term + cost.assemble_dense_r() @ cost.u_d
-    d_u = _solve_trailing(L_rev, rhs_ff.reshape(-1, 1), N).ravel()
-    d_x = stacked.S_u @ d_u
-    return SystemResponse(phi_x=phi_x, phi_u=phi_u, d_x=d_x, d_u=d_u)
+    system = stacked.system
+    held, gains, k = riccati_gains(system, cost)
+    T, m, n = system.horizon, system.state_dim, system.input_dim
+    xs, us = np.zeros((T + 1, m)), np.zeros((T + 1, n))
+    for t in range(T + 1):
+        us[t] = gains[t] @ xs[[t, *held[t]]].ravel() + k[t]
+        if t < T:
+            xs[t + 1] = system.A[t] @ xs[t] + system.B[t] @ us[t]
+    return SystemResponse(system=system, cost=cost, held=held, gains=gains, k=k,
+                          d_x=xs.ravel(), d_u=us.ravel())
 
 
 def extract_controller(response):
-    """Recover the realizable feedback form u = K x + k from a response.
+    """The realizable feedback form u = K x + k of a synthesized response.
 
-    K = phi_u phi_x^{-1} via unit-triangular substitution on phi_x (its
-    diagonal blocks are identities, so at the scalar level it is unit lower
-    triangular); k = d_u - K d_x = (I - K S_u) d_u.
+    K[t, t] and K[t, s] for held s are the blocks of the step gains; all
+    other blocks are zero.  This is K = phi_u phi_x^{-1} and
+    k = d_u - K d_x of the map parameterization.
     """
-    phi_x = response.phi_x
-    phi_u = response.phi_u
-    Kt = scipy.linalg.solve_triangular(
-        phi_x.dense.T, phi_u.dense.T, lower=False, unit_diagonal=True
-    )
-    K = BlockLowerTriangular(
-        Kt.T, phi_u.row_block_dim, phi_x.col_block_dim, copy=False
-    )
-    k = response.d_u - K @ response.d_x
-    return Controller(K, k)
+    T, m, n = response.system.horizon, response.system.state_dim, response.system.input_dim
+    K = np.zeros(((T + 1) * n, (T + 1) * m))
+    for t in range(T + 1):
+        for a, s in enumerate((t, *response.held[t])):
+            K[t * n:(t + 1) * n, s * m:(s + 1) * m] = response.gains[t][:, a * m:(a + 1) * m]
+    return Controller(BlockLowerTriangular(K, n, m, copy=False), response.k.ravel())

@@ -15,11 +15,18 @@ causal response operators
 
 both block lower triangular.  ``Z`` is never materialized; shifting by one
 block is an index operation.
+
+The synthesis never reads the dense operators: it runs a recursion over the
+blocks A_t, B_t (see :mod:`slsctrl.solver`).  So :func:`build_stacked` is
+O(1), and each operator is assembled on first access by block forward
+propagation, in O(T^2 m^2 (m or n)) flops and O((T m)^2) memory, for the
+retargeting maps, the batch baseline, residuals and the test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -69,11 +76,10 @@ class BlockLowerTriangular:
         return self._dense.shape
 
     def _mask_upper(self):
-        nb = self.T_blocks
-        br = np.repeat(np.arange(nb), self.row_block_dim)
-        bc = np.repeat(np.arange(nb), self.col_block_dim)
-        keep = br[:, None] > bc[None, :] if self.strict else br[:, None] >= bc[None, :]
-        self._dense[~keep] = 0.0
+        r, c = self.row_block_dim, self.col_block_dim
+        first_zero = 0 if self.strict else 1
+        for i in range(self.T_blocks):
+            self._dense[i * r:(i + 1) * r, (i + first_zero) * c:] = 0.0
 
     @classmethod
     def zeros(cls, n_blocks, row_block_dim, col_block_dim, strict=False):
@@ -83,14 +89,6 @@ class BlockLowerTriangular:
     @classmethod
     def identity(cls, n_blocks, block_dim):
         return cls(np.eye(n_blocks * block_dim), block_dim, block_dim, copy=False)
-
-    @classmethod
-    def from_blocks(cls, n_blocks, row_block_dim, col_block_dim, blocks, strict=False):
-        """Build from a mapping ``(i, j) -> block``; missing blocks are zero."""
-        out = cls.zeros(n_blocks, row_block_dim, col_block_dim, strict=strict)
-        for (i, j), val in blocks.items():
-            out.set_block(i, j, val)
-        return out
 
     def _check_index(self, i, j):
         nb = self.T_blocks
@@ -137,10 +135,6 @@ class BlockLowerTriangular:
             )
         other = np.asarray(other, dtype=float)
         return self._dense @ other
-
-    def transpose_dense(self):
-        """Dense transpose (block upper triangular, so plain ndarray)."""
-        return self._dense.T.copy()
 
     def allclose(self, other, rtol=1e-9, atol=1e-12):
         return np.allclose(self._dense, other.dense, rtol=rtol, atol=atol)
@@ -275,13 +269,15 @@ class NoiseModel:
         return w.ravel()
 
 
-@dataclass
 class StackedSystem:
-    """A time-varying system together with its stacked response operators."""
+    """A time-varying system; its dense S_x and S_u are built on first access.
 
-    system: TimeVaryingLinearSystem
-    S_x: BlockLowerTriangular
-    S_u: BlockLowerTriangular
+    Row block t+1 of either operator is A_t times row block t plus the block
+    entering at step t (the identity for S_x, B_t for S_u).
+    """
+
+    def __init__(self, system):
+        self.system = system
 
     @property
     def horizon(self):
@@ -295,19 +291,26 @@ class StackedSystem:
     def input_dim(self):
         return self.system.input_dim
 
-    @property
-    def A_d(self):
-        return self.system.A
+    @cached_property
+    def S_x(self):
+        T, m = self.horizon, self.state_dim
+        sx = np.zeros(((T + 1) * m, (T + 1) * m))
+        sx[:m, :m] = np.eye(m)
+        for t in range(T):
+            c = (t + 1) * m
+            sx[c:c + m, :c] = self.system.A[t] @ sx[t * m:c, :c]
+            sx[c:c + m, c:c + m] = np.eye(m)
+        return BlockLowerTriangular(sx, m, m, copy=False)
 
-    @property
-    def B_d(self):
-        return self.system.B
-
-    def disturbance_to_state(self, w):
-        return self.S_x @ w
-
-    def input_to_state(self, u):
-        return self.S_u @ u
+    @cached_property
+    def S_u(self):
+        T, m, n = self.horizon, self.state_dim, self.input_dim
+        su = np.zeros(((T + 1) * m, (T + 1) * n))
+        for t in range(T):
+            c = (t + 1) * m
+            su[c:c + m, :t * n] = self.system.A[t] @ su[t * m:c, :t * n]
+            su[c:c + m, t * n:(t + 1) * n] = self.system.B[t]
+        return BlockLowerTriangular(su, m, n, strict=True, copy=False)
 
 
 def blt_invert_unit_diagonal(M, atol=1e-8):
@@ -334,25 +337,8 @@ def blt_invert_unit_diagonal(M, atol=1e-8):
 
 
 def build_stacked(system):
-    """Assemble the stacked response operators for a time-varying system.
-
-    S_x solves (I - Z A_d) S_x = I by forward substitution (the Neumann
-    series of Z A_d terminates because (Z A_d)^{T+1} = 0); S_u = S_x Z B_d.
-    """
-    T = system.horizon
-    m, n = system.state_dim, system.input_dim
-    eye_minus_za = BlockLowerTriangular.identity(T + 1, m)
-    for t in range(1, T + 1):
-        eye_minus_za.set_block(t, t - 1, -system.A[t - 1])
-    S_x = blt_invert_unit_diagonal(eye_minus_za)
-
-    S_u = BlockLowerTriangular.zeros(T + 1, m, n, strict=True)
-    sx = S_x.dense
-    su = S_u.dense
-    for j in range(T):
-        su[:, j * n:(j + 1) * n] = sx[:, (j + 1) * m:(j + 2) * m] @ system.B[j]
-    S_u._mask_upper()
-    return StackedSystem(system=system, S_x=S_x, S_u=S_u)
+    """Wrap a time-varying system; its dense operators are built on first use."""
+    return StackedSystem(system)
 
 
 def achievability_residual(stacked, phi_x, phi_u):
@@ -363,8 +349,17 @@ def achievability_residual(stacked, phi_x, phi_u):
     """
     px = phi_x.dense if isinstance(phi_x, BlockLowerTriangular) else np.asarray(phi_x)
     pu = phi_u.dense if isinstance(phi_u, BlockLowerTriangular) else np.asarray(phi_u)
-    res = px - stacked.S_x.dense - stacked.S_u.dense @ pu
-    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(px)))
+    Sx, Su = stacked.S_x.dense, stacked.S_u.dense
+    m, n = stacked.state_dim, stacked.input_dim
+    # chunks of block rows keep every temporary far below one dense operator;
+    # S_u's row blocks below i1 only reach the input columns below i1
+    sq = 0.0
+    for i0 in range(0, stacked.horizon + 1, 32):
+        i1 = min(i0 + 32, stacked.horizon + 1)
+        rows = slice(i0 * m, i1 * m)
+        res = px[rows] - Sx[rows] - Su[rows, :i1 * n] @ pu[:i1 * n]
+        sq += float(np.sum(res * res))
+    return float(np.sqrt(sq) / max(1.0, np.linalg.norm(px)))
 
 
 def feedforward_residual(stacked, d_x, d_u):

@@ -8,6 +8,7 @@ helpers checks two genuinely different routes to the same number.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def dense_stacked_maps(A_list, B_list):
@@ -94,6 +95,74 @@ def kkt_feedback(S_x, S_u, Q, R, m, n):
         supp = np.arange(blk * n, M)
         phi_u[supp, i] = np.linalg.solve(H[np.ix_(supp, supp)], -G[supp, i])
     return S_x + S_u @ phi_u, phi_u
+
+
+def dense_esls(S_x, S_u, Q, R, b, u_d, m, n):
+    """Closed-loop maps, plan and controller by dense trailing column solves.
+
+    Column i of phi_u solves H[i:, i:] phi = -G[i:, i] with H = S_u'QS_u + R
+    and G = S_u'QS_x; one Cholesky of H in reversed block order serves every
+    column, because a leading block of the reversed factor factors a trailing
+    block of H.  The plan solves H d_u = S_u'b + R u_d with d_x = S_u d_u.
+    The controller is K = phi_u phi_x^{-1} (unit-triangular substitution)
+    and k = d_u - K d_x.  Returns (phi_x, phi_u, d_x, d_u, K, k).
+    """
+    H = S_u.T @ Q @ S_u + R
+    H = (H + H.T) / 2
+    G = S_u.T @ Q @ S_x
+    L_rev = np.linalg.cholesky(H[::-1, ::-1])
+
+    def solve_trailing(rhs):
+        s = rhs.shape[0]
+        y = scipy.linalg.solve_triangular(L_rev[:s, :s], rhs[::-1], lower=True)
+        return scipy.linalg.solve_triangular(L_rev[:s, :s].T, y, lower=False)[::-1]
+
+    phi_u = np.zeros((S_u.shape[1], S_x.shape[1]))
+    for i in range(S_x.shape[1] // m):
+        phi_u[i * n:, i * m:(i + 1) * m] = -solve_trailing(G[i * n:, i * m:(i + 1) * m])
+    phi_x = S_x + S_u @ phi_u
+    d_u = solve_trailing((S_u.T @ b + R @ u_d)[:, None]).ravel()
+    d_x = S_u @ d_u
+    K = scipy.linalg.solve_triangular(phi_x.T, phi_u.T, lower=False, unit_diagonal=True).T
+    return phi_x, phi_u, d_x, d_u, K, d_u - K @ d_x
+
+
+def solve_sls_column(stacked, cost, col):
+    """Solve one block column of the closed-loop map problem on its own.
+
+    Returns full-height (phi_x_col, phi_u_col) of shapes ((T+1)m, m) and
+    ((T+1)n, m), zero above block ``col``.  The trailing cost blocks
+    Q^{i:}, R^{i:} keep an off-diagonal correlation block exactly when both
+    of its timesteps are >= i; the normal equations are assembled directly
+    from them.
+    """
+    T = stacked.horizon
+    m, n = stacked.state_dim, stacked.input_dim
+    if not (0 <= col <= T):
+        raise ValueError(f"column {col} outside horizon [0, {T}]")
+    km, kn = col * m, col * n
+    Su_t = stacked.S_u.dense[km:, kn:]
+    Sx_col = stacked.S_x.dense[km:, km:km + m]
+
+    nt = T + 1 - col
+    Qt = np.zeros((nt * m, nt * m))
+    for (i, j), blk in cost.Q.items():
+        if i >= col and j >= col:
+            Qt[(i - col) * m:(i - col + 1) * m, (j - col) * m:(j - col + 1) * m] = blk
+    Rt = np.zeros((nt * n, nt * n))
+    for t in range(col, T + 1):
+        Rt[(t - col) * n:(t - col + 1) * n, (t - col) * n:(t - col + 1) * n] = cost.R[t]
+
+    M = Su_t.T @ Qt @ Su_t + Rt
+    rhs = Su_t.T @ Qt @ Sx_col
+    phi_u_t = -np.linalg.solve((M + M.T) / 2, rhs)
+    phi_x_t = Sx_col + Su_t @ phi_u_t
+
+    phi_x = np.zeros(((T + 1) * m, m))
+    phi_u = np.zeros(((T + 1) * n, m))
+    phi_x[km:] = phi_x_t
+    phi_u[kn:] = phi_u_t
+    return phi_x, phi_u
 
 
 def dense_plan(S_x, S_u, Q, b, R, u_d, w=None):

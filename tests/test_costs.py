@@ -54,6 +54,20 @@ def test_duplicate_viapoint_targets():
         build_viapoint_cost(3, [(1, g, 1.0), (1, -g, 1.0)], 1.0, state_dim=2)
 
 
+def test_control_weight_validated_once(monkeypatch):
+    for w in (0.0, -1.0, [1.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            build_viapoint_cost(3, [], w, state_dim=2, input_dim=2)
+    W = np.array([[2.0, 0.5], [0.5, 1.0]])
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+    cost = build_viapoint_cost(50, [], W, state_dim=2)
+    # every step shares the weight, so one factorization validates all of R
+    assert len(calls) == 1
+    npt.assert_array_equal(cost.R, np.broadcast_to(W, (51, 2, 2)))
+
+
 def test_correlation_zero_cases():
     m = 3
     corr = CorrelationSpec(0, 2, np.eye(m), np.zeros(m), np.eye(m))

@@ -1,7 +1,11 @@
-"""Closed-loop synthesis: column solves, feedforward, controller extraction."""
+"""Closed-loop synthesis: held-state recursion, feedforward, controller extraction."""
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from slsctrl import (
     CorrelationSpec,
@@ -15,14 +19,16 @@ from slsctrl import (
     extract_controller,
     rollout,
     solve_esls,
-    solve_sls_column,
 )
 
 from oracles import (
+    dense_esls,
     dense_plan,
+    dense_stacked_maps,
     dense_tracking_pieces,
     kkt_feedback,
     riccati_regulator_gains,
+    solve_sls_column,
 )
 
 
@@ -210,3 +216,146 @@ def test_solution_independent_of_noise_scale():
                                          control_weight=cost.R[0])
     phi_x_ref, phi_u_ref = kkt_feedback(st.S_x.dense, st.S_u.dense, Qd, Rd, m, n)
     npt.assert_allclose(resp.phi_u.dense, phi_u_ref, atol=1e-9)
+
+
+def _assert_rel(actual, expected, rtol):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
+def test_recursion_matches_dense_oracle():
+    # time-varying dynamics with 0-3 correlations: shared t1, nested and
+    # touching intervals, t1 = 0 and t2 = T, scalar and matrix input weights
+    rng = np.random.default_rng(9)
+    T = 10
+    layouts = [
+        [],
+        [(2, 6), (2, T)],
+        [(1, T - 1), (3, 5)],
+        [(0, 4), (4, T)],
+        [(0, T), (2, 5), (5, 8)],
+        [(3, 7), (3, 7)],
+    ]
+    for trial, layout in enumerate(layouts * 2):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 3))
+        A_list = [rng.normal(size=(m, m)) * 0.7 for _ in range(T + 1)]
+        B_list = [rng.normal(size=(m, n)) for _ in range(T + 1)]
+        if trial % 2:
+            L = rng.normal(size=(n, n))
+            cw = L @ L.T + 0.2 * np.eye(n)
+        else:
+            cw = float(rng.uniform(0.3, 1.5))
+        vps = [(int(t), rng.normal(size=m), float(rng.uniform(0.5, 2.0)))
+               for t in rng.choice(T + 1, size=3, replace=False)]
+        cost = build_viapoint_cost(T, vps, cw, state_dim=m, input_dim=n)
+        corrs = []
+        for t1, t2 in layout:
+            L = rng.normal(size=(m, m))
+            spec = CorrelationSpec(t1, t2, rng.normal(size=(m, m)), rng.normal(size=m),
+                                   L @ L.T + 0.1 * np.eye(m))
+            cost = add_correlation(cost, spec)
+            corrs.append((t1, t2, spec.C, spec.c, spec.Q_c))
+        if trial >= len(layouts):
+            cost.u_d = rng.normal(size=(T + 1) * n)
+        st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+        resp = solve_esls(st, cost)
+        ctrl = extract_controller(resp)
+
+        S_x, S_u = dense_stacked_maps(A_list, B_list)
+        Qd, bd, Rd, _ = dense_tracking_pieces(T, m, n, vps, corrs, control_weight=cw)
+        phi_x, phi_u, d_x, d_u, K, k = dense_esls(S_x, S_u, Qd, Rd, bd, cost.u_d, m, n)
+        for actual, expected in [(resp.phi_x.dense, phi_x), (resp.phi_u.dense, phi_u),
+                                 (resp.d_x, d_x), (resp.d_u, d_u),
+                                 (ctrl.K.dense, K), (ctrl.k, k)]:
+            _assert_rel(actual, expected, 1e-9)
+        # correlations that share t1 share one held state
+        assert max(len(h) for h in resp.held) == max(
+            len({t1 for t1, t2 in layout if t1 < t <= t2}) for t in range(T + 1))
+
+
+def test_synthesis_rejects_nonfinite_data():
+    T, m, n = 4, 2, 1
+
+    def problem():
+        system = TimeVaryingLinearSystem.constant(0.5 * np.eye(m), np.ones((m, n)), T)
+        cost = build_viapoint_cost(T, [(T, np.ones(m), 1.0)], 1.0, state_dim=m, input_dim=n)
+        return system, cost
+
+    def poison_a(system, cost):
+        system.A[2][0, 0] = np.nan
+
+    def poison_b(system, cost):
+        system.B[1][0, 0] = np.inf
+
+    def poison_q(system, cost):
+        cost.Q[(T, T)][1, 1] = np.nan
+
+    def poison_r(system, cost):
+        cost.R[3][0, 0] = np.nan
+
+    def poison_lin(system, cost):
+        cost._lin[T * m] = np.inf
+
+    def poison_ud(system, cost):
+        cost.u_d[0] = np.nan
+
+    for poison, message in [(poison_a, "A_t at t=2"), (poison_b, "B_t at t=1"),
+                            (poison_q, r"Q block \(4, 4\)"), (poison_r, "R_t at t=3"),
+                            (poison_lin, "linear term at t=4"), (poison_ud, "u_d at t=0")]:
+        system, cost = problem()
+        poison(system, cost)
+        with pytest.raises(ValueError, match="non-finite " + message):
+            solve_esls(build_stacked(system), cost)
+
+
+def test_indefinite_step_hessian_names_timestep():
+    # B_3 = 0 and R_3 = 0 leave the step-3 input with no curvature at all
+    T, m, n = 6, 2, 1
+    system = TimeVaryingLinearSystem.constant(0.5 * np.eye(m), np.ones((m, n)), T)
+    system.B[3][:] = 0.0
+    cost = build_viapoint_cost(T, [(T, np.ones(m), 1.0)], 1.0, state_dim=m, input_dim=n)
+    cost.R[3] = 0.0
+    with pytest.raises(ValueError, match="t=3 is not positive definite"):
+        solve_esls(build_stacked(system), cost)
+    with pytest.raises(ValueError, match="t=3 is not positive definite"):
+        dp_lqt(system, cost)
+
+
+def test_stationarity_residual_detects_scaled_feedforward():
+    rng = np.random.default_rng(10)
+    T, m, n = 40, 4, 2
+    A_list = [np.eye(m) + 0.1 * rng.normal(size=(m, m)) for _ in range(T + 1)]
+    B_list = [rng.normal(size=(m, n)) for _ in range(T + 1)]
+    st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+    cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
+    resp = solve_esls(st, cost)
+    genuine = resp.residuals(st)
+    scaled = dataclasses.replace(resp, d_x=resp.d_x * (1 + 1e-6), d_u=resp.d_u * (1 + 1e-6))
+    wrong = scaled.residuals(st)
+    # the scaled plan is still a trajectory of the dynamics, so only
+    # stationarity can tell it from the optimum
+    assert wrong["feedforward"] <= 1e-12
+    assert genuine["stationarity"] <= 1e-11
+    assert wrong["stationarity"] >= 1e-7
+
+
+def test_residuals_allocate_no_dense_temporaries():
+    # phi_x and phi_u are propagated into one array each; no N x N
+    # closed-loop matrix or identity right-hand side is ever built
+    rng = np.random.default_rng(11)
+    T, m, n = 200, 4, 2
+    st = build_stacked(TimeVaryingLinearSystem.constant(
+        0.9 * np.eye(m) + 0.05 * rng.normal(size=(m, m)), rng.normal(size=(m, n)), T))
+    cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
+    resp = solve_esls(st, cost)
+    st.S_x, st.S_u    # the dense operators are the oracle's, built beforehand
+    tracemalloc.start()
+    try:
+        res = resp.residuals(st)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    maps = resp.phi_x.dense.nbytes + resp.phi_u.dense.nbytes
+    assert peak <= maps + resp.phi_x.dense.nbytes // 2
+    assert max(res.values()) <= 1e-10
