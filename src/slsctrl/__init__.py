@@ -14,10 +14,7 @@ from .stacked import (
     StackedSystem,
     TimeVaryingLinearSystem,
     achievability_residual,
-    apply_block_delay,
-    blt_invert_unit_diagonal,
     build_stacked,
-    delay_blt,
     feedforward_residual,
 )
 from .costs import (
@@ -31,7 +28,6 @@ from .costs import (
     expected_quadratic,
     joint_limit_violation,
     joint_limit_violation_jacobian,
-    quadratize_state_cost,
 )
 from .solver import (
     Controller,
@@ -43,7 +39,6 @@ from .plants import (
     LinearPlant,
     OpenLoopController,
     PlanarArmPlant,
-    PlanarArmState,
     Plant,
     StepFeedbackController,
     Trajectory,
@@ -110,7 +105,6 @@ __all__ = [
     "NoiseModel",
     "OpenLoopController",
     "PlanarArmPlant",
-    "PlanarArmState",
     "Plant",
     "Scenario",
     "SolverNotConverged",
@@ -126,12 +120,10 @@ __all__ = [
     "adapt_controller",
     "adapt_feedforward",
     "add_correlation",
-    "apply_block_delay",
     "batch_lqt",
     "bench_adaptation",
     "bench_mug_sugar",
     "bench_pickplace",
-    "blt_invert_unit_diagonal",
     "build_cost",
     "build_noise",
     "build_objective",
@@ -139,7 +131,6 @@ __all__ = [
     "build_stacked",
     "build_viapoint_cost",
     "bundled_scenario_path",
-    "delay_blt",
     "double_integrator_plant",
     "dp_lqt",
     "evaluate_trajectory_cost",
@@ -159,7 +150,6 @@ __all__ = [
     "nominal_rollout",
     "planar_arm_plant",
     "precompute_gain_maps",
-    "quadratize_state_cost",
     "rollout",
     "run_scenario",
     "solve_esls",

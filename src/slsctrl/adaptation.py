@@ -1,11 +1,13 @@
 """Feedforward retargeting without re-synthesis.
 
-The synthesized feedback maps depend on the weights (Q, R) and the dynamics
-but not on where the targets sit: k = (I - K S_u) H^{-1} (S_u' Q x_d + R u_d)
-is linear in (x_d, u_d).  Precomputing the two linear maps lets a running
-controller be retargeted with a couple of matrix-vector products, orders of
-magnitude cheaper than re-running the synthesis, and produces bit-for-bit
-the same feedforward the full re-solve would.
+The synthesized feedback gains depend on the weights (Q, R) and the dynamics
+but not on where the targets sit.  The feedforward k of the synthesis
+recursion is linear in the linear term Q x_d and the input target u_d, so
+k = F_x x_d + F_u u_d.  One pass of the recursion, with one right-hand side
+per map column, builds both maps.  A running controller is then retargeted
+with two matrix-vector products, orders of magnitude cheaper than re-running
+the synthesis, and equal up to rounding to the feedforward a full re-solve
+gives.
 
 The feedback part K is untouched by edits, so swapping k on a live
 controller is safe mid-rollout: past inputs were optimal for the old
@@ -17,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+from .solver import riccati_gains
 
 
 @dataclass
@@ -37,22 +40,34 @@ class AdaptationMaps:
 
 
 def precompute_gain_maps(stacked, cost, controller):
-    """Assemble the target-to-feedforward maps for a synthesized controller.
+    """Assemble the target-to-feedforward maps of a synthesized controller.
 
     ``cost`` supplies the weights (Q, R); the maps stay valid for any edit
     that moves targets while keeping weights, correlations' C and Q_c, and
-    the dynamics fixed.  F_x = (I - K S_u) H^{-1} S_u' Q and
-    F_u = (I - K S_u) H^{-1} R.
+    the dynamics fixed.  Only the blocks A_t, B_t of ``stacked`` are read.
+    ``controller`` is not read: the maps follow from the weights and the
+    dynamics alone.
+
+    x_d enters only through Q x_d, so block column j of F_x is the
+    feedforward for the linear term Q[:, j], and is zero at timesteps Q does
+    not touch; column i of F_u is the feedforward for the unit input target
+    e_i.  All columns come from one pass of the synthesis recursion.
     """
-    Su = stacked.S_u.dense
-    QSu = cost.q_matmat(Su)
-    H = Su.T @ QSu + cost.assemble_dense_r()
-    H = (H + H.T) / 2
-    factor = scipy.linalg.cho_factor(H, lower=True)
-    E_x = scipy.linalg.cho_solve(factor, QSu.T)
-    E_u = scipy.linalg.cho_solve(factor, cost.assemble_dense_r())
-    M = np.eye(H.shape[0]) - controller.K.dense @ Su
-    return AdaptationMaps(F_x=M @ E_x, F_u=M @ E_u)
+    system = stacked.system
+    T, m, n = system.horizon, system.state_dim, system.input_dim
+    touched = sorted({j for (_, j) in cost.Q})
+    col = {j: a * m for a, j in enumerate(touched)}
+    cx, cu = len(touched) * m, (T + 1) * n
+    b = np.zeros((T + 1, m, cx + cu))
+    for (i, j), blk in cost.Q.items():
+        b[i, :, col[j]:col[j] + m] = blk
+    u_d = np.zeros((cu, cx + cu))
+    np.fill_diagonal(u_d[:, cx:], 1.0)
+    k = riccati_gains(system, cost, b, u_d.reshape(T + 1, n, -1))[2].reshape(cu, -1)
+    F_x = np.zeros((cu, (T + 1) * m))
+    for j in touched:
+        F_x[:, j * m:(j + 1) * m] = k[:, col[j]:col[j] + m]
+    return AdaptationMaps(F_x=F_x, F_u=np.ascontiguousarray(k[:, cx:]))
 
 
 def adapt_feedforward(maps, x_d_new, u_d_new):

@@ -32,7 +32,6 @@ from .bench import (
     bench_adaptation,
     bench_mug_sugar,
     bench_pickplace,
-    bundled_scenario_path,
 )
 from .plants import rollout
 from .scenarios import (

@@ -18,7 +18,7 @@ additive constant, which no minimizer or solver path ever sees.
 from __future__ import annotations
 
 import copy as _copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,11 +228,6 @@ class CostSpec:
         out._lin = out.q_matvec(out.x_d)
         return out
 
-    def ispsd(self, tol=1e-8):
-        """Eigenvalue check of the assembled dense Q (small horizons only)."""
-        q = self.assemble_dense_q()
-        return bool(np.min(np.linalg.eigvalsh((q + q.T) / 2)) >= -tol)
-
 
 def build_viapoint_cost(horizon, viapoints, control_weight, state_dim=None, input_dim=1):
     """Assemble a sparse tracking cost from keypoint terms.
@@ -436,26 +431,6 @@ class StateCostFunction:
             return 2.0 * table[t][0]
 
         return cls(value, gradient, hessian)
-
-
-def quadratize_state_cost(cost_fn, t, x_hat, regularization=1e-6):
-    """Second-order expansion of a state cost around a nominal point.
-
-    Returns ``(C_xx, x_d_local)`` with C_xx the symmetrized Hessian plus
-    ``regularization`` on the diagonal and x_d_local = -C_xx^{-1} grad, so
-    that c(x_hat + d) ~ 0.5 (d - x_d_local)' C_xx (d - x_d_local) + const.
-    """
-    x_hat = np.asarray(x_hat, dtype=float)
-    H = cost_fn.hessian(t, x_hat)
-    H = (H + H.T) / 2 + regularization * np.eye(x_hat.size)
-    g = cost_fn.gradient(t, x_hat)
-    try:
-        x_d_local = np.linalg.solve(H, -g)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "quadratized cost curvature is singular; increase the regularization"
-        ) from None
-    return H, x_d_local
 
 
 def joint_limit_violation(theta, lower, upper):

@@ -217,7 +217,8 @@ class IslsConfig:
     below ``stationarity_floor`` stops immediately: the subproblem proposes
     no move, so the nominal is already stationary.  ``alphas`` is the
     backtracking schedule for the feedforward scaling; an exhausted schedule
-    (no strict decrease) also terminates the loop.
+    (no strict decrease) also terminates the loop, unconverged with reason
+    "non_finite" when a trial cost was not finite.
     """
 
     tolerance: float = 1e-6
@@ -234,7 +235,7 @@ class IslsResult:
     """Outcome summary of :func:`isls_optimize`."""
 
     converged: bool
-    reason: str           # "tolerance", "stationary", "stall", or "max_iterations"
+    reason: str           # "tolerance", "stationary", "stall", "non_finite" or "max_iterations"
     iterations: int
     cost: float
     stationarity: float   # max |k| of the subproblem at the final nominal
@@ -324,15 +325,16 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
             reason = "max_iterations"
             break
 
-        accepted = None
+        accepted, non_finite = None, False
         for alpha in cfg.alphas:
             xs, us = closed_loop_step(plant, ctrl.K, alpha * ctrl.k, x_hat, u_hat)
             trial = objective.true_cost(xs, us)
             if trial < cost_value:
                 accepted = (alpha, xs, us, trial)
                 break
+            non_finite = non_finite or not np.isfinite(trial)
         if accepted is None:
-            reason = "stall"
+            reason = "non_finite" if non_finite else "stall"
             break
         alpha, x_hat, u_hat, new_cost = accepted
         delta = cost_value - new_cost

@@ -25,7 +25,7 @@ from .costs import (
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
-from .solver import riccati_gains
+from .solver import own_columns, riccati_gains
 from .stacked import NoiseModel, TimeVaryingLinearSystem
 
 
@@ -117,37 +117,6 @@ def wrap_angle(a):
     return r
 
 
-@dataclass
-class PlanarArmState:
-    """Structured view of the augmented arm state vector."""
-
-    theta: np.ndarray
-    theta_dot: np.ndarray
-    ee_pos: np.ndarray
-    ee_vel: np.ndarray
-    ee_angle: float
-    limit_penalty: np.ndarray
-
-    @classmethod
-    def from_vector(cls, z, n_links):
-        z = np.asarray(z, dtype=float)
-        p = n_links
-        return cls(
-            theta=z[:p].copy(),
-            theta_dot=z[p:2 * p].copy(),
-            ee_pos=z[2 * p:2 * p + 2].copy(),
-            ee_vel=z[2 * p + 2:2 * p + 4].copy(),
-            ee_angle=float(z[2 * p + 4]),
-            limit_penalty=z[2 * p + 5:3 * p + 5].copy(),
-        )
-
-    def to_vector(self):
-        return np.concatenate([
-            self.theta, self.theta_dot, self.ee_pos, self.ee_vel,
-            [self.ee_angle], self.limit_penalty,
-        ])
-
-
 class PlanarArmPlant(Plant):
     """Kinematic planar arm with task-space quantities embedded in the state.
 
@@ -217,14 +186,11 @@ class PlanarArmPlant(Plant):
         p = self.n_links
         theta = np.asarray(theta, dtype=float)
         theta_dot = np.zeros(p) if theta_dot is None else np.asarray(theta_dot, float)
-        return PlanarArmState(
-            theta=theta.copy(),
-            theta_dot=theta_dot.copy(),
-            ee_pos=self.forward_kinematics(theta),
-            ee_vel=self.ee_jacobian(theta) @ theta_dot,
-            ee_angle=wrap_angle(float(np.sum(theta))),
-            limit_penalty=joint_limit_violation(theta, self.theta_lower, self.theta_upper),
-        ).to_vector()
+        return np.concatenate([
+            theta, theta_dot, self.forward_kinematics(theta),
+            self.ee_jacobian(theta) @ theta_dot, [wrap_angle(float(np.sum(theta)))],
+            joint_limit_violation(theta, self.theta_lower, self.theta_upper),
+        ])
 
     # -- dynamics -----------------------------------------------------------
 
@@ -488,8 +454,8 @@ def dp_lqt(system, cost):
             "dp_lqt requires block-diagonal Q; cross-time correlation terms "
             "cannot be represented by a memoryless recursion"
         )
-    _, gains, offsets = riccati_gains(system, cost)
-    return StepFeedbackController(gains, offsets)
+    _, gains, offsets = riccati_gains(system, cost, *own_columns(cost))
+    return StepFeedbackController(gains, offsets[..., 0])
 
 
 def _accumulated_diagonal_cost(horizon, state_dim, input_dim, r_blocks, terms, u_d=None):

@@ -61,7 +61,6 @@ import numpy as np
 from .adaptation import precompute_gain_maps
 from .costs import (
     CorrelationSpec,
-    CostSpec,
     StateCostFunction,
     add_correlation,
     build_viapoint_cost,
@@ -91,7 +90,7 @@ class ValidationError(ValueError):
 
 
 class SolverNotConverged(RuntimeError):
-    """The iterative solver exhausted its iteration budget."""
+    """The iterative solver stopped unconverged (iteration budget or non-finite costs)."""
 
 
 # -- validation helpers --------------------------------------------------------
@@ -126,6 +125,8 @@ def _as_float(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
     value = float(value)
+    if not np.isfinite(value):
+        raise ValidationError(f"{path}: expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{path}: {value} below minimum {minimum}")
     return value
@@ -158,7 +159,7 @@ def _as_weight(value, path, dim):
     if isinstance(value, bool):
         raise ValidationError(f"{path}: expected a weight, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value) * np.eye(dim)
+        return _as_float(value, path) * np.eye(dim)
     if isinstance(value, list) and value and isinstance(value[0], list):
         mat = _as_matrix(value, path, shape=(dim, dim))
         if not np.allclose(mat, mat.T, atol=1e-12):

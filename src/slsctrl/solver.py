@@ -188,17 +188,26 @@ def held_states(cost):
             for t in range(cost.horizon + 1)]
 
 
-def riccati_gains(system, cost):
+def own_columns(cost):
+    """The cost's linear term and input target as one right-hand-side column."""
+    T1 = cost.horizon + 1
+    return cost.linear_term.reshape(T1, -1, 1), cost.u_d.reshape(T1, -1, 1)
+
+
+def riccati_gains(system, cost, b, u_d):
     """Backward recursion over the held-state augmentation (see module notes).
 
-    Returns (held, gains, k) of the optimal policy u_t = gains[t] z_t + k[t].
-    Raises ValueError on mismatched or non-finite data and on a step Hessian
-    that is not positive definite.
+    ``b`` (T+1, m, c) and ``u_d`` (T+1, n, c) are c columns of right-hand
+    sides: linear terms and input targets that share the weights of
+    ``cost``.  Returns (held, gains, k) of the optimal policies
+    u_t = gains[t] z_t + k[t], one feedforward column per right-hand side,
+    k of shape (T+1, n, c).  Raises ValueError on mismatched or non-finite
+    data and on a step Hessian that is not positive definite.
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
     if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
         raise ValueError("cost dimensions do not match the system")
-    b, u_d = cost.linear_term.reshape(T + 1, m), cost.u_d.reshape(T + 1, n)
+    c = b.shape[2]
     for name, blocks in [("A_t", np.asarray(system.A)), ("B_t", np.asarray(system.B)),
                          ("R_t", cost.R), ("linear term", b), ("u_d", u_d)]:
         bad = ~np.isfinite(blocks.reshape(T + 1, -1)).all(axis=1)
@@ -208,9 +217,9 @@ def riccati_gains(system, cost):
         if not np.isfinite(blk).all():
             raise ValueError(f"non-finite Q block ({i}, {j})")
     held = held_states(cost)
-    gains, k = [None] * (T + 1), np.zeros((T + 1, n))
+    gains, k = [None] * (T + 1), np.zeros((T + 1, n, c))
     # cost-to-go of z_{t+1} as z'Pz - 2p'z; nothing follows step T
-    P, p, held_next = np.zeros((m, m)), np.zeros(m), ()
+    P, p, held_next = np.zeros((m, m)), np.zeros((m, c)), ()
     for t in range(T, -1, -1):
         slot = {s: a for a, s in enumerate((t, *held[t]))}
         d = m * len(slot)
@@ -220,7 +229,7 @@ def riccati_gains(system, cost):
             if (s, t) in cost.Q:
                 M[a * m:(a + 1) * m, :m] = cost.Q[(s, t)]
                 M[:m, a * m:(a + 1) * m] = cost.Q[(s, t)].T
-        lin = np.zeros(d)
+        lin = np.zeros((d, c))
         lin[:m] = b[t]
         # z_{t+1} = E z_t + [B_t; 0] u_t
         E = np.zeros((P.shape[0], d))
@@ -236,8 +245,8 @@ def riccati_gains(system, cost):
         except np.linalg.LinAlgError:
             raise ValueError(f"step Hessian R_t + B_t'P B_t at t={t} is not positive "
                              "definite; check that R is PD and Q is PSD") from None
-        sol = np.linalg.solve(Huu, np.column_stack([Huz, cost.R[t] @ u_d[t] + Bt.T @ p[:m]]))
-        gains[t], k[t] = -sol[:, :d], sol[:, d]
+        sol = np.linalg.solve(Huu, np.hstack([Huz, cost.R[t] @ u_d[t] + Bt.T @ p[:m]]))
+        gains[t], k[t] = -sol[:, :d], sol[:, d:]
         P = M + E.T @ PE + Huz.T @ gains[t]
         P = (P + P.T) / 2
         p = lin + E.T @ p - Huz.T @ k[t]
@@ -258,7 +267,8 @@ def solve_esls(stacked, cost):
     (the message names the step).
     """
     system = stacked.system
-    held, gains, k = riccati_gains(system, cost)
+    held, gains, k = riccati_gains(system, cost, *own_columns(cost))
+    k = k[..., 0]
     T, m, n = system.horizon, system.state_dim, system.input_dim
     xs, us = np.zeros((T + 1, m)), np.zeros((T + 1, n))
     for t in range(T + 1):

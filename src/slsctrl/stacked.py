@@ -7,20 +7,19 @@ and disturbances over a horizon of T steps are stacked into single vectors
 
 and the dynamics become ``x = Z A_d x + Z B_d u + w`` where ``A_d``, ``B_d``
 are block diagonal and ``Z`` is the block delay operator (identity blocks on
-the first block subdiagonal).  Everything downstream works with the two
-causal response operators
+the first block subdiagonal).  The two causal response operators
 
     S_x = (I - Z A_d)^{-1}        (maps disturbances to states),
     S_u = S_x Z B_d               (maps inputs to states),
 
-both block lower triangular.  ``Z`` is never materialized; shifting by one
-block is an index operation.
+are block lower triangular.  ``Z`` is never materialized.
 
-The synthesis never reads the dense operators: it runs a recursion over the
-blocks A_t, B_t (see :mod:`slsctrl.solver`).  So :func:`build_stacked` is
-O(1), and each operator is assembled on first access by block forward
-propagation, in O(T^2 m^2 (m or n)) flops and O((T m)^2) memory, for the
-retargeting maps, the batch baseline, residuals and the test oracles.
+Neither the synthesis nor the retargeting maps read the dense operators:
+both run a recursion over the blocks A_t, B_t (see :mod:`slsctrl.solver`).
+So :func:`build_stacked` is O(1), and each operator is assembled on first
+access by block forward propagation, in O(T^2 m^2 (m or n)) flops and
+O((T m)^2) memory, for the batch baseline, the residuals and the test
+oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 
 class BlockLowerTriangular:
@@ -114,14 +112,6 @@ class BlockLowerTriangular:
             raise ValueError(f"block shape {value.shape} != ({r}, {c})")
         self._dense[i * r:(i + 1) * r, j * c:(j + 1) * c] = value
 
-    def blocks(self):
-        """Iterate over stored blocks as (i, j, copy) with i >= j (> if strict)."""
-        nb = self.T_blocks
-        for i in range(nb):
-            stop = i if self.strict else i + 1
-            for j in range(stop):
-                yield i, j, self.block(i, j)
-
     def __matmul__(self, other):
         if isinstance(other, BlockLowerTriangular):
             if self.col_block_dim != other.row_block_dim or self.T_blocks != other.T_blocks:
@@ -136,35 +126,11 @@ class BlockLowerTriangular:
         other = np.asarray(other, dtype=float)
         return self._dense @ other
 
-    def allclose(self, other, rtol=1e-9, atol=1e-12):
-        return np.allclose(self._dense, other.dense, rtol=rtol, atol=atol)
-
     def __repr__(self):
         return (
             f"BlockLowerTriangular(T_blocks={self.T_blocks}, "
             f"block=({self.row_block_dim}x{self.col_block_dim}), strict={self.strict})"
         )
-
-
-def apply_block_delay(v, block_dim):
-    """Apply the delay operator Z to a stacked vector: shift down one block.
-
-    The first block of the result is zero; the last block of ``v`` drops out.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.size % block_dim:
-        raise ValueError("vector length not divisible by block dimension")
-    out = np.zeros_like(v)
-    out[block_dim:] = v[:-block_dim]
-    return out
-
-
-def delay_blt(M):
-    """Left-multiply a block lower triangular matrix by Z (shift block rows down)."""
-    r = M.row_block_dim
-    dense = np.zeros_like(M.dense)
-    dense[r:, :] = M.dense[:-r, :]
-    return BlockLowerTriangular(dense, r, M.col_block_dim, strict=True, copy=False)
 
 
 @dataclass
@@ -242,14 +208,6 @@ class NoiseModel:
         return self.mu_x0.size
 
     @property
-    def mu_w(self):
-        """Stacked disturbance mean: mu_x0 followed by exact zeros."""
-        m = self.state_dim
-        mu = np.zeros((self.horizon + 1) * m)
-        mu[:m] = self.mu_x0
-        return mu
-
-    @property
     def sigma_diag(self):
         """(T+1, m) array of per-block diagonal variances."""
         out = np.tile(self.sigma_noise, (self.horizon + 1, 1))
@@ -311,29 +269,6 @@ class StackedSystem:
             su[c:c + m, :t * n] = self.system.A[t] @ su[t * m:c, :t * n]
             su[c:c + m, t * n:(t + 1) * n] = self.system.B[t]
         return BlockLowerTriangular(su, m, n, strict=True, copy=False)
-
-
-def blt_invert_unit_diagonal(M, atol=1e-8):
-    """Invert a block lower triangular matrix whose diagonal blocks are identity.
-
-    The inverse is obtained by forward substitution, which is exact for this
-    class (the matrix is unit lower triangular at the scalar level, so the
-    scalar and block recursions compute identical values).  Raises if a
-    diagonal block deviates from the identity beyond ``atol``.
-    """
-    if M.row_block_dim != M.col_block_dim:
-        raise ValueError("only square-block matrices can be inverted")
-    if M.strict:
-        raise ValueError("a strictly lower triangular matrix is singular")
-    d = M.row_block_dim
-    eye = np.eye(d)
-    for i in range(M.T_blocks):
-        if not np.allclose(M.block(i, i), eye, atol=atol, rtol=0.0):
-            raise ValueError(f"diagonal block {i} is not the identity")
-    inv = scipy.linalg.solve_triangular(
-        M.dense, np.eye(M.dense.shape[0]), lower=True, unit_diagonal=True
-    )
-    return BlockLowerTriangular(inv, d, d, copy=False)
 
 
 def build_stacked(system):

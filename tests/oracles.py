@@ -127,6 +127,19 @@ def dense_esls(S_x, S_u, Q, R, b, u_d, m, n):
     return phi_x, phi_u, d_x, d_u, K, d_u - K @ d_x
 
 
+def dense_gain_maps(S_u, Q, R, K):
+    """Target-to-feedforward maps by dense normal equations.
+
+    The plan for targets (x_d, u_d) solves H d_u = S_u'Q x_d + R u_d with
+    H = S_u'QS_u + R, and the feedforward of the law u = K x + k is
+    k = d_u - K S_u d_u.  Returns (F_x, F_u) with k = F_x x_d + F_u u_d.
+    """
+    H = S_u.T @ Q @ S_u + R
+    E = np.linalg.solve((H + H.T) / 2, np.hstack([S_u.T @ Q, R]))
+    F = (np.eye(H.shape[0]) - K @ S_u) @ E
+    return F[:, :Q.shape[0]], F[:, Q.shape[0]:]
+
+
 def solve_sls_column(stacked, cost, col):
     """Solve one block column of the closed-loop map problem on its own.
 

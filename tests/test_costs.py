@@ -1,4 +1,4 @@
-"""Quadratic tracking costs: viapoints, correlations, quadratization."""
+"""Quadratic tracking costs: viapoints, correlations, state cost functions."""
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +15,6 @@ from slsctrl import (
     expected_quadratic,
     joint_limit_violation,
     joint_limit_violation_jacobian,
-    quadratize_state_cost,
 )
 
 from oracles import (
@@ -228,46 +227,6 @@ def test_refresh_targets_solves_linear_term():
         2, 5, rng.normal(size=(m, m)), rng.normal(size=m), np.eye(m)))
     Q = cost.assemble_dense_q()
     npt.assert_allclose(Q @ cost.x_d, cost.linear_term, atol=1e-9)
-
-
-def test_quadratize_quadratic_recovers_itself():
-    rng = np.random.default_rng(8)
-    m = 3
-    L = rng.normal(size=(m, m))
-    Q = L @ L.T + np.eye(m)
-    g = rng.normal(size=m)
-    fn = StateCostFunction(
-        value=lambda t, x: 0.5 * (x - g) @ Q @ (x - g),
-        gradient=lambda t, x: Q @ (x - g),
-        hessian=lambda t, x: Q,
-    )
-    x_hat = rng.normal(size=m)
-    C_xx, x_d_local = quadratize_state_cost(fn, 0, x_hat, regularization=0.0)
-    npt.assert_allclose(C_xx, Q, atol=1e-12)
-    npt.assert_allclose(x_hat + x_d_local, g, atol=1e-10)
-    C_reg, _ = quadratize_state_cost(fn, 0, x_hat, regularization=0.5)
-    npt.assert_allclose(C_reg, Q + 0.5 * np.eye(m), atol=1e-12)
-
-
-def test_quadratize_quartic_closed_form():
-    fn = StateCostFunction(
-        value=lambda t, x: float(x[0] ** 4),
-        gradient=lambda t, x: np.array([4 * x[0] ** 3]),
-        hessian=lambda t, x: np.array([[12 * x[0] ** 2]]),
-    )
-    C_xx, x_d_local = quadratize_state_cost(fn, 0, np.array([1.0]),
-                                            regularization=0.0)
-    npt.assert_allclose(C_xx, [[12.0]])
-    npt.assert_allclose(fn.gradient(0, np.array([1.0])), [4.0])
-    npt.assert_allclose(x_d_local, [-1.0 / 3.0])
-
-
-def test_quadratize_singular_curvature_raises():
-    fn = StateCostFunction(value=lambda t, x: float(x[0]),
-                           gradient=lambda t, x: np.array([1.0, 0.0]),
-                           hessian=lambda t, x: np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        quadratize_state_cost(fn, 0, np.zeros(2), regularization=0.0)
 
 
 def test_state_cost_fd_fallbacks_match_analytic():

@@ -11,6 +11,7 @@ from slsctrl import (
     TrackingObjective,
     build_stacked,
     build_viapoint_cost,
+    double_integrator_plant,
     extract_controller,
     isls_optimize,
     linearize_plant,
@@ -141,6 +142,27 @@ def test_stationary_start_takes_no_step():
     assert res.stationarity <= 1e-9
     npt.assert_array_equal(ctrl.nominal_x, np.zeros((T + 1) * 2))
     npt.assert_array_equal(ctrl.nominal_u, np.zeros((T + 1) * 2))
+
+
+def test_nonfinite_line_search_is_not_convergence():
+    # the plant's step blows up to NaN past |x| = 1e-3, so every trial of
+    # the first line search costs NaN and no step can be accepted
+    di = double_integrator_plant(1, 0.1)
+
+    class NanBeyondBound(LinearPlant):
+        def step(self, t, x, u):
+            if np.max(np.abs(x)) >= 1e-3:
+                return np.full(self.state_dim, np.nan)
+            return super().step(t, x, u)
+
+    T = 10
+    cost = build_viapoint_cost(T, [(T, np.array([10.0, 0.0]), 1.0)], 1e-2,
+                               state_dim=2, input_dim=1)
+    _, res = isls_optimize(NanBeyondBound(di.A, di.B, dt=di.dt),
+                           TrackingObjective.from_costspec(cost), np.zeros(2))
+    assert res.reason == "non_finite"
+    assert not res.converged
+    assert res.iterations == 0
 
 
 def test_arm_reaching_viapoint():

@@ -96,6 +96,24 @@ def test_unknown_keys_rejected():
         Scenario.from_dict(config)
 
 
+def test_nonfinite_numbers_name_field(tmp_path):
+    # json writes and reads the literals NaN and Infinity; validation must
+    # stop them before they reach the solver
+    nan_target = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    nan_target["cost"]["viapoints"][0]["target"][0] = float("nan")
+    infinite_dt = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    infinite_dt["dt"] = float("inf")
+    nan_weight = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    nan_weight["cost"]["control_weight"] = float("nan")
+    for config, field_path in [(nan_target, r"cost\.viapoints\[0\]\.target\[0\]"),
+                               (infinite_dt, r"scenario\.dt"),
+                               (nan_weight, r"cost\.control_weight")]:
+        scenario_file = tmp_path / "nonfinite.json"
+        scenario_file.write_text(json.dumps(config))
+        with pytest.raises(ValidationError, match=field_path + ": expected a finite number"):
+            load_scenario(scenario_file)
+
+
 def test_scenario_roundtrip_and_hash():
     raw = load_scenario(bundled_scenario_path("mug_sugar")).raw
     assert json.loads(json.dumps(raw)) == raw

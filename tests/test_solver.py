@@ -17,12 +17,14 @@ from slsctrl import (
     build_viapoint_cost,
     dp_lqt,
     extract_controller,
+    precompute_gain_maps,
     rollout,
     solve_esls,
 )
 
 from oracles import (
     dense_esls,
+    dense_gain_maps,
     dense_plan,
     dense_stacked_maps,
     dense_tracking_pieces,
@@ -225,7 +227,8 @@ def _assert_rel(actual, expected, rtol):
 
 def test_recursion_matches_dense_oracle():
     # time-varying dynamics with 0-3 correlations: shared t1, nested and
-    # touching intervals, t1 = 0 and t2 = T, scalar and matrix input weights
+    # touching intervals, t1 = 0 and t2 = T, scalar and matrix input weights;
+    # the retarget maps are checked against dense normal equations as well
     rng = np.random.default_rng(9)
     T = 10
     layouts = [
@@ -261,13 +264,16 @@ def test_recursion_matches_dense_oracle():
         st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
         resp = solve_esls(st, cost)
         ctrl = extract_controller(resp)
+        maps = precompute_gain_maps(st, cost, ctrl)
 
         S_x, S_u = dense_stacked_maps(A_list, B_list)
         Qd, bd, Rd, _ = dense_tracking_pieces(T, m, n, vps, corrs, control_weight=cw)
         phi_x, phi_u, d_x, d_u, K, k = dense_esls(S_x, S_u, Qd, Rd, bd, cost.u_d, m, n)
+        F_x, F_u = dense_gain_maps(S_u, Qd, Rd, K)
         for actual, expected in [(resp.phi_x.dense, phi_x), (resp.phi_u.dense, phi_u),
                                  (resp.d_x, d_x), (resp.d_u, d_u),
-                                 (ctrl.K.dense, K), (ctrl.k, k)]:
+                                 (ctrl.K.dense, K), (ctrl.k, k),
+                                 (maps.F_x, F_x), (maps.F_u, F_u)]:
             _assert_rel(actual, expected, 1e-9)
         # correlations that share t1 share one held state
         assert max(len(h) for h in resp.held) == max(

@@ -9,10 +9,7 @@ from slsctrl import (
     NoiseModel,
     TimeVaryingLinearSystem,
     achievability_residual,
-    apply_block_delay,
-    blt_invert_unit_diagonal,
     build_stacked,
-    delay_blt,
     feedforward_residual,
 )
 
@@ -51,17 +48,6 @@ def test_blt_matmul_matches_dense():
     npt.assert_allclose(C.dense, A.dense @ B.dense, atol=1e-13)
     v = rng.normal(size=8)
     npt.assert_allclose(A @ v, A.dense @ v, atol=1e-13)
-
-
-def test_block_delay_shifts_one_block():
-    v = np.arange(6.0)
-    npt.assert_array_equal(apply_block_delay(v, 2), [0, 0, 0, 1, 2, 3])
-    M = BlockLowerTriangular.identity(3, 2)
-    D = delay_blt(M)
-    # delayed identity: block (i+1, i) = I, block row 0 zero
-    npt.assert_array_equal(D.block(1, 0), np.eye(2))
-    npt.assert_array_equal(D.block(2, 1), np.eye(2))
-    assert np.all(D.dense[:2] == 0)
 
 
 def test_stacked_scalar_unit_system():
@@ -119,30 +105,6 @@ def test_stacked_zero_dynamics():
         for j in range(i):
             if i != j + 1:
                 assert np.all(st.S_u.block(i, j) == 0)
-
-
-def test_blt_inverse_identity_and_unipotent():
-    I3 = BlockLowerTriangular.identity(3, 2)
-    npt.assert_allclose(blt_invert_unit_diagonal(I3).dense, np.eye(6), atol=1e-14)
-    a = 1.7
-    M = BlockLowerTriangular(np.array([[1.0, 0.0], [a, 1.0]]), 1, 1)
-    inv = blt_invert_unit_diagonal(M)
-    npt.assert_allclose(inv.dense, [[1.0, 0.0], [-a, 1.0]], atol=1e-14)
-
-
-def test_blt_inverse_random_vs_dense():
-    rng = np.random.default_rng(4)
-    M = BlockLowerTriangular.identity(4, 2)
-    for i in range(4):
-        for j in range(i):
-            M.set_block(i, j, rng.normal(size=(2, 2)))
-    inv = blt_invert_unit_diagonal(M)
-    npt.assert_allclose(inv.dense, np.linalg.inv(M.dense), atol=1e-10)
-    # refuses a non-identity diagonal
-    bad = M.dense.copy()
-    bad[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        blt_invert_unit_diagonal(BlockLowerTriangular(bad, 2, 2))
 
 
 def test_residual_definitions():
