@@ -443,7 +443,7 @@ def joint_limit_violation(theta, lower, upper):
     theta = np.asarray(theta, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if np.any(lower > upper):
+    if (lower > upper).any():
         raise ValueError("lower limit exceeds upper limit")
     h = np.maximum(lower - theta, 0.0) + np.maximum(theta - upper, 0.0)
     return h * h

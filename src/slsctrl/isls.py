@@ -107,38 +107,47 @@ class TrackingObjective:
 
         Per-step state costs contribute their second-order expansion
         (C_xx = hessian + regularization, optionally eigenvalue-floored for
-        indefinite costs); correlations transfer exactly with the residual
+        indefinite costs), all steps in one batched eigendecomposition;
+        correlations transfer exactly with the residual
         offset r = C x_hat_{t1} + c - x_hat_{t2}; the input term becomes a
         tracking term toward u_d - u_hat.
         """
-        m = self.state_dim
-        xb = np.asarray(x_hat, dtype=float).reshape(self.horizon + 1, m)
-        ub = np.asarray(u_hat, dtype=float).reshape(self.horizon + 1, self.input_dim)
+        m, T1 = self.state_dim, self.horizon + 1
+        xb = np.asarray(x_hat, dtype=float).reshape(T1, m)
+        ub = np.asarray(u_hat, dtype=float).reshape(T1, self.input_dim)
         cost = CostSpec(self.horizon, m, self.input_dim)
         cost.R = self.R.copy()
         cost.u_d = (self.u_d.reshape(ub.shape) - ub).reshape(-1)
-        for t in range(self.horizon + 1):
-            H = self.state_cost.hessian(t, xb[t])
-            H = (H + H.T) / 2 + regularization * np.eye(m)
-            if hessian_floor is not None:
-                w, V = np.linalg.eigh(H)
-                H = (V * np.maximum(w, hessian_floor)) @ V.T
-            g = self.state_cost.gradient(t, xb[t])
-            if not np.any(H) and not np.any(g):
-                continue
-            # min-norm center; exact whenever the gradient lies in the range
-            # of the curvature (always true for PD H, and for shifted
-            # quadratics even when their weight is singular)
-            x_d_local, *_ = np.linalg.lstsq(H, -g, rcond=None)
-            if np.max(np.abs(H @ x_d_local + g)) > 1e-8 * max(1.0, float(np.max(np.abs(g)))):
-                raise ValueError(
-                    "curvature at t={} cannot represent the gradient; increase "
-                    "regularization or set hessian_floor".format(t)
-                )
-            Qt = H / 2
-            cost._add_q(t, t, Qt)
-            cost._lin[t * m:(t + 1) * m] += Qt @ x_d_local
-            cost.x_d[t * m:(t + 1) * m] = x_d_local
+        H = np.array([self.state_cost.hessian(t, xb[t]) for t in range(T1)]).reshape(T1, m, m)
+        g = np.array([self.state_cost.gradient(t, xb[t]) for t in range(T1)]).reshape(T1, m)
+        finite = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite state cost derivatives at t={int(np.argmin(finite))}")
+        H = (H + H.transpose(0, 2, 1)) / 2 + regularization * np.eye(m)
+        lam, V = np.linalg.eigh(H)
+        if hessian_floor is not None:
+            lam = np.maximum(lam, hessian_floor)
+            H = (V * lam[:, None, :]) @ V.transpose(0, 2, 1)
+        # min-norm center -H^+ g, dropping eigenvalues at or below lstsq's
+        # default cutoff; exact whenever the gradient lies in the range of the
+        # curvature (always true for PD H, and for shifted quadratics even
+        # when their weight is singular)
+        cutoff = np.finfo(float).eps * m * np.max(np.abs(lam), axis=1, keepdims=True)
+        inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=np.abs(lam) > cutoff)
+        x_d = -np.einsum("tij,tj->ti", V, inv_lam * np.einsum("tji,tj->ti", V, g))
+        residual = np.max(np.abs(np.einsum("tij,tj->ti", H, x_d) + g), axis=1)
+        bad = residual > 1e-8 * np.maximum(1.0, np.max(np.abs(g), axis=1))
+        if bad.any():
+            raise ValueError(
+                "curvature at t={} cannot represent the gradient; increase "
+                "regularization or set hessian_floor".format(int(np.argmax(bad)))
+            )
+        Q = H / 2
+        # steps with no state cost at all carry no Q block
+        for t in np.flatnonzero(np.any(H, axis=(1, 2)) | np.any(g, axis=1)).tolist():
+            cost.Q[(t, t)] = Q[t]
+        cost._lin[:] = np.einsum("tij,tj->ti", Q, x_d).reshape(-1)
+        cost.x_d[:] = x_d.reshape(-1)
         for corr in self.correlations:
             r_hat = corr.C @ xb[corr.t1] + corr.c - xb[corr.t2]
             shifted = CorrelationSpec(corr.t1, corr.t2, corr.C, r_hat, corr.Q_c)
@@ -172,7 +181,9 @@ def linearize_plant(plant, x_hat, u_hat, defect_tol=1e-8):
     Deviation coordinates presume the nominal is dynamically consistent
     (each state the image of the previous one); an inconsistent nominal
     would carry hidden drift terms, so it is first reprojected by forward
-    simulation from its initial state under the nominal inputs.
+    simulation from its initial state under the nominal inputs.  A plant
+    that sets ``broadcasts`` is called once for the whole horizon, any
+    other plant once per step.
     """
     m = plant.state_dim
     xb = np.asarray(x_hat, dtype=float).reshape(-1, m)
@@ -180,18 +191,22 @@ def linearize_plant(plant, x_hat, u_hat, defect_tol=1e-8):
     T = xb.shape[0] - 1
     if ub.shape[0] != T + 1:
         raise ValueError("nominal state and input horizons differ")
-    for t in range(T):
-        defect = plant.step(t, xb[t], ub[t]) - xb[t + 1]
-        if np.max(np.abs(defect)) > defect_tol:
-            xb = nominal_rollout(plant, xb[0], ub)
-            break
-    A, B = [], []
-    for t in range(T + 1):
-        At, Bt = plant.jacobians(t, xb[t], ub[t])
-        if not (np.all(np.isfinite(At)) and np.all(np.isfinite(Bt))):
-            raise ValueError(f"non-finite Jacobian entries at t={t}")
-        A.append(At)
-        B.append(Bt)
+    broadcasts = getattr(plant, "broadcasts", False)
+    if broadcasts:
+        x_next = plant.step(np.arange(T), xb[:-1], ub[:-1])
+    else:
+        x_next = np.array([plant.step(t, xb[t], ub[t]) for t in range(T)]).reshape(T, m)
+    if np.any(np.abs(x_next - xb[1:]) > defect_tol):
+        xb = nominal_rollout(plant, xb[0], ub)
+    if broadcasts:
+        A, B = plant.jacobians(np.arange(T + 1), xb, ub)
+    else:
+        pairs = [plant.jacobians(t, xb[t], ub[t]) for t in range(T + 1)]
+        A = np.array([At for At, _ in pairs])
+        B = np.array([Bt for _, Bt in pairs])
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"non-finite Jacobian entries at t={int(np.argmin(finite))}")
     return TimeVaryingLinearSystem(A, B)
 
 
@@ -295,10 +310,14 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
     T, m, n = objective.horizon, objective.state_dim, objective.input_dim
     if plant.state_dim != m or plant.input_dim != n:
         raise ValueError("plant dimensions do not match the objective")
+    if not np.all(np.isfinite(np.asarray(x0, dtype=float))):
+        raise ValueError("x0 has non-finite entries")
     if init_u is None:
         u_hat = np.zeros((T + 1, n))
     else:
         u_hat = np.asarray(init_u, dtype=float).reshape(T + 1, n).copy()
+        if not np.all(np.isfinite(u_hat)):
+            raise ValueError("init_u has non-finite entries")
     x_hat = nominal_rollout(plant, x0, u_hat)
     cost_value = objective.true_cost(x_hat, u_hat)
 

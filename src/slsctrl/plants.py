@@ -35,12 +35,22 @@ class Plant:
     Subclasses set ``state_dim``, ``input_dim``, ``dt`` and implement
     :meth:`step`; :meth:`jacobians` falls back to central finite differences
     when no analytic form is provided.
+
+    A plant whose :meth:`step` and :meth:`jacobians` broadcast sets
+    ``broadcasts = True``.  Both then take states of shape (..., m) and
+    inputs of shape (..., n) with the same leading axes, and ``t`` as an
+    integer or an integer array over those axes.  They return next states
+    (..., m) and Jacobians (..., m, m) and (..., m, n), each slice equal to
+    the single-step call on that slice.  :func:`slsctrl.isls.linearize_plant`
+    then makes one call of each for the whole horizon instead of one per
+    step.
     """
 
     state_dim = None
     input_dim = None
     dt = None
     is_linear = False
+    broadcasts = False
     name = "plant"
 
     def step(self, t, x, u):
@@ -104,7 +114,12 @@ def double_integrator_plant(dim, dt, exact_discretization=False):
 
 
 def _cumulative_angles(theta):
-    return np.cumsum(np.asarray(theta, dtype=float))
+    return np.asarray(theta, dtype=float).cumsum(axis=-1)
+
+
+def _reverse_cumsum(a):
+    """Sums over k >= j along the last axis."""
+    return a[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
 
 def wrap_angle(a):
@@ -127,7 +142,12 @@ class PlanarArmPlant(Plant):
     in z.  The end-effector velocity is J(theta_{t+1}) theta_dot_t, i.e. the
     fresh Jacobian contracted with the pre-update joint velocity;
     ``consistent_velocity=True`` uses theta_dot_{t+1} instead.
+
+    The dynamics, their Jacobians and the kinematic helpers broadcast over
+    leading axes (see :class:`Plant`).
     """
+
+    broadcasts = True
 
     def __init__(self, link_lengths, dt, theta_lower, theta_upper,
                  consistent_velocity=False):
@@ -153,33 +173,30 @@ class PlanarArmPlant(Plant):
     # -- kinematics ---------------------------------------------------------
 
     def forward_kinematics(self, theta):
+        """(..., 2) end-effector position of joint angles (..., p)."""
         c = _cumulative_angles(theta)
-        return np.array([
-            float(self.link_lengths @ np.cos(c)),
-            float(self.link_lengths @ np.sin(c)),
-        ])
+        out = np.empty(c.shape[:-1] + (2,))
+        out[..., 0] = np.cos(c) @ self.link_lengths
+        out[..., 1] = np.sin(c) @ self.link_lengths
+        return out
 
     def ee_jacobian(self, theta):
-        """2 x p position Jacobian d ee / d theta."""
+        """(..., 2, p) position Jacobian d ee / d theta."""
         c = _cumulative_angles(theta)
-        sx = -self.link_lengths * np.sin(c)
-        sy = self.link_lengths * np.cos(c)
-        # d ee_x / d theta_j = sum_{k >= j} -l_k sin(c_k): reversed cumulative sums
-        return np.vstack([
-            np.cumsum(sx[::-1])[::-1],
-            np.cumsum(sy[::-1])[::-1],
-        ])
+        rows = np.empty(c.shape[:-1] + (2, self.n_links))
+        rows[..., 0, :] = -self.link_lengths * np.sin(c)
+        rows[..., 1, :] = self.link_lengths * np.cos(c)
+        # d ee / d theta_j = sum_{k >= j} d ee / d c_k
+        return _reverse_cumsum(rows)
 
     def ee_jacobian_rate(self, theta, v):
-        """2 x p derivative of J(theta) v with respect to theta, v held fixed."""
+        """(..., 2, p) derivative of J(theta) v with respect to theta, v held fixed."""
         c = _cumulative_angles(theta)
-        V = np.cumsum(np.asarray(v, dtype=float))
-        gx = -self.link_lengths * np.cos(c) * V
-        gy = -self.link_lengths * np.sin(c) * V
-        return np.vstack([
-            np.cumsum(gx[::-1])[::-1],
-            np.cumsum(gy[::-1])[::-1],
-        ])
+        V = np.cumsum(np.asarray(v, dtype=float), axis=-1)
+        rows = np.empty(np.broadcast_shapes(c.shape, V.shape)[:-1] + (2, self.n_links))
+        rows[..., 0, :] = -self.link_lengths * np.cos(c) * V
+        rows[..., 1, :] = -self.link_lengths * np.sin(c) * V
+        return _reverse_cumsum(rows)
 
     def augment(self, theta, theta_dot=None):
         """Consistent full state for a joint configuration (for initial states)."""
@@ -194,57 +211,61 @@ class PlanarArmPlant(Plant):
 
     # -- dynamics -----------------------------------------------------------
 
-    def step(self, t, z, u):
+    def _advance(self, z, u):
+        """Joint update shared by :meth:`step` and :meth:`jacobians`."""
         p = self.n_links
         z = np.asarray(z, dtype=float)
         u = np.asarray(u, dtype=float)
-        theta, theta_dot = z[:p], z[p:2 * p]
+        theta, theta_dot = z[..., :p], z[..., p:2 * p]
         theta_new = theta + self.dt * theta_dot
         theta_dot_new = theta_dot + self.dt * u
         vel_source = theta_dot_new if self.consistent_velocity else theta_dot
-        out = np.empty(self.state_dim)
-        out[:p] = theta_new
-        out[p:2 * p] = theta_dot_new
-        out[2 * p:2 * p + 2] = self.forward_kinematics(theta_new)
-        out[2 * p + 2:2 * p + 4] = self.ee_jacobian(theta_new) @ vel_source
-        out[2 * p + 4] = wrap_angle(float(np.sum(theta_new)))
-        out[2 * p + 5:] = joint_limit_violation(theta_new, self.theta_lower, self.theta_upper)
+        return theta_dot_new.shape[:-1], theta_new, theta_dot_new, vel_source
+
+    def step(self, t, z, u):
+        p = self.n_links
+        lead, theta_new, theta_dot_new, vel_source = self._advance(z, u)
+        out = np.empty(lead + (self.state_dim,))
+        out[..., :p] = theta_new
+        out[..., p:2 * p] = theta_dot_new
+        out[..., 2 * p:2 * p + 2] = self.forward_kinematics(theta_new)
+        out[..., 2 * p + 2:2 * p + 4] = (self.ee_jacobian(theta_new)
+                                         @ vel_source[..., None])[..., 0]
+        out[..., 2 * p + 4] = wrap_angle(theta_new.sum(axis=-1))
+        out[..., 2 * p + 5:] = joint_limit_violation(theta_new, self.theta_lower,
+                                                     self.theta_upper)
         return out
 
     def jacobians(self, t, z, u, fd_step=None):
         p = self.n_links
         dt = self.dt
-        z = np.asarray(z, dtype=float)
-        u = np.asarray(u, dtype=float)
-        theta, theta_dot = z[:p], z[p:2 * p]
-        theta_new = theta + dt * theta_dot
-        theta_dot_new = theta_dot + dt * u
-        vel_source = theta_dot_new if self.consistent_velocity else theta_dot
+        lead, theta_new, _, vel_source = self._advance(z, u)
         J = self.ee_jacobian(theta_new)
         D = self.ee_jacobian_rate(theta_new, vel_source)
 
-        A = np.zeros((self.state_dim, self.state_dim))
-        B = np.zeros((self.state_dim, p))
+        A = np.zeros(lead + (self.state_dim, self.state_dim))
+        B = np.zeros(lead + (self.state_dim, p))
         eye = np.eye(p)
-        A[:p, :p] = eye
-        A[:p, p:2 * p] = dt * eye
-        A[p:2 * p, p:2 * p] = eye
-        B[p:2 * p, :] = dt * eye
+        A[..., :p, :p] = eye
+        A[..., :p, p:2 * p] = dt * eye
+        A[..., p:2 * p, p:2 * p] = eye
+        B[..., p:2 * p, :] = dt * eye
         # end-effector position: chain through theta_new
-        A[2 * p:2 * p + 2, :p] = J
-        A[2 * p:2 * p + 2, p:2 * p] = dt * J
+        A[..., 2 * p:2 * p + 2, :p] = J
+        A[..., 2 * p:2 * p + 2, p:2 * p] = dt * J
         # end-effector velocity J(theta_new) vel_source
-        A[2 * p + 2:2 * p + 4, :p] = D
-        A[2 * p + 2:2 * p + 4, p:2 * p] = dt * D + J
+        A[..., 2 * p + 2:2 * p + 4, :p] = D
+        A[..., 2 * p + 2:2 * p + 4, p:2 * p] = dt * D + J
         if self.consistent_velocity:
-            B[2 * p + 2:2 * p + 4, :] = dt * J
+            B[..., 2 * p + 2:2 * p + 4, :] = dt * J
         # absolute orientation (wrap has unit slope a.e.)
-        A[2 * p + 4, :p] = 1.0
-        A[2 * p + 4, p:2 * p] = dt
-        # joint limit penalty
+        A[..., 2 * p + 4, :p] = 1.0
+        A[..., 2 * p + 4, p:2 * p] = dt
+        # joint limit penalty, diagonal in theta_new
         dlim = joint_limit_violation_jacobian(theta_new, self.theta_lower, self.theta_upper)
-        A[2 * p + 5:, :p] = np.diag(dlim)
-        A[2 * p + 5:, p:2 * p] = dt * np.diag(dlim)
+        joints = np.arange(p)
+        A[..., 2 * p + 5 + joints, joints] = dlim
+        A[..., 2 * p + 5 + joints, p + joints] = dt * dlim
         return A, B
 
 
@@ -355,6 +376,8 @@ def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=N
         w = np.asarray(w, dtype=float).reshape(horizon + 1, state_dim).copy()
         if x0 is not None:
             raise ValueError("pass either w or x0, not both")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("w has non-finite entries")
         return w
     if noise is None:
         noise = NoiseModel.zero(horizon, state_dim)
@@ -362,6 +385,8 @@ def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=N
     w = noise.sample(rng).reshape(horizon + 1, state_dim)
     if x0 is not None:
         w[0] = np.asarray(x0, dtype=float)
+        if not np.all(np.isfinite(w[0])):
+            raise ValueError("x0 has non-finite entries")
     return w
 
 

@@ -254,6 +254,31 @@ def fd_hessian(f, x, h=1e-4):
     return (H + H.T) / 2
 
 
+def per_step_quadratization(state_cost, xs, regularization, hessian_floor=None):
+    """State-cost part of a quadratized objective, one step at a time.
+
+    Returns ({t: Q_t}, lin, x_d) with Q_t = H_t / 2 for the regularized (and
+    optionally eigenvalue-floored) Hessian H_t, x_d[t] the min-norm
+    ``np.linalg.lstsq`` solution of H_t x = -g_t, and lin[t] = Q_t x_d[t];
+    steps with zero curvature and gradient carry no block.
+    """
+    T1, m = xs.shape
+    Q, lin, x_d = {}, np.zeros((T1, m)), np.zeros((T1, m))
+    for t in range(T1):
+        H = state_cost.hessian(t, xs[t])
+        H = (H + H.T) / 2 + regularization * np.eye(m)
+        if hessian_floor is not None:
+            w, V = np.linalg.eigh(H)
+            H = (V * np.maximum(w, hessian_floor)) @ V.T
+        g = state_cost.gradient(t, xs[t])
+        if not np.any(H) and not np.any(g):
+            continue
+        x_d[t] = np.linalg.lstsq(H, -g, rcond=None)[0]
+        Q[t] = H / 2
+        lin[t] = Q[t] @ x_d[t]
+    return Q, lin, x_d
+
+
 def two_link_ik(lengths, target):
     """Closed-form elbow-down inverse kinematics; None when unreachable."""
     l1, l2 = lengths

@@ -20,8 +20,15 @@ from slsctrl import (
 )
 from slsctrl.costs import CorrelationSpec
 from slsctrl.isls import closed_loop_step, nominal_rollout
+from slsctrl.plants import PlanarArmPlant
 
-from oracles import alpha_scan, fd_gradient, planar_fk, two_link_ik
+from oracles import (
+    alpha_scan,
+    fd_gradient,
+    per_step_quadratization,
+    planar_fk,
+    two_link_ik,
+)
 
 
 def _terminal_cost(horizon, state_dim, value, gradient, hessian):
@@ -253,7 +260,7 @@ def test_curvature_that_cannot_carry_gradient_raises():
         lambda t, x: np.array([1.0, 0.0]),
         lambda t, x: np.zeros((m, m)))
     obj = TrackingObjective(T, m, 1, sc, control_weight=1.0)
-    with pytest.raises(ValueError, match="curvature at t="):
+    with pytest.raises(ValueError, match="curvature at t=0 "):
         obj.quadratize(np.zeros((T + 1, m)), np.zeros((T + 1, 1)),
                        regularization=0.0)
 
@@ -271,6 +278,108 @@ def test_linearize_reprojects_inconsistent_nominal():
     for t in range(T + 1):
         npt.assert_allclose(sys_bad.A[t], sys_ref.A[t], atol=1e-12)
         npt.assert_allclose(sys_bad.B[t], sys_ref.B[t], atol=1e-12)
+
+
+def test_batched_quadratize_matches_per_step_lstsq():
+    # singular weights (zero diagonal entries as in the bundled pick-place
+    # scenario, and a rank-one block) without regularization, where the
+    # center is lstsq's min-norm solution; the diagonal ones with the
+    # scenario's regularization; an indefinite non-diagonal cost with an
+    # eigenvalue floor
+    T, m, n = 6, 4, 1
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=m)
+    diagonal = [(1, rng.normal(size=m), [0.0, 1e5, 0.0, 1.0]),
+                (6, rng.normal(size=m), [1e4, 0.0, 0.0, 1e3])]
+    singular = StateCostFunction.quadratic_viapoints(
+        T, diagonal + [(3, rng.normal(size=m), 1e3 * np.outer(v, v))], m)
+    a = rng.normal(size=m)
+    S = rng.normal(size=(m, m))
+    S = S + S.T
+    indefinite = StateCostFunction(
+        lambda t, x: float(np.cos(a @ x) + 0.5 * x @ S @ x),
+        lambda t, x: -np.sin(a @ x) * a + S @ x,
+        lambda t, x: -np.cos(a @ x) * np.outer(a, a) + S)
+    x_hat = rng.normal(size=(T + 1, m))
+    u_hat = rng.normal(size=(T + 1, n))
+    for state_cost, regularization, floor in (
+            (singular, 0.0, None),
+            (StateCostFunction.quadratic_viapoints(T, diagonal, m), 1e-6, None),
+            (indefinite, 0.0, 0.1)):
+        obj = TrackingObjective(T, m, n, state_cost, control_weight=0.1)
+        sub = obj.quadratize(x_hat, u_hat, regularization, floor)
+        Q_ref, lin_ref, x_d_ref = per_step_quadratization(
+            state_cost, x_hat, regularization, floor)
+        assert sorted(sub.Q) == sorted((t, t) for t in Q_ref)
+        for t, blk in Q_ref.items():
+            npt.assert_allclose(sub.Q[(t, t)], blk, rtol=1e-12, atol=1e-12 * np.max(np.abs(blk)))
+        npt.assert_allclose(sub.x_d.reshape(T + 1, m), x_d_ref, rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(sub.linear_term.reshape(T + 1, m), lin_ref,
+                            rtol=1e-9, atol=1e-9 * np.max(np.abs(lin_ref)))
+
+
+def test_linearize_one_pass_matches_per_step_route():
+    # the arm broadcasts, so linearize_plant calls step once for the defect
+    # check and jacobians once; a duck-typed wrapper exposing only step and
+    # jacobians is linearized step by step and must give the same system
+    calls = []
+
+    class CountingArm(PlanarArmPlant):
+        def step(self, t, z, u):
+            calls.append(("step", np.shape(z)))
+            return super().step(t, z, u)
+
+        def jacobians(self, t, z, u, fd_step=None):
+            calls.append(("jacobians", np.shape(z)))
+            return super().jacobians(t, z, u)
+
+    class PerStep:
+        def __init__(self, plant):
+            self.state_dim, self.input_dim = plant.state_dim, plant.input_dim
+            self.step, self.jacobians = plant.step, plant.jacobians
+
+    arm = CountingArm([0.45, 0.4, 0.35], 0.05, -2.9 * np.ones(3), 2.9 * np.ones(3))
+    T, m = 30, arm.state_dim
+    rng = np.random.default_rng(6)
+    u_hat = 0.5 * rng.normal(size=(T + 1, arm.input_dim))
+    x_feasible = nominal_rollout(arm, arm.augment([1.3, -0.8, -0.2], [0.3, 0.0, -0.2]), u_hat)
+    x_bad = x_feasible.copy()
+    x_bad[7:] += 0.05  # inconsistent: forces the reprojection
+    for x_hat, reprojected in ((x_feasible, False), (x_bad, True)):
+        calls.clear()
+        one_pass = linearize_plant(arm, x_hat, u_hat)
+        expected = [("step", (T, m))] + [("step", (m,))] * (T if reprojected else 0)
+        assert calls == expected + [("jacobians", (T + 1, m))]
+        per_step = linearize_plant(PerStep(arm), x_hat, u_hat)
+        for t in range(T + 1):
+            npt.assert_allclose(one_pass.A[t], per_step.A[t], rtol=0, atol=1e-12)
+            npt.assert_allclose(one_pass.B[t], per_step.B[t], rtol=0, atol=1e-12)
+        if reprojected:
+            ref = linearize_plant(arm, x_feasible, u_hat)
+            npt.assert_allclose(np.array(one_pass.A), np.array(ref.A), rtol=0, atol=1e-12)
+
+
+def test_nonfinite_inputs_name_their_source():
+    arm = planar_arm_plant([0.6, 0.5], 0.05)
+    T, m, n = 5, arm.state_dim, arm.input_dim
+    obj = TrackingObjective(
+        T, m, n, StateCostFunction.quadratic_viapoints(T, [(T, np.zeros(m), 1.0)], m),
+        control_weight=1e-2)
+    x0 = arm.augment([0.2, -0.1])
+    bad_x0 = x0.copy()
+    bad_x0[0] = np.nan
+    with pytest.raises(ValueError, match="x0"):
+        isls_optimize(arm, obj, bad_x0)
+    init_u = np.zeros((T + 1, n))
+    init_u[3, 1] = np.inf
+    with pytest.raises(ValueError, match="init_u"):
+        isls_optimize(arm, obj, x0, init_u=init_u)
+    sc = StateCostFunction(lambda t, x: 0.0,
+                           lambda t, x: np.full(m, np.nan if t == 2 else 0.0),
+                           lambda t, x: np.eye(m))
+    with pytest.raises(ValueError, match="t=2"):
+        TrackingObjective(T, m, n, sc, control_weight=1.0).quadratize(
+            np.zeros((T + 1, m)), np.zeros((T + 1, n)))
 
 
 def test_linearize_rejects_nonfinite_jacobians():

@@ -74,22 +74,41 @@ def test_arm_ee_jacobian_vs_fd():
 
 
 def test_arm_augmented_jacobians_vs_fd():
-    arm = planar_arm_plant([0.5, 0.4], 0.05,
-                           theta_lower=[-1.5, -1.5], theta_upper=[1.5, 1.5])
+    # one stacked call over (T+1, m) states, some beyond the joint limits,
+    # must equal the single-step calls row by row, and both must match
+    # central differences of the dynamics
     rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(20):
-        th = rng.uniform(-1.2, 1.2, size=2)
-        thd = rng.uniform(-1, 1, size=2)
-        z = arm.augment(th, thd)
-        u = rng.uniform(-1, 1, size=2)
-        A, B = arm.jacobians(0, z, u)
-        A_ref = fd_jacobian(lambda zz: arm.step(0, zz, u), z)
-        B_ref = fd_jacobian(lambda uu: arm.step(0, z, uu), u)
-        scale = max(1.0, np.max(np.abs(A_ref)))
-        worst = max(worst, np.max(np.abs(A - A_ref)) / scale)
-        worst = max(worst, np.max(np.abs(B - B_ref)) / max(1.0, np.max(np.abs(B_ref))))
-    assert worst <= 1e-4
+    T = 20
+    for consistent in (False, True):
+        arm = planar_arm_plant([0.5, 0.4], 0.05, theta_lower=[-1.5, -1.5],
+                               theta_upper=[1.5, 1.5], consistent_velocity=consistent)
+        Z = np.array([arm.augment(rng.uniform(-2.2, 2.2, size=2), rng.uniform(-1, 1, size=2))
+                      for _ in range(T + 1)])
+        U = rng.uniform(-1, 1, size=(T + 1, 2))
+        assert np.any(np.abs(Z[:, :2]) > 1.5)
+        steps = np.arange(T + 1)
+        Z_next = arm.step(steps, Z, U)
+        A, B = arm.jacobians(steps, Z, U)
+        assert Z_next.shape == Z.shape
+        assert A.shape == (T + 1, 11, 11) and B.shape == (T + 1, 11, 2)
+        fk = arm.forward_kinematics(Z[:, :2])
+        J_ee = arm.ee_jacobian(Z[:, :2])
+        worst_row, worst_fd = 0.0, 0.0
+        for t in range(T + 1):
+            z, u = Z[t], U[t]
+            At, Bt = arm.jacobians(t, z, u)
+            for stacked, single in ((Z_next[t], arm.step(t, z, u)), (A[t], At), (B[t], Bt),
+                                    (fk[t], arm.forward_kinematics(z[:2])),
+                                    (J_ee[t], arm.ee_jacobian(z[:2]))):
+                scale = max(1.0, np.max(np.abs(single)))
+                worst_row = max(worst_row, np.max(np.abs(stacked - single)) / scale)
+            A_ref = fd_jacobian(lambda zz: arm.step(t, zz, u), z)
+            B_ref = fd_jacobian(lambda uu: arm.step(t, z, uu), u)
+            worst_fd = max(worst_fd,
+                           np.max(np.abs(At - A_ref)) / max(1.0, np.max(np.abs(A_ref))),
+                           np.max(np.abs(Bt - B_ref)) / max(1.0, np.max(np.abs(B_ref))))
+        assert worst_row <= 1e-15
+        assert worst_fd <= 1e-4
 
 
 def test_arm_velocity_conventions():
@@ -173,6 +192,17 @@ def test_rollout_determinism_and_impulse_decay():
     assert np.linalg.norm(tr.states[T]) < np.linalg.norm(impulse)
     # before the impulse nothing moves
     assert np.max(np.abs(tr.states[:10])) == 0.0
+
+
+def test_rollout_rejects_nonfinite_start_and_disturbance():
+    plant = double_integrator_plant(1, 0.1)
+    ctrl = OpenLoopController(np.zeros((4, 1)), 2)
+    with pytest.raises(ValueError, match="x0"):
+        rollout(plant, ctrl, x0=[np.inf, 0.0])
+    w = np.zeros(8)
+    w[5] = np.nan
+    with pytest.raises(ValueError, match="w has"):
+        rollout(plant, ctrl, w=w)
 
 
 def test_realize_disturbance_precedence():
