@@ -127,13 +127,6 @@ class CostSpec:
             out[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
         return out
 
-    def assemble_dense_r(self):
-        n = self.input_dim
-        out = np.zeros(((self.horizon + 1) * n, (self.horizon + 1) * n))
-        for t in range(self.horizon + 1):
-            out[t * n:(t + 1) * n, t * n:(t + 1) * n] = self.R[t]
-        return out
-
     def q_matvec(self, x):
         """Q @ x using only the stored blocks."""
         m = self.state_dim
@@ -142,14 +135,6 @@ class CostSpec:
         for (i, j), blk in self.Q.items():
             out[i] += blk @ xb[j]
         return out.ravel()
-
-    def q_matmat(self, X):
-        """Q @ X for a dense matrix with (T+1)m rows, exploiting block sparsity."""
-        m = self.state_dim
-        out = np.zeros_like(X)
-        for (i, j), blk in self.Q.items():
-            out[i * m:(i + 1) * m] += blk @ X[j * m:(j + 1) * m]
-        return out
 
     @property
     def linear_term(self):
@@ -185,7 +170,10 @@ class CostSpec:
         return sorted(comp)
 
     def _refresh_targets(self, t_seed):
-        """Re-derive x_d on the coupled component so that Q x_d = lin exactly."""
+        """Re-derive x_d on the coupled component so that Q x_d = lin exactly.
+
+        Returns the component's timesteps.
+        """
         comp = self._coupling_component(t_seed)
         m = self.state_dim
         k = len(comp)
@@ -198,6 +186,7 @@ class CostSpec:
         sol, *_ = np.linalg.lstsq(Qc, b, rcond=None)
         for t in comp:
             self.x_d[t * m:(t + 1) * m] = sol[pos[t] * m:(pos[t] + 1) * m]
+        return comp
 
     # -- evaluation ---------------------------------------------------------
 

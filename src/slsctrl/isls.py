@@ -159,8 +159,11 @@ class TrackingObjective:
             cost._lin[corr.t1 * m:(corr.t1 + 1) * m] += -C.T @ Qc @ r_hat
             cost._lin[corr.t2 * m:(corr.t2 + 1) * m] += Qc @ r_hat
             cost.correlations.append(shifted)
+        # correlations that share a coupled component share one refresh
+        refreshed = set()
         for corr in cost.correlations:
-            cost._refresh_targets(corr.t1)
+            if corr.t1 not in refreshed:
+                refreshed.update(cost._refresh_targets(corr.t1))
         return cost
 
 
@@ -233,7 +236,8 @@ class IslsConfig:
     no move, so the nominal is already stationary.  ``alphas`` is the
     backtracking schedule for the feedforward scaling; an exhausted schedule
     (no strict decrease) also terminates the loop, unconverged with reason
-    "non_finite" when a trial cost was not finite.
+    "non_finite" when a trial cost was not finite, else with reason "stall",
+    converged only when the feedforward meets ``stationarity_tolerance``.
     """
 
     tolerance: float = 1e-6
@@ -366,8 +370,12 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         nominal_x=x_hat.reshape(-1), nominal_u=u_hat.reshape(-1),
     )
     stationarity = float(np.max(np.abs(controller.k)))
+    # a stall only shows that no scale of the step improves the cost; it
+    # counts as convergence when the step itself is within the bound
+    stall_ok = reason == "stall" and (cfg.stationarity_tolerance is None
+                                      or step_norm <= cfg.stationarity_tolerance)
     result = IslsResult(
-        converged=(reason in ("tolerance", "stall", "stationary")),
+        converged=reason in ("tolerance", "stationary") or stall_ok,
         reason=reason,
         iterations=len(history),
         cost=cost_value,

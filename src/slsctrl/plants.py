@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .costs import (
     CostSpec,
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
-from .solver import own_columns, riccati_gains
+from .solver import _run_policy, own_columns, riccati_gains
 from .stacked import NoiseModel, TimeVaryingLinearSystem
 
 
@@ -449,20 +448,16 @@ def batch_lqt(stacked, cost, x0=None):
     """Open-loop least-squares plan for the deterministic tracking problem.
 
     Minimizes ||S_x w + S_u u - x_d||^2_Q + ||u - u_d||^2_R with
-    w = [x0, 0, ...]; returns the stacked input vector.  With x0 = 0 and
-    u_d = 0 this coincides with the feedforward d_u of the closed-loop
-    synthesis.
+    w = [x0, 0, ...]; returns the stacked input vector.  By dynamic
+    programming this is the synthesized policy run forward from x0 without
+    disturbances, so with x0 = 0 it is the feedforward d_u of the
+    closed-loop synthesis.
     """
-    T = stacked.horizon
-    m = stacked.state_dim
-    Su = stacked.S_u.dense
-    w = np.zeros((T + 1) * m)
-    if x0 is not None:
-        w[:m] = np.asarray(x0, dtype=float)
-    H = Su.T @ cost.q_matmat(Su) + cost.assemble_dense_r()
-    rhs = Su.T @ (cost.linear_term - cost.q_matvec(stacked.S_x @ w))
-    rhs += cost.assemble_dense_r() @ cost.u_d
-    return scipy.linalg.solve((H + H.T) / 2, rhs, assume_a="pos")
+    system = stacked.system
+    held, gains, k = riccati_gains(system, cost, *own_columns(cost))
+    x0 = np.zeros(system.state_dim) if x0 is None else np.asarray(x0, dtype=float)
+    _, us = _run_policy(system, held, gains, k[..., 0], x0)
+    return us.ravel()
 
 
 def dp_lqt(system, cost):
@@ -520,40 +515,33 @@ def mpc_lqt_rollout(plant, cost, recompute_time, noise=None, seed=None,
     future stay projected: a memoryless plan has nothing to condition on.
     """
     T = cost.horizon
-    m, n = cost.state_dim, cost.input_dim
     t_r = int(recompute_time)
     if not (0 < t_r <= T):
         raise ValueError(f"recompute time {t_r} outside (0, {T}]")
     system = linear_system_from_plant(plant, T)
     phase1 = dp_lqt(system, cost.diagonal_projection())
-
-    w = _realize_disturbance(T, m, noise=noise, seed=seed, x0=x0, w=w)
-    impulses = {}
-    for t, vec in perturbations:
-        impulses[int(t)] = impulses.get(int(t), 0) + np.asarray(vec, dtype=float)
-
-    xs = np.zeros((T + 1, m))
-    us = np.zeros((T + 1, n))
-    phase2 = None
-    for t in range(T + 1):
-        x_t = w[0].copy() if t == 0 else plant.step(t - 1, xs[t - 1], us[t - 1]) + w[t]
-        if t in impulses:
-            x_t = x_t + impulses[t]
-        xs[t] = x_t
-        if t == t_r:
-            phase2 = _replan_from(system, cost, t_r, xs)
-        if phase2 is None:
-            us[t] = phase1.control(t, xs[: t + 1])
-        else:
-            us[t] = phase2.control(t - t_r, xs[t])
     meta = {"recompute_time": t_r}
     if metadata:
         meta.update(metadata)
-    return Trajectory(
-        states=xs, inputs=us, noise=w, seed=seed,
-        perturbations=tuple((int(t), np.asarray(v, float).copy()) for t, v in perturbations),
-        metadata=meta,
-    )
+    return rollout(plant, _ReplanningController(system, cost, t_r, phase1), noise=noise,
+                   seed=seed, x0=x0, w=w, perturbations=perturbations, metadata=meta)
+
+
+class _ReplanningController:
+    """The phase-1 tracker before ``t_r``, then the re-solve made at ``t_r``."""
+
+    def __init__(self, system, cost, t_r, phase1):
+        self.system, self.cost, self.t_r = system, cost, t_r
+        self.phase1, self.phase2 = phase1, None
+        self.horizon = cost.horizon
+
+    def control(self, t, x_history):
+        if t < self.t_r:
+            return self.phase1.control(t, x_history)
+        if t == self.t_r:
+            xs = np.asarray(x_history, dtype=float).reshape(t + 1, -1)
+            self.phase2 = _replan_from(self.system, self.cost, t, xs)
+        return self.phase2.control(t - self.t_r, x_history)
 
 
 def _replan_from(system, cost, t_r, xs):

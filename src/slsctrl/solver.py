@@ -175,7 +175,7 @@ class Controller:
         """The law rewritten as u = K x + k_abs; equals k when no nominal is set."""
         if self.nominal_x is None:
             return self.k.copy()
-        return self.nominal_u + self.k - self.K @ self.nominal_x
+        return self.nominal_u + self.k - self.K.dense @ self.nominal_x
 
 
 def held_states(cost):
@@ -269,14 +269,21 @@ def solve_esls(stacked, cost):
     system = stacked.system
     held, gains, k = riccati_gains(system, cost, *own_columns(cost))
     k = k[..., 0]
+    xs, us = _run_policy(system, held, gains, k, np.zeros(system.state_dim))
+    return SystemResponse(system=system, cost=cost, held=held, gains=gains, k=k,
+                          d_x=xs.ravel(), d_u=us.ravel())
+
+
+def _run_policy(system, held, gains, k, x0):
+    """Deterministic trajectory (xs, us) of the policy u_t = gains[t] z_t + k[t] from x0."""
     T, m, n = system.horizon, system.state_dim, system.input_dim
     xs, us = np.zeros((T + 1, m)), np.zeros((T + 1, n))
+    xs[0] = x0
     for t in range(T + 1):
         us[t] = gains[t] @ xs[[t, *held[t]]].ravel() + k[t]
         if t < T:
             xs[t + 1] = system.A[t] @ xs[t] + system.B[t] @ us[t]
-    return SystemResponse(system=system, cost=cost, held=held, gains=gains, k=k,
-                          d_x=xs.ravel(), d_u=us.ravel())
+    return xs, us
 
 
 def extract_controller(response):

@@ -12,20 +12,16 @@ the first block subdiagonal).  The two causal response operators
     S_x = (I - Z A_d)^{-1}        (maps disturbances to states),
     S_u = S_x Z B_d               (maps inputs to states),
 
-are block lower triangular.  ``Z`` is never materialized.
-
-Neither the synthesis nor the retargeting maps read the dense operators:
-both run a recursion over the blocks A_t, B_t (see :mod:`slsctrl.solver`).
-So :func:`build_stacked` is O(1), and each operator is assembled on first
-access by block forward propagation, in O(T^2 m^2 (m or n)) flops and
-O((T m)^2) memory, for the batch baseline, the residuals and the test
-oracles.
+are block lower triangular.  Neither ``Z`` nor the operators are ever
+materialized: the synthesis, the batch plan and the retargeting maps run a
+recursion over the blocks A_t, B_t (see :mod:`slsctrl.solver`), and the
+residuals below propagate the same blocks forward, so :func:`build_stacked`
+is O(1).  The dense operators exist only as the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,15 +29,12 @@ import numpy as np
 class BlockLowerTriangular:
     """Block lower triangular matrix with uniform block sizes.
 
-    Stores a dense backing array whose blocks above the diagonal (strictly
-    above for ``strict=True``) are structurally zero; the constructor
-    enforces the zero pattern.  Blocks are addressed by block indices
-    ``(i, j)`` with ``i >= j`` (``i > j`` when strict).  Instances are
-    treated as immutable once built; builders use :meth:`set_block` during
-    assembly only.
+    Stores a dense backing array whose blocks above the diagonal are
+    structurally zero; the constructor checks the shape and enforces the
+    zero pattern.  Instances are treated as immutable once built.
     """
 
-    def __init__(self, dense, row_block_dim, col_block_dim, strict=False, copy=True):
+    def __init__(self, dense, row_block_dim, col_block_dim, copy=True):
         dense = np.array(dense, dtype=float, copy=copy)
         if dense.ndim != 2:
             raise ValueError("expected a 2-D array")
@@ -55,7 +48,6 @@ class BlockLowerTriangular:
             raise ValueError("row and column block counts differ")
         self.row_block_dim = int(row_block_dim)
         self.col_block_dim = int(col_block_dim)
-        self.strict = bool(strict)
         self._dense = dense
         self._mask_upper()
 
@@ -75,61 +67,13 @@ class BlockLowerTriangular:
 
     def _mask_upper(self):
         r, c = self.row_block_dim, self.col_block_dim
-        first_zero = 0 if self.strict else 1
         for i in range(self.T_blocks):
-            self._dense[i * r:(i + 1) * r, (i + first_zero) * c:] = 0.0
-
-    @classmethod
-    def zeros(cls, n_blocks, row_block_dim, col_block_dim, strict=False):
-        dense = np.zeros((n_blocks * row_block_dim, n_blocks * col_block_dim))
-        return cls(dense, row_block_dim, col_block_dim, strict=strict, copy=False)
-
-    @classmethod
-    def identity(cls, n_blocks, block_dim):
-        return cls(np.eye(n_blocks * block_dim), block_dim, block_dim, copy=False)
-
-    def _check_index(self, i, j):
-        nb = self.T_blocks
-        if not (0 <= i < nb and 0 <= j < nb):
-            raise IndexError(f"block index ({i}, {j}) out of range for {nb} blocks")
-
-    def block(self, i, j):
-        """Return a copy of block (i, j); blocks above the diagonal are zero."""
-        self._check_index(i, j)
-        r, c = self.row_block_dim, self.col_block_dim
-        return self._dense[i * r:(i + 1) * r, j * c:(j + 1) * c].copy()
-
-    def set_block(self, i, j, value):
-        self._check_index(i, j)
-        if i < j or (self.strict and i == j):
-            raise ValueError(
-                f"block ({i}, {j}) is structurally zero for this "
-                f"{'strictly ' if self.strict else ''}lower triangular matrix"
-            )
-        value = np.asarray(value, dtype=float)
-        r, c = self.row_block_dim, self.col_block_dim
-        if value.shape != (r, c):
-            raise ValueError(f"block shape {value.shape} != ({r}, {c})")
-        self._dense[i * r:(i + 1) * r, j * c:(j + 1) * c] = value
-
-    def __matmul__(self, other):
-        if isinstance(other, BlockLowerTriangular):
-            if self.col_block_dim != other.row_block_dim or self.T_blocks != other.T_blocks:
-                raise ValueError("incompatible block structure for product")
-            return BlockLowerTriangular(
-                self._dense @ other._dense,
-                self.row_block_dim,
-                other.col_block_dim,
-                strict=self.strict or other.strict,
-                copy=False,
-            )
-        other = np.asarray(other, dtype=float)
-        return self._dense @ other
+            self._dense[i * r:(i + 1) * r, (i + 1) * c:] = 0.0
 
     def __repr__(self):
         return (
             f"BlockLowerTriangular(T_blocks={self.T_blocks}, "
-            f"block=({self.row_block_dim}x{self.col_block_dim}), strict={self.strict})"
+            f"block=({self.row_block_dim}x{self.col_block_dim}))"
         )
 
 
@@ -228,10 +172,10 @@ class NoiseModel:
 
 
 class StackedSystem:
-    """A time-varying system; its dense S_x and S_u are built on first access.
+    """A time-varying system viewed as the stacked operators S_x and S_u.
 
-    Row block t+1 of either operator is A_t times row block t plus the block
-    entering at step t (the identity for S_x, B_t for S_u).
+    Only the blocks A_t, B_t are stored; every consumer runs a recursion
+    over them instead of forming the dense operators.
     """
 
     def __init__(self, system):
@@ -249,30 +193,9 @@ class StackedSystem:
     def input_dim(self):
         return self.system.input_dim
 
-    @cached_property
-    def S_x(self):
-        T, m = self.horizon, self.state_dim
-        sx = np.zeros(((T + 1) * m, (T + 1) * m))
-        sx[:m, :m] = np.eye(m)
-        for t in range(T):
-            c = (t + 1) * m
-            sx[c:c + m, :c] = self.system.A[t] @ sx[t * m:c, :c]
-            sx[c:c + m, c:c + m] = np.eye(m)
-        return BlockLowerTriangular(sx, m, m, copy=False)
-
-    @cached_property
-    def S_u(self):
-        T, m, n = self.horizon, self.state_dim, self.input_dim
-        su = np.zeros(((T + 1) * m, (T + 1) * n))
-        for t in range(T):
-            c = (t + 1) * m
-            su[c:c + m, :t * n] = self.system.A[t] @ su[t * m:c, :t * n]
-            su[c:c + m, t * n:(t + 1) * n] = self.system.B[t]
-        return BlockLowerTriangular(su, m, n, strict=True, copy=False)
-
 
 def build_stacked(system):
-    """Wrap a time-varying system; its dense operators are built on first use."""
+    """Wrap a time-varying system for synthesis; O(1), nothing dense is built."""
     return StackedSystem(system)
 
 
@@ -280,25 +203,36 @@ def achievability_residual(stacked, phi_x, phi_u):
     """Relative Frobenius residual of the closed-loop map constraint.
 
     Measures ||phi_x - S_x - S_u phi_u||_F / max(1, ||phi_x||_F); any causal
-    pair of response maps the dynamics can realize makes this zero.
+    pair of response maps the dynamics can realize makes this zero.  Row
+    block t+1 of S_x + S_u phi_u is A_t times row block t, plus B_t times
+    row block t of phi_u, plus the identity block in column block t+1.
     """
     px = phi_x.dense if isinstance(phi_x, BlockLowerTriangular) else np.asarray(phi_x)
     pu = phi_u.dense if isinstance(phi_u, BlockLowerTriangular) else np.asarray(phi_u)
-    Sx, Su = stacked.S_x.dense, stacked.S_u.dense
+    A, B = stacked.system.A, stacked.system.B
     m, n = stacked.state_dim, stacked.input_dim
-    # chunks of block rows keep every temporary far below one dense operator;
-    # S_u's row blocks below i1 only reach the input columns below i1
+    y = np.zeros((m, px.shape[1]))    # row block t of S_x + S_u phi_u
     sq = 0.0
-    for i0 in range(0, stacked.horizon + 1, 32):
-        i1 = min(i0 + 32, stacked.horizon + 1)
-        rows = slice(i0 * m, i1 * m)
-        res = px[rows] - Sx[rows] - Su[rows, :i1 * n] @ pu[:i1 * n]
+    for t in range(stacked.horizon + 1):
+        if t:
+            y = A[t - 1] @ y + B[t - 1] @ pu[(t - 1) * n:t * n]
+        y[:, t * m:(t + 1) * m] += np.eye(m)
+        res = px[t * m:(t + 1) * m] - y
         sq += float(np.sum(res * res))
     return float(np.sqrt(sq) / max(1.0, np.linalg.norm(px)))
 
 
 def feedforward_residual(stacked, d_x, d_u):
-    """Relative residual of the feedforward consistency constraint d_x = S_u d_u."""
+    """Relative residual of the feedforward consistency constraint d_x = S_u d_u.
+
+    S_u d_u is the state trajectory of the inputs d_u from x_0 = 0.
+    """
+    A, B = stacked.system.A, stacked.system.B
+    T, m, n = stacked.horizon, stacked.state_dim, stacked.input_dim
     d_x = np.asarray(d_x, dtype=float)
-    res = d_x - stacked.S_u @ np.asarray(d_u, dtype=float)
+    d_u = np.asarray(d_u, dtype=float).reshape(T + 1, n)
+    xs = np.zeros((T + 1, m))
+    for t in range(T):
+        xs[t + 1] = A[t] @ xs[t] + B[t] @ d_u[t]
+    res = d_x - xs.ravel()
     return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(d_x)))

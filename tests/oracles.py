@@ -154,8 +154,9 @@ def solve_sls_column(stacked, cost, col):
     if not (0 <= col <= T):
         raise ValueError(f"column {col} outside horizon [0, {T}]")
     km, kn = col * m, col * n
-    Su_t = stacked.S_u.dense[km:, kn:]
-    Sx_col = stacked.S_x.dense[km:, km:km + m]
+    S_x, S_u = dense_stacked_maps(stacked.system.A, stacked.system.B)
+    Su_t = S_u[km:, kn:]
+    Sx_col = S_x[km:, km:km + m]
 
     nt = T + 1 - col
     Qt = np.zeros((nt * m, nt * m))

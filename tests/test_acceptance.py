@@ -43,6 +43,7 @@ from slsctrl.scenarios import (
 )
 
 from oracles import (
+    dense_stacked_maps,
     dense_tracking_pieces,
     fd_gradient,
     fd_hessian,
@@ -170,7 +171,7 @@ def test_criterion_04_column_solver_vs_dense_kkt():
         resp = solve_esls(st, cost)
         Qd, _, Rd, _ = dense_tracking_pieces(T, m, n, vps, corrs,
                                              control_weight=cost.R[0])
-        phi_x_ref, phi_u_ref = kkt_feedback(st.S_x.dense, st.S_u.dense,
+        phi_x_ref, phi_u_ref = kkt_feedback(*dense_stacked_maps(A_list, B_list),
                                             Qd, Rd, m, n)
         worst = max(worst,
                     float(np.max(np.abs(resp.phi_u.dense - phi_u_ref))),

@@ -18,9 +18,17 @@ from slsctrl import (
     planar_arm_plant,
     solve_esls,
 )
-from slsctrl.costs import CorrelationSpec
+from slsctrl.bench import bundled_scenario_path
+from slsctrl.costs import CorrelationSpec, CostSpec
 from slsctrl.isls import closed_loop_step, nominal_rollout
 from slsctrl.plants import PlanarArmPlant
+from slsctrl.scenarios import (
+    Scenario,
+    build_objective,
+    build_plant,
+    draw_initial_state,
+    load_scenario,
+)
 
 from oracles import (
     alpha_scan,
@@ -172,6 +180,29 @@ def test_nonfinite_line_search_is_not_convergence():
     assert res.iterations == 0
 
 
+def test_stall_converges_only_within_step_bound():
+    # a true cost that never decreases rejects every scale of the first
+    # step; with a step bound set, that stall is not convergence
+    class NeverImproves(TrackingObjective):
+        def true_cost(self, xs, us):
+            return 1.0
+
+    di = double_integrator_plant(1, 0.1)
+    T = 10
+    cost = build_viapoint_cost(T, [(T, np.array([1.0, 0.0]), 1.0)], 1e-2,
+                               state_dim=2, input_dim=1)
+    obj = NeverImproves.from_costspec(cost)
+    _, res = isls_optimize(di, obj, np.zeros(2), config=IslsConfig(stationarity_tolerance=1e-6))
+    assert res.reason == "stall"
+    assert res.iterations == 0
+    assert res.stationarity > 1e-6
+    assert not res.converged
+    # without a step bound a stall still counts as converged
+    _, res = isls_optimize(di, obj, np.zeros(2))
+    assert res.reason == "stall"
+    assert res.converged
+
+
 def test_arm_reaching_viapoint():
     lengths = [0.8, 0.6]
     target = np.array([0.7, 0.5])
@@ -316,6 +347,33 @@ def test_batched_quadratize_matches_per_step_lstsq():
         npt.assert_allclose(sub.x_d.reshape(T + 1, m), x_d_ref, rtol=1e-9, atol=1e-12)
         npt.assert_allclose(sub.linear_term.reshape(T + 1, m), lin_ref,
                             rtol=1e-9, atol=1e-9 * np.max(np.abs(lin_ref)))
+
+
+def test_quadratize_refreshes_each_coupled_component_once(monkeypatch):
+    # the bundled pick-place correlations share t1 = 40, so their coupled
+    # component (40, 60, 100) is solved once per quadratization
+    scenario = Scenario.from_dict(load_scenario(bundled_scenario_path("pickplace_arm")).raw)
+    plant = build_plant(scenario)
+    objective = build_objective(scenario)
+    x0 = draw_initial_state(scenario, np.random.default_rng(0), plant)
+    u_hat = np.zeros((scenario.horizon + 1, plant.input_dim))
+    x_hat = nominal_rollout(plant, x0, u_hat)
+    refresh = CostSpec._refresh_targets
+    seeds = []
+
+    def counting_refresh(cost, t_seed):
+        seeds.append(t_seed)
+        return refresh(cost, t_seed)
+
+    monkeypatch.setattr(CostSpec, "_refresh_targets", counting_refresh)
+    sub = objective.quadratize(x_hat, u_hat, 1e-6)
+    assert len(sub.correlations) == 2
+    assert seeds == [40]
+    # refreshing from every correlation again leaves the targets bit-identical
+    x_d = sub.x_d.copy()
+    for corr in sub.correlations:
+        refresh(sub, corr.t1)
+    npt.assert_array_equal(sub.x_d, x_d)
 
 
 def test_linearize_one_pass_matches_per_step_route():

@@ -283,6 +283,32 @@ def test_mpc_reduces_to_dp_without_correlations():
     npt.assert_allclose(tr_mpc.states, tr_dp.states, atol=1e-9)
 
 
+def test_mpc_conditions_correlation_on_realized_state():
+    # a correlation from t1=3 to t2=T spans the re-solve at t_r=6: before
+    # t_r the inputs are the diagonal tracker's, after it the target of x_T
+    # is frozen to the realized x_3, which an impulse at t=2 moved
+    from slsctrl import CorrelationSpec, add_correlation
+    T, m, n = 12, 2, 1
+    A = np.array([[1.0, 0.1], [0.0, 1.0]])
+    B = np.array([[0.005], [0.1]])
+    plant = LinearPlant(A, B)
+    c = np.array([0.2, 0.0])
+    cost = build_viapoint_cost(T, [(3, np.array([0.5, 0.0]), 100.0)], 0.01,
+                               state_dim=m, input_dim=n)
+    cost = add_correlation(cost, CorrelationSpec(3, T, np.eye(m), c, 1e4 * np.eye(m)))
+    w = np.zeros((T + 1) * m)
+    kick = [(2, np.array([0.1, 0.0]))]
+    tr_mpc = mpc_lqt_rollout(plant, cost, recompute_time=6, w=w, perturbations=kick)
+    dp = dp_lqt(TimeVaryingLinearSystem.constant(A, B, T), cost.diagonal_projection())
+    tr_dp = rollout(plant, dp, w=w, perturbations=kick)
+    npt.assert_array_equal(tr_mpc.inputs[:6], tr_dp.inputs[:6])
+
+    def gap(tr):
+        return np.linalg.norm(tr.states[3] + c - tr.states[T])
+
+    assert gap(tr_mpc) < 0.1 * gap(tr_dp)
+
+
 def test_arm_reaching_target_is_reachable():
     # the reaching tests elsewhere assume this target is inside the workspace
     target = np.array([0.7, 0.5])

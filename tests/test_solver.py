@@ -1,7 +1,10 @@
 """Closed-loop synthesis: held-state recursion, feedforward, controller extraction."""
 
 import dataclasses
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -64,7 +67,7 @@ def test_one_step_scalar_closed_form():
     npt.assert_allclose(resp.phi_u.dense[:, 0], [-0.5, 0.0], atol=1e-12)
     npt.assert_allclose(resp.phi_x.dense[:, 0], [1.0, 0.5], atol=1e-12)
     ctrl = extract_controller(resp)
-    npt.assert_allclose(ctrl.K.block(0, 0), [[-0.5]], atol=1e-12)
+    npt.assert_allclose(ctrl.K.dense[:1, :1], [[-0.5]], atol=1e-12)
     gains = riccati_regulator_gains(np.array([[1.0]]), np.array([[1.0]]),
                                     np.eye(1), np.eye(1), 1)
     npt.assert_allclose(gains[0], [[-0.5]], atol=1e-14)
@@ -73,12 +76,13 @@ def test_one_step_scalar_closed_form():
 def test_zero_state_cost_gives_open_loop():
     rng = np.random.default_rng(0)
     T, m, n = 5, 2, 1
-    st = build_stacked(TimeVaryingLinearSystem.constant(
-        rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T))
+    system = TimeVaryingLinearSystem.constant(
+        rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T)
     cost = build_viapoint_cost(T, [], 1.0, state_dim=m, input_dim=n)
-    resp = solve_esls(st, cost)
+    resp = solve_esls(build_stacked(system), cost)
     assert np.max(np.abs(resp.phi_u.dense)) < 1e-12
-    npt.assert_allclose(resp.phi_x.dense, st.S_x.dense, atol=1e-12)
+    S_x, _ = dense_stacked_maps(system.A, system.B)
+    npt.assert_allclose(resp.phi_x.dense, S_x, atol=1e-12)
 
 
 def test_columns_match_dense_kkt_oracle():
@@ -95,7 +99,7 @@ def test_columns_match_dense_kkt_oracle():
         resp = solve_esls(st, cost)
         Qd, _, Rd, _ = dense_tracking_pieces(T, m, n, vps, corrs,
                                              control_weight=cost.R[0])
-        phi_x_ref, phi_u_ref = kkt_feedback(st.S_x.dense, st.S_u.dense,
+        phi_x_ref, phi_u_ref = kkt_feedback(*dense_stacked_maps(A_list, B_list),
                                             Qd, Rd, m, n)
         npt.assert_allclose(resp.phi_u.dense, phi_u_ref, atol=1e-9)
         npt.assert_allclose(resp.phi_x.dense, phi_x_ref, atol=1e-9)
@@ -198,11 +202,36 @@ def test_batch_plan_vs_dense_oracle_and_feedforward():
                                                 control_weight=cost.R[0])
         w = np.zeros((T + 1) * m)
         w[:m] = x0
-        npt.assert_allclose(u_hat, dense_plan(st.S_x.dense, st.S_u.dense,
-                                              Qd, bd, Rd, u_d, w), atol=1e-8)
+        S_x, S_u = dense_stacked_maps([A] * (T + 1), [B] * (T + 1))
+        npt.assert_allclose(u_hat, dense_plan(S_x, S_u, Qd, bd, Rd, u_d, w), atol=1e-8)
         # with x0 = 0 and u_d = 0 the open-loop plan is the feedforward
         resp = solve_esls(st, cost)
         npt.assert_allclose(batch_lqt(st, cost), resp.d_u, atol=1e-9)
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test dependency only: with the module made unimportable the
+    # package still imports, synthesizes, plans and simulates
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+import numpy as np
+import slsctrl as sc
+T = 8
+plant = sc.double_integrator_plant(1, 0.1)
+cost = sc.build_viapoint_cost(T, [(T, np.array([1.0, 0.0]), 1.0)], 1e-2,
+                              state_dim=2, input_dim=1)
+system = sc.linear_system_from_plant(plant, T)
+stacked = sc.build_stacked(system)
+controller = sc.extract_controller(sc.solve_esls(stacked, cost))
+sc.batch_lqt(stacked, cost, x0=np.ones(2))
+sc.rollout(plant, controller, x0=np.ones(2))
+sc.rollout(plant, sc.dp_lqt(system, cost), x0=np.ones(2))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solution_independent_of_noise_scale():
@@ -210,13 +239,14 @@ def test_solution_independent_of_noise_scale():
     # multiplies each column's objective; per-column optimizers are invariant
     rng = np.random.default_rng(8)
     T, m, n = 5, 2, 1
-    st = build_stacked(TimeVaryingLinearSystem.constant(
-        rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T))
+    system = TimeVaryingLinearSystem.constant(
+        rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T)
     cost, vps, corrs = _random_tracking_cost(rng, T, m, n, with_correlation=True)
-    resp = solve_esls(st, cost)
+    resp = solve_esls(build_stacked(system), cost)
     Qd, _, Rd, _ = dense_tracking_pieces(T, m, n, vps, corrs,
                                          control_weight=cost.R[0])
-    phi_x_ref, phi_u_ref = kkt_feedback(st.S_x.dense, st.S_u.dense, Qd, Rd, m, n)
+    phi_x_ref, phi_u_ref = kkt_feedback(*dense_stacked_maps(system.A, system.B),
+                                        Qd, Rd, m, n)
     npt.assert_allclose(resp.phi_u.dense, phi_u_ref, atol=1e-9)
 
 
@@ -355,7 +385,6 @@ def test_residuals_allocate_no_dense_temporaries():
         0.9 * np.eye(m) + 0.05 * rng.normal(size=(m, m)), rng.normal(size=(m, n)), T))
     cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
     resp = solve_esls(st, cost)
-    st.S_x, st.S_u    # the dense operators are the oracle's, built beforehand
     tracemalloc.start()
     try:
         res = resp.residuals(st)
