@@ -40,7 +40,6 @@ from .plants import (
     OpenLoopController,
     PlanarArmPlant,
     Plant,
-    StepFeedbackController,
     Trajectory,
     batch_lqt,
     double_integrator_plant,
@@ -110,7 +109,6 @@ __all__ = [
     "SolverNotConverged",
     "StackedSystem",
     "StateCostFunction",
-    "StepFeedbackController",
     "SystemResponse",
     "TimeVaryingLinearSystem",
     "Trajectory",

@@ -76,7 +76,7 @@ def adapt_feedforward(maps, x_d_new, u_d_new):
 
 
 def adapt_controller(controller, maps, x_d_new, u_d_new, in_place=False):
-    """Retarget a controller; in place (atomic swap) or as a copy sharing K."""
+    """Retarget a controller; in place (atomic swap) or as a copy sharing the gains."""
     k_new = maps.feedforward(x_d_new, u_d_new)
     if in_place:
         controller.swap_feedforward(k_new)

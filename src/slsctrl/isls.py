@@ -24,7 +24,7 @@ from .costs import (
     CostSpec,
     StateCostFunction,
 )
-from .solver import extract_controller, solve_esls
+from .solver import Controller, extract_controller, solve_esls
 from .stacked import TimeVaryingLinearSystem, build_stacked
 
 
@@ -261,32 +261,23 @@ class IslsResult:
     history: list = field(default_factory=list)
 
 
-def closed_loop_step(plant, controller_K, k_scaled, x_hat, u_hat, x0=None, w=None):
-    """Roll the true plant under the deviation law du = K dx + alpha k.
+def closed_loop_step(plant, controller, k_scaled, x_hat, u_hat):
+    """Roll the true plant from x_hat[0] under the deviation law du = K dx + alpha k.
 
-    ``w`` optionally adds a stacked disturbance (block 0 replaces the initial
-    state); the nominal update in the optimizer runs deterministically.
+    ``controller`` supplies K; deviations are taken from ``x_hat``, not from
+    the controller's nominal.
     """
-    m = plant.state_dim
     n = plant.input_dim
     T = x_hat.shape[0] - 1
-    xs = np.zeros((T + 1, m))
+    xs = np.zeros((T + 1, plant.state_dim))
     us = np.zeros((T + 1, n))
-    dx = np.zeros((T + 1) * m)
-    Kd = controller_K.dense
-    xs[0] = x_hat[0] if x0 is None else np.asarray(x0, dtype=float)
-    if w is not None:
-        w = np.asarray(w, dtype=float).reshape(T + 1, m)
-        xs[0] = w[0]
+    x_flat, x_hat_flat = xs.reshape(-1), x_hat.reshape(-1)
+    xs[0] = x_hat[0]
     for t in range(T + 1):
-        dx[t * m:(t + 1) * m] = xs[t] - x_hat[t]
-        du = Kd[t * n:(t + 1) * n, : (t + 1) * m] @ dx[: (t + 1) * m]
-        du = du + k_scaled[t * n:(t + 1) * n]
+        du = controller._feedback(t, x_flat, x_hat_flat) + k_scaled[t * n:(t + 1) * n]
         us[t] = u_hat[t] + du
         if t < T:
             xs[t + 1] = plant.step(t, xs[t], us[t])
-            if w is not None:
-                xs[t + 1] += w[t + 1]
     return xs, us
 
 
@@ -350,7 +341,7 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
 
         accepted, non_finite = None, False
         for alpha in cfg.alphas:
-            xs, us = closed_loop_step(plant, ctrl.K, alpha * ctrl.k, x_hat, u_hat)
+            xs, us = closed_loop_step(plant, ctrl, alpha * ctrl.k, x_hat, u_hat)
             trial = objective.true_cost(xs, us)
             if trial < cost_value:
                 accepted = (alpha, xs, us, trial)
@@ -365,10 +356,8 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         history.append(IterationState(len(history) + 1, cost_value, delta, alpha, step_norm))
         pending_tol = delta <= cfg.tolerance * max(1.0, abs(cost_value))
 
-    controller = ctrl.__class__(
-        ctrl.K, ctrl.k,
-        nominal_x=x_hat.reshape(-1), nominal_u=u_hat.reshape(-1),
-    )
+    controller = Controller.from_gains(ctrl.held, ctrl.gains, ctrl.k,
+                                       nominal_x=x_hat, nominal_u=u_hat)
     stationarity = float(np.max(np.abs(controller.k)))
     # a stall only shows that no scale of the step improves the cost; it
     # counts as convergence when the step itself is within the bound

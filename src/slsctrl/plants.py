@@ -24,7 +24,7 @@ from .costs import (
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
-from .solver import _run_policy, own_columns, riccati_gains
+from .solver import Controller, _run_policy, own_columns, riccati_gains
 from .stacked import NoiseModel, TimeVaryingLinearSystem
 
 
@@ -341,34 +341,6 @@ class OpenLoopController:
         return self.inputs[t].copy()
 
 
-class StepFeedbackController:
-    """Memoryless per-step affine law u_t = K_t x_t + kappa_t."""
-
-    def __init__(self, gains, offsets):
-        self.gains = np.asarray(gains, dtype=float)
-        self.offsets = np.asarray(offsets, dtype=float)
-        if self.gains.ndim != 3 or self.offsets.ndim != 2:
-            raise ValueError("expected gains (T+1, n, m) and offsets (T+1, n)")
-        if self.gains.shape[0] != self.offsets.shape[0]:
-            raise ValueError("gain and offset horizons differ")
-
-    @property
-    def horizon(self):
-        return self.gains.shape[0] - 1
-
-    @property
-    def state_dim(self):
-        return self.gains.shape[2]
-
-    @property
-    def input_dim(self):
-        return self.gains.shape[1]
-
-    def control(self, t, x_history):
-        x_t = np.asarray(x_history, dtype=float).reshape(-1)[-self.state_dim:]
-        return self.gains[t] @ x_t + self.offsets[t]
-
-
 def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=None):
     """Resolve the stacked disturbance for a rollout; explicit w wins, then x0."""
     if w is not None:
@@ -464,18 +436,18 @@ def dp_lqt(system, cost):
     """Memoryless tracking controller: the synthesis recursion without held states.
 
     Only block-diagonal Q is accepted: with cross-time blocks the optimal
-    policy needs past states, which a per-step feedback cannot hold, so
-    off-diagonal blocks raise.  Gains are returned in the convention
-    u_t = K_t x_t + kappa_t; the final input has no dynamic effect and is
-    driven to its target (K_T = 0).
+    policy needs past states, which a memoryless law cannot hold, so
+    off-diagonal blocks raise.  Returns a :class:`Controller` whose steps
+    hold no past states, u_t = K_t x_t + k_t; the final input has no
+    dynamic effect and is driven to its target (K_T = 0).
     """
     if any(i != j for (i, j) in cost.Q):
         raise ValueError(
             "dp_lqt requires block-diagonal Q; cross-time correlation terms "
             "cannot be represented by a memoryless recursion"
         )
-    _, gains, offsets = riccati_gains(system, cost, *own_columns(cost))
-    return StepFeedbackController(gains, offsets[..., 0])
+    held, gains, k = riccati_gains(system, cost, *own_columns(cost))
+    return Controller.from_gains(held, gains, k.ravel())
 
 
 def _accumulated_diagonal_cost(horizon, state_dim, input_dim, r_blocks, terms, u_d=None):
@@ -538,10 +510,10 @@ class _ReplanningController:
     def control(self, t, x_history):
         if t < self.t_r:
             return self.phase1.control(t, x_history)
+        xs = np.asarray(x_history, dtype=float).reshape(t + 1, -1)
         if t == self.t_r:
-            xs = np.asarray(x_history, dtype=float).reshape(t + 1, -1)
             self.phase2 = _replan_from(self.system, self.cost, t, xs)
-        return self.phase2.control(t - self.t_r, x_history)
+        return self.phase2.control(t - self.t_r, xs[self.t_r:])
 
 
 def _replan_from(system, cost, t_r, xs):

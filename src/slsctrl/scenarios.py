@@ -69,7 +69,6 @@ from .isls import IslsConfig, TrackingObjective, isls_optimize
 from .plants import (
     LinearPlant,
     OpenLoopController,
-    StepFeedbackController,
     batch_lqt,
     double_integrator_plant,
     dp_lqt,
@@ -79,9 +78,9 @@ from .plants import (
     rollout,
 )
 from .solver import Controller, extract_controller, solve_esls
-from .stacked import BlockLowerTriangular, NoiseModel, build_stacked
+from .stacked import NoiseModel, build_stacked
 
-ARTIFACT_FORMAT_VERSION = 1
+ARTIFACT_FORMAT_VERSION = 2
 SOLVER_KINDS = ("esls", "isls", "dp-lqt", "mpc-lqt", "batch-lqt")
 
 
@@ -513,21 +512,23 @@ def draw_initial_state(scenario, rng, plant):
 
 
 def write_controller_artifact(path, controller):
-    """Serialize a control law to a numpy archive (.bin, versioned)."""
+    """Serialize a control law to a numpy archive (.bin, versioned).
+
+    A :class:`Controller` is stored by its blocks: ``diagonal`` (T+1, n, m)
+    holds K[t, t], ``memory_blocks`` (nh, n, m) the blocks K[t, s], s < t,
+    at ``memory_rows`` t and ``memory_cols`` s in increasing (t, s) order.
+    """
     arrays = {"format_version": np.array(ARTIFACT_FORMAT_VERSION)}
     if isinstance(controller, Controller):
-        arrays["kind"] = np.array("affine_memory")
-        arrays["K"] = controller.K.dense
-        arrays["k"] = controller.k
-        arrays["row_block_dim"] = np.array(controller.input_dim)
-        arrays["col_block_dim"] = np.array(controller.state_dim)
+        m, n, held = controller.state_dim, controller.input_dim, controller.held
+        split = [g.reshape(n, -1, m).swapaxes(0, 1) for g in controller.gains]
+        arrays.update(kind=np.array("affine_memory"), k=controller.k,
+                      diagonal=np.array([b[0] for b in split]),
+                      memory_blocks=np.concatenate([b[1:] for b in split]),
+                      memory_rows=np.array([t for t, h in enumerate(held) for _ in h], int),
+                      memory_cols=np.array([s for h in held for s in h], int))
         if controller.nominal_x is not None:
-            arrays["nominal_x"] = controller.nominal_x
-            arrays["nominal_u"] = controller.nominal_u
-    elif isinstance(controller, StepFeedbackController):
-        arrays["kind"] = np.array("step_feedback")
-        arrays["gains"] = controller.gains
-        arrays["offsets"] = controller.offsets
+            arrays.update(nominal_x=controller.nominal_x, nominal_u=controller.nominal_u)
     elif isinstance(controller, OpenLoopController):
         arrays["kind"] = np.array("open_loop")
         arrays["inputs"] = controller.inputs
@@ -539,6 +540,7 @@ def write_controller_artifact(path, controller):
 
 
 def load_controller_artifact(path):
+    """Read a controller; a malformed file raises ValidationError naming the field."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
         if version != ARTIFACT_FORMAT_VERSION:
@@ -547,16 +549,31 @@ def load_controller_artifact(path):
             )
         kind = str(data["kind"])
         if kind == "affine_memory":
-            K = BlockLowerTriangular(data["K"], int(data["row_block_dim"]),
-                                     int(data["col_block_dim"]))
-            nominal_x = data["nominal_x"] if "nominal_x" in data else None
-            nominal_u = data["nominal_u"] if "nominal_u" in data else None
-            return Controller(K, data["k"], nominal_x=nominal_x, nominal_u=nominal_u)
-        if kind == "step_feedback":
-            return StepFeedbackController(data["gains"], data["offsets"])
+            try:
+                return _memory_controller(data)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ValidationError(f"controller artifact {path}: {exc}") from None
         if kind == "open_loop":
             return OpenLoopController(data["inputs"], int(data["state_dim"]))
     raise ValidationError(f"controller artifact {path}: unknown kind {kind!r}")
+
+
+def _memory_controller(data):
+    diagonal, blocks = data["diagonal"], data["memory_blocks"]
+    rows, cols, T1 = data["memory_rows"], data["memory_cols"], diagonal.shape[0]
+    for name, idx, ok in (("memory_rows", rows, (0 <= rows) & (rows < T1)),
+                          ("memory_cols", cols, (0 <= cols) & (cols < rows))):
+        if idx.dtype.kind not in "iu" or not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"{name}[{i}] = {idx[i]} is not an index s < t <= {T1 - 1} "
+                             "of a block (t, s)")
+    if np.any(np.diff(rows * T1 + cols) <= 0):
+        raise ValueError("memory_rows, memory_cols must be increasing (t, s) pairs")
+    ends = np.searchsorted(rows, np.arange(T1 + 1))
+    held = [tuple(cols[a:b].tolist()) for a, b in zip(ends, ends[1:])]
+    gains = [np.hstack([d, *blocks[a:b]]) for d, a, b in zip(diagonal, ends, ends[1:])]
+    nominal = [data[f] if f in data else None for f in ("nominal_x", "nominal_u")]
+    return Controller.from_gains(held, gains, data["k"], *nominal)
 
 
 def write_maps_artifact(path, maps, cost):

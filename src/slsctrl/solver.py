@@ -20,11 +20,13 @@ Only the step Hessian R_t + B_t' P B_t must be positive definite; the
 cost-to-go may be indefinite in the held states.  The law acts on states,
 so K = phi_u phi_x^{-1} and k = d_u - K d_x: its blocks K[t, s], s < t, are
 the memory that lets cross-time terms bind future inputs to realized
-history.  phi_x and phi_u are derived from the gains on demand.
+history.  :class:`Controller` keeps the law in this per-step form, O(T) in
+memory; phi_x and phi_u are derived from the gains on demand.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,9 +116,11 @@ class SystemResponse:
 class Controller:
     """Affine causal controller u_t = sum_{s<=t} K[t,s] (x_s - nominal) + k_t.
 
-    For controllers synthesized directly on a linear plant the nominal is
-    absent and the law acts on absolute states.  The iterative solver wraps
-    the same structure around a nominal trajectory.
+    ``gains[t]`` holds the only blocks that can be nonzero, K[t, t] and
+    K[t, s] for s in ``held[t]``, side by side.  The constructor keeps those
+    blocks of a dense :class:`BlockLowerTriangular`; :meth:`from_gains`
+    takes them directly.  Without a nominal the law acts on absolute states;
+    the iterative solver wraps it around a nominal trajectory.
 
     ``k`` is the one mutable piece: :meth:`swap_feedforward` replaces the
     whole vector by reference, so a concurrent reader that captured the
@@ -126,47 +130,68 @@ class Controller:
     def __init__(self, K, k, nominal_x=None, nominal_u=None):
         if not isinstance(K, BlockLowerTriangular):
             raise TypeError("K must be BlockLowerTriangular")
-        self.K = K
-        self.k = np.asarray(k, dtype=float).copy()
-        if self.k.size != K.shape[0]:
-            raise ValueError("feedforward length does not match K")
-        self.nominal_x = None if nominal_x is None else np.asarray(nominal_x, float).copy()
-        self.nominal_u = None if nominal_u is None else np.asarray(nominal_u, float).copy()
-        if (self.nominal_x is None) != (self.nominal_u is None):
+        n, m, T1 = K.row_block_dim, K.col_block_dim, K.T_blocks
+        blocks = K.dense.reshape(T1, n, T1, m).transpose(0, 2, 1, 3)   # [t, s]
+        nonzero = blocks.any(axis=(2, 3))
+        held = [tuple(np.flatnonzero(nonzero[t, :t]).tolist()) for t in range(T1)]
+        gains = [np.hstack([blocks[t, s] for s in (t, *held[t])]) for t in range(T1)]
+        self._set_steps(held, gains, k, nominal_x, nominal_u)
+
+    @classmethod
+    def from_gains(cls, held, gains, k, nominal_x=None, nominal_u=None):
+        """Controller on per-step held timesteps and gain blocks, shared, not copied."""
+        ctrl = cls.__new__(cls)
+        ctrl._set_steps(held, gains, k, nominal_x, nominal_u)
+        return ctrl
+
+    def _set_steps(self, held, gains, k, nominal_x, nominal_u):
+        n, m = gains[0].shape[0], gains[0].shape[1] // (1 + len(held[0]))
+        self.held, self.gains, self.horizon = held, gains, len(gains) - 1
+        self.input_dim, self.state_dim = n, m
+        self._idx = []   # flat history indices of z_t: one gather per step
+        for t, (h, g) in enumerate(zip(held, gains, strict=True)):
+            if g.shape != (n, m * (1 + len(h))) or not np.isfinite(g).all():
+                raise ValueError(f"gain block at t={t} must be finite, shape "
+                                 f"{(n, m * (1 + len(h)))}")
+            self._idx.append((m * np.array((t, *h))[:, None] + np.arange(m)).ravel())
+        self.k = _checked_vector("k", k, len(gains) * n)
+        if (nominal_x is None) != (nominal_u is None):
             raise ValueError("nominal_x and nominal_u must be supplied together")
+        self.nominal_x = _checked_vector("nominal_x", nominal_x, len(gains) * m)
+        self.nominal_u = _checked_vector("nominal_u", nominal_u, len(gains) * n)
 
     @property
-    def horizon(self):
-        return self.K.T_blocks - 1
-
-    @property
-    def state_dim(self):
-        return self.K.col_block_dim
-
-    @property
-    def input_dim(self):
-        return self.K.row_block_dim
+    def K(self):
+        """The dense feedback as a :class:`BlockLowerTriangular`, built on each access."""
+        T1, m, n = len(self.gains), self.state_dim, self.input_dim
+        K = np.zeros((T1 * n, T1 * m))
+        for t in range(T1):
+            K[t * n:(t + 1) * n, self._idx[t]] = self.gains[t]
+        return BlockLowerTriangular(K, n, m, copy=False)
 
     def swap_feedforward(self, k_new):
         """Atomically replace the feedforward vector (whole-array swap)."""
-        k_new = np.asarray(k_new, dtype=float).copy()
-        if k_new.size != self.k.size:
-            raise ValueError("feedforward length mismatch")
-        self.k = k_new
+        self.k = _checked_vector("k", k_new, self.k.size)
 
     def with_feedforward(self, k_new):
-        """Copy sharing K and nominals but carrying a different feedforward."""
-        return Controller(self.K, k_new, self.nominal_x, self.nominal_u)
+        """Copy sharing the gains and nominals but carrying a different feedforward."""
+        twin = copy.copy(self)
+        twin.swap_feedforward(k_new)
+        return twin
+
+    def _feedback(self, t, x, x_ref=None):
+        """gains[t] times z_t read from the flat history x, less x_ref if given."""
+        idx = self._idx[t]
+        return self.gains[t] @ (x[idx] if x_ref is None else x[idx] - x_ref[idx])
 
     def control(self, t, x_history):
         """Input at step t given the states observed so far (shape (t+1, m) or flat)."""
-        m, n = self.state_dim, self.input_dim
+        n = self.input_dim
         hist = np.asarray(x_history, dtype=float).reshape(-1)
-        if hist.size != (t + 1) * m:
+        if hist.size != (t + 1) * self.state_dim:
             raise ValueError(f"history at t={t} must contain t+1 state blocks")
         k = self.k  # capture once; see swap_feedforward
-        dev = hist if self.nominal_x is None else hist - self.nominal_x[: (t + 1) * m]
-        u = self.K.dense[t * n:(t + 1) * n, : (t + 1) * m] @ dev + k[t * n:(t + 1) * n]
+        u = self._feedback(t, hist, self.nominal_x) + k[t * n:(t + 1) * n]
         if self.nominal_u is not None:
             u = u + self.nominal_u[t * n:(t + 1) * n]
         return u
@@ -175,7 +200,17 @@ class Controller:
         """The law rewritten as u = K x + k_abs; equals k when no nominal is set."""
         if self.nominal_x is None:
             return self.k.copy()
-        return self.nominal_u + self.k - self.K.dense @ self.nominal_x
+        Kx = [self._feedback(t, self.nominal_x) for t in range(len(self.gains))]
+        return self.nominal_u + self.k - np.concatenate(Kx)
+
+
+def _checked_vector(name, v, size):
+    if v is None:
+        return None
+    v = np.array(v, dtype=float).reshape(-1)
+    if v.size != size or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be {size} finite numbers, got {v.size}")
+    return v
 
 
 def held_states(cost):
@@ -287,15 +322,8 @@ def _run_policy(system, held, gains, k, x0):
 
 
 def extract_controller(response):
-    """The realizable feedback form u = K x + k of a synthesized response.
+    """The realizable feedback form of a response, sharing its held states and gains.
 
-    K[t, t] and K[t, s] for held s are the blocks of the step gains; all
-    other blocks are zero.  This is K = phi_u phi_x^{-1} and
-    k = d_u - K d_x of the map parameterization.
+    This is K = phi_u phi_x^{-1} and k = d_u - K d_x of the map parameterization.
     """
-    T, m, n = response.system.horizon, response.system.state_dim, response.system.input_dim
-    K = np.zeros(((T + 1) * n, (T + 1) * m))
-    for t in range(T + 1):
-        for a, s in enumerate((t, *response.held[t])):
-            K[t * n:(t + 1) * n, s * m:(s + 1) * m] = response.gains[t][:, a * m:(a + 1) * m]
-    return Controller(BlockLowerTriangular(K, n, m, copy=False), response.k.ravel())
+    return Controller.from_gains(response.held, response.gains, response.k.ravel())

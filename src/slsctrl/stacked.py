@@ -61,10 +61,6 @@ class BlockLowerTriangular:
         """The dense backing array. Do not mutate."""
         return self._dense
 
-    @property
-    def shape(self):
-        return self._dense.shape
-
     def _mask_upper(self):
         r, c = self.row_block_dim, self.col_block_dim
         for i in range(self.T_blocks):

@@ -88,7 +88,7 @@ def test_noop_edit_keeps_feedforward_and_feedback():
     maps = precompute_gain_maps(st, cost, ctrl)
     adapted = adapt_controller(ctrl, maps, cost.x_d, cost.u_d)
     assert adapted is not ctrl
-    assert adapted.K is ctrl.K
+    assert adapted.gains is ctrl.gains and adapted.held is ctrl.held
     npt.assert_allclose(adapted.k, ctrl.k, atol=1e-9)
     # and the original controller was not mutated
     k_before = ctrl.k.copy()
@@ -262,6 +262,6 @@ def test_vicinity_retargeting_on_arm():
     x_d_new = sub.x_d.copy()
     x_d_new[T * m + 4:T * m + 6] += shift
     k_new = adapt_feedforward(maps, x_d_new, sub.u_d)
-    xs, _ = closed_loop_step(arm, ctrl.K, k_new, x_hat, u_hat)
+    xs, _ = closed_loop_step(arm, ctrl, k_new, x_hat, u_hat)
     ee = planar_fk(lengths, xs[T, :2])
     assert np.linalg.norm(ee - (target + shift)) <= 1e-2

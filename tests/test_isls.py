@@ -128,7 +128,7 @@ def test_flat_tail_cost_forces_backtracking():
         linearize_plant(plant, x_hat, u_hat)), sub))
 
     def cost_of_alpha(alpha):
-        xs, us = closed_loop_step(plant, first.K, alpha * first.k, x_hat, u_hat)
+        xs, us = closed_loop_step(plant, first, alpha * first.k, x_hat, u_hat)
         return obj.true_cost(xs, us)
 
     base = obj.true_cost(x_hat, u_hat)
@@ -228,7 +228,7 @@ def test_arm_reaching_viapoint():
     npt.assert_allclose(ee, target, atol=1e-3)
     # at convergence the zero-noise closed loop reproduces the nominal
     xs, us = closed_loop_step(
-        arm, ctrl.K, ctrl.k,
+        arm, ctrl, ctrl.k,
         ctrl.nominal_x.reshape(T + 1, m), ctrl.nominal_u.reshape(T + 1, -1))
     npt.assert_allclose(xs.reshape(-1), ctrl.nominal_x, atol=1e-6)
 

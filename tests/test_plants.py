@@ -5,10 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from slsctrl import (
+    Controller,
     LinearPlant,
     NoiseModel,
     OpenLoopController,
-    StepFeedbackController,
     TimeVaryingLinearSystem,
     batch_lqt,
     build_stacked,
@@ -160,9 +160,13 @@ def test_open_loop_and_step_feedback_controllers():
     gains[1] = [[2.0, 0.0]]
     offs = np.zeros((T + 1, n))
     offs[1] = 5.0
-    fb = StepFeedbackController(gains, offs)
+    fb = Controller.from_gains([()] * (T + 1), list(gains), offs.ravel())
     x_hist = np.array([[0.0, 0.0], [3.0, 1.0]])
     npt.assert_allclose(fb.control(1, x_hist.ravel()), [11.0])
+    assert fb.horizon == T and (fb.state_dim, fb.input_dim) == (m, n)
+    npt.assert_array_equal(fb.K.dense[n:2 * n, m:2 * m], gains[1])
+    with pytest.raises(ValueError, match="t\\+1 state blocks"):
+        fb.control(1, x_hist[1])
 
 
 def test_rollout_determinism_and_impulse_decay():
@@ -227,7 +231,8 @@ def test_dp_gains_against_riccati_oracle():
     gains_ref = riccati_regulator_gains(A, B, np.eye(m), 0.5 * np.eye(n), T)
     for t in range(T + 1):
         npt.assert_allclose(dp.gains[t], gains_ref[t], atol=1e-10)
-        npt.assert_allclose(dp.offsets[t], np.zeros(n), atol=1e-12)
+        assert dp.held[t] == ()
+    npt.assert_allclose(dp.k, np.zeros((T + 1) * n), atol=1e-12)
     # scalar one-step closed form
     dp1 = dp_lqt(TimeVaryingLinearSystem.constant(
         np.array([[1.0]]), np.array([[1.0]]), 1),

@@ -9,12 +9,17 @@ import numpy.testing as npt
 import pytest
 
 from slsctrl import (
+    Controller,
+    TrackingObjective,
     adapt_feedforward,
     bench_adaptation,
     bench_mug_sugar,
     build_stacked,
+    dp_lqt,
     extract_controller,
+    isls_optimize,
     linear_system_from_plant,
+    rollout,
     solve_esls,
 )
 from slsctrl.bench import (
@@ -26,6 +31,7 @@ from slsctrl.scenarios import (
     Scenario,
     ValidationError,
     build_cost,
+    build_noise,
     build_plant,
     config_sha256,
     load_controller_artifact,
@@ -122,19 +128,39 @@ def test_scenario_roundtrip_and_hash():
     assert config_sha256({"a": 1}) != config_sha256({"a": 2})
 
 
-def test_controller_artifact_roundtrip(tmp_path):
+def _mug():
     scenario = Scenario.from_dict(
         load_scenario(bundled_scenario_path("mug_sugar")).raw)
     plant = build_plant(scenario)
-    cost = build_cost(scenario)
-    st = build_stacked(linear_system_from_plant(plant, scenario.horizon))
+    return scenario, plant, build_cost(scenario), linear_system_from_plant(
+        plant, scenario.horizon)
+
+
+def test_controller_artifact_roundtrip(tmp_path):
+    # esls (held states), dp-lqt (none) and isls (nominals) controllers
+    # come back with the same blocks and the same rollouts, bit for bit
+    scenario, plant, cost, system = _mug()
+    st = build_stacked(system)
     ctrl = extract_controller(solve_esls(st, cost))
-    path = tmp_path / "controller.bin"
-    write_controller_artifact(path, ctrl)
-    loaded = load_controller_artifact(path)
-    npt.assert_array_equal(loaded.K.dense, ctrl.K.dense)
-    npt.assert_array_equal(loaded.k, ctrl.k)
-    assert loaded.nominal_x is None
+    x0 = np.asarray(scenario.initial_state["center"], float)
+    isls_ctrl, _ = isls_optimize(plant, TrackingObjective.from_costspec(cost), x0)
+    assert any(ctrl.held) and isls_ctrl.nominal_x is not None
+    for label, original in [("esls", ctrl), ("isls", isls_ctrl),
+                            ("dp-lqt", dp_lqt(system, cost.diagonal_projection()))]:
+        path = tmp_path / f"{label}.bin"
+        write_controller_artifact(path, original)
+        loaded = load_controller_artifact(path)
+        assert loaded.held == original.held
+        npt.assert_array_equal(loaded.K.dense, original.K.dense)
+        npt.assert_array_equal(loaded.k, original.k)
+        assert (loaded.nominal_x is None) == (label != "isls")
+        if label == "isls":
+            npt.assert_array_equal(loaded.nominal_x, original.nominal_x)
+            npt.assert_array_equal(loaded.nominal_u, original.nominal_u)
+        runs = [rollout(plant, c, noise=build_noise(scenario), seed=3, x0=x0)
+                for c in (original, loaded)]
+        npt.assert_array_equal(runs[1].states, runs[0].states)
+        npt.assert_array_equal(runs[1].inputs, runs[0].inputs)
 
     from slsctrl import precompute_gain_maps
     maps = precompute_gain_maps(st, cost, ctrl)
@@ -145,6 +171,65 @@ def test_controller_artifact_roundtrip(tmp_path):
     npt.assert_array_equal(loaded_maps.F_u, maps.F_u)
     npt.assert_array_equal(x_d, cost.x_d)
     npt.assert_array_equal(u_d, cost.u_d)
+
+
+def test_tampered_controller_artifact_names_field(tmp_path):
+    scenario, plant, cost, system = _mug()
+    ctrl = extract_controller(solve_esls(build_stacked(system), cost))
+    x = np.zeros(scenario.state_dim * (scenario.horizon + 1))
+    u = np.zeros(ctrl.k.size)
+    path = tmp_path / "controller.bin"
+    write_controller_artifact(path, Controller(ctrl.K, ctrl.k, x, u))
+    with np.load(path) as data:
+        good = dict(data)
+
+    def nan_at(a, i):
+        a = a.astype(float)
+        a[i] = np.nan
+        return a
+
+    def swapped(a):
+        a = a.copy()
+        a[[0, 1]] = a[[1, 0]]
+        return a
+
+    cases = [
+        ("nominal_x", lambda a: {"nominal_x": np.r_[x, np.zeros(5)]}),
+        ("nominal_x", lambda a: {"nominal_x": x[:-6]}),
+        ("nominal_u", lambda a: {"nominal_u": nan_at(u, 7)}),
+        ("k must be", lambda a: {"k": nan_at(ctrl.k, 0)}),
+        ("gain block at t=3", lambda a: {"diagonal": nan_at(a["diagonal"], 3)}),
+        ("memory_cols", lambda a: {"memory_cols": a["memory_rows"]}),
+        ("memory_rows", lambda a: {"memory_rows": np.r_[a["memory_rows"][:-1],
+                                                        scenario.horizon + 1]}),
+        ("memory_rows", lambda a: {"memory_rows": a["memory_rows"].astype(float)}),
+        ("increasing", lambda a: {"memory_rows": swapped(a["memory_rows"]),
+                                  "memory_cols": swapped(a["memory_cols"])}),
+        ("diagonal", lambda a: {"diagonal": None}),
+    ]
+    for i, (match, change) in enumerate(cases):
+        arrays = dict(good, **change(good))
+        arrays = {key: v for key, v in arrays.items() if v is not None}
+        bad = tmp_path / f"bad{i}.bin"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValidationError, match=match):
+            load_controller_artifact(bad)
+
+
+def test_version_1_artifacts_are_rejected(tmp_path):
+    path = tmp_path / "v1.bin"
+    with open(path, "wb") as fh:
+        np.savez(fh, format_version=np.array(1), kind=np.array("affine_memory"),
+                 K=np.eye(2), k=np.zeros(2), row_block_dim=np.array(1),
+                 col_block_dim=np.array(1))
+    with pytest.raises(ValidationError, match="format version 1"):
+        load_controller_artifact(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, format_version=np.array(1), F_x=np.eye(2), F_u=np.eye(2),
+                 x_d=np.zeros(2), u_d=np.zeros(2))
+    with pytest.raises(ValidationError, match="format version 1"):
+        load_maps_artifact(path)
 
 
 def test_trajectory_csv_deterministic_and_well_formed(tmp_path):

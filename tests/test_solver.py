@@ -11,6 +11,8 @@ import numpy.testing as npt
 import pytest
 
 from slsctrl import (
+    BlockLowerTriangular,
+    Controller,
     CorrelationSpec,
     LinearPlant,
     TimeVaryingLinearSystem,
@@ -18,8 +20,10 @@ from slsctrl import (
     batch_lqt,
     build_stacked,
     build_viapoint_cost,
+    double_integrator_plant,
     dp_lqt,
     extract_controller,
+    linear_system_from_plant,
     precompute_gain_maps,
     rollout,
     solve_esls,
@@ -394,3 +398,75 @@ def test_residuals_allocate_no_dense_temporaries():
     maps = resp.phi_x.dense.nbytes + resp.phi_u.dense.nbytes
     assert peak <= maps + resp.phi_x.dense.nbytes // 2
     assert max(res.values()) <= 1e-10
+
+
+def test_controller_keeps_nonzero_blocks_of_dense_gain():
+    # a BlockLowerTriangular K with a few memory blocks: the per-step form
+    # keeps exactly those, acts like the dense row product and gives K back
+    rng = np.random.default_rng(12)
+    T, m, n = 9, 3, 2
+    K = np.zeros(((T + 1) * n, (T + 1) * m))
+    memory = {(4, 1), (6, 1), (6, 3), (9, 0)}
+    for t in range(T + 1):
+        for s in [t] + [s for (r, s) in memory if r == t]:
+            K[t * n:(t + 1) * n, s * m:(s + 1) * m] = rng.normal(size=(n, m))
+    k = rng.normal(size=(T + 1) * n)
+    nominal_x, nominal_u = rng.normal(size=(T + 1) * m), rng.normal(size=(T + 1) * n)
+    for nominal in [(None, None), (nominal_x, nominal_u)]:
+        ctrl = Controller(BlockLowerTriangular(K, n, m), k, *nominal)
+        assert {(t, s) for t, h in enumerate(ctrl.held) for s in h} == memory
+        npt.assert_array_equal(ctrl.K.dense, K)
+        xs = rng.normal(size=(T + 1) * m)
+        dev = xs if nominal[0] is None else xs - nominal_x
+        u_ref = K @ dev + k + (0 if nominal[1] is None else nominal_u)
+        u = np.concatenate([ctrl.control(t, xs[:(t + 1) * m]) for t in range(T + 1)])
+        npt.assert_allclose(u, u_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(u_ref)))
+    npt.assert_allclose(ctrl.absolute_feedforward(), nominal_u + k - K @ nominal_x,
+                        rtol=1e-12, atol=1e-12)
+    twin = ctrl.with_feedforward(2 * k)
+    assert twin.gains is ctrl.gains and twin.nominal_x is ctrl.nominal_x
+    npt.assert_array_equal(ctrl.k, k)
+
+
+def test_controller_rejects_bad_feedforward_and_nominals():
+    T, m, n = 4, 2, 1
+    K = BlockLowerTriangular(np.eye((T + 1) * n, (T + 1) * m), n, m)
+    k, x, u = np.zeros((T + 1) * n), np.zeros((T + 1) * m), np.zeros((T + 1) * n)
+    bad_gain = K.dense.copy()
+    bad_gain[0, 0] = np.nan
+    for args, name in [((K, k[:-1]), "k"), ((K, np.r_[k[:-1], np.nan]), "k"),
+                       ((K, k, np.r_[x, np.zeros(5)], u), "nominal_x"),
+                       ((K, k, x[:-6], u), "nominal_x"),
+                       ((K, k, x, np.r_[u[:-1], np.inf]), "nominal_u"),
+                       ((K, k, x, None), "together"),
+                       ((BlockLowerTriangular(bad_gain, n, m), k), "gain block at t=0")]:
+        with pytest.raises(ValueError, match=name):
+            Controller(*args)
+    ctrl = Controller(K, k)
+    with pytest.raises(ValueError, match="k must be"):
+        ctrl.with_feedforward(np.full(k.size, np.nan))
+
+
+def test_controller_storage_is_linear_in_horizon():
+    # extraction and one rollout at T=400 stay far below the dense gain
+    rng = np.random.default_rng(13)
+    T, dim = 400, 3
+    plant = double_integrator_plant(dim, 0.01)
+    m, n = 2 * dim, dim
+    vps = [(t, rng.normal(size=m), 10.0) for t in (100, 250, T)]
+    cost = build_viapoint_cost(T, vps, 1e-2, state_dim=m, input_dim=n)
+    for t1, t2 in [(100, 250), (50, 300), (120, T)]:
+        cost = add_correlation(cost, CorrelationSpec(t1, t2, np.eye(m), np.zeros(m),
+                                                     5.0 * np.eye(m)))
+    resp = solve_esls(build_stacked(linear_system_from_plant(plant, T)), cost)
+    w = np.zeros((T + 1) * m)
+    w[:m] = rng.normal(size=m)
+    tracemalloc.start()
+    try:
+        traj = rollout(plant, extract_controller(resp), w=w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = (T + 1) * n * (T + 1) * m * 8
+    assert peak < dense_bytes / 10
+    assert np.all(np.isfinite(traj.inputs))
