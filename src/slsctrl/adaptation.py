@@ -3,13 +3,19 @@
 The synthesized feedback gains depend on the weights (Q, R) and the dynamics
 but not on where the targets sit.  The feedforward k of the synthesis
 recursion is linear in the linear term Q x_d and the input target u_d, so
-k = F_x x_d + F_u u_d.  One pass of the recursion, with one right-hand side
-per map column, builds both maps.  A running controller is then retargeted
-with two matrix-vector products, orders of magnitude cheaper than re-running
-the synthesis, and equal up to rounding to the feedforward a full re-solve
-gives.
+k = F_x x_d + F_u u_d.  x_d enters only through Q x_d, so F_x is zero
+outside the block columns of the few timesteps Q touches; those columns,
+and F_u applied to the synthesis input target u_d0, come from one pass of
+the recursion with one right-hand side each.  :class:`AdaptationMaps` keeps
+just that: O(T) per touched timestep, and no dense F_x or F_u.
 
-The feedback part K is untouched by edits, so swapping k on a live
+An edit of x_d then costs one gather and one matrix-vector product.  An
+edit that also moves u_d away from u_d0 adds one feedforward-only backward
+pass for the difference, O(T) small products with the stored gains and
+inverse step Hessians and no factorization; an unchanged u_d skips it.
+The result equals, up to rounding, the feedforward a full re-solve gives.
+
+The feedback part is untouched by edits, so swapping k on a live
 controller is safe mid-rollout: past inputs were optimal for the old
 targets, future inputs are optimal for the new ones given the history.
 """
@@ -20,23 +26,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import riccati_gains
+from .solver import feedforward_pass, riccati_gains
 
 
 @dataclass
 class AdaptationMaps:
-    """Linear maps from (x_d, u_d) to the feedforward vector k."""
+    """Linear maps from (x_d, u_d) to the feedforward vector k.
 
-    F_x: np.ndarray   # ((T+1)n, (T+1)m)
-    F_u: np.ndarray   # ((T+1)n, (T+1)n)
+    ``touched`` (nt,) holds the timesteps Q touches, increasing, and
+    ``F_x_blocks`` ((T+1)n, nt m) the block columns of F_x at them.
+    ``k_u0`` is F_u ``u_d0`` for the synthesis input target.  ``A``, ``B``,
+    ``R``, ``held``, ``gains`` and ``hessian_inv`` are the recursion's
+    per-step data that carry an input-target edit through F_u.
+    """
+
+    touched: np.ndarray
+    F_x_blocks: np.ndarray
+    u_d0: np.ndarray
+    k_u0: np.ndarray
+    A: np.ndarray            # (T+1, m, m)
+    B: np.ndarray            # (T+1, m, n)
+    R: np.ndarray            # (T+1, n, n)
+    held: list
+    gains: list
+    hessian_inv: np.ndarray  # (T+1, n, n), (R_t + B_t'P B_t)^{-1}
+
+    def __post_init__(self):
+        m = self.A.shape[1]
+        self._x_idx = (m * np.asarray(self.touched, dtype=int)[:, None]
+                       + np.arange(m)).ravel()
 
     @property
     def input_size(self):
-        return self.F_x.shape[0]
+        return self.k_u0.size
+
+    @property
+    def state_size(self):
+        return self.A.shape[0] * self.A.shape[1]
 
     def feedforward(self, x_d, u_d):
-        return self.F_x @ np.asarray(x_d, float).reshape(-1) \
-            + self.F_u @ np.asarray(u_d, float).reshape(-1)
+        x_d = np.asarray(x_d, float).reshape(-1)
+        u_d = np.asarray(u_d, float).reshape(-1)
+        if x_d.size != self.state_size or u_d.size != self.input_size:
+            raise ValueError(f"targets must have sizes ({self.state_size}, "
+                             f"{self.input_size}), got ({x_d.size}, {u_d.size})")
+        k = self.F_x_blocks @ x_d[self._x_idx] + self.k_u0
+        du = u_d - self.u_d0
+        if du.any():
+            k += self._input_response(du[:, None])[:, 0]
+        return k
+
+    def _input_response(self, u_d):
+        """F_u u_d for columns u_d ((T+1)n, c), by the feedforward-only pass."""
+        T1, n = self.R.shape[:2]
+        return feedforward_pass(self.A, self.B, self.R, self.held, self.gains,
+                                self.hessian_inv, u_d.reshape(T1, n, -1)).reshape(T1 * n, -1)
+
+    @property
+    def F_x(self):
+        """Dense ((T+1)n, (T+1)m) F_x, built on each access (inspection and tests)."""
+        F = np.zeros((self.input_size, self.state_size))
+        F[:, self._x_idx] = self.F_x_blocks
+        return F
+
+    @property
+    def F_u(self):
+        """Dense ((T+1)n, (T+1)n) F_u, built on each access (inspection and tests)."""
+        return self._input_response(np.eye(self.input_size))
 
 
 def precompute_gain_maps(stacked, cost, controller):
@@ -48,26 +104,27 @@ def precompute_gain_maps(stacked, cost, controller):
     ``controller`` is not read: the maps follow from the weights and the
     dynamics alone.
 
-    x_d enters only through Q x_d, so block column j of F_x is the
-    feedforward for the linear term Q[:, j], and is zero at timesteps Q does
-    not touch; column i of F_u is the feedforward for the unit input target
-    e_i.  All columns come from one pass of the synthesis recursion.
+    Block column j of F_x is the feedforward for the linear term Q[:, j],
+    and is zero at timesteps Q does not touch.  One pass of the synthesis
+    recursion carries those columns plus one for ``cost.u_d``.
     """
     system = stacked.system
     T, m, n = system.horizon, system.state_dim, system.input_dim
     touched = sorted({j for (_, j) in cost.Q})
     col = {j: a * m for a, j in enumerate(touched)}
-    cx, cu = len(touched) * m, (T + 1) * n
-    b = np.zeros((T + 1, m, cx + cu))
+    c = len(touched) * m + 1
+    b = np.zeros((T + 1, m, c))
     for (i, j), blk in cost.Q.items():
         b[i, :, col[j]:col[j] + m] = blk
-    u_d = np.zeros((cu, cx + cu))
-    np.fill_diagonal(u_d[:, cx:], 1.0)
-    k = riccati_gains(system, cost, b, u_d.reshape(T + 1, n, -1))[2].reshape(cu, -1)
-    F_x = np.zeros((cu, (T + 1) * m))
-    for j in touched:
-        F_x[:, j * m:(j + 1) * m] = k[:, col[j]:col[j] + m]
-    return AdaptationMaps(F_x=F_x, F_u=np.ascontiguousarray(k[:, cx:]))
+    u_d = np.zeros((T + 1, n, c))
+    u_d[..., -1] = cost.u_d.reshape(T + 1, n)
+    held, gains, k, hinv = riccati_gains(system, cost, b, u_d)
+    k = k.reshape((T + 1) * n, c)
+    return AdaptationMaps(touched=np.array(touched, dtype=int),
+                          F_x_blocks=np.ascontiguousarray(k[:, :-1]),
+                          u_d0=cost.u_d.copy(), k_u0=k[:, -1].copy(),
+                          A=np.array(system.A), B=np.array(system.B), R=cost.R.copy(),
+                          held=held, gains=gains, hessian_inv=hinv)
 
 
 def adapt_feedforward(maps, x_d_new, u_d_new):

@@ -328,8 +328,8 @@ class OpenLoopController:
 
     def __init__(self, inputs, state_dim):
         self.inputs = np.asarray(inputs, dtype=float)
-        if self.inputs.ndim == 1:
-            raise ValueError("inputs must be given as a (T+1, n) array")
+        if self.inputs.ndim != 2 or not np.isfinite(self.inputs).all():
+            raise ValueError("inputs must be a finite (T+1, n) array")
         self.state_dim = state_dim
         self.input_dim = self.inputs.shape[1]
 
@@ -426,7 +426,7 @@ def batch_lqt(stacked, cost, x0=None):
     closed-loop synthesis.
     """
     system = stacked.system
-    held, gains, k = riccati_gains(system, cost, *own_columns(cost))
+    held, gains, k, _ = riccati_gains(system, cost, *own_columns(cost))
     x0 = np.zeros(system.state_dim) if x0 is None else np.asarray(x0, dtype=float)
     _, us = _run_policy(system, held, gains, k[..., 0], x0)
     return us.ravel()
@@ -446,7 +446,7 @@ def dp_lqt(system, cost):
             "dp_lqt requires block-diagonal Q; cross-time correlation terms "
             "cannot be represented by a memoryless recursion"
         )
-    held, gains, k = riccati_gains(system, cost, *own_columns(cost))
+    held, gains, k, _ = riccati_gains(system, cost, *own_columns(cost))
     return Controller.from_gains(held, gains, k.ravel())
 
 

@@ -58,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import precompute_gain_maps
+from .adaptation import AdaptationMaps, precompute_gain_maps
 from .costs import (
     CorrelationSpec,
     StateCostFunction,
@@ -80,7 +80,7 @@ from .plants import (
 from .solver import Controller, extract_controller, solve_esls
 from .stacked import NoiseModel, build_stacked
 
-ARTIFACT_FORMAT_VERSION = 2
+ARTIFACT_FORMAT_VERSION = 3
 SOLVER_KINDS = ("esls", "isls", "dp-lqt", "mpc-lqt", "batch-lqt")
 
 
@@ -514,19 +514,14 @@ def draw_initial_state(scenario, rng, plant):
 def write_controller_artifact(path, controller):
     """Serialize a control law to a numpy archive (.bin, versioned).
 
-    A :class:`Controller` is stored by its blocks: ``diagonal`` (T+1, n, m)
-    holds K[t, t], ``memory_blocks`` (nh, n, m) the blocks K[t, s], s < t,
-    at ``memory_rows`` t and ``memory_cols`` s in increasing (t, s) order.
+    A :class:`Controller` is stored by its per-step blocks (see
+    :func:`_step_arrays`) and ``k``, plus the nominal if it has one.
     """
     arrays = {"format_version": np.array(ARTIFACT_FORMAT_VERSION)}
     if isinstance(controller, Controller):
-        m, n, held = controller.state_dim, controller.input_dim, controller.held
-        split = [g.reshape(n, -1, m).swapaxes(0, 1) for g in controller.gains]
         arrays.update(kind=np.array("affine_memory"), k=controller.k,
-                      diagonal=np.array([b[0] for b in split]),
-                      memory_blocks=np.concatenate([b[1:] for b in split]),
-                      memory_rows=np.array([t for t, h in enumerate(held) for _ in h], int),
-                      memory_cols=np.array([s for h in held for s in h], int))
+                      **_step_arrays(controller.held, controller.gains,
+                                     controller.state_dim, controller.input_dim))
         if controller.nominal_x is not None:
             arrays.update(nominal_x=controller.nominal_x, nominal_u=controller.nominal_u)
     elif isinstance(controller, OpenLoopController):
@@ -539,28 +534,52 @@ def write_controller_artifact(path, controller):
         np.savez(fh, **arrays)
 
 
+def _check_version(data, path, what):
+    if "format_version" not in data:
+        raise ValidationError(f"{what} artifact {path}: no format_version")
+    version = int(data["format_version"])
+    if version != ARTIFACT_FORMAT_VERSION:
+        raise ValidationError(f"{what} artifact {path}: unsupported format version {version}")
+
+
 def load_controller_artifact(path):
     """Read a controller; a malformed file raises ValidationError naming the field."""
     with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != ARTIFACT_FORMAT_VERSION:
-            raise ValidationError(
-                f"controller artifact {path}: unsupported format version {version}"
-            )
-        kind = str(data["kind"])
-        if kind == "affine_memory":
-            try:
-                return _memory_controller(data)
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise ValidationError(f"controller artifact {path}: {exc}") from None
-        if kind == "open_loop":
-            return OpenLoopController(data["inputs"], int(data["state_dim"]))
+        _check_version(data, path, "controller")
+        kind = str(data["kind"]) if "kind" in data else None
+        try:
+            if kind == "affine_memory":
+                nominal = [data[f] if f in data else None for f in ("nominal_x", "nominal_u")]
+                return Controller.from_gains(*_steps(data), data["k"], *nominal)
+            if kind == "open_loop":
+                return OpenLoopController(data["inputs"], int(data["state_dim"]))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValidationError(f"controller artifact {path}: {exc}") from None
     raise ValidationError(f"controller artifact {path}: unknown kind {kind!r}")
 
 
-def _memory_controller(data):
+def _step_arrays(held, gains, m, n):
+    """Per-step gain blocks as arrays.
+
+    ``diagonal`` (T+1, n, m) holds K[t, t], ``memory_blocks`` (nh, n, m) the
+    blocks K[t, s], s < t, at ``memory_rows`` t and ``memory_cols`` s in
+    increasing (t, s) order.
+    """
+    split = [g.reshape(n, -1, m).swapaxes(0, 1) for g in gains]
+    return {"diagonal": np.array([b[0] for b in split]),
+            "memory_blocks": np.concatenate([b[1:] for b in split]),
+            "memory_rows": np.array([t for t, h in enumerate(held) for _ in h], int),
+            "memory_cols": np.array([s for h in held for s in h], int)}
+
+
+def _steps(data):
+    """(held, gains) from the arrays of :func:`_step_arrays`; ValueError names a bad field."""
     diagonal, blocks = data["diagonal"], data["memory_blocks"]
-    rows, cols, T1 = data["memory_rows"], data["memory_cols"], diagonal.shape[0]
+    rows, cols = data["memory_rows"], data["memory_cols"]
+    if diagonal.ndim != 3 or blocks.shape != (rows.size, *diagonal.shape[1:]):
+        raise ValueError(f"diagonal {diagonal.shape} and memory_blocks {blocks.shape} "
+                         "must be (T+1, n, m) and (memory_rows.size, n, m)")
+    T1 = diagonal.shape[0]
     for name, idx, ok in (("memory_rows", rows, (0 <= rows) & (rows < T1)),
                           ("memory_cols", cols, (0 <= cols) & (cols < rows))):
         if idx.dtype.kind not in "iu" or not ok.all():
@@ -572,28 +591,59 @@ def _memory_controller(data):
     ends = np.searchsorted(rows, np.arange(T1 + 1))
     held = [tuple(cols[a:b].tolist()) for a, b in zip(ends, ends[1:])]
     gains = [np.hstack([d, *blocks[a:b]]) for d, a, b in zip(diagonal, ends, ends[1:])]
-    nominal = [data[f] if f in data else None for f in ("nominal_x", "nominal_u")]
-    return Controller.from_gains(held, gains, data["k"], *nominal)
+    return held, gains
 
 
 def write_maps_artifact(path, maps, cost):
-    """Adaptation maps plus the targets they were computed for."""
+    """Adaptation maps plus the targets (x_d, u_d) they were computed for.
+
+    Stored: ``touched`` and ``F_x_blocks``, ``u_d0`` and ``k_u0``, the
+    per-step ``A``, ``B``, ``R`` and ``hessian_inv``, and the gains as in
+    :func:`_step_arrays`.
+    """
+    m, n = maps.A.shape[1], maps.B.shape[2]
     with open(path, "wb") as fh:
-        np.savez(fh,
-                 format_version=np.array(ARTIFACT_FORMAT_VERSION),
-                 F_x=maps.F_x, F_u=maps.F_u,
-                 x_d=cost.x_d, u_d=cost.u_d)
+        np.savez(fh, format_version=np.array(ARTIFACT_FORMAT_VERSION),
+                 touched=maps.touched, F_x_blocks=maps.F_x_blocks,
+                 u_d0=maps.u_d0, k_u0=maps.k_u0, A=maps.A, B=maps.B, R=maps.R,
+                 hessian_inv=maps.hessian_inv, x_d=cost.x_d, u_d=cost.u_d,
+                 **_step_arrays(maps.held, maps.gains, m, n))
 
 
 def load_maps_artifact(path):
-    from .adaptation import AdaptationMaps
+    """Read (maps, x_d, u_d); a malformed file raises ValidationError naming the field."""
     with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != ARTIFACT_FORMAT_VERSION:
-            raise ValidationError(
-                f"maps artifact {path}: unsupported format version {version}"
-            )
-        return AdaptationMaps(F_x=data["F_x"], F_u=data["F_u"]), data["x_d"], data["u_d"]
+        _check_version(data, path, "maps")
+        try:
+            return _maps(data)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValidationError(f"maps artifact {path}: {exc}") from None
+
+
+def _maps(data):
+    B, touched = data["B"], data["touched"]
+    if B.ndim != 3:
+        raise ValueError(f"B has shape {B.shape}, expected (T+1, m, n)")
+    T1, m, n = B.shape
+    if (touched.dtype.kind not in "iu" or touched.ndim != 1 or np.any(np.diff(touched) <= 0)
+            or np.any((touched < 0) | (touched >= T1))):
+        raise ValueError(f"touched must be increasing timesteps in [0, {T1 - 1}]")
+    shapes = {"A": (T1, m, m), "B": B.shape, "R": (T1, n, n), "hessian_inv": (T1, n, n),
+              "F_x_blocks": (T1 * n, touched.size * m), "u_d0": (T1 * n,),
+              "k_u0": (T1 * n,), "x_d": (T1 * m,), "u_d": (T1 * n,),
+              "diagonal": (T1, n, m), "memory_blocks": (data["memory_rows"].size, n, m)}
+    for name, shape in shapes.items():
+        a = data[name]
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has non-finite entries")
+    held, gains = _steps(data)
+    maps = AdaptationMaps(touched=touched, F_x_blocks=data["F_x_blocks"],
+                          u_d0=data["u_d0"], k_u0=data["k_u0"], A=data["A"], B=B,
+                          R=data["R"], held=held, gains=gains,
+                          hessian_inv=data["hessian_inv"])
+    return maps, data["x_d"], data["u_d"]
 
 
 def write_trajectory_csv(path, trajectory, cumulative_cost):

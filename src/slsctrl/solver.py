@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -148,12 +149,11 @@ class Controller:
         n, m = gains[0].shape[0], gains[0].shape[1] // (1 + len(held[0]))
         self.held, self.gains, self.horizon = held, gains, len(gains) - 1
         self.input_dim, self.state_dim = n, m
-        self._idx = []   # flat history indices of z_t: one gather per step
         for t, (h, g) in enumerate(zip(held, gains, strict=True)):
             if g.shape != (n, m * (1 + len(h))) or not np.isfinite(g).all():
                 raise ValueError(f"gain block at t={t} must be finite, shape "
                                  f"{(n, m * (1 + len(h)))}")
-            self._idx.append((m * np.array((t, *h))[:, None] + np.arange(m)).ravel())
+        self._idx = _history_indices(held, m)   # one gather per step
         self.k = _checked_vector("k", k, len(gains) * n)
         if (nominal_x is None) != (nominal_u is None):
             raise ValueError("nominal_x and nominal_u must be supplied together")
@@ -223,10 +223,64 @@ def held_states(cost):
             for t in range(cost.horizon + 1)]
 
 
+def _history_indices(held, m):
+    """Per step t, the flat indices of z_t = [x_t; x_s for s in held[t]] in a stacked history.
+
+    Steps come in runs that hold the same states; each run is one broadcast
+    and its rows are the steps' index arrays.
+    """
+    idx, ar, t = [], np.arange(m), 0
+    for h, run in groupby(held):
+        end = t + len(list(run))
+        rows = np.empty((end - t, m * (1 + len(h))), dtype=int)
+        rows[:, :m] = m * np.arange(t, end)[:, None] + ar
+        rows[:, m:] = (m * np.array(h, dtype=int)[:, None] + ar).ravel()
+        idx.extend(rows)
+        t = end
+    return idx
+
+
 def own_columns(cost):
     """The cost's linear term and input target as one right-hand-side column."""
     T1 = cost.horizon + 1
     return cost.linear_term.reshape(T1, -1, 1), cost.u_d.reshape(T1, -1, 1)
+
+
+def _held_shift(held, t, m):
+    """Selection S with z_{t+1} = diag(A_t, I) S z_t + [B_t; 0] u_t, or None if S = I.
+
+    S is the identity whenever step t+1 holds the states step t holds, which
+    is every step but the few where a held state enters or leaves.
+    """
+    after = held[t + 1] if t + 1 < len(held) else ()
+    if after == held[t]:
+        return None
+    slots = (t, *held[t])
+    S = np.zeros((1 + len(after), len(slots)))
+    S[0, 0] = 1.0
+    for a, s in enumerate(after, start=1):
+        S[a, slots.index(s)] = 1.0
+    return np.kron(S, np.eye(m))
+
+
+def _feedforward_step(A, B, hinv, gain, S, p, Ru, b=None):
+    """Feedforward half of one backward step: (k_t, p_t) from p_{t+1}, all columns at once.
+
+    With g = Ru + B_t'p[:m], where Ru is R_t u_d, k_t = (R_t + B_t'P B_t)^{-1} g
+    and p_t = S'D'p + gain' g, plus b on the x_t rows.  Only the step's gain
+    and inverse Hessian enter, not P, so the gains of one pass serve any
+    right-hand side.
+    """
+    m = A.shape[0]
+    g = Ru + B.T @ p[:m]
+    Dp = p.copy()
+    Dp[:m] = A.T @ p[:m]
+    if S is not None:
+        Dp = S.T @ Dp
+    p = Dp + gain.T @ g
+    if b is not None:
+        p[:m] += b
+    return hinv @ g, p
 
 
 def riccati_gains(system, cost, b, u_d):
@@ -234,10 +288,11 @@ def riccati_gains(system, cost, b, u_d):
 
     ``b`` (T+1, m, c) and ``u_d`` (T+1, n, c) are c columns of right-hand
     sides: linear terms and input targets that share the weights of
-    ``cost``.  Returns (held, gains, k) of the optimal policies
+    ``cost``.  Returns (held, gains, k, hinv) of the optimal policies
     u_t = gains[t] z_t + k[t], one feedforward column per right-hand side,
-    k of shape (T+1, n, c).  Raises ValueError on mismatched or non-finite
-    data and on a step Hessian that is not positive definite.
+    k of shape (T+1, n, c), and the inverse step Hessians hinv (T+1, n, n)
+    that :func:`feedforward_pass` reuses.  Raises ValueError on mismatched
+    or non-finite data and on a step Hessian that is not positive definite.
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
     if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
@@ -252,41 +307,51 @@ def riccati_gains(system, cost, b, u_d):
         if not np.isfinite(blk).all():
             raise ValueError(f"non-finite Q block ({i}, {j})")
     held = held_states(cost)
-    gains, k = [None] * (T + 1), np.zeros((T + 1, n, c))
+    gains, hinv, k = [None] * (T + 1), np.empty((T + 1, n, n)), np.empty((T + 1, n, c))
     # cost-to-go of z_{t+1} as z'Pz - 2p'z; nothing follows step T
-    P, p, held_next = np.zeros((m, m)), np.zeros((m, c)), ()
+    P, p, Ru = np.zeros((m, m)), np.zeros((m, c)), cost.R @ u_d
     for t in range(T, -1, -1):
-        slot = {s: a for a, s in enumerate((t, *held[t]))}
-        d = m * len(slot)
-        # stage cost of z_t: x_t'Q_tt x_t + 2 sum_s x_s'Q_st x_t - 2 b_t'x_t
-        M = np.zeros((d, d))
-        for s, a in slot.items():
-            if (s, t) in cost.Q:
-                M[a * m:(a + 1) * m, :m] = cost.Q[(s, t)]
-                M[:m, a * m:(a + 1) * m] = cost.Q[(s, t)].T
-        lin = np.zeros((d, c))
-        lin[:m] = b[t]
-        # z_{t+1} = E z_t + [B_t; 0] u_t
-        E = np.zeros((P.shape[0], d))
-        E[:m, :m] = system.A[t]
-        for a, s in enumerate(held_next, start=1):
-            E[a * m:(a + 1) * m, slot[s] * m:(slot[s] + 1) * m] = np.eye(m)
-        Bt = system.B[t]
-        PE = P @ E
-        Huu = cost.R[t] + Bt.T @ P[:m, :m] @ Bt
-        Huz = Bt.T @ PE[:m]
+        A, B, S = system.A[t], system.B[t], _held_shift(held, t, m)
+        # z_{t+1} = D S z_t + [B_t; 0] u_t with D = diag(A_t, I)
+        PD = P.copy()
+        PD[:, :m] = P[:, :m] @ A
+        Huz = B.T @ PD[:m]
+        PD[:m] = A.T @ PD[:m]
+        if S is not None:
+            Huz, PD = Huz @ S, S.T @ PD @ S
         try:
-            np.linalg.cholesky(Huu)
+            L = np.linalg.cholesky(cost.R[t] + B.T @ P[:m, :m] @ B)
         except np.linalg.LinAlgError:
             raise ValueError(f"step Hessian R_t + B_t'P B_t at t={t} is not positive "
                              "definite; check that R is PD and Q is PSD") from None
-        sol = np.linalg.solve(Huu, np.hstack([Huz, cost.R[t] @ u_d[t] + Bt.T @ p[:m]]))
-        gains[t], k[t] = -sol[:, :d], sol[:, d:]
-        P = M + E.T @ PE + Huz.T @ gains[t]
+        L_inv = np.linalg.inv(L)
+        hinv[t] = L_inv.T @ L_inv
+        gains[t] = -hinv[t] @ Huz
+        P = PD + Huz.T @ gains[t]
+        # stage cost of z_t: x_t'Q_tt x_t + 2 sum_s x_s'Q_st x_t; its -2 b_t'x_t goes to p
+        for a, s in enumerate((t, *held[t])):
+            Q = cost.Q.get((s, t))
+            if Q is not None:
+                P[a * m:(a + 1) * m, :m] += Q
+                if a:
+                    P[:m, a * m:(a + 1) * m] += Q.T
         P = (P + P.T) / 2
-        p = lin + E.T @ p - Huz.T @ k[t]
-        held_next = held[t]
-    return held, gains, k
+        k[t], p = _feedforward_step(A, B, hinv[t], gains[t], S, p, Ru[t], b[t])
+    return held, gains, k, hinv
+
+
+def feedforward_pass(A, B, R, held, gains, hinv, u_d):
+    """Feedforward columns (T+1, n, c) for input targets u_d (T+1, n, c), zero linear terms.
+
+    The gains and inverse step Hessians of :func:`riccati_gains` stay fixed,
+    so each column costs O(T) small products and no factorization.
+    """
+    T1, m, c = len(gains), A[0].shape[0], u_d.shape[2]
+    k, p, Ru = np.empty((T1, gains[0].shape[0], c)), np.zeros((m, c)), R @ u_d
+    for t in range(T1 - 1, -1, -1):
+        k[t], p = _feedforward_step(A[t], B[t], hinv[t], gains[t],
+                                    _held_shift(held, t, m), p, Ru[t])
+    return k
 
 
 def solve_esls(stacked, cost):
@@ -302,7 +367,7 @@ def solve_esls(stacked, cost):
     (the message names the step).
     """
     system = stacked.system
-    held, gains, k = riccati_gains(system, cost, *own_columns(cost))
+    held, gains, k, _ = riccati_gains(system, cost, *own_columns(cost))
     k = k[..., 0]
     xs, us = _run_policy(system, held, gains, k, np.zeros(system.state_dim))
     return SystemResponse(system=system, cost=cost, held=held, gains=gains, k=k,
@@ -312,10 +377,11 @@ def solve_esls(stacked, cost):
 def _run_policy(system, held, gains, k, x0):
     """Deterministic trajectory (xs, us) of the policy u_t = gains[t] z_t + k[t] from x0."""
     T, m, n = system.horizon, system.state_dim, system.input_dim
-    xs, us = np.zeros((T + 1, m)), np.zeros((T + 1, n))
+    x, us = np.zeros((T + 1) * m), np.zeros((T + 1, n))
+    xs = x.reshape(T + 1, m)
     xs[0] = x0
-    for t in range(T + 1):
-        us[t] = gains[t] @ xs[[t, *held[t]]].ravel() + k[t]
+    for t, idx in enumerate(_history_indices(held, m)):
+        us[t] = gains[t] @ x[idx] + k[t]
         if t < T:
             xs[t + 1] = system.A[t] @ xs[t] + system.B[t] @ us[t]
     return xs, us

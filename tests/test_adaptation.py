@@ -1,10 +1,12 @@
 """Target retargeting through the precomputed feedforward maps."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 
+import slsctrl.adaptation
 from slsctrl import (
     CorrelationSpec,
     IslsConfig,
@@ -17,8 +19,10 @@ from slsctrl import (
     add_correlation,
     build_stacked,
     build_viapoint_cost,
+    double_integrator_plant,
     extract_controller,
     isls_optimize,
+    linear_system_from_plant,
     linearize_plant,
     planar_arm_plant,
     precompute_gain_maps,
@@ -27,7 +31,13 @@ from slsctrl import (
 )
 from slsctrl.isls import closed_loop_step
 
-from oracles import planar_fk
+from oracles import (
+    dense_esls,
+    dense_gain_maps,
+    dense_stacked_maps,
+    dense_tracking_pieces,
+    planar_fk,
+)
 
 
 def _random_instance(rng, T=8, m=2, n=1, with_correlation=True):
@@ -66,6 +76,95 @@ def test_maps_reproduce_original_feedforward():
         maps = precompute_gain_maps(st, cost, ctrl)
         npt.assert_allclose(maps.feedforward(cost.x_d, cost.u_d), ctrl.k,
                             atol=1e-9)
+
+
+def test_feedforward_matches_dense_gain_maps():
+    # x_d through the stored F_x blocks, u_d through k_u0 and, once it moves
+    # away from the synthesis u_d, the feedforward-only pass; time-varying
+    # dynamics with and without a correlation, zero and random u_d
+    rng = np.random.default_rng(8)
+    T, m, n, cw = 9, 2, 2, 0.7
+    for trial in range(6):
+        A_list = [rng.normal(size=(m, m)) * 0.7 for _ in range(T + 1)]
+        B_list = [rng.normal(size=(m, n)) for _ in range(T + 1)]
+        vps = [(t, rng.normal(size=m), float(rng.uniform(0.5, 2.0))) for t in (2, 5, T)]
+        cost = build_viapoint_cost(T, vps, cw, state_dim=m, input_dim=n)
+        corrs = []
+        if trial % 2:
+            spec = CorrelationSpec(1, T - 2, rng.normal(size=(m, m)), rng.normal(size=m),
+                                   2.0 * np.eye(m))
+            cost = add_correlation(cost, spec)
+            corrs.append((1, T - 2, spec.C, spec.c, spec.Q_c))
+        if trial >= 2:
+            cost.u_d = rng.normal(size=(T + 1) * n)
+        st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+        ctrl = extract_controller(solve_esls(st, cost))
+        maps = precompute_gain_maps(st, cost, ctrl)
+
+        S_x, S_u = dense_stacked_maps(A_list, B_list)
+        Qd, bd, Rd, _ = dense_tracking_pieces(T, m, n, vps, corrs, control_weight=cw)
+        K = dense_esls(S_x, S_u, Qd, Rd, bd, cost.u_d, m, n)[4]
+        F_x, F_u = dense_gain_maps(S_u, Qd, Rd, K)
+        unit = np.zeros((T + 1) * n)
+        unit[int(rng.integers(unit.size))] = 1.0
+        for x_d, u_d in [(cost.x_d, cost.u_d),
+                         (rng.normal(size=(T + 1) * m), cost.u_d),
+                         (cost.x_d, cost.u_d + unit),
+                         (rng.normal(size=(T + 1) * m), rng.normal(size=(T + 1) * n))]:
+            expected = F_x @ x_d + F_u @ u_d
+            npt.assert_allclose(maps.feedforward(x_d, u_d), expected, rtol=0,
+                                atol=1e-9 * np.abs(expected).max())
+        npt.assert_allclose(maps.feedforward(cost.x_d, cost.u_d), ctrl.k, rtol=0,
+                            atol=1e-9 * np.abs(ctrl.k).max())
+
+
+def test_unchanged_input_target_skips_the_input_pass(monkeypatch):
+    rng = np.random.default_rng(10)
+    st, cost = _random_instance(rng)
+    cost.u_d = rng.normal(size=cost.u_d.size)
+    maps = precompute_gain_maps(st, cost, None)
+    expected = maps.F_x @ cost.x_d + maps.F_u @ cost.u_d
+
+    def no_pass(*args):
+        raise AssertionError("the feedforward-only pass ran for an unchanged u_d")
+
+    monkeypatch.setattr(slsctrl.adaptation, "feedforward_pass", no_pass)
+    npt.assert_allclose(maps.feedforward(cost.x_d, cost.u_d.copy()), expected, atol=1e-9)
+
+
+def _array_bytes(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(v) for v in obj)
+    return sum(_array_bytes(v) for v in vars(obj).values()) if hasattr(obj, "__dict__") else 0
+
+
+def test_map_storage_is_linear_in_horizon():
+    # four touched timesteps at either horizon: the maps double with T, and
+    # the precompute allocates nothing near a dense F_u
+    rng = np.random.default_rng(11)
+    plant = double_integrator_plant(3, 0.01)
+    m, n = 6, 3
+
+    def maps_at(T):
+        vps = [(t, rng.normal(size=m), 10.0) for t in (T // 4, T // 2, T)]
+        cost = build_viapoint_cost(T, vps, 1e-2, state_dim=m, input_dim=n)
+        cost = add_correlation(cost, CorrelationSpec(T // 4, 3 * T // 4, np.eye(m),
+                                                     np.zeros(m), 5.0 * np.eye(m)))
+        st = build_stacked(linear_system_from_plant(plant, T))
+        tracemalloc.start()
+        try:
+            maps = precompute_gain_maps(st, cost, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return maps, peak
+
+    small, _ = maps_at(200)
+    large, peak = maps_at(400)
+    assert _array_bytes(large) <= 2.2 * _array_bytes(small)
+    assert peak < (401 * n) ** 2 * 8 / 4
 
 
 def test_superposition():

@@ -10,6 +10,7 @@ import pytest
 
 from slsctrl import (
     Controller,
+    OpenLoopController,
     TrackingObjective,
     adapt_feedforward,
     bench_adaptation,
@@ -19,6 +20,7 @@ from slsctrl import (
     extract_controller,
     isls_optimize,
     linear_system_from_plant,
+    precompute_gain_maps,
     rollout,
     solve_esls,
 )
@@ -162,7 +164,6 @@ def test_controller_artifact_roundtrip(tmp_path):
         npt.assert_array_equal(runs[1].states, runs[0].states)
         npt.assert_array_equal(runs[1].inputs, runs[0].inputs)
 
-    from slsctrl import precompute_gain_maps
     maps = precompute_gain_maps(st, cost, ctrl)
     mpath = tmp_path / "maps.bin"
     write_maps_artifact(mpath, maps, cost)
@@ -171,6 +172,75 @@ def test_controller_artifact_roundtrip(tmp_path):
     npt.assert_array_equal(loaded_maps.F_u, maps.F_u)
     npt.assert_array_equal(x_d, cost.x_d)
     npt.assert_array_equal(u_d, cost.u_d)
+    # the same feedforward, bit for bit, on random targets (moved u_d too)
+    rng = np.random.default_rng(4)
+    for targets in [(rng.normal(size=x_d.size), u_d),
+                    (rng.normal(size=x_d.size), rng.normal(size=u_d.size))]:
+        npt.assert_array_equal(loaded_maps.feedforward(*targets), maps.feedforward(*targets))
+
+
+def _mug_maps_file(tmp_path):
+    _, _, cost, system = _mug()
+    st = build_stacked(system)
+    maps = precompute_gain_maps(st, cost, None)
+    path = tmp_path / "maps.bin"
+    write_maps_artifact(path, maps, cost)
+    with np.load(path) as data:
+        return dict(data)
+
+
+def test_tampered_maps_artifact_names_field(tmp_path):
+    good = _mug_maps_file(tmp_path)
+
+    def nan_at(a, i):
+        a = a.astype(float)
+        a.flat[i] = np.nan
+        return a
+
+    cases = [("F_x_blocks", {"F_x_blocks": nan_at(good["F_x_blocks"], 5)}),
+             ("F_x_blocks", {"F_x_blocks": good["F_x_blocks"][:, 1:]}),
+             ("touched", {"touched": good["touched"][::-1]}),
+             ("touched", {"touched": good["touched"] + 1000}),
+             ("touched", {"touched": good["touched"].astype(float)}),
+             ("u_d0", {"u_d0": good["u_d0"][:-1]}),
+             ("k_u0", {"k_u0": nan_at(good["k_u0"], 0)}),
+             ("x_d", {"x_d": np.r_[good["x_d"], 0.0]}),
+             ("u_d", {"u_d": nan_at(good["u_d"], 2)}),
+             ("A", {"A": good["A"][:-1]}),
+             ("B", {"B": good["B"][0]}),
+             ("B", {"B": nan_at(good["B"], 3)}),
+             ("R", {"R": nan_at(good["R"], 1)}),
+             ("hessian_inv", {"hessian_inv": good["hessian_inv"][:, :1]}),
+             ("hessian_inv", {"hessian_inv": nan_at(good["hessian_inv"], 4)}),
+             ("diagonal", {"diagonal": nan_at(good["diagonal"], 3)}),
+             ("memory_blocks", {"memory_blocks": good["memory_blocks"][1:]}),
+             ("memory_cols", {"memory_cols": good["memory_rows"]}),
+             ("k_u0", {"k_u0": None}),
+             ("format_version", {"format_version": None})]
+    for i, (match, change) in enumerate(cases):
+        arrays = {key: v for key, v in dict(good, **change).items() if v is not None}
+        bad = tmp_path / f"bad{i}.bin"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValidationError, match=match):
+            load_maps_artifact(bad)
+
+
+def test_controller_loader_rejects_missing_version_and_nan_inputs(tmp_path):
+    path = tmp_path / "open_loop.bin"
+    write_controller_artifact(path, OpenLoopController(np.ones((4, 2)), 3))
+    assert load_controller_artifact(path).inputs.shape == (4, 2)
+    with np.load(path) as data:
+        good = dict(data)
+    inputs = good["inputs"].copy()
+    inputs[2, 1] = np.nan
+    for match, arrays in [("inputs", dict(good, inputs=inputs)),
+                          ("format_version", {k: v for k, v in good.items()
+                                              if k != "format_version"})]:
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValidationError, match=match):
+            load_controller_artifact(path)
 
 
 def test_tampered_controller_artifact_names_field(tmp_path):
@@ -230,6 +300,29 @@ def test_version_1_artifacts_are_rejected(tmp_path):
                  x_d=np.zeros(2), u_d=np.zeros(2))
     with pytest.raises(ValidationError, match="format version 1"):
         load_maps_artifact(path)
+
+
+def test_version_2_artifacts_are_rejected(tmp_path):
+    # v2 maps held the dense F_x and F_u; v2 controllers are v3's layout
+    path = tmp_path / "v2.bin"
+    with open(path, "wb") as fh:
+        np.savez(fh, format_version=np.array(2), F_x=np.eye(2), F_u=np.eye(2),
+                 x_d=np.zeros(2), u_d=np.zeros(2))
+    with pytest.raises(ValidationError, match="format version 2"):
+        load_maps_artifact(path)
+    good = _mug_maps_file(tmp_path)
+    with open(path, "wb") as fh:
+        np.savez(fh, **dict(good, format_version=np.array(2)))
+    with pytest.raises(ValidationError, match="format version 2"):
+        load_maps_artifact(path)
+    ctrl_path = tmp_path / "controller.bin"
+    write_controller_artifact(ctrl_path, OpenLoopController(np.zeros((3, 1)), 2))
+    with np.load(ctrl_path) as data:
+        arrays = dict(data, format_version=np.array(2))
+    with open(ctrl_path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValidationError, match="format version 2"):
+        load_controller_artifact(ctrl_path)
 
 
 def test_trajectory_csv_deterministic_and_well_formed(tmp_path):
