@@ -24,12 +24,10 @@ import numpy as np
 
 from .adaptation import adapt_feedforward, precompute_gain_maps
 from .costs import evaluate_trajectory_cost
-from .isls import IslsConfig, isls_optimize
+from .isls import isls_optimize
 from .plants import linear_system_from_plant, mpc_lqt_rollout, rollout
 from .scenarios import (
     Scenario,
-    _cost_pieces,
-    _merge_overrides,
     build_cost,
     build_noise,
     build_objective,
@@ -37,7 +35,8 @@ from .scenarios import (
     config_sha256,
     correlation_residuals,
     draw_initial_state,
-    load_scenario,
+    isls_config,
+    scenario_from,
 )
 from .solver import extract_controller, solve_esls
 from .stacked import build_stacked
@@ -78,13 +77,6 @@ class BenchmarkReport:
         }
 
 
-def _load_config(scenario_path, overrides=None):
-    config = load_scenario(scenario_path).raw
-    if overrides:
-        config = _merge_overrides(config, overrides)
-    return Scenario.from_dict(config)
-
-
 def bench_mug_sugar(trials=10, seed=0, scenario_path=None, overrides=None):
     """Paired comparison on the pouring task: same draws for both solvers.
 
@@ -95,8 +87,8 @@ def bench_mug_sugar(trials=10, seed=0, scenario_path=None, overrides=None):
     """
     if trials < 2:
         raise ValueError("paired comparison needs at least 2 trials")
-    scenario = _load_config(scenario_path or bundled_scenario_path("mug_sugar"),
-                            overrides)
+    scenario = scenario_from(scenario_path or bundled_scenario_path("mug_sugar"),
+                             overrides)
     plant = build_plant(scenario)
     cost = build_cost(scenario)
     noise = build_noise(scenario)
@@ -168,24 +160,17 @@ def bench_pickplace(trials=5, seed=0, scenario_path=None, overrides=None):
     """
     if trials < 1:
         raise ValueError("need at least 1 trial")
-    scenario = _load_config(scenario_path or bundled_scenario_path("pickplace_arm"),
-                            overrides)
+    scenario = scenario_from(scenario_path or bundled_scenario_path("pickplace_arm"),
+                             overrides)
     plant = build_plant(scenario)
     objective = build_objective(scenario)
-    _, _, correlations = _cost_pieces(scenario)
-    lift = next(c for c in correlations if np.any(c.c != 0))
-    place = next(c for c in correlations if not np.any(c.c != 0))
+    lift = next(c for c in scenario.correlations if np.any(c.c != 0))
+    place = next(c for c in scenario.correlations if not np.any(c.c != 0))
     t_g, t_l, t_p = place.t1, lift.t2, place.t2
     y_idx = 2 * plant.n_links + 1
     lift_offset = float(lift.c[y_idx])
 
-    cfg = IslsConfig(
-        tolerance=scenario.solver.get("tolerance", 1e-6),
-        max_iterations=scenario.solver.get("max_iterations", 100),
-        regularization=scenario.solver.get("regularization", 1e-6),
-        hessian_floor=scenario.solver.get("hessian_floor"),
-        stationarity_tolerance=scenario.solver.get("stationarity_tolerance"),
-    )
+    cfg = isls_config(scenario)
     report = BenchmarkReport(
         scenario=scenario.name,
         seeds={"root": int(seed), "trials": int(trials)},
@@ -256,8 +241,8 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
     adaptation path; every edit reports the feedforward gap to a re-solve,
     both wall-clocks, and trajectory agreement.
     """
-    scenario = _load_config(scenario_path or bundled_scenario_path("mug_sugar"),
-                            overrides)
+    scenario = scenario_from(scenario_path or bundled_scenario_path("mug_sugar"),
+                             overrides)
     plant = build_plant(scenario)
     cost = build_cost(scenario)
     system = linear_system_from_plant(plant, scenario.horizon)
@@ -273,11 +258,7 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
     base_traj = rollout(plant, controller, x0=x0)
 
     if target_edits is None:
-        vp_times = sorted(vp["t"] for vp in scenario.cost.get("viapoints", []))
-        t_edit = vp_times[-1] if vp_times else scenario.horizon
-        base_target = np.asarray(
-            next(vp["target"] for vp in scenario.cost["viapoints"]
-                 if vp["t"] == t_edit), float)
+        t_edit, base_target, _ = max(scenario.viapoints, key=lambda vp: vp[0])
         shifted = base_target.copy()
         shifted[0] += 0.1
         target_edits = [

@@ -39,18 +39,18 @@ from .scenarios import (
     SolverNotConverged,
     ValidationError,
     build_cost,
-    build_noise,
-    build_objective,
     build_plant,
     config_sha256,
-    draw_initial_state,
     load_controller_artifact,
     load_maps_artifact,
     load_scenario,
+    realized_cost,
+    rollout_draws,
     run_scenario,
     write_controller_artifact,
     write_trajectory_csv,
 )
+from .solver import Controller
 
 
 def _add_common(parser, scenario_required=True):
@@ -134,6 +134,25 @@ def cmd_solve(args):
     return 0
 
 
+def _load_artifact(loader, path, what):
+    """Read an artifact; any failure to read it becomes a ValidationError."""
+    try:
+        return loader(path)
+    except (OSError, KeyError, ValueError) as exc:
+        if isinstance(exc, ValidationError):
+            raise
+        raise ValidationError(f"{what} artifact {path}: {exc}") from None
+
+
+def _check_sizes(scenario, what, horizon, state_dim, input_dim):
+    """ValidationError unless an artifact has the scenario's horizon and sizes."""
+    for key, size in (("horizon", horizon), ("state_dim", state_dim),
+                      ("input_dim", input_dim)):
+        if size != getattr(scenario, key):
+            raise ValidationError(f"{what} {key} {size} does not match "
+                                  f"scenario {key} {getattr(scenario, key)}")
+
+
 def cmd_rollout(args):
     if args.controller is None:
         return cmd_solve(argparse.Namespace(scenario=args.scenario, seed=args.seed,
@@ -146,33 +165,11 @@ def cmd_rollout(args):
             "a fixed controller artifact; use solve"
         )
     plant = build_plant(scenario)
-    try:
-        controller = load_controller_artifact(args.controller)
-    except (OSError, KeyError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"controller artifact {args.controller}: {exc}") from None
-    if controller.horizon != scenario.horizon:
-        raise ValidationError(
-            f"controller horizon {controller.horizon} does not match "
-            f"scenario horizon {scenario.horizon}"
-        )
-    ss = np.random.SeedSequence(args.seed)
-    rng_init, rng_noise = (np.random.default_rng(s) for s in ss.spawn(2))
-    x0 = draw_initial_state(scenario, rng_init, plant)
-    noise = build_noise(scenario)
-    perturbations = [(p["t"], np.asarray(p["impulse"], float))
-                     for p in scenario.perturbations]
-    traj = rollout(plant, controller, noise=noise, seed=rng_noise, x0=x0,
-                   perturbations=perturbations)
-    if scenario.solver["kind"] == "isls":
-        objective = build_objective(scenario)
-        realized = objective.true_cost(traj.states, traj.inputs)
-        cumulative = objective.cumulative_cost(traj.states, traj.inputs)
-    else:
-        cost = build_cost(scenario)
-        realized = cost.evaluate(traj.states, traj.inputs)
-        cumulative = cost.cumulative_cost(traj.states, traj.inputs)
+    controller = _load_artifact(load_controller_artifact, args.controller, "controller")
+    _check_sizes(scenario, "controller", controller.horizon, controller.state_dim,
+                 controller.input_dim)
+    traj = rollout(plant, controller, **rollout_draws(scenario, plant, args.seed))
+    realized, cumulative = realized_cost(scenario, traj)
     out_dir = _out_dir(args, scenario.name)
     write_trajectory_csv(out_dir / "trajectory.csv", traj, cumulative)
     report = {
@@ -244,15 +241,15 @@ def cmd_adapt(args):
     except ValueError as exc:
         raise ValidationError(f"--edit-json: {exc}") from None
     new_cost = build_cost(Scenario.from_dict(new_config))
-    try:
-        controller = load_controller_artifact(args.controller)
-        maps, _, _ = load_maps_artifact(args.maps)
-    except (OSError, KeyError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"artifact: {exc}") from None
-    if maps.input_size != controller.k.size:
-        raise ValidationError("maps and controller artifacts are inconsistent")
+    controller = _load_artifact(load_controller_artifact, args.controller, "controller")
+    if not isinstance(controller, Controller):
+        raise ValidationError(f"controller artifact {args.controller}: an open-loop "
+                              "controller has no feedforward to retarget")
+    maps, _, _ = _load_artifact(load_maps_artifact, args.maps, "maps")
+    _check_sizes(scenario, "controller", controller.horizon, controller.state_dim,
+                 controller.input_dim)
+    T1, m, n = maps.B.shape
+    _check_sizes(scenario, "maps", T1 - 1, m, n)
     t0 = time.perf_counter()
     k_new = adapt_feedforward(maps, new_cost.x_d, new_cost.u_d)
     adapt_seconds = time.perf_counter() - t0

@@ -169,6 +169,23 @@ class CostSpec:
                     frontier.append(s)
         return sorted(comp)
 
+    def _fold_correlation(self, corr):
+        """Add a correlation's Q blocks and linear terms in place and record it.
+
+        Expanding (C x_{t1} + c - x_{t2})' Q_c (...) in the shifted variable
+        x_{t2} - c contributes C'Q_cC at (t1,t1), Q_c at (t2,t2), -C'Q_c at
+        (t1,t2) plus its transpose, and linear parts -C'Q_c c / Q_c c at
+        t1/t2.  x_d is left as it was: refreshing it is the caller's choice.
+        """
+        C, c, Qc, m = corr.C, corr.c, corr.Q_c, self.state_dim
+        self._add_q(corr.t1, corr.t1, C.T @ Qc @ C)
+        self._add_q(corr.t2, corr.t2, Qc)
+        self._add_q(corr.t1, corr.t2, -C.T @ Qc)
+        self._add_q(corr.t2, corr.t1, -Qc @ C)
+        self._lin[corr.t1 * m:(corr.t1 + 1) * m] += -C.T @ Qc @ c
+        self._lin[corr.t2 * m:(corr.t2 + 1) * m] += Qc @ c
+        self.correlations.append(corr)
+
     def _refresh_targets(self, t_seed):
         """Re-derive x_d on the coupled component so that Q x_d = lin exactly.
 
@@ -278,27 +295,17 @@ def build_viapoint_cost(horizon, viapoints, control_weight, state_dim=None, inpu
 def add_correlation(cost, corr):
     """Return a new CostSpec with a cross-time correlation term folded in.
 
-    Expanding (C x_{t1} + c - x_{t2})' Q_c (...) in the shifted variable
-    x_{t2} - c contributes C'Q_cC at (t1,t1), Q_c at (t2,t2), -C'Q_c at
-    (t1,t2) plus its transpose, and linear parts -C'Q_c c / Q_c c at t1/t2.
-    x_d over the touched coupled component is re-derived so the assembled
-    quadratic stays consistent (exactly when the timesteps were fresh, up to
-    an additive constant when earlier targets overlap).
+    See :meth:`CostSpec._fold_correlation` for the blocks it adds.  x_d over
+    the touched coupled component is re-derived so the assembled quadratic
+    stays consistent (exactly when the timesteps were fresh, up to an
+    additive constant when earlier targets overlap).
     """
     if corr.C.shape[0] != cost.state_dim:
         raise ValueError("correlation dimension does not match the cost's state_dim")
     if corr.t2 > cost.horizon:
         raise ValueError(f"correlation t2={corr.t2} outside horizon {cost.horizon}")
     out = cost.copy()
-    C, c, Qc = corr.C, corr.c, corr.Q_c
-    out._add_q(corr.t1, corr.t1, C.T @ Qc @ C)
-    out._add_q(corr.t2, corr.t2, Qc.copy())
-    out._add_q(corr.t1, corr.t2, -C.T @ Qc)
-    out._add_q(corr.t2, corr.t1, -Qc @ C)
-    m = cost.state_dim
-    out._lin[corr.t1 * m:(corr.t1 + 1) * m] += -C.T @ Qc @ c
-    out._lin[corr.t2 * m:(corr.t2 + 1) * m] += Qc @ c
-    out.correlations.append(_copy.deepcopy(corr))
+    out._fold_correlation(_copy.deepcopy(corr))
     out._refresh_targets(corr.t1)
     return out
 

@@ -150,15 +150,7 @@ class TrackingObjective:
         cost.x_d[:] = x_d.reshape(-1)
         for corr in self.correlations:
             r_hat = corr.C @ xb[corr.t1] + corr.c - xb[corr.t2]
-            shifted = CorrelationSpec(corr.t1, corr.t2, corr.C, r_hat, corr.Q_c)
-            Qc, C = shifted.Q_c, shifted.C
-            cost._add_q(corr.t1, corr.t1, C.T @ Qc @ C)
-            cost._add_q(corr.t2, corr.t2, Qc.copy())
-            cost._add_q(corr.t1, corr.t2, -C.T @ Qc)
-            cost._add_q(corr.t2, corr.t1, -Qc @ C)
-            cost._lin[corr.t1 * m:(corr.t1 + 1) * m] += -C.T @ Qc @ r_hat
-            cost._lin[corr.t2 * m:(corr.t2 + 1) * m] += Qc @ r_hat
-            cost.correlations.append(shifted)
+            cost._fold_correlation(CorrelationSpec(corr.t1, corr.t2, corr.C, r_hat, corr.Q_c))
         # correlations that share a coupled component share one refresh
         refreshed = set()
         for corr in cost.correlations:

@@ -468,10 +468,8 @@ def _accumulated_diagonal_cost(horizon, state_dim, input_dim, r_blocks, terms, u
         cost._add_q(t, t, w)
         cost._lin[t * m:(t + 1) * m] += w @ np.asarray(target, dtype=float)
     for t in range(horizon + 1):
-        blk = cost.q_block(t, t)
-        if np.any(blk):
-            sol, *_ = np.linalg.lstsq(blk, cost._lin[t * m:(t + 1) * m], rcond=None)
-            cost.x_d[t * m:(t + 1) * m] = sol
+        if np.any(cost.q_block(t, t)):
+            cost._refresh_targets(t)
     return cost
 
 

@@ -4,7 +4,9 @@ A scenario is a JSON document that fully specifies one control problem:
 plant, horizon, cost terms, noise, initial-state distribution, perturbation
 schedule, and solver choice.  Scenarios double as test fixtures, so parsing
 is strict: unknown keys are rejected and every error names the offending
-field path.
+field path.  Parsing happens once: :meth:`Scenario.from_dict` validates
+every field and keeps the parsed values, and every builder reads those
+instead of the JSON.
 
 Schema (all weights accept a scalar, a diagonal vector, or a full matrix;
 matrices are lists of rows):
@@ -192,9 +194,19 @@ _PLANT_KEYS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
-    """Validated scenario; ``raw`` round-trips the source JSON losslessly."""
+    """Validated scenario, parsed once.
+
+    ``raw`` is the one copy of the source JSON and round-trips it
+    losslessly; the sections ``plant``, ``cost``, ``solver``, ``noise``,
+    ``initial_state`` and ``metadata`` are views into it.  The parsed
+    values are what the builders read: the plant's ``state_dim`` and
+    ``input_dim``, a linear plant's ``plant_matrices`` (A, B), the
+    ``control_weight`` matrix, the ``viapoints`` as (t, target, weight),
+    the ``correlations`` as :class:`CorrelationSpec` and the
+    ``perturbations`` as (t, impulse).  Treat all of it as read-only.
+    """
 
     name: str
     horizon: int
@@ -202,6 +214,12 @@ class Scenario:
     plant: dict
     cost: dict
     solver: dict
+    state_dim: int
+    input_dim: int
+    control_weight: np.ndarray
+    viapoints: list
+    correlations: list
+    plant_matrices: tuple = None
     noise: dict = None
     initial_state: dict = None
     perturbations: list = field(default_factory=list)
@@ -211,7 +229,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, config):
-        config = _expect_mapping(config, "scenario")
+        config = copy.deepcopy(_expect_mapping(config, "scenario"))
         _expect_keys(
             config, "scenario",
             required=("name", "horizon", "dt", "plant", "cost", "solver"),
@@ -232,18 +250,25 @@ class Scenario:
             )
         required, optional = _PLANT_KEYS[kind]
         _expect_keys(plant_cfg, "plant", required=required, optional=optional)
-        state_dim, input_dim = _plant_dims(plant_cfg)
+        state_dim, input_dim, plant_matrices = _parse_plant(plant_cfg)
 
         cost_cfg = _expect_mapping(config["cost"], "cost")
         _expect_keys(cost_cfg, "cost", required=("control_weight",),
                      optional=("viapoints", "correlations"))
-        _as_weight(cost_cfg["control_weight"], "cost.control_weight", input_dim)
+        control_weight = _as_weight(cost_cfg["control_weight"], "cost.control_weight",
+                                    input_dim)
+        viapoints, targets = [], {}
         for i, vp in enumerate(cost_cfg.get("viapoints", [])):
             p = f"cost.viapoints[{i}]"
             _expect_keys(_expect_mapping(vp, p), p, required=("t", "target", "weight"))
-            _as_int(vp["t"], f"{p}.t", minimum=0, maximum=horizon)
-            _as_vector(vp["target"], f"{p}.target", length=state_dim)
-            _as_weight(vp["weight"], f"{p}.weight", state_dim)
+            t = _as_int(vp["t"], f"{p}.t", minimum=0, maximum=horizon)
+            target = _as_vector(vp["target"], f"{p}.target", length=state_dim)
+            if t in targets and not np.array_equal(targets[t], target):
+                raise ValidationError(
+                    f"{p}.target: conflicts with the target of an earlier viapoint at t={t}")
+            targets[t] = target
+            viapoints.append((t, target, _as_weight(vp["weight"], f"{p}.weight", state_dim)))
+        correlations = []
         for i, corr in enumerate(cost_cfg.get("correlations", [])):
             p = f"cost.correlations[{i}]"
             _expect_keys(_expect_mapping(corr, p), p,
@@ -252,10 +277,11 @@ class Scenario:
             t2 = _as_int(corr["t2"], f"{p}.t2", minimum=0, maximum=horizon)
             if t1 >= t2:
                 raise ValidationError(f"{p}: requires t1 < t2, got ({t1}, {t2})")
-            _as_transform(corr["C"], f"{p}.C", state_dim)
-            if "c" in corr:
-                _as_vector(corr["c"], f"{p}.c", length=state_dim)
-            _as_weight(corr["weight"], f"{p}.weight", state_dim)
+            C = _as_transform(corr["C"], f"{p}.C", state_dim)
+            c = (_as_vector(corr["c"], f"{p}.c", length=state_dim) if "c" in corr
+                 else np.zeros(state_dim))
+            correlations.append(CorrelationSpec(
+                t1, t2, C, c, _as_weight(corr["weight"], f"{p}.weight", state_dim)))
 
         noise_cfg = config.get("noise")
         if noise_cfg is not None:
@@ -271,11 +297,13 @@ class Scenario:
         if init_cfg is not None:
             _validate_initial_state(init_cfg, plant_cfg, state_dim)
 
+        perturbations = []
         for i, pert in enumerate(config.get("perturbations", [])):
             p = f"perturbations[{i}]"
             _expect_keys(_expect_mapping(pert, p), p, required=("t", "impulse"))
-            _as_int(pert["t"], f"{p}.t", minimum=0, maximum=horizon)
-            _as_vector(pert["impulse"], f"{p}.impulse", length=state_dim)
+            perturbations.append((_as_int(pert["t"], f"{p}.t", minimum=0, maximum=horizon),
+                                  _as_vector(pert["impulse"], f"{p}.impulse",
+                                             length=state_dim)))
 
         solver_cfg = _expect_mapping(config["solver"], "solver")
         skind = solver_cfg.get("kind")
@@ -299,12 +327,21 @@ class Scenario:
                     and solver_cfg["stationarity_tolerance"] is not None):
                 _as_float(solver_cfg["stationarity_tolerance"],
                           "solver.stationarity_tolerance", minimum=0.0)
-        elif skind == "mpc-lqt":
-            _expect_keys(solver_cfg, "solver", required=("kind", "recompute_time"))
-            _as_int(solver_cfg["recompute_time"], "solver.recompute_time",
-                    minimum=1, maximum=horizon)
         else:
-            _expect_keys(solver_cfg, "solver", required=("kind",))
+            if skind == "mpc-lqt":
+                _expect_keys(solver_cfg, "solver", required=("kind", "recompute_time"))
+                _as_int(solver_cfg["recompute_time"], "solver.recompute_time",
+                        minimum=1, maximum=horizon)
+            else:
+                _expect_keys(solver_cfg, "solver", required=("kind",))
+            # every solver but isls assembles the quadratic cost, whose
+            # per-step input weight must factor
+            try:
+                np.linalg.cholesky(control_weight)
+            except np.linalg.LinAlgError:
+                raise ValidationError(
+                    f"cost.control_weight: not positive definite, which solver {skind} "
+                    "requires") from None
         if skind == "esls" and plant_cfg["kind"] == "planar_arm":
             raise ValidationError(
                 "solver.kind: esls requires a linear plant; use isls for planar_arm"
@@ -315,33 +352,24 @@ class Scenario:
             raise ValidationError("scenario.metadata: expected an object")
         return cls(
             name=name, horizon=horizon, dt=dt,
-            plant=copy.deepcopy(plant_cfg), cost=copy.deepcopy(cost_cfg),
-            solver=copy.deepcopy(solver_cfg),
-            noise=copy.deepcopy(noise_cfg),
-            initial_state=copy.deepcopy(init_cfg),
-            perturbations=copy.deepcopy(config.get("perturbations", [])),
-            metadata=copy.deepcopy(metadata),
-            description=config.get("description", ""),
-            raw=copy.deepcopy(config),
+            plant=plant_cfg, cost=cost_cfg, solver=solver_cfg,
+            state_dim=state_dim, input_dim=input_dim, control_weight=control_weight,
+            viapoints=viapoints, correlations=correlations,
+            plant_matrices=plant_matrices, noise=noise_cfg, initial_state=init_cfg,
+            perturbations=perturbations, metadata=metadata,
+            description=config.get("description", ""), raw=config,
         )
 
     def to_dict(self):
         return copy.deepcopy(self.raw)
 
-    @property
-    def state_dim(self):
-        return _plant_dims(self.plant)[0]
 
-    @property
-    def input_dim(self):
-        return _plant_dims(self.plant)[1]
-
-
-def _plant_dims(plant_cfg):
+def _parse_plant(plant_cfg):
+    """(state_dim, input_dim, (A, B) of a linear plant or None)."""
     kind = plant_cfg["kind"]
     if kind == "double_integrator":
         dim = _as_int(plant_cfg["dim"], "plant.dim", minimum=1)
-        return 2 * dim, dim
+        return 2 * dim, dim, None
     if kind == "linear":
         A = _as_matrix(plant_cfg["A"], "plant.A")
         if A.shape[0] != A.shape[1]:
@@ -349,14 +377,11 @@ def _plant_dims(plant_cfg):
         B = _as_matrix(plant_cfg["B"], "plant.B")
         if B.shape[0] != A.shape[0]:
             raise ValidationError("plant.B: row count must match plant.A")
-        return A.shape[0], B.shape[1]
-    if kind == "planar_arm":
-        links = _as_vector(plant_cfg["link_lengths"], "plant.link_lengths")
-        if links.size < 1 or np.any(links <= 0):
-            raise ValidationError("plant.link_lengths: expected positive lengths")
-        p = links.size
-        return 3 * p + 5, p
-    raise ValidationError(f"plant.kind: unknown kind {kind!r}")
+        return A.shape[0], B.shape[1], (A, B)
+    links = _as_vector(plant_cfg["link_lengths"], "plant.link_lengths")
+    if links.size < 1 or np.any(links <= 0):
+        raise ValidationError("plant.link_lengths: expected positive lengths")
+    return 3 * links.size + 5, links.size, None
 
 
 def _validate_initial_state(init_cfg, plant_cfg, state_dim):
@@ -389,16 +414,30 @@ def _validate_initial_state(init_cfg, plant_cfg, state_dim):
         )
 
 
-def load_scenario(path):
+def _read_config(path):
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ValidationError(f"scenario file {path}: {exc}") from None
     try:
-        config = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"scenario file {path}: invalid JSON ({exc})") from None
+
+
+def load_scenario(path):
+    return Scenario.from_dict(_read_config(path))
+
+
+def scenario_from(source, overrides=None):
+    """Scenario from a config dict or a file path, ``overrides`` merged in first.
+
+    ``overrides`` maps dotted keys (``"noise.sigma_noise"``) to values.
+    """
+    config = source if isinstance(source, dict) else _read_config(source)
+    if overrides:
+        config = _merge_overrides(config, overrides)
     return Scenario.from_dict(config)
 
 
@@ -418,59 +457,43 @@ def build_plant(scenario):
             exact_discretization=cfg.get("exact_discretization", False),
         )
     if cfg["kind"] == "linear":
-        return LinearPlant(_as_matrix(cfg["A"], "plant.A"),
-                           _as_matrix(cfg["B"], "plant.B"), dt=scenario.dt)
-    if cfg["kind"] == "planar_arm":
-        p = len(cfg["link_lengths"])
-        lower = cfg.get("theta_lower")
-        upper = cfg.get("theta_upper")
-        return planar_arm_plant(
-            np.asarray(cfg["link_lengths"], float), scenario.dt,
-            theta_lower=None if lower is None else np.asarray(lower, float),
-            theta_upper=None if upper is None else np.asarray(upper, float),
-            consistent_velocity=cfg.get("consistent_velocity", False),
-        )
-    raise ValidationError(f"plant.kind: unknown kind {cfg['kind']!r}")
-
-
-def _cost_pieces(scenario):
-    m, n = scenario.state_dim, scenario.input_dim
-    cw = _as_weight(scenario.cost["control_weight"], "cost.control_weight", n)
-    viapoints = [
-        (vp["t"], np.asarray(vp["target"], float),
-         _as_weight(vp["weight"], "cost.viapoints.weight", m))
-        for vp in scenario.cost.get("viapoints", [])
-    ]
-    correlations = [
-        CorrelationSpec(
-            corr["t1"], corr["t2"],
-            _as_transform(corr["C"], "cost.correlations.C", m),
-            np.asarray(corr.get("c", np.zeros(m)), float),
-            _as_weight(corr["weight"], "cost.correlations.weight", m),
-        )
-        for corr in scenario.cost.get("correlations", [])
-    ]
-    return cw, viapoints, correlations
+        return LinearPlant(*scenario.plant_matrices, dt=scenario.dt)
+    lower = cfg.get("theta_lower")
+    upper = cfg.get("theta_upper")
+    return planar_arm_plant(
+        np.asarray(cfg["link_lengths"], float), scenario.dt,
+        theta_lower=None if lower is None else np.asarray(lower, float),
+        theta_upper=None if upper is None else np.asarray(upper, float),
+        consistent_velocity=cfg.get("consistent_velocity", False),
+    )
 
 
 def build_cost(scenario):
     """Assembled stacked quadratic cost of the scenario."""
-    m, n = scenario.state_dim, scenario.input_dim
-    cw, viapoints, correlations = _cost_pieces(scenario)
-    cost = build_viapoint_cost(scenario.horizon, viapoints, cw,
-                               state_dim=m, input_dim=n)
-    for corr in correlations:
+    cost = build_viapoint_cost(scenario.horizon, scenario.viapoints,
+                               scenario.control_weight, state_dim=scenario.state_dim,
+                               input_dim=scenario.input_dim)
+    for corr in scenario.correlations:
         cost = add_correlation(cost, corr)
     return cost
 
 
 def build_objective(scenario):
     """The scenario cost as a pointwise objective for the iterative solver."""
-    m, n = scenario.state_dim, scenario.input_dim
-    cw, viapoints, correlations = _cost_pieces(scenario)
-    state_cost = StateCostFunction.quadratic_viapoints(scenario.horizon, viapoints, m)
-    return TrackingObjective(scenario.horizon, m, n, state_cost,
-                             correlations=correlations, control_weight=cw)
+    m = scenario.state_dim
+    state_cost = StateCostFunction.quadratic_viapoints(scenario.horizon,
+                                                       scenario.viapoints, m)
+    return TrackingObjective(scenario.horizon, m, scenario.input_dim, state_cost,
+                             correlations=scenario.correlations,
+                             control_weight=scenario.control_weight)
+
+
+def isls_config(scenario):
+    """The :class:`IslsConfig` of an isls scenario; absent keys keep its defaults.
+
+    The solver section's optional keys are the config's field names.
+    """
+    return IslsConfig(**{k: v for k, v in scenario.solver.items() if k != "kind"})
 
 
 def build_noise(scenario):
@@ -499,13 +522,38 @@ def draw_initial_state(scenario, rng, plant):
         center = np.asarray(cfg["center"], float)
         hw = np.asarray(cfg["halfwidth"], float)
         return center + rng.uniform(-1.0, 1.0, size=center.size) * hw
-    if cfg["kind"] == "arm_joints":
-        theta = np.asarray(cfg["theta"], float)
-        if cfg.get("perturb_theta"):
-            theta = theta + rng.uniform(-1.0, 1.0, size=theta.size) * cfg["perturb_theta"]
-        theta_dot = np.asarray(cfg.get("theta_dot", np.zeros_like(theta)), float)
-        return plant.augment(theta, theta_dot)
-    raise ValidationError(f"initial_state.kind: unknown kind {cfg['kind']!r}")
+    theta = np.asarray(cfg["theta"], float)
+    if cfg.get("perturb_theta"):
+        theta = theta + rng.uniform(-1.0, 1.0, size=theta.size) * cfg["perturb_theta"]
+    theta_dot = np.asarray(cfg.get("theta_dot", np.zeros_like(theta)), float)
+    return plant.augment(theta, theta_dot)
+
+
+def rollout_draws(scenario, plant, seed):
+    """Keyword arguments of a seeded rollout: x0, noise model, noise generator, perturbations.
+
+    A solve and a replay with the same root seed draw the same x0 and noise.
+    """
+    rng_init, rng_noise = (np.random.default_rng(s)
+                           for s in np.random.SeedSequence(seed).spawn(2))
+    return {"x0": draw_initial_state(scenario, rng_init, plant),
+            "noise": build_noise(scenario), "seed": rng_noise,
+            "perturbations": scenario.perturbations}
+
+
+def realized_cost(scenario, trajectory, judge=None):
+    """(total, per-step cumulative) cost of a rollout of the scenario.
+
+    ``judge`` is what scores it: the pointwise objective for isls, the
+    quadratic cost for every other solver; built here when not given.
+    """
+    if judge is None:
+        judge = (build_objective(scenario) if scenario.solver["kind"] == "isls"
+                 else build_cost(scenario))
+    xs, us = trajectory.states, trajectory.inputs
+    total = (judge.true_cost(xs, us) if isinstance(judge, TrackingObjective)
+             else judge.evaluate(xs, us))
+    return total, judge.cumulative_cost(xs, us)
 
 
 # -- artifacts -----------------------------------------------------------------
@@ -673,9 +721,8 @@ def write_trace_csv(path, history):
 
 def correlation_residuals(scenario, trajectory):
     """Realized residual of each correlation, measured on its weighted rows."""
-    _, _, correlations = _cost_pieces(scenario)
     out = []
-    for corr in correlations:
+    for corr in scenario.correlations:
         e = corr.C @ trajectory.states[corr.t1] + corr.c - trajectory.states[corr.t2]
         active = np.any(corr.Q_c != 0, axis=1)
         resid = float(np.max(np.abs(e[active]))) if np.any(active) else 0.0
@@ -691,36 +738,11 @@ def _solve_scenario(scenario, plant, x0, trace=False):
     kind = scenario.solver["kind"]
     extras = {}
     t_start = time.perf_counter()
-    if kind in ("esls", "dp-lqt", "batch-lqt"):
-        system = linear_system_from_plant(plant, scenario.horizon)
-        cost = build_cost(scenario)
-        extras["cost"] = cost
-        if kind == "esls":
-            stacked = build_stacked(system)
-            response = solve_esls(stacked, cost)
-            controller = extract_controller(response)
-            extras["maps"] = precompute_gain_maps(stacked, cost, controller)
-            info = {"residuals": response.residuals(stacked)}
-        elif kind == "dp-lqt":
-            controller = dp_lqt(system, cost.diagonal_projection())
-            info = {}
-        else:
-            stacked = build_stacked(system)
-            u = batch_lqt(stacked, cost, x0=x0)
-            controller = OpenLoopController(u.reshape(-1, plant.input_dim),
-                                            plant.state_dim)
-            info = {}
-    elif kind == "isls":
+    if kind == "isls":
         objective = build_objective(scenario)
         extras["objective"] = objective
-        cfg = IslsConfig(
-            tolerance=scenario.solver.get("tolerance", 1e-6),
-            max_iterations=scenario.solver.get("max_iterations", 100),
-            regularization=scenario.solver.get("regularization", 1e-6),
-            hessian_floor=scenario.solver.get("hessian_floor"),
-            stationarity_tolerance=scenario.solver.get("stationarity_tolerance"),
-        )
-        controller, result = isls_optimize(plant, objective, x0, config=cfg)
+        controller, result = isls_optimize(plant, objective, x0,
+                                           config=isls_config(scenario))
         if not result.converged:
             raise SolverNotConverged(
                 f"iterative solve stopped after {result.iterations} iterations "
@@ -735,14 +757,26 @@ def _solve_scenario(scenario, plant, x0, trace=False):
         }
         if trace:
             extras["history"] = result.history
-    elif kind == "mpc-lqt":
+    else:
+        system = linear_system_from_plant(plant, scenario.horizon)
         cost = build_cost(scenario)
         extras["cost"] = cost
-        system = linear_system_from_plant(plant, scenario.horizon)
-        controller = dp_lqt(system, cost.diagonal_projection())
-        info = {"recompute_time": scenario.solver["recompute_time"]}
-    else:
-        raise ValidationError(f"solver.kind: unknown kind {kind!r}")
+        info = {}
+        if kind == "esls":
+            stacked = build_stacked(system)
+            response = solve_esls(stacked, cost)
+            controller = extract_controller(response)
+            extras["maps"] = precompute_gain_maps(stacked, cost, controller)
+            info["residuals"] = response.residuals(stacked)
+        elif kind == "batch-lqt":
+            u = batch_lqt(build_stacked(system), cost, x0=x0)
+            controller = OpenLoopController(u.reshape(-1, plant.input_dim),
+                                            plant.state_dim)
+        else:
+            # dp-lqt; for mpc-lqt the plan before its one re-solve
+            controller = dp_lqt(system, cost.diagonal_projection())
+            if kind == "mpc-lqt":
+                info["recompute_time"] = scenario.solver["recompute_time"]
     info["solve_seconds"] = time.perf_counter() - t_start
     return controller, info, extras
 
@@ -750,48 +784,29 @@ def _solve_scenario(scenario, plant, x0, trace=False):
 def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=None):
     """Solve a scenario, roll it out, and write the artifact set.
 
-    Returns the report dict (also written as report.json).  Deterministic:
-    the same (config, seed) pair reproduces every artifact byte for byte.
+    ``path`` is a scenario file or a config dict.  Returns the report dict
+    (also written as report.json).  Deterministic: the same (config, seed)
+    pair reproduces controller.bin, maps.bin, trajectory.csv and trace.csv
+    byte for byte, and report.json up to ``solver_info.solve_seconds``.
     """
-    if isinstance(path, (dict,)):
-        config = copy.deepcopy(path)
-    else:
-        config = load_scenario(path).raw
-    if overrides:
-        config = _merge_overrides(config, overrides)
-    scenario = Scenario.from_dict(config)
+    scenario = scenario_from(path, overrides)
 
     out_dir = Path(out) / scenario.name / (label or time.strftime("%Y%m%d-%H%M%S"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     plant = build_plant(scenario)
-    ss = np.random.SeedSequence(seed)
-    rng_init, rng_noise = (np.random.default_rng(s) for s in ss.spawn(2))
-    x0 = draw_initial_state(scenario, rng_init, plant)
-    noise = build_noise(scenario)
-    perturbations = [(p["t"], np.asarray(p["impulse"], float))
-                     for p in scenario.perturbations]
+    draws = rollout_draws(scenario, plant, seed)
 
-    controller, info, extras = _solve_scenario(scenario, plant, x0, trace=trace)
+    controller, info, extras = _solve_scenario(scenario, plant, draws["x0"], trace=trace)
 
     kind = scenario.solver["kind"]
     if kind == "mpc-lqt":
-        trajectory = mpc_lqt_rollout(
-            plant, extras["cost"], scenario.solver["recompute_time"],
-            noise=noise, seed=rng_noise, x0=x0, perturbations=perturbations,
-        )
+        trajectory = mpc_lqt_rollout(plant, extras["cost"],
+                                     scenario.solver["recompute_time"], **draws)
     else:
-        trajectory = rollout(plant, controller, noise=noise, seed=rng_noise,
-                             x0=x0, perturbations=perturbations)
-
-    if "objective" in extras:
-        objective = extras["objective"]
-        realized_cost = objective.true_cost(trajectory.states, trajectory.inputs)
-        cumulative = objective.cumulative_cost(trajectory.states, trajectory.inputs)
-    else:
-        cost = extras["cost"]
-        realized_cost = cost.evaluate(trajectory.states, trajectory.inputs)
-        cumulative = cost.cumulative_cost(trajectory.states, trajectory.inputs)
+        trajectory = rollout(plant, controller, **draws)
+    realized, cumulative = realized_cost(scenario, trajectory,
+                                         extras.get("objective", extras.get("cost")))
 
     artifacts = {}
     write_controller_artifact(out_dir / "controller.bin", controller)
@@ -808,11 +823,11 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=Non
     report = {
         "format_version": ARTIFACT_FORMAT_VERSION,
         "scenario": scenario.name,
-        "config_sha256": config_sha256(config),
+        "config_sha256": config_sha256(scenario.raw),
         "seed": int(seed),
         "solver": kind,
-        "x0": [float(v) for v in x0],
-        "realized_cost": float(realized_cost),
+        "x0": [float(v) for v in draws["x0"]],
+        "realized_cost": float(realized),
         "correlation_residuals": correlation_residuals(scenario, trajectory),
         "solver_info": _jsonable(info),
         "metadata": scenario.metadata,

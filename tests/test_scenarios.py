@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -29,13 +31,17 @@ from slsctrl.bench import (
     apply_viapoint_edit,
     bundled_scenario_path,
 )
+import slsctrl.scenarios
 from slsctrl.scenarios import (
     Scenario,
     ValidationError,
     build_cost,
     build_noise,
+    build_objective,
     build_plant,
     config_sha256,
+    correlation_residuals,
+    draw_initial_state,
     load_controller_artifact,
     load_maps_artifact,
     load_scenario,
@@ -120,6 +126,43 @@ def test_nonfinite_numbers_name_field(tmp_path):
         scenario_file.write_text(json.dumps(config))
         with pytest.raises(ValidationError, match=field_path + ": expected a finite number"):
             load_scenario(scenario_file)
+
+
+def test_control_weight_must_be_positive_definite_unless_isls():
+    # every solver but isls assembles the quadratic cost and factors R
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    config["cost"]["control_weight"] = [0.01, 0.0, 0.01]
+    for solver in ({"kind": "esls"}, {"kind": "dp-lqt"}, {"kind": "batch-lqt"},
+                   {"kind": "mpc-lqt", "recompute_time": 20}):
+        config["solver"] = solver
+        with pytest.raises(ValidationError, match=r"cost\.control_weight: not positive"):
+            Scenario.from_dict(config)
+    config["solver"] = {"kind": "isls"}
+    assert Scenario.from_dict(config).control_weight[1, 1] == 0.0
+
+
+def test_builders_read_the_parsed_scenario(monkeypatch):
+    # from_dict is the only parse: with the number parser broken afterwards,
+    # every builder still works on every bundled scenario
+    scenarios = [load_scenario(bundled_scenario_path(name))
+                 for name in ("regulator_smoke", "mug_sugar", "pickplace_arm")]
+
+    def no_parse(value, path, minimum=None):
+        raise AssertionError(f"{path} parsed again after from_dict")
+
+    monkeypatch.setattr(slsctrl.scenarios, "_as_float", no_parse)
+    for scenario in scenarios:
+        m, n = scenario.state_dim, scenario.input_dim
+        plant = build_plant(scenario)
+        assert (plant.state_dim, plant.input_dim) == (m, n)
+        cost = build_cost(scenario)
+        assert cost.x_d.size == m * (scenario.horizon + 1) and cost.R.shape[1] == n
+        assert build_objective(scenario).correlations == scenario.correlations
+        assert build_noise(scenario).state_dim == m
+        x0 = draw_initial_state(scenario, np.random.default_rng(0), plant)
+        states = np.tile(x0, (scenario.horizon + 1, 1))
+        residuals = correlation_residuals(scenario, SimpleNamespace(states=states))
+        assert len(residuals) == len(scenario.correlations)
 
 
 def test_scenario_roundtrip_and_hash():
@@ -417,15 +460,26 @@ def test_cli_solve_writes_artifacts(tmp_path):
 
 
 def test_cli_rejects_invalid_scenario(tmp_path):
-    config = load_scenario(bundled_scenario_path("regulator_smoke")).raw
-    config["cost"]["viapoints"][0]["t"] = 99
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(config))
-    proc = _cli("solve", "--scenario", str(bad), "--out", str(tmp_path))
-    assert proc.returncode == 2
-    err = json.loads(proc.stderr)
-    assert err["error"] == "validation"
-    assert "cost.viapoints[0].t" in err["message"]
+    out_of_range = load_scenario(bundled_scenario_path("regulator_smoke")).raw
+    out_of_range["cost"]["viapoints"][0]["t"] = 99
+    # schema-valid, but no quadratic cost can be built from these two
+    zero_control = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    zero_control["cost"]["control_weight"] = 0
+    conflicting = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    first = conflicting["cost"]["viapoints"][0]
+    conflicting["cost"]["viapoints"].append(
+        dict(first, target=[v + 0.1 for v in first["target"]]))
+    for i, (config, field_path) in enumerate([
+            (out_of_range, "cost.viapoints[0].t"),
+            (zero_control, "cost.control_weight"),
+            (conflicting, "cost.viapoints[2].target")]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(config))
+        proc = _cli("solve", "--scenario", str(bad), "--out", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "validation"
+        assert field_path in err["message"]
 
 
 def test_cli_reports_non_convergence(tmp_path):
@@ -468,6 +522,61 @@ def test_cli_adapt_roundtrip(tmp_path):
                         atol=1e-12)
     original = load_controller_artifact(base / "controller.bin")
     npt.assert_array_equal(adapted.K.dense, original.K.dense)
+
+
+def _drop_z(node):
+    """mug_sugar's config in two dimensions: z dropped from every 6-vector."""
+    if isinstance(node, dict):
+        return {key: _drop_z(value) for key, value in node.items()}
+    if isinstance(node, list) and len(node) == 6 and not isinstance(node[0], list):
+        return [v for i, v in enumerate(node) if i not in (2, 5)]
+    if isinstance(node, list):
+        return [_drop_z(v) for v in node]
+    return node
+
+
+@pytest.fixture(scope="module")
+def mug_artifacts(tmp_path_factory):
+    """Solved artifacts of mug_sugar in three and in two dimensions (same horizon)."""
+    out = tmp_path_factory.mktemp("artifacts")
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    flat = dict(_drop_z(config), name="mug_sugar_2d", plant={"kind": "double_integrator",
+                                                           "dim": 2})
+    dirs = {}
+    for label, cfg in (("3d", config), ("2d", flat)):
+        dirs[label] = Path(run_scenario(cfg, seed=0, out=out, label=label)["out_dir"])
+    return dirs
+
+
+def test_cli_rollout_rejects_controller_of_other_dimensions(tmp_path, mug_artifacts):
+    proc = _cli("rollout", "--scenario", str(bundled_scenario_path("mug_sugar")),
+                "--controller", str(mug_artifacts["2d"] / "controller.bin"),
+                "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "validation"
+    assert "controller state_dim 4 does not match scenario state_dim 6" in err["message"]
+
+
+def test_cli_adapt_rejects_artifacts_of_other_dimensions(tmp_path, mug_artifacts):
+    mug = str(bundled_scenario_path("mug_sugar"))
+    raw = load_scenario(mug).raw
+    edit = json.dumps({"t": 70, "target": raw["cost"]["viapoints"][1]["target"]})
+    open_loop = tmp_path / "open_loop.bin"
+    write_controller_artifact(open_loop, OpenLoopController(np.zeros((101, 3)), 6))
+    for controller, maps, message in [
+            (mug_artifacts["2d"] / "controller.bin", "2d",
+             "controller state_dim 4 does not match scenario state_dim 6"),
+            (mug_artifacts["3d"] / "controller.bin", "2d",
+             "maps state_dim 4 does not match scenario state_dim 6"),
+            (open_loop, "3d", "open-loop controller has no feedforward")]:
+        proc = _cli("adapt", "--scenario", mug, "--controller", str(controller),
+                    "--maps", str(mug_artifacts[maps] / "maps.bin"),
+                    "--edit-json", edit, "--out", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "validation"
+        assert message in err["message"]
 
 
 def test_cli_help_lists_subcommands():
