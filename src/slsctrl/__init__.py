@@ -13,9 +13,7 @@ from .stacked import (
     NoiseModel,
     StackedSystem,
     TimeVaryingLinearSystem,
-    achievability_residual,
     build_stacked,
-    feedforward_residual,
 )
 from .costs import (
     CorrelationSpec,
@@ -114,7 +112,6 @@ __all__ = [
     "Trajectory",
     "TrackingObjective",
     "ValidationError",
-    "achievability_residual",
     "adapt_controller",
     "adapt_feedforward",
     "add_correlation",
@@ -135,7 +132,6 @@ __all__ = [
     "expected_inner",
     "expected_quadratic",
     "extract_controller",
-    "feedforward_residual",
     "isls_optimize",
     "joint_limit_violation",
     "joint_limit_violation_jacobian",

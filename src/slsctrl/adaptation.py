@@ -73,26 +73,10 @@ class AdaptationMaps:
         k = self.F_x_blocks @ x_d[self._x_idx] + self.k_u0
         du = u_d - self.u_d0
         if du.any():
-            k += self._input_response(du[:, None])[:, 0]
+            T1, n = self.R.shape[:2]
+            k += feedforward_pass(self.A, self.B, self.R, self.held, self.gains,
+                                  self.hessian_inv, du.reshape(T1, n, 1)).ravel()
         return k
-
-    def _input_response(self, u_d):
-        """F_u u_d for columns u_d ((T+1)n, c), by the feedforward-only pass."""
-        T1, n = self.R.shape[:2]
-        return feedforward_pass(self.A, self.B, self.R, self.held, self.gains,
-                                self.hessian_inv, u_d.reshape(T1, n, -1)).reshape(T1 * n, -1)
-
-    @property
-    def F_x(self):
-        """Dense ((T+1)n, (T+1)m) F_x, built on each access (inspection and tests)."""
-        F = np.zeros((self.input_size, self.state_size))
-        F[:, self._x_idx] = self.F_x_blocks
-        return F
-
-    @property
-    def F_u(self):
-        """Dense ((T+1)n, (T+1)n) F_u, built on each access (inspection and tests)."""
-        return self._input_response(np.eye(self.input_size))
 
 
 def precompute_gain_maps(stacked, cost, controller):

@@ -119,22 +119,15 @@ class CostSpec:
 
     # -- assembly / products ----------------------------------------------
 
-    def assemble_dense_q(self):
-        """Dense (T+1)m square Q; intended for small horizons (tests, oracles)."""
-        m = self.state_dim
-        out = np.zeros(((self.horizon + 1) * m, (self.horizon + 1) * m))
-        for (i, j), blk in self.Q.items():
-            out[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-        return out
-
     def q_matvec(self, x):
-        """Q @ x using only the stored blocks."""
+        """Q @ x using only the stored blocks; x is a vector or ((T+1)m, c) columns."""
         m = self.state_dim
-        xb = np.asarray(x, dtype=float).reshape(self.horizon + 1, m)
+        x = np.asarray(x, dtype=float)
+        xb = x.reshape(self.horizon + 1, m, *x.shape[1:])
         out = np.zeros_like(xb)
         for (i, j), blk in self.Q.items():
             out[i] += blk @ xb[j]
-        return out.ravel()
+        return out.reshape(x.shape)
 
     @property
     def linear_term(self):

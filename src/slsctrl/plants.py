@@ -268,14 +268,17 @@ class PlanarArmPlant(Plant):
         return A, B
 
 
+DEFAULT_JOINT_LIMIT = 2.9   # rad, either side of zero
+
+
 def planar_arm_plant(link_lengths, dt, theta_lower=None, theta_upper=None,
                      consistent_velocity=False):
-    """Build a :class:`PlanarArmPlant`; limits default to +-2.9 rad per joint."""
+    """Build a :class:`PlanarArmPlant`; limits default to +-DEFAULT_JOINT_LIMIT per joint."""
     p = len(link_lengths)
     if theta_lower is None:
-        theta_lower = -2.9 * np.ones(p)
+        theta_lower = -DEFAULT_JOINT_LIMIT * np.ones(p)
     if theta_upper is None:
-        theta_upper = 2.9 * np.ones(p)
+        theta_upper = DEFAULT_JOINT_LIMIT * np.ones(p)
     return PlanarArmPlant(link_lengths, dt, theta_lower, theta_upper,
                           consistent_velocity=consistent_velocity)
 

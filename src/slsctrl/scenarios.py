@@ -20,7 +20,8 @@ matrices are lists of rows):
                 "exact_discretization": bool (optional)}
              | {"kind": "linear", "A": [[..]], "B": [[..]]}
              | {"kind": "planar_arm", "link_lengths": [..],
-                "theta_lower": [..] (optional), "theta_upper": [..] (optional),
+                "theta_lower": [..] (optional, one per link, default -2.9),
+                "theta_upper": [..] (optional, >= theta_lower, default 2.9),
                 "consistent_velocity": bool (optional)},
       "cost": {"control_weight": weight,
                "viapoints": [{"t": int, "target": [..], "weight": weight}, ..],
@@ -69,6 +70,7 @@ from .costs import (
 )
 from .isls import IslsConfig, TrackingObjective, isls_optimize
 from .plants import (
+    DEFAULT_JOINT_LIMIT,
     LinearPlant,
     OpenLoopController,
     batch_lqt,
@@ -202,10 +204,11 @@ class Scenario:
     losslessly; the sections ``plant``, ``cost``, ``solver``, ``noise``,
     ``initial_state`` and ``metadata`` are views into it.  The parsed
     values are what the builders read: the plant's ``state_dim`` and
-    ``input_dim``, a linear plant's ``plant_matrices`` (A, B), the
-    ``control_weight`` matrix, the ``viapoints`` as (t, target, weight),
-    the ``correlations`` as :class:`CorrelationSpec` and the
-    ``perturbations`` as (t, impulse).  Treat all of it as read-only.
+    ``input_dim``, a linear plant's ``plant_matrices`` (A, B), a planar
+    arm's ``joint_limits`` (lower, upper), the ``control_weight`` matrix,
+    the ``viapoints`` as (t, target, weight), the ``correlations`` as
+    :class:`CorrelationSpec` and the ``perturbations`` as (t, impulse).
+    Treat all of it as read-only.
     """
 
     name: str
@@ -220,6 +223,7 @@ class Scenario:
     viapoints: list
     correlations: list
     plant_matrices: tuple = None
+    joint_limits: tuple = None
     noise: dict = None
     initial_state: dict = None
     perturbations: list = field(default_factory=list)
@@ -250,7 +254,7 @@ class Scenario:
             )
         required, optional = _PLANT_KEYS[kind]
         _expect_keys(plant_cfg, "plant", required=required, optional=optional)
-        state_dim, input_dim, plant_matrices = _parse_plant(plant_cfg)
+        state_dim, input_dim, plant_matrices, joint_limits = _parse_plant(plant_cfg)
 
         cost_cfg = _expect_mapping(config["cost"], "cost")
         _expect_keys(cost_cfg, "cost", required=("control_weight",),
@@ -355,8 +359,8 @@ class Scenario:
             plant=plant_cfg, cost=cost_cfg, solver=solver_cfg,
             state_dim=state_dim, input_dim=input_dim, control_weight=control_weight,
             viapoints=viapoints, correlations=correlations,
-            plant_matrices=plant_matrices, noise=noise_cfg, initial_state=init_cfg,
-            perturbations=perturbations, metadata=metadata,
+            plant_matrices=plant_matrices, joint_limits=joint_limits, noise=noise_cfg,
+            initial_state=init_cfg, perturbations=perturbations, metadata=metadata,
             description=config.get("description", ""), raw=config,
         )
 
@@ -365,11 +369,15 @@ class Scenario:
 
 
 def _parse_plant(plant_cfg):
-    """(state_dim, input_dim, (A, B) of a linear plant or None)."""
+    """(state_dim, input_dim, a linear plant's (A, B), an arm's (lower, upper) limits)."""
     kind = plant_cfg["kind"]
+    for flag in ("exact_discretization", "consistent_velocity"):
+        if not isinstance(plant_cfg.get(flag, False), bool):
+            raise ValidationError(
+                f"plant.{flag}: expected true or false, got {plant_cfg[flag]!r}")
     if kind == "double_integrator":
         dim = _as_int(plant_cfg["dim"], "plant.dim", minimum=1)
-        return 2 * dim, dim, None
+        return 2 * dim, dim, None, None
     if kind == "linear":
         A = _as_matrix(plant_cfg["A"], "plant.A")
         if A.shape[0] != A.shape[1]:
@@ -377,11 +385,17 @@ def _parse_plant(plant_cfg):
         B = _as_matrix(plant_cfg["B"], "plant.B")
         if B.shape[0] != A.shape[0]:
             raise ValidationError("plant.B: row count must match plant.A")
-        return A.shape[0], B.shape[1], (A, B)
+        return A.shape[0], B.shape[1], (A, B), None
     links = _as_vector(plant_cfg["link_lengths"], "plant.link_lengths")
     if links.size < 1 or np.any(links <= 0):
         raise ValidationError("plant.link_lengths: expected positive lengths")
-    return 3 * links.size + 5, links.size, None
+    lower, upper = (
+        _as_vector(plant_cfg[key], f"plant.{key}", length=links.size) if key in plant_cfg
+        else sign * DEFAULT_JOINT_LIMIT * np.ones(links.size)
+        for key, sign in (("theta_lower", -1.0), ("theta_upper", 1.0)))
+    if np.any(lower > upper):
+        raise ValidationError("plant.theta_lower: exceeds plant.theta_upper")
+    return 3 * links.size + 5, links.size, None, (lower, upper)
 
 
 def _validate_initial_state(init_cfg, plant_cfg, state_dim):
@@ -458,12 +472,8 @@ def build_plant(scenario):
         )
     if cfg["kind"] == "linear":
         return LinearPlant(*scenario.plant_matrices, dt=scenario.dt)
-    lower = cfg.get("theta_lower")
-    upper = cfg.get("theta_upper")
     return planar_arm_plant(
-        np.asarray(cfg["link_lengths"], float), scenario.dt,
-        theta_lower=None if lower is None else np.asarray(lower, float),
-        theta_upper=None if upper is None else np.asarray(upper, float),
+        np.asarray(cfg["link_lengths"], float), scenario.dt, *scenario.joint_limits,
         consistent_velocity=cfg.get("consistent_velocity", False),
     )
 

@@ -21,25 +21,20 @@ cost-to-go may be indefinite in the held states.  The law acts on states,
 so K = phi_u phi_x^{-1} and k = d_u - K d_x: its blocks K[t, s], s < t, are
 the memory that lets cross-time terms bind future inputs to realized
 history.  :class:`Controller` keeps the law in this per-step form, O(T) in
-memory; phi_x and phi_u are derived from the gains on demand.
+memory.  The maps themselves are never formed: the residuals check the
+plan and the gains against the cost by O(T) forward and adjoint passes.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 
 import numpy as np
 
 from .costs import CostSpec
-from .stacked import (
-    BlockLowerTriangular,
-    TimeVaryingLinearSystem,
-    achievability_residual,
-    feedforward_residual,
-)
+from .stacked import BlockLowerTriangular, TimeVaryingLinearSystem
 
 
 @dataclass
@@ -47,7 +42,7 @@ class SystemResponse:
     """Per-step gains of the synthesized policy and its deterministic plan.
 
     The policy is u_t = gains[t] z_t + k[t] with z_t = [x_t; x_s for s in
-    held[t]].  ``phi_x`` and ``phi_u`` are built from it on first access.
+    held[t]].
     """
 
     system: TimeVaryingLinearSystem
@@ -58,31 +53,6 @@ class SystemResponse:
     d_x: np.ndarray
     d_u: np.ndarray
 
-    @cached_property
-    def _maps(self):
-        """Closed-loop maps by block forward propagation of the policy."""
-        A, B = self.system.A, self.system.B
-        T, m, n = self.system.horizon, self.system.state_dim, self.system.input_dim
-        phi_x = np.zeros(((T + 1) * m, (T + 1) * m))
-        phi_u = np.zeros(((T + 1) * n, (T + 1) * m))
-        for t in range(T + 1):
-            c = (t + 1) * m    # columns of disturbances up to step t
-            phi_x[t * m:c, t * m:c] = np.eye(m)
-            rows = [phi_x[s * m:(s + 1) * m, :c] for s in (t, *self.held[t])]
-            phi_u[t * n:(t + 1) * n, :c] = self.gains[t] @ np.vstack(rows)
-            if t < T:
-                phi_x[c:c + m, :c] = A[t] @ rows[0] + B[t] @ phi_u[t * n:(t + 1) * n, :c]
-        return (BlockLowerTriangular(phi_x, m, m, copy=False),
-                BlockLowerTriangular(phi_u, n, m, copy=False))
-
-    @property
-    def phi_x(self):
-        return self._maps[0]
-
-    @property
-    def phi_u(self):
-        return self._maps[1]
-
     def stationarity(self):
         """Relative gradient of the deterministic tracking cost at (d_x, d_u).
 
@@ -92,26 +62,49 @@ class SystemResponse:
         come from one adjoint pass over A_t and B_t, a route that shares
         nothing with the recursion.
         """
-        A, B, cost = self.system.A, self.system.B, self.cost
+        cost = self.cost
         T, m, n = self.system.horizon, self.system.state_dim, self.system.input_dim
         g = np.stack([cost.q_matvec(self.d_x), cost.linear_term], axis=1).reshape(T + 1, m, 2)
-        Su_t_g = np.zeros((T + 1, n, 2))
-        lam = np.zeros((m, 2))    # adjoint of x_{t+1}
-        for t in range(T, -1, -1):
-            Su_t_g[t] = B[t].T @ lam
-            lam = g[t] + A[t].T @ lam
         u = np.stack([self.d_u, cost.u_d], axis=1).reshape(T + 1, n, 2)
-        Hu_r = Su_t_g + cost.R @ u
+        Hu_r = _input_adjoint(self.system, g) + cost.R @ u
         r = np.linalg.norm(Hu_r[..., 1])
         return float(np.linalg.norm(Hu_r[..., 0] - Hu_r[..., 1]) / max(r, np.finfo(float).tiny))
 
+    def gain_stationarity(self):
+        """Relative input gradient of the feedback's responses to x_0 = e_j, j = 1..m.
+
+        With zero feedforward the policy's trajectory (x, u) from x_0 = e_j
+        is column j of (phi_x, phi_u), which minimizes x'Qx + u'Ru over all
+        inputs, so S_u'Qx + Ru vanishes.  This returns its Frobenius norm
+        over the m responses, relative to the sum of the norms of the two
+        terms, from the adjoint pass :meth:`stationarity` runs.  It checks
+        the gains, memory blocks included, along these m trajectories.
+        """
+        cost = self.cost
+        T, m, n = self.system.horizon, self.system.state_dim, self.system.input_dim
+        xs, us = _run_policy(self.system, self.held, self.gains, np.zeros((T + 1, n, m)),
+                             np.eye(m))
+        SuQx = _input_adjoint(self.system,
+                              cost.q_matvec(xs.reshape((T + 1) * m, m)).reshape(xs.shape))
+        Ru = cost.R @ us
+        scale = np.linalg.norm(SuQx) + np.linalg.norm(Ru)
+        return float(np.linalg.norm(SuQx + Ru) / max(scale, np.finfo(float).tiny))
+
     def residuals(self, stacked):
-        """Structural residuals: achievability, feedforward consistency and stationarity."""
-        return {
-            "achievability": achievability_residual(stacked, self.phi_x, self.phi_u),
-            "feedforward": feedforward_residual(stacked, self.d_x, self.d_u),
-            "stationarity": self.stationarity(),
-        }
+        """Stationarity of the plan and of the feedback gains; ``stacked`` is not read."""
+        return {"stationarity": self.stationarity(),
+                "gain_stationarity": self.gain_stationarity()}
+
+
+def _input_adjoint(system, g):
+    """S_u'g for columns g (T+1, m, c): one adjoint pass over A_t and B_t."""
+    A, B = system.A, system.B
+    out = np.zeros((len(B), B[0].shape[1], g.shape[2]))
+    lam = np.zeros(g.shape[1:])    # adjoint of x_{t+1}
+    for t in range(len(A) - 1, -1, -1):
+        out[t] = B[t].T @ lam
+        lam = g[t] + A[t].T @ lam
+    return out
 
 
 class Controller:
@@ -359,12 +352,11 @@ def solve_esls(stacked, cost):
 
     Only the per-step blocks A_t, B_t of ``stacked`` are read; the R blocks
     of ``cost`` must be positive definite.  Returns a :class:`SystemResponse`
-    with the per-step gains, the plan (d_x, d_u) from x_0 = 0, which solves
-    H d_u = S_u'b + R u_d, and lazily derived maps phi_x (identity diagonal
-    blocks) and phi_u whose block columns solve the trailing least squares
-    of the map parameterization.  Raises ValueError on mismatched or
-    non-finite data and on a step Hessian that is not positive definite
-    (the message names the step).
+    with the per-step gains, whose responses to a disturbance at step i are
+    block column i of the maps (phi_x, phi_u), and the plan (d_x, d_u) from
+    x_0 = 0, which solves H d_u = S_u'b + R u_d.  Raises ValueError on
+    mismatched or non-finite data and on a step Hessian that is not
+    positive definite (the message names the step).
     """
     system = stacked.system
     held, gains, k, _ = riccati_gains(system, cost, *own_columns(cost))
@@ -375,10 +367,15 @@ def solve_esls(stacked, cost):
 
 
 def _run_policy(system, held, gains, k, x0):
-    """Deterministic trajectory (xs, us) of the policy u_t = gains[t] z_t + k[t] from x0."""
+    """Deterministic trajectory (xs, us) of the policy u_t = gains[t] z_t + k[t] from x0.
+
+    ``x0`` (m,) with ``k`` (T+1, n) runs one trajectory; ``x0`` (m, c) with
+    ``k`` (T+1, n, c) runs c of them at once.
+    """
     T, m, n = system.horizon, system.state_dim, system.input_dim
-    x, us = np.zeros((T + 1) * m), np.zeros((T + 1, n))
-    xs = x.reshape(T + 1, m)
+    cols = np.shape(x0)[1:]
+    x, us = np.zeros(((T + 1) * m, *cols)), np.zeros((T + 1, n, *cols))
+    xs = x.reshape(T + 1, m, *cols)
     xs[0] = x0
     for t, idx in enumerate(_history_indices(held, m)):
         us[t] = gains[t] @ x[idx] + k[t]

@@ -13,10 +13,11 @@ the first block subdiagonal).  The two causal response operators
     S_u = S_x Z B_d               (maps inputs to states),
 
 are block lower triangular.  Neither ``Z`` nor the operators are ever
-materialized: the synthesis, the batch plan and the retargeting maps run a
-recursion over the blocks A_t, B_t (see :mod:`slsctrl.solver`), and the
-residuals below propagate the same blocks forward, so :func:`build_stacked`
-is O(1).  The dense operators exist only as the tests' oracle.
+materialized: the synthesis, the batch plan, the retargeting maps and the
+residuals run recursions over the blocks A_t, B_t (see
+:mod:`slsctrl.solver`), so :func:`build_stacked` is O(1).  The dense
+operators exist only as the tests' oracle.  :class:`BlockLowerTriangular`
+is the one dense view left, of a controller's gain (``Controller.K``).
 """
 
 from __future__ import annotations
@@ -194,41 +195,3 @@ def build_stacked(system):
     """Wrap a time-varying system for synthesis; O(1), nothing dense is built."""
     return StackedSystem(system)
 
-
-def achievability_residual(stacked, phi_x, phi_u):
-    """Relative Frobenius residual of the closed-loop map constraint.
-
-    Measures ||phi_x - S_x - S_u phi_u||_F / max(1, ||phi_x||_F); any causal
-    pair of response maps the dynamics can realize makes this zero.  Row
-    block t+1 of S_x + S_u phi_u is A_t times row block t, plus B_t times
-    row block t of phi_u, plus the identity block in column block t+1.
-    """
-    px = phi_x.dense if isinstance(phi_x, BlockLowerTriangular) else np.asarray(phi_x)
-    pu = phi_u.dense if isinstance(phi_u, BlockLowerTriangular) else np.asarray(phi_u)
-    A, B = stacked.system.A, stacked.system.B
-    m, n = stacked.state_dim, stacked.input_dim
-    y = np.zeros((m, px.shape[1]))    # row block t of S_x + S_u phi_u
-    sq = 0.0
-    for t in range(stacked.horizon + 1):
-        if t:
-            y = A[t - 1] @ y + B[t - 1] @ pu[(t - 1) * n:t * n]
-        y[:, t * m:(t + 1) * m] += np.eye(m)
-        res = px[t * m:(t + 1) * m] - y
-        sq += float(np.sum(res * res))
-    return float(np.sqrt(sq) / max(1.0, np.linalg.norm(px)))
-
-
-def feedforward_residual(stacked, d_x, d_u):
-    """Relative residual of the feedforward consistency constraint d_x = S_u d_u.
-
-    S_u d_u is the state trajectory of the inputs d_u from x_0 = 0.
-    """
-    A, B = stacked.system.A, stacked.system.B
-    T, m, n = stacked.horizon, stacked.state_dim, stacked.input_dim
-    d_x = np.asarray(d_x, dtype=float)
-    d_u = np.asarray(d_u, dtype=float).reshape(T + 1, n)
-    xs = np.zeros((T + 1, m))
-    for t in range(T):
-        xs[t + 1] = A[t] @ xs[t] + B[t] @ d_u[t]
-    res = d_x - xs.ravel()
-    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(d_x)))

@@ -42,6 +42,7 @@ from slsctrl.scenarios import (
     load_scenario,
 )
 
+from dense_views import achievability_residual, closed_loop_maps, feedforward_residual
 from oracles import (
     dense_stacked_maps,
     dense_tracking_pieces,
@@ -134,25 +135,28 @@ def test_criterion_02_batch_least_squares_identity():
 
 
 def test_criterion_03_structural_residuals():
+    # the package's O(T) checks of the plan and the gains, and the dense
+    # achievability and feedforward residuals of the maps the gains define
     rng = np.random.default_rng(103)
     worst = 0.0
-    solves = 0
+    solves = []
     for trial in range(20):
         T, m, n, A, B = _random_system(rng, T_max=12)
         cost, _, _ = _tracking_cost(rng, T, m, n, with_correlation=trial % 3 == 0)
         st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
-        res = solve_esls(st, cost).residuals(st)
-        worst = max(worst, res["achievability"], res["feedforward"])
-        solves += 1
+        solves.append((st, solve_esls(st, cost)))
     scenario = Scenario.from_dict(
         load_scenario(bundled_scenario_path("mug_sugar")).raw)
     plant = build_plant(scenario)
     st = build_stacked(linear_system_from_plant(plant, scenario.horizon))
-    res = solve_esls(st, build_cost(scenario)).residuals(st)
-    worst = max(worst, res["achievability"], res["feedforward"])
-    solves += 1
-    _verdict(3, "achievability and feedforward residuals",
-             worst <= 1e-10, f"max {worst:.2e} over {solves} solves")
+    solves.append((st, solve_esls(st, build_cost(scenario))))
+    for st, resp in solves:
+        res = resp.residuals(st)
+        worst = max(worst, res["stationarity"], res["gain_stationarity"],
+                    achievability_residual(st.system, *closed_loop_maps(resp)),
+                    feedforward_residual(st.system, resp.d_x, resp.d_u))
+    _verdict(3, "stationarity, gain stationarity, achievability and feedforward",
+             worst <= 1e-10, f"max {worst:.2e} over {len(solves)} solves")
 
 
 def test_criterion_04_column_solver_vs_dense_kkt():
@@ -173,9 +177,9 @@ def test_criterion_04_column_solver_vs_dense_kkt():
                                              control_weight=cost.R[0])
         phi_x_ref, phi_u_ref = kkt_feedback(*dense_stacked_maps(A_list, B_list),
                                             Qd, Rd, m, n)
-        worst = max(worst,
-                    float(np.max(np.abs(resp.phi_u.dense - phi_u_ref))),
-                    float(np.max(np.abs(resp.phi_x.dense - phi_x_ref))))
+        phi_x, phi_u = closed_loop_maps(resp)
+        worst = max(worst, float(np.max(np.abs(phi_u - phi_u_ref))),
+                    float(np.max(np.abs(phi_x - phi_x_ref))))
     elapsed = time.perf_counter() - t0
     _verdict(4, "per-column solves equal the dense KKT solution",
              worst <= 1e-9 and elapsed < 5.0,

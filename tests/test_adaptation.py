@@ -31,6 +31,7 @@ from slsctrl import (
 )
 from slsctrl.isls import closed_loop_step
 
+from dense_views import dense_F_u, dense_F_x
 from oracles import (
     dense_esls,
     dense_gain_maps,
@@ -123,7 +124,7 @@ def test_unchanged_input_target_skips_the_input_pass(monkeypatch):
     st, cost = _random_instance(rng)
     cost.u_d = rng.normal(size=cost.u_d.size)
     maps = precompute_gain_maps(st, cost, None)
-    expected = maps.F_x @ cost.x_d + maps.F_u @ cost.u_d
+    expected = dense_F_x(maps) @ cost.x_d + dense_F_u(maps) @ cost.u_d
 
     def no_pass(*args):
         raise AssertionError("the feedforward-only pass ran for an unchanged u_d")
@@ -258,7 +259,8 @@ def test_unweighted_time_has_zero_column_strip():
     weighted = {t for t, _, _ in cost.viapoints}
     free = next(t for t in range(cost.horizon + 1) if t not in weighted)
     strip = slice(free * m, (free + 1) * m)
-    assert np.max(np.abs(maps.F_x[:, strip])) == 0.0
+    F_x = dense_F_x(maps)
+    assert np.max(np.abs(F_x[:, strip])) == 0.0
     x_d_new = cost.x_d.copy()
     x_d_new[strip] += 5.0  # moving an unweighted target is a no-op
     npt.assert_array_equal(adapt_feedforward(maps, x_d_new, cost.u_d),
@@ -271,7 +273,7 @@ def test_unweighted_time_has_zero_column_strip():
     x_d_new[strip_w] += dx
     delta = adapt_feedforward(maps, x_d_new, cost.u_d) \
         - adapt_feedforward(maps, cost.x_d, cost.u_d)
-    npt.assert_allclose(delta, maps.F_x[:, strip_w] @ dx, atol=1e-12)
+    npt.assert_allclose(delta, F_x[:, strip_w] @ dx, atol=1e-12)
 
 
 def test_goal_tracking_after_adaptation():

@@ -17,6 +17,7 @@ from slsctrl import (
     joint_limit_violation_jacobian,
 )
 
+from dense_views import dense_q
 from oracles import (
     dense_tracking_pieces,
     fd_gradient,
@@ -122,7 +123,7 @@ def test_correlation_with_existing_viapoint_matches_dense_oracle():
     Qd, bd, Rd, _ = dense_tracking_pieces(
         T, m, n, viapoints=[(2, g1, 2.0), (5, g2, np.diag([3.0, 0.5]))],
         correlations=[(2, 5, C, c, Q_c)], control_weight=0.7)
-    npt.assert_allclose(cost.assemble_dense_q(), Qd, atol=1e-12)
+    npt.assert_allclose(dense_q(cost), Qd, atol=1e-12)
     npt.assert_allclose(cost.linear_term, bd, atol=1e-12)
     # quadratic + linear parts agree, so costs of two trajectories differ
     # by the same amount under both assemblies
@@ -142,7 +143,7 @@ def test_mirrored_offdiagonal_storage():
     cost = CostSpec(4, m, 1)
     cost = add_correlation(cost, CorrelationSpec(1, 3, np.eye(m), np.zeros(m), np.eye(m)))
     npt.assert_allclose(cost.q_block(1, 3), cost.q_block(3, 1).T)
-    Q = cost.assemble_dense_q()
+    Q = dense_q(cost)
     npt.assert_allclose(Q, Q.T, atol=0)
 
 
@@ -213,7 +214,7 @@ def test_diagonal_projection_drops_cross_terms():
     npt.assert_allclose(proj.q_block(4, 4), np.eye(m))
     # the projected cost keeps the derived targets: Q x_d matches the
     # retained linear term blockwise
-    Qd = proj.assemble_dense_q()
+    Qd = dense_q(proj)
     npt.assert_allclose(Qd @ proj.x_d, proj.linear_term, atol=1e-10)
 
 
@@ -225,7 +226,7 @@ def test_refresh_targets_solves_linear_term():
                                state_dim=m, input_dim=1)
     cost = add_correlation(cost, CorrelationSpec(
         2, 5, rng.normal(size=(m, m)), rng.normal(size=m), np.eye(m)))
-    Q = cost.assemble_dense_q()
+    Q = dense_q(cost)
     npt.assert_allclose(Q @ cost.x_d, cost.linear_term, atol=1e-9)
 
 

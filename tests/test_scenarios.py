@@ -50,6 +50,7 @@ from slsctrl.scenarios import (
     write_maps_artifact,
 )
 
+from dense_views import dense_F_u, dense_F_x
 from oracles import riccati_regulator_value
 
 
@@ -141,6 +142,19 @@ def test_control_weight_must_be_positive_definite_unless_isls():
     assert Scenario.from_dict(config).control_weight[1, 1] == 0.0
 
 
+def test_plant_flags_must_be_booleans():
+    # a string or a number would otherwise be used by its truthiness
+    for name, key in [("mug_sugar", "exact_discretization"),
+                      ("pickplace_arm", "consistent_velocity")]:
+        for value in ["no", "false", 1, 0, None]:
+            config = load_scenario(bundled_scenario_path(name)).raw
+            config["plant"][key] = value
+            with pytest.raises(ValidationError, match=rf"plant\.{key}: expected true or false"):
+                Scenario.from_dict(config)
+        config["plant"][key] = False
+        Scenario.from_dict(config)
+
+
 def test_builders_read_the_parsed_scenario(monkeypatch):
     # from_dict is the only parse: with the number parser broken afterwards,
     # every builder still works on every bundled scenario
@@ -211,8 +225,8 @@ def test_controller_artifact_roundtrip(tmp_path):
     mpath = tmp_path / "maps.bin"
     write_maps_artifact(mpath, maps, cost)
     loaded_maps, x_d, u_d = load_maps_artifact(mpath)
-    npt.assert_array_equal(loaded_maps.F_x, maps.F_x)
-    npt.assert_array_equal(loaded_maps.F_u, maps.F_u)
+    npt.assert_array_equal(dense_F_x(loaded_maps), dense_F_x(maps))
+    npt.assert_array_equal(dense_F_u(loaded_maps), dense_F_u(maps))
     npt.assert_array_equal(x_d, cost.x_d)
     npt.assert_array_equal(u_d, cost.u_d)
     # the same feedforward, bit for bit, on random targets (moved u_d too)
@@ -469,10 +483,17 @@ def test_cli_rejects_invalid_scenario(tmp_path):
     first = conflicting["cost"]["viapoints"][0]
     conflicting["cost"]["viapoints"].append(
         dict(first, target=[v + 0.1 for v in first["target"]]))
+    # joint limits of the 3-link arm: not numbers, one entry short, crossed
+    limits = []
+    for key, value in [("theta_lower", "abc"), ("theta_lower", [1.0]),
+                       ("theta_upper", [-3.0, -3.0, -3.0])]:
+        arm = load_scenario(bundled_scenario_path("pickplace_arm")).raw
+        arm["plant"][key] = value
+        limits.append((arm, "plant.theta_lower"))
     for i, (config, field_path) in enumerate([
             (out_of_range, "cost.viapoints[0].t"),
             (zero_control, "cost.control_weight"),
-            (conflicting, "cost.viapoints[2].target")]):
+            (conflicting, "cost.viapoints[2].target"), *limits]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(config))
         proc = _cli("solve", "--scenario", str(bad), "--out", str(tmp_path))

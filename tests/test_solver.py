@@ -29,6 +29,13 @@ from slsctrl import (
     solve_esls,
 )
 
+from dense_views import (
+    achievability_residual,
+    closed_loop_maps,
+    dense_F_u,
+    dense_F_x,
+    feedforward_residual,
+)
 from oracles import (
     dense_esls,
     dense_gain_maps,
@@ -68,8 +75,9 @@ def test_one_step_scalar_closed_form():
     st = build_stacked(sys1)
     cost = _regulator_cost(1, 1, 1)
     resp = solve_esls(st, cost)
-    npt.assert_allclose(resp.phi_u.dense[:, 0], [-0.5, 0.0], atol=1e-12)
-    npt.assert_allclose(resp.phi_x.dense[:, 0], [1.0, 0.5], atol=1e-12)
+    phi_x, phi_u = closed_loop_maps(resp)
+    npt.assert_allclose(phi_u[:, 0], [-0.5, 0.0], atol=1e-12)
+    npt.assert_allclose(phi_x[:, 0], [1.0, 0.5], atol=1e-12)
     ctrl = extract_controller(resp)
     npt.assert_allclose(ctrl.K.dense[:1, :1], [[-0.5]], atol=1e-12)
     gains = riccati_regulator_gains(np.array([[1.0]]), np.array([[1.0]]),
@@ -83,10 +91,10 @@ def test_zero_state_cost_gives_open_loop():
     system = TimeVaryingLinearSystem.constant(
         rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T)
     cost = build_viapoint_cost(T, [], 1.0, state_dim=m, input_dim=n)
-    resp = solve_esls(build_stacked(system), cost)
-    assert np.max(np.abs(resp.phi_u.dense)) < 1e-12
+    phi_x, phi_u = closed_loop_maps(solve_esls(build_stacked(system), cost))
+    assert np.max(np.abs(phi_u)) < 1e-12
     S_x, _ = dense_stacked_maps(system.A, system.B)
-    npt.assert_allclose(resp.phi_x.dense, S_x, atol=1e-12)
+    npt.assert_allclose(phi_x, S_x, atol=1e-12)
 
 
 def test_columns_match_dense_kkt_oracle():
@@ -105,11 +113,12 @@ def test_columns_match_dense_kkt_oracle():
                                              control_weight=cost.R[0])
         phi_x_ref, phi_u_ref = kkt_feedback(*dense_stacked_maps(A_list, B_list),
                                             Qd, Rd, m, n)
-        npt.assert_allclose(resp.phi_u.dense, phi_u_ref, atol=1e-9)
-        npt.assert_allclose(resp.phi_x.dense, phi_x_ref, atol=1e-9)
-        res = resp.residuals(st)
-        assert res["achievability"] <= 1e-10
-        assert res["feedforward"] <= 1e-10
+        phi_x, phi_u = closed_loop_maps(resp)
+        npt.assert_allclose(phi_u, phi_u_ref, atol=1e-9)
+        npt.assert_allclose(phi_x, phi_x_ref, atol=1e-9)
+        assert achievability_residual(st.system, phi_x, phi_u) <= 1e-10
+        assert feedforward_residual(st.system, resp.d_x, resp.d_u) <= 1e-10
+        assert max(resp.residuals(st).values()) <= 1e-10
 
 
 def test_single_column_solver_agrees_with_full_solve():
@@ -118,12 +127,12 @@ def test_single_column_solver_agrees_with_full_solve():
     st = build_stacked(TimeVaryingLinearSystem.constant(
         rng.normal(size=(m, m)) * 0.4, rng.normal(size=(m, n)), T))
     cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
-    resp = solve_esls(st, cost)
+    phi_x, phi_u = closed_loop_maps(solve_esls(st, cost))
     for col in (0, 3, T):
         phi_x_col, phi_u_col = solve_sls_column(st, cost, col)
         sl = slice(col * m, (col + 1) * m)
-        npt.assert_allclose(phi_u_col, resp.phi_u.dense[:, sl], atol=1e-10)
-        npt.assert_allclose(phi_x_col, resp.phi_x.dense[:, sl], atol=1e-10)
+        npt.assert_allclose(phi_u_col, phi_u[:, sl], atol=1e-10)
+        npt.assert_allclose(phi_x_col, phi_x[:, sl], atol=1e-10)
 
 
 def test_regulator_has_zero_feedforward():
@@ -149,8 +158,8 @@ def test_feedback_factorization_and_nominal_rollout():
     resp = solve_esls(st, cost)
     ctrl = extract_controller(resp)
     # phi_u = K phi_x by construction of the extraction
-    npt.assert_allclose(ctrl.K.dense @ resp.phi_x.dense, resp.phi_u.dense,
-                        atol=1e-8)
+    phi_x, phi_u = closed_loop_maps(resp)
+    npt.assert_allclose(ctrl.K.dense @ phi_x, phi_u, atol=1e-8)
     # zero disturbances: the closed loop reproduces the feedforward plan
     traj = rollout(LinearPlant(A, B), ctrl, w=np.zeros((T + 1) * m))
     npt.assert_allclose(traj.stacked_states, resp.d_x, atol=1e-10)
@@ -251,7 +260,7 @@ def test_solution_independent_of_noise_scale():
                                          control_weight=cost.R[0])
     phi_x_ref, phi_u_ref = kkt_feedback(*dense_stacked_maps(system.A, system.B),
                                         Qd, Rd, m, n)
-    npt.assert_allclose(resp.phi_u.dense, phi_u_ref, atol=1e-9)
+    npt.assert_allclose(closed_loop_maps(resp)[1], phi_u_ref, atol=1e-9)
 
 
 def _assert_rel(actual, expected, rtol):
@@ -304,10 +313,11 @@ def test_recursion_matches_dense_oracle():
         Qd, bd, Rd, _ = dense_tracking_pieces(T, m, n, vps, corrs, control_weight=cw)
         phi_x, phi_u, d_x, d_u, K, k = dense_esls(S_x, S_u, Qd, Rd, bd, cost.u_d, m, n)
         F_x, F_u = dense_gain_maps(S_u, Qd, Rd, K)
-        for actual, expected in [(resp.phi_x.dense, phi_x), (resp.phi_u.dense, phi_u),
+        resp_phi_x, resp_phi_u = closed_loop_maps(resp)
+        for actual, expected in [(resp_phi_x, phi_x), (resp_phi_u, phi_u),
                                  (resp.d_x, d_x), (resp.d_u, d_u),
                                  (ctrl.K.dense, K), (ctrl.k, k),
-                                 (maps.F_x, F_x), (maps.F_u, F_u)]:
+                                 (dense_F_x(maps), F_x), (dense_F_u(maps), F_u)]:
             _assert_rel(actual, expected, 1e-9)
         # correlations that share t1 share one held state
         assert max(len(h) for h in resp.held) == max(
@@ -375,29 +385,62 @@ def test_stationarity_residual_detects_scaled_feedforward():
     wrong = scaled.residuals(st)
     # the scaled plan is still a trajectory of the dynamics, so only
     # stationarity can tell it from the optimum
-    assert wrong["feedforward"] <= 1e-12
+    assert feedforward_residual(st.system, scaled.d_x, scaled.d_u) <= 1e-12
     assert genuine["stationarity"] <= 1e-11
     assert wrong["stationarity"] >= 1e-7
 
 
+def _long_request(seed, T=400):
+    # a 3-D double integrator at T=400 with three viapoints and two
+    # correlations, the shape of the benchmark's long-horizon requests
+    rng = np.random.default_rng(seed)
+    d, m = 3, 6
+    w = np.diag(np.r_[1e4 * np.ones(d), 1e2 * np.ones(d)])
+    vps = [(t, np.r_[rng.uniform(-0.5, 0.5, d), np.zeros(d)], w)
+           for t in (*sorted(rng.choice(np.arange(20, T), 2, replace=False)), T)]
+    cost = build_viapoint_cost(T, vps, 1e-2, state_dim=m, input_dim=d)
+    for _ in range(2):
+        t1, t2 = sorted(rng.choice(np.arange(10, T + 1), 2, replace=False))
+        cost = add_correlation(cost, CorrelationSpec(
+            int(t1), int(t2), np.eye(m), np.r_[rng.uniform(-0.1, 0.1, d), np.zeros(d)],
+            np.diag(np.r_[1e4 * np.ones(d), np.zeros(d)])))
+    st = build_stacked(linear_system_from_plant(double_integrator_plant(d, 0.01), T))
+    return st, solve_esls(st, cost)
+
+
 def test_residuals_allocate_no_dense_temporaries():
-    # phi_x and phi_u are propagated into one array each; no N x N
-    # closed-loop matrix or identity right-hand side is ever built
-    rng = np.random.default_rng(11)
-    T, m, n = 200, 4, 2
-    st = build_stacked(TimeVaryingLinearSystem.constant(
-        0.9 * np.eye(m) + 0.05 * rng.normal(size=(m, m)), rng.normal(size=(m, n)), T))
-    cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
-    resp = solve_esls(st, cost)
+    # both checks are O(T) passes: no closed-loop map or stacked operator
+    # is built (the dense phi maps alone take 69 MB here)
+    st, resp = _long_request(11)
     tracemalloc.start()
     try:
         res = resp.residuals(st)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    maps = resp.phi_x.dense.nbytes + resp.phi_u.dense.nbytes
-    assert peak <= maps + resp.phi_x.dense.nbytes // 2
+    assert peak < 2e6
+    assert set(res) == {"stationarity", "gain_stationarity"}
     assert max(res.values()) <= 1e-10
+
+
+def test_gain_stationarity_detects_perturbed_gains():
+    # the plan is untouched, so stationarity cannot see a wrong gain.  On
+    # eight seeded requests genuine solves read 1e-15 to 7e-13, a zeroed
+    # memory block 4e-5 to 0.8, and one step's gain block scaled by 1 + 1e-6
+    # 1.4e-10 to 1.2e-7
+    for seed in (12, 13):
+        st, resp = _long_request(seed)
+        assert resp.gain_stationarity() <= 1e-12
+        m = st.state_dim
+        memory = [t for t, h in enumerate(resp.held) if h]
+        t = memory[len(memory) // 2]
+        for block, factor, floor in [(slice(m, 2 * m), 0.0, 1e-5),
+                                     (slice(None), 1 + 1e-6, 1e-11)]:
+            gains = [g.copy() for g in resp.gains]
+            gains[t][:, block] *= factor
+            wrong = dataclasses.replace(resp, gains=gains)
+            assert wrong.stationarity() == resp.stationarity()
+            assert wrong.gain_stationarity() >= floor
 
 
 def test_controller_keeps_nonzero_blocks_of_dense_gain():
