@@ -4,10 +4,12 @@ The synthesized feedback gains depend on the weights (Q, R) and the dynamics
 but not on where the targets sit.  The feedforward k of the synthesis
 recursion is linear in the linear term Q x_d and the input target u_d, so
 k = F_x x_d + F_u u_d.  x_d enters only through Q x_d, so F_x is zero
-outside the block columns of the few timesteps Q touches; those columns,
-and F_u applied to the synthesis input target u_d0, come from one pass of
-the recursion with one right-hand side each.  :class:`AdaptationMaps` keeps
-just that: O(T) per touched timestep, and no dense F_x or F_u.
+outside the block columns of the few timesteps Q touches.  Those columns,
+and F_u applied to the synthesis input target u_d0, come from the
+controller's own gains and inverse step Hessians plus one feedforward-only
+backward pass with one right-hand side each: no second Riccati recursion
+and no factorization.  :class:`AdaptationMaps` keeps just that: O(T) per
+touched timestep, and no dense F_x or F_u.
 
 An edit of x_d then costs one gather and one matrix-vector product.  An
 edit that also moves u_d away from u_d0 adds one feedforward-only backward
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import feedforward_pass, riccati_gains
+from .solver import feedforward_pass, held_states
 
 
 @dataclass
@@ -65,11 +67,16 @@ class AdaptationMaps:
         return self.A.shape[0] * self.A.shape[1]
 
     def feedforward(self, x_d, u_d):
+        """k for targets (x_d, u_d); ValueError on a wrong size or a non-finite entry."""
         x_d = np.asarray(x_d, float).reshape(-1)
         u_d = np.asarray(u_d, float).reshape(-1)
         if x_d.size != self.state_size or u_d.size != self.input_size:
             raise ValueError(f"targets must have sizes ({self.state_size}, "
                              f"{self.input_size}), got ({x_d.size}, {u_d.size})")
+        for name, v, dim in (("x_d", x_d, self.A.shape[1]), ("u_d", u_d, self.R.shape[1])):
+            finite = np.isfinite(v)
+            if not finite.all():
+                raise ValueError(f"{name} is non-finite at step {int(np.argmin(finite)) // dim}")
         k = self.F_x_blocks @ x_d[self._x_idx] + self.k_u0
         du = u_d - self.u_d0
         if du.any():
@@ -82,18 +89,26 @@ class AdaptationMaps:
 def precompute_gain_maps(stacked, cost, controller):
     """Assemble the target-to-feedforward maps of a synthesized controller.
 
-    ``cost`` supplies the weights (Q, R); the maps stay valid for any edit
-    that moves targets while keeping weights, correlations' C and Q_c, and
-    the dynamics fixed.  Only the blocks A_t, B_t of ``stacked`` are read.
-    ``controller`` is not read: the maps follow from the weights and the
-    dynamics alone.
+    ``controller`` must be the one :func:`~slsctrl.solver.extract_controller`
+    or :func:`~slsctrl.isls.isls_optimize` returned for this
+    ``(stacked, cost)``: the maps read and share its held states, gains and
+    inverse step Hessians.  ``cost`` supplies Q, R and the input target;
+    the maps stay valid for any edit that moves targets while keeping
+    weights, correlations' C and Q_c, and the dynamics fixed.  Only the
+    blocks A_t, B_t of ``stacked`` are read.
 
     Block column j of F_x is the feedforward for the linear term Q[:, j],
-    and is zero at timesteps Q does not touch.  One pass of the synthesis
-    recursion carries those columns plus one for ``cost.u_d``.
+    and is zero at timesteps Q does not touch.  One feedforward-only pass
+    with the controller's gains carries those columns plus one for
+    ``cost.u_d``.  Raises ValueError when the controller is None, carries
+    no inverse step Hessians (built from a dense K or read from an
+    artifact), or differs from the cost in horizon, sizes or held states.
     """
     system = stacked.system
     T, m, n = system.horizon, system.state_dim, system.input_dim
+    if (cost.horizon, cost.state_dim, cost.input_dim) != (T, m, n):
+        raise ValueError("cost dimensions do not match the system")
+    _check_controller(controller, cost)
     touched = sorted({j for (_, j) in cost.Q})
     col = {j: a * m for a, j in enumerate(touched)}
     c = len(touched) * m + 1
@@ -102,13 +117,38 @@ def precompute_gain_maps(stacked, cost, controller):
         b[i, :, col[j]:col[j] + m] = blk
     u_d = np.zeros((T + 1, n, c))
     u_d[..., -1] = cost.u_d.reshape(T + 1, n)
-    held, gains, k, hinv = riccati_gains(system, cost, b, u_d)
-    k = k.reshape((T + 1) * n, c)
+    for name, cols in (("Q", b), ("u_d", u_d)):
+        bad = ~np.isfinite(cols.reshape(T + 1, -1)).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite {name} at t={int(np.argmax(bad))}")
+    A, B = np.array(system.A), np.array(system.B)
+    held, gains, hinv = controller.held, controller.gains, controller.hessian_inv
+    k = feedforward_pass(A, B, cost.R, held, gains, hinv, u_d, b).reshape((T + 1) * n, c)
     return AdaptationMaps(touched=np.array(touched, dtype=int),
                           F_x_blocks=np.ascontiguousarray(k[:, :-1]),
                           u_d0=cost.u_d.copy(), k_u0=k[:, -1].copy(),
-                          A=np.array(system.A), B=np.array(system.B), R=cost.R.copy(),
-                          held=held, gains=gains, hessian_inv=hinv)
+                          A=A, B=B, R=cost.R.copy(), held=held, gains=gains,
+                          hessian_inv=hinv)
+
+
+def _check_controller(controller, cost):
+    """ValueError unless ``controller`` carries the gains the recursion gives for ``cost``."""
+    if controller is None:
+        raise ValueError("precompute_gain_maps needs the synthesized controller, got None")
+    if getattr(controller, "hessian_inv", None) is None:
+        raise ValueError("the controller carries no inverse step Hessians (it was built "
+                         "from a dense K or read from an artifact); pass the one "
+                         "extract_controller or isls_optimize returned")
+    dims = (cost.horizon, cost.state_dim, cost.input_dim)
+    got = (controller.horizon, controller.state_dim, controller.input_dim)
+    if got != dims:
+        raise ValueError(f"controller horizon and state/input sizes {got} differ from "
+                         f"the cost's {dims}")
+    held = held_states(cost)
+    if list(controller.held) != held:
+        t = next(t for t, (a, b) in enumerate(zip(controller.held, held)) if a != b)
+        raise ValueError(f"controller holds timesteps {controller.held[t]} at t={t}, "
+                         f"the cost's correlations need {held[t]}")
 
 
 def adapt_feedforward(maps, x_d_new, u_d_new):

@@ -291,7 +291,10 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         final nominal trajectory; its feedback maps deviations from that
         nominal to input corrections, and the stored feedforward is the last
         subproblem's unscaled step (its size measures stationarity: at a
-        local optimum the quadratic subproblem proposes no move).
+        local optimum the quadratic subproblem proposes no move).  It
+        carries that subproblem's gains and inverse step Hessians, so
+        :func:`slsctrl.adaptation.precompute_gain_maps` takes it with the
+        subproblem ``objective.quadratize`` gives at the final nominal.
     """
     cfg = config or IslsConfig()
     T, m, n = objective.horizon, objective.state_dim, objective.input_dim
@@ -349,7 +352,8 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         pending_tol = delta <= cfg.tolerance * max(1.0, abs(cost_value))
 
     controller = Controller.from_gains(ctrl.held, ctrl.gains, ctrl.k,
-                                       nominal_x=x_hat, nominal_u=u_hat)
+                                       nominal_x=x_hat, nominal_u=u_hat,
+                                       hessian_inv=ctrl.hessian_inv)
     stationarity = float(np.max(np.abs(controller.k)))
     # a stall only shows that no scale of the step improves the cost; it
     # counts as convergence when the step itself is within the bound

@@ -42,13 +42,15 @@ class SystemResponse:
     """Per-step gains of the synthesized policy and its deterministic plan.
 
     The policy is u_t = gains[t] z_t + k[t] with z_t = [x_t; x_s for s in
-    held[t]].
+    held[t]].  ``hessian_inv`` holds the recursion's inverse step Hessians,
+    which :func:`feedforward_pass` needs to carry other right-hand sides.
     """
 
     system: TimeVaryingLinearSystem
     cost: CostSpec
     held: list        # per step, the sorted held timesteps
     gains: list       # per step, (n, m (1 + len(held[t])))
+    hessian_inv: np.ndarray  # (T+1, n, n), (R_t + B_t'P B_t)^{-1}
     k: np.ndarray     # (T+1, n)
     d_x: np.ndarray
     d_u: np.ndarray
@@ -116,6 +118,11 @@ class Controller:
     takes them directly.  Without a nominal the law acts on absolute states;
     the iterative solver wraps it around a nominal trajectory.
 
+    ``hessian_inv`` (T+1, n, n) holds the inverse step Hessians of the
+    recursion that produced the gains, shared with the synthesis, so the
+    retarget maps need no second recursion.  It is None for a controller
+    built from a dense K or read from an artifact.
+
     ``k`` is the one mutable piece: :meth:`swap_feedforward` replaces the
     whole vector by reference, so a concurrent reader that captured the
     attribute sees either the old or the new feedforward, never a mixture.
@@ -129,16 +136,16 @@ class Controller:
         nonzero = blocks.any(axis=(2, 3))
         held = [tuple(np.flatnonzero(nonzero[t, :t]).tolist()) for t in range(T1)]
         gains = [np.hstack([blocks[t, s] for s in (t, *held[t])]) for t in range(T1)]
-        self._set_steps(held, gains, k, nominal_x, nominal_u)
+        self._set_steps(held, gains, k, nominal_x, nominal_u, None)
 
     @classmethod
-    def from_gains(cls, held, gains, k, nominal_x=None, nominal_u=None):
+    def from_gains(cls, held, gains, k, nominal_x=None, nominal_u=None, hessian_inv=None):
         """Controller on per-step held timesteps and gain blocks, shared, not copied."""
         ctrl = cls.__new__(cls)
-        ctrl._set_steps(held, gains, k, nominal_x, nominal_u)
+        ctrl._set_steps(held, gains, k, nominal_x, nominal_u, hessian_inv)
         return ctrl
 
-    def _set_steps(self, held, gains, k, nominal_x, nominal_u):
+    def _set_steps(self, held, gains, k, nominal_x, nominal_u, hessian_inv):
         n, m = gains[0].shape[0], gains[0].shape[1] // (1 + len(held[0]))
         self.held, self.gains, self.horizon = held, gains, len(gains) - 1
         self.input_dim, self.state_dim = n, m
@@ -146,6 +153,10 @@ class Controller:
             if g.shape != (n, m * (1 + len(h))) or not np.isfinite(g).all():
                 raise ValueError(f"gain block at t={t} must be finite, shape "
                                  f"{(n, m * (1 + len(h)))}")
+        if hessian_inv is not None and np.shape(hessian_inv) != (len(gains), n, n):
+            raise ValueError(f"hessian_inv must have shape {(len(gains), n, n)}, "
+                             f"got {np.shape(hessian_inv)}")
+        self.hessian_inv = hessian_inv
         self._idx = _history_indices(held, m)   # one gather per step
         self.k = _checked_vector("k", k, len(gains) * n)
         if (nominal_x is None) != (nominal_u is None):
@@ -233,12 +244,6 @@ def _history_indices(held, m):
     return idx
 
 
-def own_columns(cost):
-    """The cost's linear term and input target as one right-hand-side column."""
-    T1 = cost.horizon + 1
-    return cost.linear_term.reshape(T1, -1, 1), cost.u_d.reshape(T1, -1, 1)
-
-
 def _held_shift(held, t, m):
     """Selection S with z_{t+1} = diag(A_t, I) S z_t + [B_t; 0] u_t, or None if S = I.
 
@@ -276,21 +281,22 @@ def _feedforward_step(A, B, hinv, gain, S, p, Ru, b=None):
     return hinv @ g, p
 
 
-def riccati_gains(system, cost, b, u_d):
+def riccati_gains(system, cost):
     """Backward recursion over the held-state augmentation (see module notes).
 
-    ``b`` (T+1, m, c) and ``u_d`` (T+1, n, c) are c columns of right-hand
-    sides: linear terms and input targets that share the weights of
-    ``cost``.  Returns (held, gains, k, hinv) of the optimal policies
-    u_t = gains[t] z_t + k[t], one feedforward column per right-hand side,
-    k of shape (T+1, n, c), and the inverse step Hessians hinv (T+1, n, n)
-    that :func:`feedforward_pass` reuses.  Raises ValueError on mismatched
-    or non-finite data and on a step Hessian that is not positive definite.
+    Returns (held, gains, k, hinv) of the optimal policy
+    u_t = gains[t] z_t + k[t] for the cost's own linear term and input
+    target, k of shape (T+1, n), and the inverse step Hessians hinv
+    (T+1, n, n) with which :func:`feedforward_pass` carries any other
+    right-hand side.  Raises ValueError on mismatched or non-finite data and
+    on a step Hessian that is not positive definite.
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
     if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
         raise ValueError("cost dimensions do not match the system")
-    c = b.shape[2]
+    # one right-hand-side column, kept 2-D so every product is the one a
+    # multi-column feedforward_pass makes
+    b, u_d = cost.linear_term.reshape(T + 1, m, 1), cost.u_d.reshape(T + 1, n, 1)
     for name, blocks in [("A_t", np.asarray(system.A)), ("B_t", np.asarray(system.B)),
                          ("R_t", cost.R), ("linear term", b), ("u_d", u_d)]:
         bad = ~np.isfinite(blocks.reshape(T + 1, -1)).all(axis=1)
@@ -300,9 +306,9 @@ def riccati_gains(system, cost, b, u_d):
         if not np.isfinite(blk).all():
             raise ValueError(f"non-finite Q block ({i}, {j})")
     held = held_states(cost)
-    gains, hinv, k = [None] * (T + 1), np.empty((T + 1, n, n)), np.empty((T + 1, n, c))
+    gains, hinv, k = [None] * (T + 1), np.empty((T + 1, n, n)), np.empty((T + 1, n, 1))
     # cost-to-go of z_{t+1} as z'Pz - 2p'z; nothing follows step T
-    P, p, Ru = np.zeros((m, m)), np.zeros((m, c)), cost.R @ u_d
+    P, p, Ru = np.zeros((m, m)), np.zeros((m, 1)), cost.R @ u_d
     for t in range(T, -1, -1):
         A, B, S = system.A[t], system.B[t], _held_shift(held, t, m)
         # z_{t+1} = D S z_t + [B_t; 0] u_t with D = diag(A_t, I)
@@ -330,20 +336,22 @@ def riccati_gains(system, cost, b, u_d):
                     P[:m, a * m:(a + 1) * m] += Q.T
         P = (P + P.T) / 2
         k[t], p = _feedforward_step(A, B, hinv[t], gains[t], S, p, Ru[t], b[t])
-    return held, gains, k, hinv
+    return held, gains, k[..., 0], hinv
 
 
-def feedforward_pass(A, B, R, held, gains, hinv, u_d):
-    """Feedforward columns (T+1, n, c) for input targets u_d (T+1, n, c), zero linear terms.
+def feedforward_pass(A, B, R, held, gains, hinv, u_d, b=None):
+    """Feedforward columns (T+1, n, c) for input targets u_d (T+1, n, c) and linear terms b.
 
-    The gains and inverse step Hessians of :func:`riccati_gains` stay fixed,
-    so each column costs O(T) small products and no factorization.
+    ``b`` (T+1, m, c) holds the linear-term columns, zero when None.  The
+    gains and inverse step Hessians of :func:`riccati_gains` stay fixed, so
+    each column costs O(T) small products and no factorization, in the
+    order the recursion itself makes them.
     """
     T1, m, c = len(gains), A[0].shape[0], u_d.shape[2]
     k, p, Ru = np.empty((T1, gains[0].shape[0], c)), np.zeros((m, c)), R @ u_d
     for t in range(T1 - 1, -1, -1):
-        k[t], p = _feedforward_step(A[t], B[t], hinv[t], gains[t],
-                                    _held_shift(held, t, m), p, Ru[t])
+        k[t], p = _feedforward_step(A[t], B[t], hinv[t], gains[t], _held_shift(held, t, m),
+                                    p, Ru[t], None if b is None else b[t])
     return k
 
 
@@ -359,11 +367,10 @@ def solve_esls(stacked, cost):
     positive definite (the message names the step).
     """
     system = stacked.system
-    held, gains, k, _ = riccati_gains(system, cost, *own_columns(cost))
-    k = k[..., 0]
+    held, gains, k, hinv = riccati_gains(system, cost)
     xs, us = _run_policy(system, held, gains, k, np.zeros(system.state_dim))
-    return SystemResponse(system=system, cost=cost, held=held, gains=gains, k=k,
-                          d_x=xs.ravel(), d_u=us.ravel())
+    return SystemResponse(system=system, cost=cost, held=held, gains=gains, hessian_inv=hinv,
+                          k=k, d_x=xs.ravel(), d_u=us.ravel())
 
 
 def _run_policy(system, held, gains, k, x0):
@@ -385,8 +392,10 @@ def _run_policy(system, held, gains, k, x0):
 
 
 def extract_controller(response):
-    """The realizable feedback form of a response, sharing its held states and gains.
+    """The realizable feedback form of a response, sharing its held states, gains
+    and inverse step Hessians.
 
     This is K = phi_u phi_x^{-1} and k = d_u - K d_x of the map parameterization.
     """
-    return Controller.from_gains(response.held, response.gains, response.k.ravel())
+    return Controller.from_gains(response.held, response.gains, response.k.ravel(),
+                                 hessian_inv=response.hessian_inv)

@@ -6,8 +6,12 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 
+import pytest
+
 import slsctrl.adaptation
+import slsctrl.solver
 from slsctrl import (
+    Controller,
     CorrelationSpec,
     IslsConfig,
     LinearPlant,
@@ -18,18 +22,26 @@ from slsctrl import (
     adapt_feedforward,
     add_correlation,
     build_stacked,
+    build_cost,
+    build_plant,
     build_viapoint_cost,
+    bundled_scenario_path,
     double_integrator_plant,
+    dp_lqt,
     extract_controller,
     isls_optimize,
     linear_system_from_plant,
     linearize_plant,
+    load_controller_artifact,
+    load_scenario,
     planar_arm_plant,
     precompute_gain_maps,
     rollout,
     solve_esls,
+    write_controller_artifact,
 )
 from slsctrl.isls import closed_loop_step
+from slsctrl.solver import _held_shift, held_states
 
 from dense_views import dense_F_u, dense_F_x
 from oracles import (
@@ -123,7 +135,7 @@ def test_unchanged_input_target_skips_the_input_pass(monkeypatch):
     rng = np.random.default_rng(10)
     st, cost = _random_instance(rng)
     cost.u_d = rng.normal(size=cost.u_d.size)
-    maps = precompute_gain_maps(st, cost, None)
+    maps = precompute_gain_maps(st, cost, extract_controller(solve_esls(st, cost)))
     expected = dense_F_x(maps) @ cost.x_d + dense_F_u(maps) @ cost.u_d
 
     def no_pass(*args):
@@ -131,6 +143,154 @@ def test_unchanged_input_target_skips_the_input_pass(monkeypatch):
 
     monkeypatch.setattr(slsctrl.adaptation, "feedforward_pass", no_pass)
     npt.assert_allclose(maps.feedforward(cost.x_d, cost.u_d.copy()), expected, atol=1e-9)
+
+
+def test_precompute_runs_no_second_recursion(monkeypatch):
+    # the maps come from the controller's own gains: no Riccati pass runs,
+    # and the maps share the gains and inverse step Hessians
+    rng = np.random.default_rng(12)
+    st, cost = _random_instance(rng)
+    resp = solve_esls(st, cost)
+    ctrl = extract_controller(resp)
+
+    def no_recursion(*args):
+        raise AssertionError("precompute_gain_maps ran a second Riccati recursion")
+
+    monkeypatch.setattr(slsctrl.solver, "riccati_gains", no_recursion)
+    monkeypatch.setattr(slsctrl.adaptation, "riccati_gains", no_recursion, raising=False)
+    maps = precompute_gain_maps(st, cost, ctrl)
+    assert ctrl.hessian_inv is resp.hessian_inv
+    assert maps.gains is ctrl.gains and maps.hessian_inv is ctrl.hessian_inv
+    npt.assert_allclose(maps.feedforward(cost.x_d, cost.u_d), ctrl.k, atol=1e-9)
+
+
+def _map_columns(cost):
+    """The (b, u_d) right-hand-side columns of the maps: Q's block columns, then u_d."""
+    T1, m, n = cost.horizon + 1, cost.state_dim, cost.input_dim
+    touched = sorted({j for (_, j) in cost.Q})
+    b = np.zeros((T1, m, len(touched) * m + 1))
+    for (i, j), blk in cost.Q.items():
+        a = touched.index(j) * m
+        b[i, :, a:a + m] = blk
+    u_d = np.zeros((T1, n, b.shape[2]))
+    u_d[..., -1] = cost.u_d.reshape(T1, n)
+    return b, u_d
+
+
+def _second_recursion(system, cost, b, u_d):
+    """Feedforward columns of a whole held-state Riccati pass over (b, u_d).
+
+    The gains are recomputed from A, B, Q and R, step by step in the
+    package's order of operations, so its columns are what a second
+    recursion over the maps' right-hand sides would give.
+    """
+    T, m, n = system.horizon, system.state_dim, system.input_dim
+    held = held_states(cost)
+    k = np.empty((T + 1, n, b.shape[2]))
+    P, p, Ru = np.zeros((m, m)), np.zeros((m, b.shape[2])), cost.R @ u_d
+    for t in range(T, -1, -1):
+        A, B, S = system.A[t], system.B[t], _held_shift(held, t, m)
+        PD = P.copy()
+        PD[:, :m] = P[:, :m] @ A
+        Huz = B.T @ PD[:m]
+        PD[:m] = A.T @ PD[:m]
+        if S is not None:
+            Huz, PD = Huz @ S, S.T @ PD @ S
+        L_inv = np.linalg.inv(np.linalg.cholesky(cost.R[t] + B.T @ P[:m, :m] @ B))
+        hinv = L_inv.T @ L_inv
+        gain = -hinv @ Huz
+        P = PD + Huz.T @ gain
+        for a, s in enumerate((t, *held[t])):
+            Q = cost.Q.get((s, t))
+            if Q is not None:
+                P[a * m:(a + 1) * m, :m] += Q
+                if a:
+                    P[:m, a * m:(a + 1) * m] += Q.T
+        P = (P + P.T) / 2
+        g = Ru[t] + B.T @ p[:m]
+        Dp = p.copy()
+        Dp[:m] = A.T @ p[:m]
+        if S is not None:
+            Dp = S.T @ Dp
+        p = Dp + gain.T @ g
+        p[:m] += b[t]
+        k[t] = hinv @ g
+    return k
+
+
+def test_maps_equal_a_second_recursion_bit_for_bit():
+    # time-varying dynamics, 0-3 correlations (some sharing t1), random u_d
+    rng = np.random.default_rng(13)
+    T, m, n = 14, 3, 2
+    for trial in range(8):
+        A_list = [np.eye(m) + 0.3 * rng.normal(size=(m, m)) for _ in range(T + 1)]
+        B_list = [rng.normal(size=(m, n)) for _ in range(T + 1)]
+        times = sorted(rng.choice(np.arange(1, T), size=2, replace=False).tolist()) + [T]
+        vps = [(int(t), rng.normal(size=m), float(rng.uniform(0.5, 5.0))) for t in times]
+        cost = build_viapoint_cost(T, vps, float(rng.uniform(0.1, 1.0)),
+                                   state_dim=m, input_dim=n)
+        for _ in range(trial % 4):
+            t1, t2 = sorted(rng.choice(np.arange(T + 1), size=2, replace=False).tolist())
+            cost = add_correlation(cost, CorrelationSpec(
+                int(t1), int(t2), rng.normal(size=(m, m)), rng.normal(size=m),
+                float(rng.uniform(0.5, 3.0)) * np.eye(m)))
+        cost.u_d = rng.normal(size=(T + 1) * n)
+        st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+        maps = precompute_gain_maps(st, cost, extract_controller(solve_esls(st, cost)))
+
+        k = _second_recursion(st.system, cost, *_map_columns(cost)).reshape((T + 1) * n, -1)
+        npt.assert_array_equal(maps.F_x_blocks, k[:, :-1])
+        npt.assert_array_equal(maps.k_u0, k[:, -1])
+        if trial % 4 == 0:   # no held states: the memoryless tracker carries the same gains
+            dp = precompute_gain_maps(st, cost, dp_lqt(st.system, cost))
+            npt.assert_array_equal(dp.F_x_blocks, maps.F_x_blocks)
+
+
+def test_precompute_rejects_a_controller_without_the_gains(tmp_path):
+    rng = np.random.default_rng(14)
+    st, cost = _random_instance(rng)
+    ctrl = extract_controller(solve_esls(st, cost))
+    path = tmp_path / "controller.bin"
+    write_controller_artifact(path, ctrl)
+
+    st_nc, cost_nc = _random_instance(np.random.default_rng(14), with_correlation=False)
+    st_long, cost_long = _random_instance(rng, T=9)
+    st_wide, cost_wide = _random_instance(rng, n=2)
+    cases = [(None, st, cost, "got None"),
+             (Controller(ctrl.K, ctrl.k), st, cost, "no inverse step Hessians"),
+             (load_controller_artifact(path), st, cost, "no inverse step Hessians"),
+             (extract_controller(solve_esls(st_nc, cost_nc)), st, cost, r"holds timesteps \(\) at t=2"),
+             (ctrl, st_long, cost_long, "horizon"),
+             (ctrl, st_wide, cost_wide, "state/input sizes")]
+    for controller, stacked, c, match in cases:
+        with pytest.raises(ValueError, match=match):
+            precompute_gain_maps(stacked, c, controller)
+
+
+def _mug_maps():
+    scenario = load_scenario(bundled_scenario_path("mug_sugar"))
+    cost = build_cost(scenario)
+    st = build_stacked(linear_system_from_plant(build_plant(scenario), scenario.horizon))
+    return precompute_gain_maps(st, cost, extract_controller(solve_esls(st, cost))), cost
+
+
+def test_non_finite_state_target_is_rejected_at_an_untouched_step():
+    maps, cost = _mug_maps()
+    m = cost.state_dim
+    free = next(t for t in range(cost.horizon + 1) if t not in set(maps.touched.tolist()))
+    x_d = cost.x_d.copy()
+    x_d[free * m + 1] = np.nan
+    with pytest.raises(ValueError, match=f"x_d is non-finite at step {free}$"):
+        maps.feedforward(x_d, cost.u_d)
+
+
+def test_infinite_input_target_is_rejected():
+    maps, cost = _mug_maps()
+    n = cost.input_dim
+    u_d = cost.u_d.copy()
+    u_d[7 * n] = np.inf
+    with pytest.raises(ValueError, match="u_d is non-finite at step 7$"):
+        maps.feedforward(cost.x_d, u_d)
 
 
 def _array_bytes(obj):
@@ -143,7 +303,8 @@ def _array_bytes(obj):
 
 def test_map_storage_is_linear_in_horizon():
     # four touched timesteps at either horizon: the maps double with T, and
-    # the precompute allocates nothing near a dense F_u
+    # the precompute allocates nothing near a dense F_u (the synthesis runs
+    # before tracing starts)
     rng = np.random.default_rng(11)
     plant = double_integrator_plant(3, 0.01)
     m, n = 6, 3
@@ -154,9 +315,10 @@ def test_map_storage_is_linear_in_horizon():
         cost = add_correlation(cost, CorrelationSpec(T // 4, 3 * T // 4, np.eye(m),
                                                      np.zeros(m), 5.0 * np.eye(m)))
         st = build_stacked(linear_system_from_plant(plant, T))
+        ctrl = extract_controller(solve_esls(st, cost))
         tracemalloc.start()
         try:
-            maps = precompute_gain_maps(st, cost, None)
+            maps = precompute_gain_maps(st, cost, ctrl)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -239,7 +239,7 @@ def test_controller_artifact_roundtrip(tmp_path):
 def _mug_maps_file(tmp_path):
     _, _, cost, system = _mug()
     st = build_stacked(system)
-    maps = precompute_gain_maps(st, cost, None)
+    maps = precompute_gain_maps(st, cost, extract_controller(solve_esls(st, cost)))
     path = tmp_path / "maps.bin"
     write_maps_artifact(path, maps, cost)
     with np.load(path) as data:
