@@ -8,7 +8,8 @@ outside the block columns of the few timesteps Q touches.  Those columns,
 and F_u applied to the synthesis input target u_d0, come from the
 controller's own gains and inverse step Hessians plus one feedforward-only
 backward pass with one right-hand side each: no second Riccati recursion
-and no factorization.  :class:`AdaptationMaps` keeps just that: O(T) per
+and no factorization.  :class:`AdaptationMaps` keeps just that and the
+controller it reads, which may come from ``controller.bin``: O(T) per
 touched timestep, and no dense F_x or F_u.
 
 An edit of x_d then costs one gather and one matrix-vector product.  An
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import feedforward_pass, held_states
+from .solver import Controller, feedforward_pass, held_states
 
 
 @dataclass
@@ -37,9 +38,9 @@ class AdaptationMaps:
 
     ``touched`` (nt,) holds the timesteps Q touches, increasing, and
     ``F_x_blocks`` ((T+1)n, nt m) the block columns of F_x at them.
-    ``k_u0`` is F_u ``u_d0`` for the synthesis input target.  ``A``, ``B``,
-    ``R``, ``held``, ``gains`` and ``hessian_inv`` are the recursion's
-    per-step data that carry an input-target edit through F_u.
+    ``k_u0`` is F_u ``u_d0`` for the synthesis input target.  ``A``, ``B``
+    and ``R`` are the per-step data, and ``controller`` the law whose gains
+    and inverse step Hessians carry an input-target edit through F_u.
     """
 
     touched: np.ndarray
@@ -49,40 +50,30 @@ class AdaptationMaps:
     A: np.ndarray            # (T+1, m, m)
     B: np.ndarray            # (T+1, m, n)
     R: np.ndarray            # (T+1, n, n)
-    held: list
-    gains: list
-    hessian_inv: np.ndarray  # (T+1, n, n), (R_t + B_t'P B_t)^{-1}
+    controller: Controller
 
     def __post_init__(self):
         m = self.A.shape[1]
         self._x_idx = (m * np.asarray(self.touched, dtype=int)[:, None]
                        + np.arange(m)).ravel()
 
-    @property
-    def input_size(self):
-        return self.k_u0.size
-
-    @property
-    def state_size(self):
-        return self.A.shape[0] * self.A.shape[1]
-
     def feedforward(self, x_d, u_d):
         """k for targets (x_d, u_d); ValueError on a wrong size or a non-finite entry."""
         x_d = np.asarray(x_d, float).reshape(-1)
         u_d = np.asarray(u_d, float).reshape(-1)
-        if x_d.size != self.state_size or u_d.size != self.input_size:
-            raise ValueError(f"targets must have sizes ({self.state_size}, "
-                             f"{self.input_size}), got ({x_d.size}, {u_d.size})")
-        for name, v, dim in (("x_d", x_d, self.A.shape[1]), ("u_d", u_d, self.R.shape[1])):
+        T1, m, n = self.A.shape[0], self.controller.state_dim, self.controller.input_dim
+        if x_d.size != T1 * m or u_d.size != T1 * n:
+            raise ValueError(f"targets must have sizes ({T1 * m}, {T1 * n}), "
+                             f"got ({x_d.size}, {u_d.size})")
+        for name, v, dim in (("x_d", x_d, m), ("u_d", u_d, n)):
             finite = np.isfinite(v)
             if not finite.all():
                 raise ValueError(f"{name} is non-finite at step {int(np.argmin(finite)) // dim}")
         k = self.F_x_blocks @ x_d[self._x_idx] + self.k_u0
         du = u_d - self.u_d0
         if du.any():
-            T1, n = self.R.shape[:2]
-            k += feedforward_pass(self.A, self.B, self.R, self.held, self.gains,
-                                  self.hessian_inv, du.reshape(T1, n, 1)).ravel()
+            k += feedforward_pass(self.A, self.B, self.R, self.controller,
+                                  du.reshape(T1, n, 1)).ravel()
         return k
 
 
@@ -91,8 +82,9 @@ def precompute_gain_maps(stacked, cost, controller):
 
     ``controller`` must be the one :func:`~slsctrl.solver.extract_controller`
     or :func:`~slsctrl.isls.isls_optimize` returned for this
-    ``(stacked, cost)``: the maps read and share its held states, gains and
-    inverse step Hessians.  ``cost`` supplies Q, R and the input target;
+    ``(stacked, cost)``, or that controller read back from its artifact:
+    the maps keep it and read its held states, gains and inverse step
+    Hessians.  ``cost`` supplies Q, R and the input target;
     the maps stay valid for any edit that moves targets while keeping
     weights, correlations' C and Q_c, and the dynamics fixed.  Only the
     blocks A_t, B_t of ``stacked`` are read.
@@ -101,8 +93,8 @@ def precompute_gain_maps(stacked, cost, controller):
     and is zero at timesteps Q does not touch.  One feedforward-only pass
     with the controller's gains carries those columns plus one for
     ``cost.u_d``.  Raises ValueError when the controller is None, carries
-    no inverse step Hessians (built from a dense K or read from an
-    artifact), or differs from the cost in horizon, sizes or held states.
+    no inverse step Hessians (built from a dense K), or differs from the
+    cost in horizon, sizes or held states.
     """
     system = stacked.system
     T, m, n = system.horizon, system.state_dim, system.input_dim
@@ -122,13 +114,11 @@ def precompute_gain_maps(stacked, cost, controller):
         if bad.any():
             raise ValueError(f"non-finite {name} at t={int(np.argmax(bad))}")
     A, B = np.array(system.A), np.array(system.B)
-    held, gains, hinv = controller.held, controller.gains, controller.hessian_inv
-    k = feedforward_pass(A, B, cost.R, held, gains, hinv, u_d, b).reshape((T + 1) * n, c)
+    k = feedforward_pass(A, B, cost.R, controller, u_d, b).reshape((T + 1) * n, c)
     return AdaptationMaps(touched=np.array(touched, dtype=int),
                           F_x_blocks=np.ascontiguousarray(k[:, :-1]),
-                          u_d0=cost.u_d.copy(), k_u0=k[:, -1].copy(),
-                          A=A, B=B, R=cost.R.copy(), held=held, gains=gains,
-                          hessian_inv=hinv)
+                          u_d0=cost.u_d.copy(), k_u0=k[:, -1].copy(), A=A, B=B,
+                          R=cost.R.copy(), controller=controller)
 
 
 def _check_controller(controller, cost):
@@ -137,8 +127,8 @@ def _check_controller(controller, cost):
         raise ValueError("precompute_gain_maps needs the synthesized controller, got None")
     if getattr(controller, "hessian_inv", None) is None:
         raise ValueError("the controller carries no inverse step Hessians (it was built "
-                         "from a dense K or read from an artifact); pass the one "
-                         "extract_controller or isls_optimize returned")
+                         "from a dense K); pass the one extract_controller or "
+                         "isls_optimize returned")
     dims = (cost.horizon, cost.state_dim, cost.input_dim)
     got = (controller.horizon, controller.state_dim, controller.input_dim)
     if got != dims:

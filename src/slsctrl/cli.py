@@ -33,7 +33,7 @@ from .bench import (
     bench_mug_sugar,
     bench_pickplace,
 )
-from .plants import rollout
+from .plants import linear_system_from_plant, rollout
 from .scenarios import (
     Scenario,
     SolverNotConverged,
@@ -50,7 +50,10 @@ from .scenarios import (
     write_controller_artifact,
     write_trajectory_csv,
 )
-from .solver import Controller
+from .solver import Controller, gain_stationarity
+
+# genuine solves read 1e-15 to 7e-13, gains of a tenfold mug_sugar control weight 0.82
+GAIN_STATIONARITY_LIMIT = 1e-8
 
 
 def _add_common(parser, scenario_required=True):
@@ -134,23 +137,34 @@ def cmd_solve(args):
     return 0
 
 
-def _load_artifact(loader, path, what):
-    """Read an artifact; any failure to read it becomes a ValidationError."""
-    try:
-        return loader(path)
-    except (OSError, KeyError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"{what} artifact {path}: {exc}") from None
-
-
-def _check_sizes(scenario, what, horizon, state_dim, input_dim):
-    """ValidationError unless an artifact has the scenario's horizon and sizes."""
-    for key, size in (("horizon", horizon), ("state_dim", state_dim),
-                      ("input_dim", input_dim)):
-        if size != getattr(scenario, key):
-            raise ValidationError(f"{what} {key} {size} does not match "
+def _check_sizes(scenario, what, law):
+    """ValidationError unless an artifact's law has the scenario's horizon and sizes."""
+    for key in ("horizon", "state_dim", "input_dim"):
+        if getattr(law, key) != getattr(scenario, key):
+            raise ValidationError(f"{what} {key} {getattr(law, key)} does not match "
                                   f"scenario {key} {getattr(scenario, key)}")
+
+
+def _check_law(scenario, cost, controller, maps_law):
+    """ValidationError unless both artifacts hold one law, optimal for the scenario.
+
+    Held states and gain blocks must match bit for bit, and the law's
+    :func:`gain_stationarity` against the scenario's dynamics and ``cost``
+    (an edit moves only targets) must not exceed GAIN_STATIONARITY_LIMIT.
+    """
+    if controller.held != maps_law.held or not all(
+            np.array_equal(a, b) for a, b in zip(controller.gains, maps_law.gains)):
+        raise ValidationError("the maps artifact holds another law than the controller "
+                              "artifact: they come from different solves")
+    plant = build_plant(scenario)
+    if not plant.is_linear:
+        raise ValidationError(f"adapt needs a linear plant, got '{plant.name}'")
+    residual = gain_stationarity(linear_system_from_plant(plant, scenario.horizon), cost,
+                                 controller)
+    if not residual <= GAIN_STATIONARITY_LIMIT:
+        raise ValidationError(f"controller gain_stationarity {residual:.3g} exceeds "
+                              f"{GAIN_STATIONARITY_LIMIT:g}: the artifacts were solved "
+                              "for other weights or dynamics than the scenario's")
 
 
 def cmd_rollout(args):
@@ -165,9 +179,8 @@ def cmd_rollout(args):
             "a fixed controller artifact; use solve"
         )
     plant = build_plant(scenario)
-    controller = _load_artifact(load_controller_artifact, args.controller, "controller")
-    _check_sizes(scenario, "controller", controller.horizon, controller.state_dim,
-                 controller.input_dim)
+    controller = load_controller_artifact(args.controller)
+    _check_sizes(scenario, "controller", controller)
     traj = rollout(plant, controller, **rollout_draws(scenario, plant, args.seed))
     realized, cumulative = realized_cost(scenario, traj)
     out_dir = _out_dir(args, scenario.name)
@@ -241,15 +254,14 @@ def cmd_adapt(args):
     except ValueError as exc:
         raise ValidationError(f"--edit-json: {exc}") from None
     new_cost = build_cost(Scenario.from_dict(new_config))
-    controller = _load_artifact(load_controller_artifact, args.controller, "controller")
+    controller = load_controller_artifact(args.controller)
     if not isinstance(controller, Controller):
         raise ValidationError(f"controller artifact {args.controller}: an open-loop "
                               "controller has no feedforward to retarget")
-    maps, _, _ = _load_artifact(load_maps_artifact, args.maps, "maps")
-    _check_sizes(scenario, "controller", controller.horizon, controller.state_dim,
-                 controller.input_dim)
-    T1, m, n = maps.B.shape
-    _check_sizes(scenario, "maps", T1 - 1, m, n)
+    maps, _, _ = load_maps_artifact(args.maps)
+    _check_sizes(scenario, "controller", controller)
+    _check_sizes(scenario, "maps", maps.controller)
+    _check_law(scenario, new_cost, controller, maps.controller)
     t0 = time.perf_counter()
     k_new = adapt_feedforward(maps, new_cost.x_d, new_cost.u_d)
     adapt_seconds = time.perf_counter() - t0

@@ -351,9 +351,8 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         history.append(IterationState(len(history) + 1, cost_value, delta, alpha, step_norm))
         pending_tol = delta <= cfg.tolerance * max(1.0, abs(cost_value))
 
-    controller = Controller.from_gains(ctrl.held, ctrl.gains, ctrl.k,
-                                       nominal_x=x_hat, nominal_u=u_hat,
-                                       hessian_inv=ctrl.hessian_inv)
+    controller = Controller.from_gains(ctrl.held, ctrl.gains, ctrl.k, x_hat, u_hat,
+                                       ctrl.hessian_inv)
     stationarity = float(np.max(np.abs(controller.k)))
     # a stall only shows that no scale of the step improves the cost; it
     # counts as convergence when the step itself is within the bound

@@ -24,7 +24,7 @@ from .costs import (
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
-from .solver import Controller, _run_policy, riccati_gains
+from .solver import _run_policy, riccati_gains
 from .stacked import NoiseModel, TimeVaryingLinearSystem
 
 
@@ -429,9 +429,8 @@ def batch_lqt(stacked, cost, x0=None):
     closed-loop synthesis.
     """
     system = stacked.system
-    held, gains, k, _ = riccati_gains(system, cost)
     x0 = np.zeros(system.state_dim) if x0 is None else np.asarray(x0, dtype=float)
-    _, us = _run_policy(system, held, gains, k, x0)
+    _, us = _run_policy(system, riccati_gains(system, cost), x0)
     return us.ravel()
 
 
@@ -449,8 +448,7 @@ def dp_lqt(system, cost):
             "dp_lqt requires block-diagonal Q; cross-time correlation terms "
             "cannot be represented by a memoryless recursion"
         )
-    held, gains, k, hinv = riccati_gains(system, cost)
-    return Controller.from_gains(held, gains, k.ravel(), hessian_inv=hinv)
+    return riccati_gains(system, cost)
 
 
 def _accumulated_diagonal_cost(horizon, state_dim, input_dim, r_blocks, terms, u_d=None):

@@ -45,9 +45,11 @@ matrices are lists of rows):
     }
 
 Artifacts written per run: ``controller.bin`` (numpy archive of the control
-law), ``maps.bin`` (feedforward adaptation maps, linear solvers only),
+law), ``maps.bin`` (the same law plus the retarget maps, ``esls`` only),
 ``trajectory.csv``, ``report.json`` (seeds, config hash, realized cost,
 residuals), and optionally ``trace.csv`` with per-iteration solver progress.
+One codec writes and reads the law of both archives, and one reader turns
+any failure to read or parse one into :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import copy
 import hashlib
 import json
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,7 +87,7 @@ from .plants import (
 from .solver import Controller, extract_controller, solve_esls
 from .stacked import NoiseModel, build_stacked
 
-ARTIFACT_FORMAT_VERSION = 3
+ARTIFACT_FORMAT_VERSION = 4
 SOLVER_KINDS = ("esls", "isls", "dp-lqt", "mpc-lqt", "batch-lqt")
 
 
@@ -569,69 +572,33 @@ def realized_cost(scenario, trajectory, judge=None):
 # -- artifacts -----------------------------------------------------------------
 
 
-def write_controller_artifact(path, controller):
-    """Serialize a control law to a numpy archive (.bin, versioned).
+_OPTIONAL_LAW_FIELDS = ("nominal_x", "nominal_u", "hessian_inv")
 
-    A :class:`Controller` is stored by its per-step blocks (see
-    :func:`_step_arrays`) and ``k``, plus the nominal if it has one.
+
+def _law_arrays(law):
+    """Every array a :class:`Controller` holds, as artifact fields.
+
+    ``diagonal`` (T+1, n, m) holds K[t, t] and ``memory_blocks`` (nh, n, m)
+    K[t, s], s < t, at ``memory_rows`` t and ``memory_cols`` s in increasing
+    (t, s) order; the nominal and ``hessian_inv`` are stored when set.
     """
-    arrays = {"format_version": np.array(ARTIFACT_FORMAT_VERSION)}
-    if isinstance(controller, Controller):
-        arrays.update(kind=np.array("affine_memory"), k=controller.k,
-                      **_step_arrays(controller.held, controller.gains,
-                                     controller.state_dim, controller.input_dim))
-        if controller.nominal_x is not None:
-            arrays.update(nominal_x=controller.nominal_x, nominal_u=controller.nominal_u)
-    elif isinstance(controller, OpenLoopController):
-        arrays["kind"] = np.array("open_loop")
-        arrays["inputs"] = controller.inputs
-        arrays["state_dim"] = np.array(controller.state_dim)
-    else:
-        raise TypeError(f"cannot serialize controller of type {type(controller).__name__}")
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    m, n = law.state_dim, law.input_dim
+    split = [g.reshape(n, -1, m).swapaxes(0, 1) for g in law.gains]
+    arrays = {"kind": np.array("affine_memory"), "k": law.k,
+              "diagonal": np.array([b[0] for b in split]),
+              "memory_blocks": np.concatenate([b[1:] for b in split]),
+              "memory_rows": np.array([t for t, h in enumerate(law.held) for _ in h], int),
+              "memory_cols": np.array([s for h in law.held for s in h], int)}
+    return arrays | {f: getattr(law, f) for f in _OPTIONAL_LAW_FIELDS
+                     if getattr(law, f) is not None}
 
 
-def _check_version(data, path, what):
-    if "format_version" not in data:
-        raise ValidationError(f"{what} artifact {path}: no format_version")
-    version = int(data["format_version"])
-    if version != ARTIFACT_FORMAT_VERSION:
-        raise ValidationError(f"{what} artifact {path}: unsupported format version {version}")
+def _law(data):
+    """The :class:`Controller` of :func:`_law_arrays`; ValueError names a bad field.
 
-
-def load_controller_artifact(path):
-    """Read a controller; a malformed file raises ValidationError naming the field."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_version(data, path, "controller")
-        kind = str(data["kind"]) if "kind" in data else None
-        try:
-            if kind == "affine_memory":
-                nominal = [data[f] if f in data else None for f in ("nominal_x", "nominal_u")]
-                return Controller.from_gains(*_steps(data), data["k"], *nominal)
-            if kind == "open_loop":
-                return OpenLoopController(data["inputs"], int(data["state_dim"]))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValidationError(f"controller artifact {path}: {exc}") from None
-    raise ValidationError(f"controller artifact {path}: unknown kind {kind!r}")
-
-
-def _step_arrays(held, gains, m, n):
-    """Per-step gain blocks as arrays.
-
-    ``diagonal`` (T+1, n, m) holds K[t, t], ``memory_blocks`` (nh, n, m) the
-    blocks K[t, s], s < t, at ``memory_rows`` t and ``memory_cols`` s in
-    increasing (t, s) order.
+    The index fields are checked here, every array of the law by
+    ``Controller.from_gains``.
     """
-    split = [g.reshape(n, -1, m).swapaxes(0, 1) for g in gains]
-    return {"diagonal": np.array([b[0] for b in split]),
-            "memory_blocks": np.concatenate([b[1:] for b in split]),
-            "memory_rows": np.array([t for t, h in enumerate(held) for _ in h], int),
-            "memory_cols": np.array([s for h in held for s in h], int)}
-
-
-def _steps(data):
-    """(held, gains) from the arrays of :func:`_step_arrays`; ValueError names a bad field."""
     diagonal, blocks = data["diagonal"], data["memory_blocks"]
     rows, cols = data["memory_rows"], data["memory_cols"]
     if diagonal.ndim != 3 or blocks.shape != (rows.size, *diagonal.shape[1:]):
@@ -649,59 +616,85 @@ def _steps(data):
     ends = np.searchsorted(rows, np.arange(T1 + 1))
     held = [tuple(cols[a:b].tolist()) for a, b in zip(ends, ends[1:])]
     gains = [np.hstack([d, *blocks[a:b]]) for d, a, b in zip(diagonal, ends, ends[1:])]
-    return held, gains
+    return Controller.from_gains(held, gains, data["k"],
+                                 *(data[f] if f in data else None for f in _OPTIONAL_LAW_FIELDS))
+
+
+def _write(path, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, format_version=np.array(ARTIFACT_FORMAT_VERSION), **arrays)
+
+
+def _read(path, what, parse):
+    """``parse`` of an artifact's arrays; any failure to read or parse it is a ValidationError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["format_version"])
+            if version != ARTIFACT_FORMAT_VERSION:
+                raise ValueError(f"unsupported format version {version}")
+            return parse(data)
+    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{what} artifact {path}: {exc}") from None
+
+
+def write_controller_artifact(path, controller):
+    """Serialize a :class:`Controller` (:func:`_law_arrays`) or an open-loop plan (.bin)."""
+    if isinstance(controller, Controller):
+        _write(path, _law_arrays(controller))
+    elif isinstance(controller, OpenLoopController):
+        _write(path, {"kind": np.array("open_loop"), "inputs": controller.inputs,
+                      "state_dim": np.array(controller.state_dim)})
+    else:
+        raise TypeError(f"cannot serialize controller of type {type(controller).__name__}")
+
+
+def _controller(data):
+    kind = str(data["kind"])
+    if kind == "open_loop":
+        return OpenLoopController(data["inputs"], int(data["state_dim"]))
+    if kind != "affine_memory":
+        raise ValueError(f"unknown kind {kind!r}")
+    return _law(data)
+
+
+def load_controller_artifact(path):
+    """Read a controller; a malformed file raises ValidationError naming the field."""
+    return _read(path, "controller", _controller)
 
 
 def write_maps_artifact(path, maps, cost):
-    """Adaptation maps plus the targets (x_d, u_d) they were computed for.
-
-    Stored: ``touched`` and ``F_x_blocks``, ``u_d0`` and ``k_u0``, the
-    per-step ``A``, ``B``, ``R`` and ``hessian_inv``, and the gains as in
-    :func:`_step_arrays`.
-    """
-    m, n = maps.A.shape[1], maps.B.shape[2]
-    with open(path, "wb") as fh:
-        np.savez(fh, format_version=np.array(ARTIFACT_FORMAT_VERSION),
-                 touched=maps.touched, F_x_blocks=maps.F_x_blocks,
-                 u_d0=maps.u_d0, k_u0=maps.k_u0, A=maps.A, B=maps.B, R=maps.R,
-                 hessian_inv=maps.hessian_inv, x_d=cost.x_d, u_d=cost.u_d,
-                 **_step_arrays(maps.held, maps.gains, m, n))
+    """The maps' controller as in ``controller.bin``, plus ``touched``, ``F_x_blocks``,
+    ``u_d0``, ``k_u0``, the per-step ``A``, ``B`` and ``R``, and the targets
+    (x_d, u_d) the maps were computed for."""
+    _write(path, _law_arrays(maps.controller) | dict(
+        touched=maps.touched, F_x_blocks=maps.F_x_blocks, u_d0=maps.u_d0, k_u0=maps.k_u0,
+        A=maps.A, B=maps.B, R=maps.R, x_d=cost.x_d, u_d=cost.u_d))
 
 
 def load_maps_artifact(path):
     """Read (maps, x_d, u_d); a malformed file raises ValidationError naming the field."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_version(data, path, "maps")
-        try:
-            return _maps(data)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValidationError(f"maps artifact {path}: {exc}") from None
+    return _read(path, "maps", _maps)
 
 
 def _maps(data):
-    B, touched = data["B"], data["touched"]
-    if B.ndim != 3:
-        raise ValueError(f"B has shape {B.shape}, expected (T+1, m, n)")
-    T1, m, n = B.shape
+    law = _law(data)
+    if law.hessian_inv is None:
+        raise ValueError("the law has no hessian_inv")
+    T1, m, n = law.horizon + 1, law.state_dim, law.input_dim
+    touched = data["touched"]
     if (touched.dtype.kind not in "iu" or touched.ndim != 1 or np.any(np.diff(touched) <= 0)
             or np.any((touched < 0) | (touched >= T1))):
         raise ValueError(f"touched must be increasing timesteps in [0, {T1 - 1}]")
-    shapes = {"A": (T1, m, m), "B": B.shape, "R": (T1, n, n), "hessian_inv": (T1, n, n),
+    shapes = {"A": (T1, m, m), "B": (T1, m, n), "R": (T1, n, n),
               "F_x_blocks": (T1 * n, touched.size * m), "u_d0": (T1 * n,),
-              "k_u0": (T1 * n,), "x_d": (T1 * m,), "u_d": (T1 * n,),
-              "diagonal": (T1, n, m), "memory_blocks": (data["memory_rows"].size, n, m)}
+              "k_u0": (T1 * n,), "x_d": (T1 * m,), "u_d": (T1 * n,)}
+    fields = {name: data[name] for name in shapes}   # each read decodes the member
     for name, shape in shapes.items():
-        a = data[name]
-        if a.shape != shape:
-            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} has non-finite entries")
-    held, gains = _steps(data)
-    maps = AdaptationMaps(touched=touched, F_x_blocks=data["F_x_blocks"],
-                          u_d0=data["u_d0"], k_u0=data["k_u0"], A=data["A"], B=B,
-                          R=data["R"], held=held, gains=gains,
-                          hessian_inv=data["hessian_inv"])
-    return maps, data["x_d"], data["u_d"]
+        if fields[name].shape != shape or not np.isfinite(fields[name]).all():
+            raise ValueError(f"{name} must be finite, shape {shape}, got {fields[name].shape}")
+    x_d, u_d = fields.pop("x_d"), fields.pop("u_d")
+    return AdaptationMaps(touched=touched, controller=law, **fields), x_d, u_d
 
 
 def write_trajectory_csv(path, trajectory, cumulative_cost):

@@ -20,14 +20,14 @@ Only the step Hessian R_t + B_t' P B_t must be positive definite; the
 cost-to-go may be indefinite in the held states.  The law acts on states,
 so K = phi_u phi_x^{-1} and k = d_u - K d_x: its blocks K[t, s], s < t, are
 the memory that lets cross-time terms bind future inputs to realized
-history.  :class:`Controller` keeps the law in this per-step form, O(T) in
-memory.  The maps themselves are never formed: the residuals check the
-plan and the gains against the cost by O(T) forward and adjoint passes.
+history.  :class:`Controller`, the one carrier of that law from the
+recursion to the artifacts, keeps it per step, O(T) in memory.  The maps
+themselves are never formed: the residuals check the plan and the gains
+against the cost by O(T) forward and adjoint passes.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -39,19 +39,17 @@ from .stacked import BlockLowerTriangular, TimeVaryingLinearSystem
 
 @dataclass
 class SystemResponse:
-    """Per-step gains of the synthesized policy and its deterministic plan.
+    """The synthesized policy, as a :class:`Controller`, and its deterministic plan.
 
     The policy is u_t = gains[t] z_t + k[t] with z_t = [x_t; x_s for s in
-    held[t]].  ``hessian_inv`` holds the recursion's inverse step Hessians,
-    which :func:`feedforward_pass` needs to carry other right-hand sides.
+    held[t]]; ``controller`` also carries the recursion's inverse step
+    Hessians, which :func:`feedforward_pass` needs to carry other
+    right-hand sides.
     """
 
     system: TimeVaryingLinearSystem
     cost: CostSpec
-    held: list        # per step, the sorted held timesteps
-    gains: list       # per step, (n, m (1 + len(held[t])))
-    hessian_inv: np.ndarray  # (T+1, n, n), (R_t + B_t'P B_t)^{-1}
-    k: np.ndarray     # (T+1, n)
+    controller: Controller
     d_x: np.ndarray
     d_u: np.ndarray
 
@@ -73,29 +71,32 @@ class SystemResponse:
         return float(np.linalg.norm(Hu_r[..., 0] - Hu_r[..., 1]) / max(r, np.finfo(float).tiny))
 
     def gain_stationarity(self):
-        """Relative input gradient of the feedback's responses to x_0 = e_j, j = 1..m.
-
-        With zero feedforward the policy's trajectory (x, u) from x_0 = e_j
-        is column j of (phi_x, phi_u), which minimizes x'Qx + u'Ru over all
-        inputs, so S_u'Qx + Ru vanishes.  This returns its Frobenius norm
-        over the m responses, relative to the sum of the norms of the two
-        terms, from the adjoint pass :meth:`stationarity` runs.  It checks
-        the gains, memory blocks included, along these m trajectories.
-        """
-        cost = self.cost
-        T, m, n = self.system.horizon, self.system.state_dim, self.system.input_dim
-        xs, us = _run_policy(self.system, self.held, self.gains, np.zeros((T + 1, n, m)),
-                             np.eye(m))
-        SuQx = _input_adjoint(self.system,
-                              cost.q_matvec(xs.reshape((T + 1) * m, m)).reshape(xs.shape))
-        Ru = cost.R @ us
-        scale = np.linalg.norm(SuQx) + np.linalg.norm(Ru)
-        return float(np.linalg.norm(SuQx + Ru) / max(scale, np.finfo(float).tiny))
+        """:func:`gain_stationarity` of the response's own gains."""
+        return gain_stationarity(self.system, self.cost, self.controller)
 
     def residuals(self, stacked):
         """Stationarity of the plan and of the feedback gains; ``stacked`` is not read."""
         return {"stationarity": self.stationarity(),
                 "gain_stationarity": self.gain_stationarity()}
+
+
+def gain_stationarity(system, cost, law):
+    """Relative input gradient of the feedback's responses to x_0 = e_j, j = 1..m.
+
+    With zero feedforward the policy's trajectory (x, u) from x_0 = e_j
+    is column j of (phi_x, phi_u), which minimizes x'Qx + u'Ru over all
+    inputs, so S_u'Qx + Ru vanishes.  This returns its Frobenius norm over
+    the m responses, relative to the sum of the norms of the two terms,
+    from the adjoint pass :meth:`SystemResponse.stationarity` runs.  It
+    checks the gains of ``law``, memory blocks included, along these m
+    trajectories.
+    """
+    T, m, n = system.horizon, system.state_dim, system.input_dim
+    xs, us = _run_policy(system, law, np.eye(m), np.zeros((T + 1, n, m)))
+    SuQx = _input_adjoint(system, cost.q_matvec(xs.reshape((T + 1) * m, m)).reshape(xs.shape))
+    Ru = cost.R @ us
+    scale = np.linalg.norm(SuQx) + np.linalg.norm(Ru)
+    return float(np.linalg.norm(SuQx + Ru) / max(scale, np.finfo(float).tiny))
 
 
 def _input_adjoint(system, g):
@@ -119,9 +120,9 @@ class Controller:
     the iterative solver wraps it around a nominal trajectory.
 
     ``hessian_inv`` (T+1, n, n) holds the inverse step Hessians of the
-    recursion that produced the gains, shared with the synthesis, so the
-    retarget maps need no second recursion.  It is None for a controller
-    built from a dense K or read from an artifact.
+    recursion that produced the gains, so the retarget maps need no second
+    recursion.  The artifacts store it; it is None only for a controller
+    built from a dense K.
 
     ``k`` is the one mutable piece: :meth:`swap_feedforward` replaces the
     whole vector by reference, so a concurrent reader that captured the
@@ -153,8 +154,9 @@ class Controller:
             if g.shape != (n, m * (1 + len(h))) or not np.isfinite(g).all():
                 raise ValueError(f"gain block at t={t} must be finite, shape "
                                  f"{(n, m * (1 + len(h)))}")
-        if hessian_inv is not None and np.shape(hessian_inv) != (len(gains), n, n):
-            raise ValueError(f"hessian_inv must have shape {(len(gains), n, n)}, "
+        if hessian_inv is not None and (np.shape(hessian_inv) != (len(gains), n, n)
+                                        or not np.isfinite(hessian_inv).all()):
+            raise ValueError(f"hessian_inv must be finite, shape {(len(gains), n, n)}, "
                              f"got {np.shape(hessian_inv)}")
         self.hessian_inv = hessian_inv
         self._idx = _history_indices(held, m)   # one gather per step
@@ -179,7 +181,10 @@ class Controller:
 
     def with_feedforward(self, k_new):
         """Copy sharing the gains and nominals but carrying a different feedforward."""
-        twin = copy.copy(self)
+        twin = type(self).__new__(type(self))
+        # one by one: copy.copy's __dict__ slows each control() by ~8% on CPython 3.11
+        for name, value in vars(self).items():
+            setattr(twin, name, value)
         twin.swap_feedforward(k_new)
         return twin
 
@@ -284,12 +289,12 @@ def _feedforward_step(A, B, hinv, gain, S, p, Ru, b=None):
 def riccati_gains(system, cost):
     """Backward recursion over the held-state augmentation (see module notes).
 
-    Returns (held, gains, k, hinv) of the optimal policy
-    u_t = gains[t] z_t + k[t] for the cost's own linear term and input
-    target, k of shape (T+1, n), and the inverse step Hessians hinv
-    (T+1, n, n) with which :func:`feedforward_pass` carries any other
-    right-hand side.  Raises ValueError on mismatched or non-finite data and
-    on a step Hessian that is not positive definite.
+    Returns the optimal policy u_t = gains[t] z_t + k[t] for the cost's own
+    linear term and input target as a :class:`Controller` that also carries
+    the inverse step Hessians (T+1, n, n), with which
+    :func:`feedforward_pass` carries any other right-hand side.  Raises
+    ValueError on mismatched or non-finite data and on a step Hessian that
+    is not positive definite.
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
     if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
@@ -336,22 +341,24 @@ def riccati_gains(system, cost):
                     P[:m, a * m:(a + 1) * m] += Q.T
         P = (P + P.T) / 2
         k[t], p = _feedforward_step(A, B, hinv[t], gains[t], S, p, Ru[t], b[t])
-    return held, gains, k[..., 0], hinv
+    return Controller.from_gains(held, gains, k.ravel(), hessian_inv=hinv)
 
 
-def feedforward_pass(A, B, R, held, gains, hinv, u_d, b=None):
+def feedforward_pass(A, B, R, law, u_d, b=None):
     """Feedforward columns (T+1, n, c) for input targets u_d (T+1, n, c) and linear terms b.
 
     ``b`` (T+1, m, c) holds the linear-term columns, zero when None.  The
-    gains and inverse step Hessians of :func:`riccati_gains` stay fixed, so
-    each column costs O(T) small products and no factorization, in the
-    order the recursion itself makes them.
+    gains and inverse step Hessians of ``law``, a :class:`Controller` from
+    :func:`riccati_gains`, stay fixed, so each column costs O(T) small
+    products and no factorization, in the order the recursion itself makes
+    them.
     """
-    T1, m, c = len(gains), A[0].shape[0], u_d.shape[2]
-    k, p, Ru = np.empty((T1, gains[0].shape[0], c)), np.zeros((m, c)), R @ u_d
+    T1, m, c = len(law.gains), A[0].shape[0], u_d.shape[2]
+    k, p, Ru = np.empty((T1, law.input_dim, c)), np.zeros((m, c)), R @ u_d
     for t in range(T1 - 1, -1, -1):
-        k[t], p = _feedforward_step(A[t], B[t], hinv[t], gains[t], _held_shift(held, t, m),
-                                    p, Ru[t], None if b is None else b[t])
+        k[t], p = _feedforward_step(A[t], B[t], law.hessian_inv[t], law.gains[t],
+                                    _held_shift(law.held, t, m), p, Ru[t],
+                                    None if b is None else b[t])
     return k
 
 
@@ -360,42 +367,42 @@ def solve_esls(stacked, cost):
 
     Only the per-step blocks A_t, B_t of ``stacked`` are read; the R blocks
     of ``cost`` must be positive definite.  Returns a :class:`SystemResponse`
-    with the per-step gains, whose responses to a disturbance at step i are
-    block column i of the maps (phi_x, phi_u), and the plan (d_x, d_u) from
+    with the policy, whose responses to a disturbance at step i are block
+    column i of the maps (phi_x, phi_u), and the plan (d_x, d_u) from
     x_0 = 0, which solves H d_u = S_u'b + R u_d.  Raises ValueError on
     mismatched or non-finite data and on a step Hessian that is not
     positive definite (the message names the step).
     """
     system = stacked.system
-    held, gains, k, hinv = riccati_gains(system, cost)
-    xs, us = _run_policy(system, held, gains, k, np.zeros(system.state_dim))
-    return SystemResponse(system=system, cost=cost, held=held, gains=gains, hessian_inv=hinv,
-                          k=k, d_x=xs.ravel(), d_u=us.ravel())
+    law = riccati_gains(system, cost)
+    xs, us = _run_policy(system, law, np.zeros(system.state_dim))
+    return SystemResponse(system=system, cost=cost, controller=law,
+                          d_x=xs.ravel(), d_u=us.ravel())
 
 
-def _run_policy(system, held, gains, k, x0):
-    """Deterministic trajectory (xs, us) of the policy u_t = gains[t] z_t + k[t] from x0.
+def _run_policy(system, law, x0, k=None):
+    """Deterministic trajectory (xs, us) of ``law`` from x0, with feedforward ``k``.
 
-    ``x0`` (m,) with ``k`` (T+1, n) runs one trajectory; ``x0`` (m, c) with
-    ``k`` (T+1, n, c) runs c of them at once.
+    ``x0`` (m,) with ``k`` (T+1, n), by default the law's own, runs one
+    trajectory; ``x0`` (m, c) with ``k`` (T+1, n, c) runs c of them at once.
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
+    k = law.k.reshape(T + 1, n) if k is None else k
     cols = np.shape(x0)[1:]
     x, us = np.zeros(((T + 1) * m, *cols)), np.zeros((T + 1, n, *cols))
     xs = x.reshape(T + 1, m, *cols)
     xs[0] = x0
-    for t, idx in enumerate(_history_indices(held, m)):
-        us[t] = gains[t] @ x[idx] + k[t]
+    for t, (gain, idx) in enumerate(zip(law.gains, law._idx)):
+        us[t] = gain @ x[idx] + k[t]
         if t < T:
             xs[t + 1] = system.A[t] @ xs[t] + system.B[t] @ us[t]
     return xs, us
 
 
 def extract_controller(response):
-    """The realizable feedback form of a response, sharing its held states, gains
-    and inverse step Hessians.
+    """The realizable feedback form K = phi_u phi_x^{-1}, k = d_u - K d_x of a response.
 
-    This is K = phi_u phi_x^{-1} and k = d_u - K d_x of the map parameterization.
+    A shallow copy of its controller: a later
+    :meth:`Controller.swap_feedforward` on it leaves the response as it was.
     """
-    return Controller.from_gains(response.held, response.gains, response.k.ravel(),
-                                 hessian_inv=response.hessian_inv)
+    return response.controller.with_feedforward(response.controller.k)

@@ -2,7 +2,7 @@
 
 The package never forms the closed-loop maps, the dense Q or the dense
 retarget maps.  Each view here rebuilds one from public fields only: a
-response's ``held``, ``gains`` and ``system.A``/``B``, a cost's ``Q`` blocks,
+response's ``controller.held``, ``controller.gains`` and ``system.A``/``B``, a cost's ``Q`` blocks,
 and the retarget maps' ``touched`` and ``F_x_blocks`` (F_u through
 :func:`slsctrl.solver.feedforward_pass` on unit columns).  The residuals
 are the dense formulas on the oracle's S_x and S_u.
@@ -25,8 +25,8 @@ def closed_loop_maps(response):
     for t in range(T + 1):
         c = (t + 1) * m    # columns of disturbances up to step t
         phi_x[t * m:c, t * m:c] = np.eye(m)
-        rows = [phi_x[s * m:(s + 1) * m, :c] for s in (t, *response.held[t])]
-        phi_u[t * n:(t + 1) * n, :c] = response.gains[t] @ np.vstack(rows)
+        rows = [phi_x[s * m:(s + 1) * m, :c] for s in (t, *response.controller.held[t])]
+        phi_u[t * n:(t + 1) * n, :c] = response.controller.gains[t] @ np.vstack(rows)
         if t < T:
             phi_x[c:c + m, :c] = A[t] @ rows[0] + B[t] @ phi_u[t * n:(t + 1) * n, :c]
     return phi_x, phi_u
@@ -54,8 +54,8 @@ def dense_F_u(maps):
     """Dense ((T+1)n, (T+1)n) F_u: the feedforward-only pass on every unit input target."""
     T1, n = maps.R.shape[:2]
     cols = np.eye(T1 * n).reshape(T1, n, T1 * n)
-    return feedforward_pass(maps.A, maps.B, maps.R, maps.held, maps.gains,
-                            maps.hessian_inv, cols).reshape(T1 * n, T1 * n)
+    return feedforward_pass(maps.A, maps.B, maps.R, maps.controller,
+                            cols).reshape(T1 * n, T1 * n)
 
 
 def achievability_residual(system, phi_x, phi_u):

@@ -159,9 +159,15 @@ def test_precompute_runs_no_second_recursion(monkeypatch):
     monkeypatch.setattr(slsctrl.solver, "riccati_gains", no_recursion)
     monkeypatch.setattr(slsctrl.adaptation, "riccati_gains", no_recursion, raising=False)
     maps = precompute_gain_maps(st, cost, ctrl)
-    assert ctrl.hessian_inv is resp.hessian_inv
-    assert maps.gains is ctrl.gains and maps.hessian_inv is ctrl.hessian_inv
+    assert ctrl.hessian_inv is resp.controller.hessian_inv
+    assert maps.controller.gains is ctrl.gains
+    assert maps.controller.hessian_inv is ctrl.hessian_inv
     npt.assert_allclose(maps.feedforward(cost.x_d, cost.u_d), ctrl.k, atol=1e-9)
+    # the extracted controller is a shallow copy: swapping its feedforward in
+    # place leaves the response's as it was
+    k_before = resp.controller.k
+    adapt_controller(ctrl, maps, 2.0 * cost.x_d, cost.u_d, in_place=True)
+    assert ctrl.k is not k_before and resp.controller.k is k_before
 
 
 def _map_columns(cost):
@@ -256,9 +262,16 @@ def test_precompute_rejects_a_controller_without_the_gains(tmp_path):
     st_nc, cost_nc = _random_instance(np.random.default_rng(14), with_correlation=False)
     st_long, cost_long = _random_instance(rng, T=9)
     st_wide, cost_wide = _random_instance(rng, n=2)
+    # a controller read back from its artifact carries the inverse step
+    # Hessians, so it gives the in-memory controller's maps bit for bit
+    loaded, maps = load_controller_artifact(path), precompute_gain_maps(st, cost, ctrl)
+    from_file = precompute_gain_maps(st, cost, loaded)
+    npt.assert_array_equal(from_file.F_x_blocks, maps.F_x_blocks)
+    npt.assert_array_equal(from_file.k_u0, maps.k_u0)
+    u_d = np.random.default_rng(3).normal(size=cost.u_d.size)
+    npt.assert_array_equal(from_file.feedforward(cost.x_d, u_d), maps.feedforward(cost.x_d, u_d))
     cases = [(None, st, cost, "got None"),
              (Controller(ctrl.K, ctrl.k), st, cost, "no inverse step Hessians"),
-             (load_controller_artifact(path), st, cost, "no inverse step Hessians"),
              (extract_controller(solve_esls(st_nc, cost_nc)), st, cost, r"holds timesteps \(\) at t=2"),
              (ctrl, st_long, cost_long, "horizon"),
              (ctrl, st_wide, cost_wide, "state/input sizes")]

@@ -196,8 +196,9 @@ def _mug():
 
 
 def test_controller_artifact_roundtrip(tmp_path):
-    # esls (held states), dp-lqt (none) and isls (nominals) controllers
-    # come back with the same blocks and the same rollouts, bit for bit
+    # esls (held states), dp-lqt (none), isls (nominals) and dense-K
+    # controllers come back with the same blocks and the same rollouts, bit
+    # for bit, with inverse step Hessians exactly when the source had them
     scenario, plant, cost, system = _mug()
     st = build_stacked(system)
     ctrl = extract_controller(solve_esls(st, cost))
@@ -205,13 +206,19 @@ def test_controller_artifact_roundtrip(tmp_path):
     isls_ctrl, _ = isls_optimize(plant, TrackingObjective.from_costspec(cost), x0)
     assert any(ctrl.held) and isls_ctrl.nominal_x is not None
     for label, original in [("esls", ctrl), ("isls", isls_ctrl),
-                            ("dp-lqt", dp_lqt(system, cost.diagonal_projection()))]:
+                            ("dp-lqt", dp_lqt(system, cost.diagonal_projection())),
+                            ("dense-K", Controller(ctrl.K, ctrl.k))]:
         path = tmp_path / f"{label}.bin"
         write_controller_artifact(path, original)
         loaded = load_controller_artifact(path)
         assert loaded.held == original.held
+        for a, b in zip(loaded.gains, original.gains, strict=True):
+            npt.assert_array_equal(a, b)
         npt.assert_array_equal(loaded.K.dense, original.K.dense)
         npt.assert_array_equal(loaded.k, original.k)
+        assert (loaded.hessian_inv is None) == (label == "dense-K")
+        if label != "dense-K":
+            npt.assert_array_equal(loaded.hessian_inv, original.hessian_inv)
         assert (loaded.nominal_x is None) == (label != "isls")
         if label == "isls":
             npt.assert_array_equal(loaded.nominal_x, original.nominal_x)
@@ -225,6 +232,12 @@ def test_controller_artifact_roundtrip(tmp_path):
     mpath = tmp_path / "maps.bin"
     write_maps_artifact(mpath, maps, cost)
     loaded_maps, x_d, u_d = load_maps_artifact(mpath)
+    law = loaded_maps.controller
+    assert law.held == ctrl.held
+    for a, b in zip(law.gains, ctrl.gains, strict=True):
+        npt.assert_array_equal(a, b)
+    npt.assert_array_equal(law.k, ctrl.k)
+    npt.assert_array_equal(law.hessian_inv, ctrl.hessian_inv)
     npt.assert_array_equal(dense_F_x(loaded_maps), dense_F_x(maps))
     npt.assert_array_equal(dense_F_u(loaded_maps), dense_F_u(maps))
     npt.assert_array_equal(x_d, cost.x_d)
@@ -269,7 +282,7 @@ def test_tampered_maps_artifact_names_field(tmp_path):
              ("R", {"R": nan_at(good["R"], 1)}),
              ("hessian_inv", {"hessian_inv": good["hessian_inv"][:, :1]}),
              ("hessian_inv", {"hessian_inv": nan_at(good["hessian_inv"], 4)}),
-             ("diagonal", {"diagonal": nan_at(good["diagonal"], 3)}),
+             ("gain block at t=0", {"diagonal": nan_at(good["diagonal"], 3)}),
              ("memory_blocks", {"memory_blocks": good["memory_blocks"][1:]}),
              ("memory_cols", {"memory_cols": good["memory_rows"]}),
              ("k_u0", {"k_u0": None}),
@@ -281,6 +294,10 @@ def test_tampered_maps_artifact_names_field(tmp_path):
             np.savez(fh, **arrays)
         with pytest.raises(ValidationError, match=match):
             load_maps_artifact(bad)
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes((tmp_path / "maps.bin").read_bytes()[:2000])
+    with pytest.raises(ValidationError, match="maps artifact .*truncated.bin"):
+        load_maps_artifact(truncated)
 
 
 def test_controller_loader_rejects_missing_version_and_nan_inputs(tmp_path):
@@ -342,6 +359,10 @@ def test_tampered_controller_artifact_names_field(tmp_path):
             np.savez(fh, **arrays)
         with pytest.raises(ValidationError, match=match):
             load_controller_artifact(bad)
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(path.read_bytes()[:2000])
+    with pytest.raises(ValidationError, match="controller artifact .*truncated.bin"):
+        load_controller_artifact(truncated)
 
 
 def test_version_1_artifacts_are_rejected(tmp_path):
@@ -360,7 +381,8 @@ def test_version_1_artifacts_are_rejected(tmp_path):
 
 
 def test_version_2_artifacts_are_rejected(tmp_path):
-    # v2 maps held the dense F_x and F_u; v2 controllers are v3's layout
+    # v2 maps held the dense F_x and F_u; v3 maps held no law kind or k and
+    # v3 controllers no inverse step Hessians, otherwise v4's layout
     path = tmp_path / "v2.bin"
     with open(path, "wb") as fh:
         np.savez(fh, format_version=np.array(2), F_x=np.eye(2), F_u=np.eye(2),
@@ -368,18 +390,21 @@ def test_version_2_artifacts_are_rejected(tmp_path):
     with pytest.raises(ValidationError, match="format version 2"):
         load_maps_artifact(path)
     good = _mug_maps_file(tmp_path)
-    with open(path, "wb") as fh:
-        np.savez(fh, **dict(good, format_version=np.array(2)))
-    with pytest.raises(ValidationError, match="format version 2"):
-        load_maps_artifact(path)
-    ctrl_path = tmp_path / "controller.bin"
-    write_controller_artifact(ctrl_path, OpenLoopController(np.zeros((3, 1)), 2))
-    with np.load(ctrl_path) as data:
-        arrays = dict(data, format_version=np.array(2))
-    with open(ctrl_path, "wb") as fh:
-        np.savez(fh, **arrays)
-    with pytest.raises(ValidationError, match="format version 2"):
-        load_controller_artifact(ctrl_path)
+    law_keys = ("kind", "k", "diagonal", "memory_blocks", "memory_rows", "memory_cols")
+    open_loop = tmp_path / "open_loop.bin"
+    write_controller_artifact(open_loop, OpenLoopController(np.zeros((3, 1)), 2))
+    with np.load(open_loop) as data:
+        open_loop = dict(data)
+    for version, maps, controllers in [
+            (2, good, [open_loop]),
+            (3, {key: v for key, v in good.items() if key not in ("kind", "k")},
+             [open_loop, {key: good[key] for key in law_keys}])]:
+        for loader, arrays in [(load_maps_artifact, maps),
+                               *((load_controller_artifact, c) for c in controllers)]:
+            with open(path, "wb") as fh:
+                np.savez(fh, **dict(arrays, format_version=np.array(version)))
+            with pytest.raises(ValidationError, match=f"format version {version}"):
+                loader(path)
 
 
 def test_trajectory_csv_deterministic_and_well_formed(tmp_path):
@@ -558,25 +583,44 @@ def _drop_z(node):
 
 @pytest.fixture(scope="module")
 def mug_artifacts(tmp_path_factory):
-    """Solved artifacts of mug_sugar in three and in two dimensions (same horizon)."""
+    """Solved artifacts of mug_sugar in three and in two dimensions (same horizon),
+    and in three with a tenfold control weight."""
     out = tmp_path_factory.mktemp("artifacts")
     config = load_scenario(bundled_scenario_path("mug_sugar")).raw
     flat = dict(_drop_z(config), name="mug_sugar_2d", plant={"kind": "double_integrator",
                                                            "dim": 2})
+    tenfold = json.loads(json.dumps(config))
+    tenfold["cost"]["control_weight"] *= 10
     dirs = {}
-    for label, cfg in (("3d", config), ("2d", flat)):
+    for label, cfg in (("3d", config), ("2d", flat), ("tenfold", tenfold)):
         dirs[label] = Path(run_scenario(cfg, seed=0, out=out, label=label)["out_dir"])
     return dirs
 
 
-def test_cli_rollout_rejects_controller_of_other_dimensions(tmp_path, mug_artifacts):
-    proc = _cli("rollout", "--scenario", str(bundled_scenario_path("mug_sugar")),
-                "--controller", str(mug_artifacts["2d"] / "controller.bin"),
-                "--out", str(tmp_path))
+def _truncated_maps(tmp_path, mug_artifacts):
+    """The first 2000 bytes of a valid maps.bin."""
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes((mug_artifacts["3d"] / "maps.bin").read_bytes()[:2000])
+    return truncated
+
+
+def _assert_validation_error(proc, message):
     assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
     err = json.loads(proc.stderr)
     assert err["error"] == "validation"
-    assert "controller state_dim 4 does not match scenario state_dim 6" in err["message"]
+    assert message in err["message"]
+
+
+def test_cli_rollout_rejects_controller_of_other_dimensions(tmp_path, mug_artifacts):
+    truncated = _truncated_maps(tmp_path, mug_artifacts)
+    for controller, message in [
+            (mug_artifacts["2d"] / "controller.bin",
+             "controller state_dim 4 does not match scenario state_dim 6"),
+            (truncated, f"controller artifact {truncated}")]:
+        proc = _cli("rollout", "--scenario", str(bundled_scenario_path("mug_sugar")),
+                    "--controller", str(controller), "--out", str(tmp_path))
+        _assert_validation_error(proc, message)
 
 
 def test_cli_adapt_rejects_artifacts_of_other_dimensions(tmp_path, mug_artifacts):
@@ -585,19 +629,23 @@ def test_cli_adapt_rejects_artifacts_of_other_dimensions(tmp_path, mug_artifacts
     edit = json.dumps({"t": 70, "target": raw["cost"]["viapoints"][1]["target"]})
     open_loop = tmp_path / "open_loop.bin"
     write_controller_artifact(open_loop, OpenLoopController(np.zeros((101, 3)), 6))
+    truncated = _truncated_maps(tmp_path, mug_artifacts)
+    base, flat, tenfold = (mug_artifacts[label] for label in ("3d", "2d", "tenfold"))
     for controller, maps, message in [
-            (mug_artifacts["2d"] / "controller.bin", "2d",
+            (flat / "controller.bin", flat / "maps.bin",
              "controller state_dim 4 does not match scenario state_dim 6"),
-            (mug_artifacts["3d"] / "controller.bin", "2d",
+            (base / "controller.bin", flat / "maps.bin",
              "maps state_dim 4 does not match scenario state_dim 6"),
-            (open_loop, "3d", "open-loop controller has no feedforward")]:
+            (open_loop, base / "maps.bin", "open-loop controller has no feedforward"),
+            (base / "controller.bin", truncated, f"maps artifact {truncated}"),
+            # the maps of a solve with a tenfold control weight hold another
+            # law than the base controller; that solve's own pair holds one
+            # law, but not the one the scenario's weights give
+            (base / "controller.bin", tenfold / "maps.bin", "maps artifact holds another law"),
+            (tenfold / "controller.bin", tenfold / "maps.bin", "gain_stationarity")]:
         proc = _cli("adapt", "--scenario", mug, "--controller", str(controller),
-                    "--maps", str(mug_artifacts[maps] / "maps.bin"),
-                    "--edit-json", edit, "--out", str(tmp_path))
-        assert proc.returncode == 2, proc.stderr
-        err = json.loads(proc.stderr)
-        assert err["error"] == "validation"
-        assert message in err["message"]
+                    "--maps", str(maps), "--edit-json", edit, "--out", str(tmp_path))
+        _assert_validation_error(proc, message)
 
 
 def test_cli_help_lists_subcommands():

@@ -320,7 +320,7 @@ def test_recursion_matches_dense_oracle():
                                  (dense_F_x(maps), F_x), (dense_F_u(maps), F_u)]:
             _assert_rel(actual, expected, 1e-9)
         # correlations that share t1 share one held state
-        assert max(len(h) for h in resp.held) == max(
+        assert max(len(h) for h in resp.controller.held) == max(
             len({t1 for t1, t2 in layout if t1 < t <= t2}) for t in range(T + 1))
 
 
@@ -432,13 +432,15 @@ def test_gain_stationarity_detects_perturbed_gains():
         st, resp = _long_request(seed)
         assert resp.gain_stationarity() <= 1e-12
         m = st.state_dim
-        memory = [t for t, h in enumerate(resp.held) if h]
+        law = resp.controller
+        memory = [t for t, h in enumerate(law.held) if h]
         t = memory[len(memory) // 2]
         for block, factor, floor in [(slice(m, 2 * m), 0.0, 1e-5),
                                      (slice(None), 1 + 1e-6, 1e-11)]:
-            gains = [g.copy() for g in resp.gains]
+            gains = [g.copy() for g in law.gains]
             gains[t][:, block] *= factor
-            wrong = dataclasses.replace(resp, gains=gains)
+            wrong = dataclasses.replace(
+                resp, controller=Controller.from_gains(law.held, gains, law.k))
             assert wrong.stationarity() == resp.stationarity()
             assert wrong.gain_stationarity() >= floor
 
