@@ -18,7 +18,7 @@ from slsctrl.scenarios import (
     correlation_residuals,
     load_scenario,
 )
-from slsctrl import build_stacked, linear_system_from_plant
+from slsctrl import linear_system_from_plant
 
 
 def main():
@@ -27,8 +27,7 @@ def main():
     plant = build_plant(scenario)
     cost = build_cost(scenario)
     system = linear_system_from_plant(plant, scenario.horizon)
-    stacked = build_stacked(system)
-    controller = extract_controller(solve_esls(stacked, cost))
+    controller = extract_controller(solve_esls(system, cost))
     baseline = dp_lqt(system, cost.diagonal_projection())
 
     m = plant.state_dim

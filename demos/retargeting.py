@@ -12,7 +12,6 @@ import numpy as np
 
 from slsctrl import (
     adapt_feedforward,
-    build_stacked,
     bundled_scenario_path,
     extract_controller,
     linear_system_from_plant,
@@ -29,9 +28,9 @@ def main():
     scenario = Scenario.from_dict(raw)
     plant = build_plant(scenario)
     cost = build_cost(scenario)
-    stacked = build_stacked(linear_system_from_plant(plant, scenario.horizon))
-    controller = extract_controller(solve_esls(stacked, cost))
-    maps = precompute_gain_maps(stacked, cost, controller)
+    system = linear_system_from_plant(plant, scenario.horizon)
+    controller = extract_controller(solve_esls(system, cost))
+    maps = precompute_gain_maps(system, cost, controller)
 
     vp = next(v for v in raw["cost"]["viapoints"] if v["t"] == 70)
     shifted = list(vp["target"])
@@ -42,7 +41,7 @@ def main():
     k_new = adapt_feedforward(maps, new_cost.x_d, new_cost.u_d)
     adapt_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    k_ref = extract_controller(solve_esls(stacked, new_cost)).k
+    k_ref = extract_controller(solve_esls(system, new_cost)).k
     resolve_s = time.perf_counter() - t0
 
     x0 = np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0])

@@ -12,7 +12,6 @@ import numpy as np
 from slsctrl import (
     LinearPlant,
     NoiseModel,
-    build_stacked,
     build_viapoint_cost,
     double_integrator_plant,
     dp_lqt,
@@ -36,10 +35,9 @@ def main():
                                state_dim=m, input_dim=n)
 
     system = linear_system_from_plant(plant, T)
-    stacked = build_stacked(system)
-    response = solve_esls(stacked, cost)
+    response = solve_esls(system, cost)
     controller = extract_controller(response)
-    print("structural residuals:", response.residuals(stacked))
+    print("structural residuals:", response.residuals())
 
     noise = NoiseModel(T, np.zeros(m), np.zeros(m),
                        np.array([0.0, 0.0, 1e-5, 1e-5]))

@@ -11,7 +11,6 @@ without re-solving.
 from .stacked import (
     BlockLowerTriangular,
     NoiseModel,
-    StackedSystem,
     TimeVaryingLinearSystem,
     build_stacked,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "Plant",
     "Scenario",
     "SolverNotConverged",
-    "StackedSystem",
     "StateCostFunction",
     "SystemResponse",
     "TimeVaryingLinearSystem",

@@ -7,8 +7,9 @@ k = F_x x_d + F_u u_d.  x_d enters only through Q x_d, so F_x is zero
 outside the block columns of the few timesteps Q touches.  Those columns,
 and F_u applied to the synthesis input target u_d0, come from the
 controller's own gains and inverse step Hessians plus one feedforward-only
-backward pass with one right-hand side each: no second Riccati recursion
-and no factorization.  :class:`AdaptationMaps` keeps just that and the
+backward pass with one right-hand side each over the system's blocks
+A_t, B_t: no second Riccati recursion and no factorization.
+:class:`AdaptationMaps` keeps just that, its own copy of A and B, and the
 controller it reads, which may come from ``controller.bin``: O(T) per
 touched timestep, and no dense F_x or F_u.
 
@@ -77,17 +78,17 @@ class AdaptationMaps:
         return k
 
 
-def precompute_gain_maps(stacked, cost, controller):
+def precompute_gain_maps(system, cost, controller):
     """Assemble the target-to-feedforward maps of a synthesized controller.
 
     ``controller`` must be the one :func:`~slsctrl.solver.extract_controller`
     or :func:`~slsctrl.isls.isls_optimize` returned for this
-    ``(stacked, cost)``, or that controller read back from its artifact:
+    ``(system, cost)``, or that controller read back from its artifact:
     the maps keep it and read its held states, gains and inverse step
     Hessians.  ``cost`` supplies Q, R and the input target;
     the maps stay valid for any edit that moves targets while keeping
     weights, correlations' C and Q_c, and the dynamics fixed.  Only the
-    blocks A_t, B_t of ``stacked`` are read.
+    blocks A_t, B_t of ``system`` are read.
 
     Block column j of F_x is the feedforward for the linear term Q[:, j],
     and is zero at timesteps Q does not touch.  One feedforward-only pass
@@ -96,7 +97,6 @@ def precompute_gain_maps(stacked, cost, controller):
     no inverse step Hessians (built from a dense K), or differs from the
     cost in horizon, sizes or held states.
     """
-    system = stacked.system
     T, m, n = system.horizon, system.state_dim, system.input_dim
     if (cost.horizon, cost.state_dim, cost.input_dim) != (T, m, n):
         raise ValueError("cost dimensions do not match the system")
@@ -113,7 +113,7 @@ def precompute_gain_maps(stacked, cost, controller):
         bad = ~np.isfinite(cols.reshape(T + 1, -1)).all(axis=1)
         if bad.any():
             raise ValueError(f"non-finite {name} at t={int(np.argmax(bad))}")
-    A, B = np.array(system.A), np.array(system.B)
+    A, B = system.A.copy(), system.B.copy()
     k = feedforward_pass(A, B, cost.R, controller, u_d, b).reshape((T + 1) * n, c)
     return AdaptationMaps(touched=np.array(touched, dtype=int),
                           F_x_blocks=np.ascontiguousarray(k[:, :-1]),

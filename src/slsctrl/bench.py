@@ -39,7 +39,6 @@ from .scenarios import (
     scenario_from,
 )
 from .solver import extract_controller, solve_esls
-from .stacked import build_stacked
 
 
 def bundled_scenario_path(name):
@@ -98,8 +97,7 @@ def bench_mug_sugar(trials=10, seed=0, scenario_path=None, overrides=None):
 
     t0 = time.perf_counter()
     system = linear_system_from_plant(plant, scenario.horizon)
-    stacked = build_stacked(system)
-    controller = extract_controller(solve_esls(stacked, cost))
+    controller = extract_controller(solve_esls(system, cost))
     solve_seconds = time.perf_counter() - t0
 
     report = BenchmarkReport(
@@ -246,12 +244,11 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
     plant = build_plant(scenario)
     cost = build_cost(scenario)
     system = linear_system_from_plant(plant, scenario.horizon)
-    stacked = build_stacked(system)
     t0 = time.perf_counter()
-    response = solve_esls(stacked, cost)
+    response = solve_esls(system, cost)
     controller = extract_controller(response)
     base_solve_seconds = time.perf_counter() - t0
-    maps = precompute_gain_maps(stacked, cost, controller)
+    maps = precompute_gain_maps(system, cost, controller)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x0 = draw_initial_state(scenario, rng, plant)
@@ -281,7 +278,7 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
         k_adapt = adapt_feedforward(maps, new_cost.x_d, new_cost.u_d)
         adapt_seconds = time.perf_counter() - t1
         t1 = time.perf_counter()
-        k_resolve = extract_controller(solve_esls(stacked, new_cost)).k
+        k_resolve = extract_controller(solve_esls(system, new_cost)).k
         resolve_seconds = time.perf_counter() - t1
         k_gap = float(np.max(np.abs(k_adapt - k_resolve)))
 

@@ -348,19 +348,21 @@ def finite_difference_hessian(f, x, step=1e-4):
     return H
 
 
+STATE_COST_FD_STEP = 1e-5   # central-difference step of StateCostFunction's fallbacks
+
+
 class StateCostFunction:
     """Per-step state cost c(t, x) with first and second derivatives.
 
     Derivatives may be supplied analytically; missing ones fall back to
     central finite differences of the value (and of the gradient when that
-    one is analytic).
+    one is analytic), of step ``STATE_COST_FD_STEP``.
     """
 
-    def __init__(self, value, gradient=None, hessian=None, fd_step=1e-5):
+    def __init__(self, value, gradient=None, hessian=None):
         self._value = value
         self._gradient = gradient
         self._hessian = hessian
-        self.fd_step = fd_step
 
     def value(self, t, x):
         return float(self._value(t, np.asarray(x, dtype=float)))
@@ -368,7 +370,7 @@ class StateCostFunction:
     def gradient(self, t, x):
         if self._gradient is not None:
             return np.asarray(self._gradient(t, np.asarray(x, dtype=float)), dtype=float)
-        return finite_difference_gradient(lambda z: self._value(t, z), x, self.fd_step)
+        return finite_difference_gradient(lambda z: self._value(t, z), x, STATE_COST_FD_STEP)
 
     def hessian(self, t, x):
         if self._hessian is not None:
@@ -378,11 +380,11 @@ class StateCostFunction:
             H = np.zeros((x.size, x.size))
             for i in range(x.size):
                 e = np.zeros(x.size)
-                e[i] = self.fd_step
+                e[i] = STATE_COST_FD_STEP
                 H[:, i] = (
                     np.asarray(self._gradient(t, x + e), dtype=float)
                     - np.asarray(self._gradient(t, x - e), dtype=float)
-                ) / (2 * self.fd_step)
+                ) / (2 * STATE_COST_FD_STEP)
             return (H + H.T) / 2
         return finite_difference_hessian(lambda z: self._value(t, z), x, step=1e-4)
 

@@ -27,6 +27,8 @@ from .costs import (
 from .solver import Controller, extract_controller, solve_esls
 from .stacked import TimeVaryingLinearSystem, build_stacked
 
+NOMINAL_DEFECT_TOL = 1e-8   # largest |f(x_t, u_t) - x_{t+1}| linearize_plant keeps a nominal at
+
 
 class TrackingObjective:
     """Trajectory objective: per-step state costs, correlations, input effort.
@@ -170,15 +172,15 @@ def nominal_rollout(plant, x0, us):
     return xs
 
 
-def linearize_plant(plant, x_hat, u_hat, defect_tol=1e-8):
+def linearize_plant(plant, x_hat, u_hat):
     """Time-varying linearization of a plant along a nominal trajectory.
 
     Deviation coordinates presume the nominal is dynamically consistent
     (each state the image of the previous one); an inconsistent nominal
-    would carry hidden drift terms, so it is first reprojected by forward
-    simulation from its initial state under the nominal inputs.  A plant
-    that sets ``broadcasts`` is called once for the whole horizon, any
-    other plant once per step.
+    (a defect above ``NOMINAL_DEFECT_TOL``) would carry hidden drift terms,
+    so it is first reprojected by forward simulation from its initial state
+    under the nominal inputs.  A plant that sets ``broadcasts`` is called
+    once for the whole horizon, any other plant once per step.
     """
     m = plant.state_dim
     xb = np.asarray(x_hat, dtype=float).reshape(-1, m)
@@ -191,18 +193,17 @@ def linearize_plant(plant, x_hat, u_hat, defect_tol=1e-8):
         x_next = plant.step(np.arange(T), xb[:-1], ub[:-1])
     else:
         x_next = np.array([plant.step(t, xb[t], ub[t]) for t in range(T)]).reshape(T, m)
-    if np.any(np.abs(x_next - xb[1:]) > defect_tol):
+    if np.any(np.abs(x_next - xb[1:]) > NOMINAL_DEFECT_TOL):
         xb = nominal_rollout(plant, xb[0], ub)
     if broadcasts:
-        A, B = plant.jacobians(np.arange(T + 1), xb, ub)
+        system = TimeVaryingLinearSystem(*plant.jacobians(np.arange(T + 1), xb, ub))
     else:
-        pairs = [plant.jacobians(t, xb[t], ub[t]) for t in range(T + 1)]
-        A = np.array([At for At, _ in pairs])
-        B = np.array([Bt for _, Bt in pairs])
-    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+        system = TimeVaryingLinearSystem(
+            *zip(*(plant.jacobians(t, xb[t], ub[t]) for t in range(T + 1))))
+    finite = np.isfinite(system.A).all(axis=(1, 2)) & np.isfinite(system.B).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"non-finite Jacobian entries at t={int(np.argmin(finite))}")
-    return TimeVaryingLinearSystem(A, B)
+    return system
 
 
 @dataclass
@@ -316,10 +317,9 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
     while True:
         # every pass starts by solving the subproblem at the current nominal,
         # so on any exit the controller in hand belongs to that nominal
-        system = linearize_plant(plant, x_hat, u_hat)
-        stacked = build_stacked(system)
+        system = build_stacked(linearize_plant(plant, x_hat, u_hat))
         sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor)
-        response = solve_esls(stacked, sub)
+        response = solve_esls(system, sub)
         ctrl = extract_controller(response)
         step_norm = float(np.max(np.abs(ctrl.k))) if ctrl.k.size else 0.0
 

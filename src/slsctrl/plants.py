@@ -27,13 +27,15 @@ from .costs import (
 from .solver import _run_policy, riccati_gains
 from .stacked import NoiseModel, TimeVaryingLinearSystem
 
+JACOBIAN_FD_STEP = 1e-6   # central-difference step of Plant.jacobians' fallback
+
 
 class Plant:
     """Discrete-time dynamics x_{t+1} = f(t, x_t, u_t).
 
     Subclasses set ``state_dim``, ``input_dim``, ``dt`` and implement
     :meth:`step`; :meth:`jacobians` falls back to central finite differences
-    when no analytic form is provided.
+    of step ``JACOBIAN_FD_STEP`` when no analytic form is provided.
 
     A plant whose :meth:`step` and :meth:`jacobians` broadcast sets
     ``broadcasts = True``.  Both then take states of shape (..., m) and
@@ -55,8 +57,9 @@ class Plant:
     def step(self, t, x, u):
         raise NotImplementedError
 
-    def jacobians(self, t, x, u, fd_step=1e-6):
+    def jacobians(self, t, x, u):
         """(A, B) = (df/dx, df/du) at (t, x, u); default central differences."""
+        fd_step = JACOBIAN_FD_STEP
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         A = np.zeros((self.state_dim, self.state_dim))
@@ -92,7 +95,7 @@ class LinearPlant(Plant):
     def step(self, t, x, u):
         return self.A @ np.asarray(x, float) + self.B @ np.asarray(u, float)
 
-    def jacobians(self, t, x, u, fd_step=None):
+    def jacobians(self, t, x, u):
         return self.A.copy(), self.B.copy()
 
 
@@ -235,7 +238,7 @@ class PlanarArmPlant(Plant):
                                                      self.theta_upper)
         return out
 
-    def jacobians(self, t, z, u, fd_step=None):
+    def jacobians(self, t, z, u):
         p = self.n_links
         dt = self.dt
         lead, theta_new, _, vel_source = self._advance(z, u)
@@ -289,14 +292,9 @@ def linear_system_from_plant(plant, horizon):
         raise ValueError(
             f"plant '{plant.name}' is nonlinear; linearize around a nominal instead"
         )
-    zeros_x = np.zeros(plant.state_dim)
-    zeros_u = np.zeros(plant.input_dim)
-    A, B = [], []
-    for t in range(horizon + 1):
-        At, Bt = plant.jacobians(t, zeros_x, zeros_u)
-        A.append(At)
-        B.append(Bt)
-    return TimeVaryingLinearSystem(A, B)
+    zeros_x, zeros_u = np.zeros(plant.state_dim), np.zeros(plant.input_dim)
+    return TimeVaryingLinearSystem(*zip(*(plant.jacobians(t, zeros_x, zeros_u)
+                                          for t in range(horizon + 1))))
 
 
 # -- trajectories and rollouts ------------------------------------------------
@@ -419,7 +417,7 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
 # -- baselines ----------------------------------------------------------------
 
 
-def batch_lqt(stacked, cost, x0=None):
+def batch_lqt(system, cost, x0=None):
     """Open-loop least-squares plan for the deterministic tracking problem.
 
     Minimizes ||S_x w + S_u u - x_d||^2_Q + ||u - u_d||^2_R with
@@ -428,7 +426,6 @@ def batch_lqt(stacked, cost, x0=None):
     disturbances, so with x0 = 0 it is the feedforward d_u of the
     closed-loop synthesis.
     """
-    system = stacked.system
     x0 = np.zeros(system.state_dim) if x0 is None else np.asarray(x0, dtype=float)
     _, us = _run_policy(system, riccati_gains(system, cost), x0)
     return us.ravel()

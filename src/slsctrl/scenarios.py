@@ -766,11 +766,11 @@ def _solve_scenario(scenario, plant, x0, trace=False):
         extras["cost"] = cost
         info = {}
         if kind == "esls":
-            stacked = build_stacked(system)
-            response = solve_esls(stacked, cost)
+            system = build_stacked(system)
+            response = solve_esls(system, cost)
             controller = extract_controller(response)
-            extras["maps"] = precompute_gain_maps(stacked, cost, controller)
-            info["residuals"] = response.residuals(stacked)
+            extras["maps"] = precompute_gain_maps(system, cost, controller)
+            info["residuals"] = response.residuals()
         elif kind == "batch-lqt":
             u = batch_lqt(build_stacked(system), cost, x0=x0)
             controller = OpenLoopController(u.reshape(-1, plant.input_dim),

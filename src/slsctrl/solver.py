@@ -1,7 +1,8 @@
-"""Closed-loop map synthesis for stacked tracking problems.
+"""Closed-loop map synthesis for tracking problems on a time-varying system.
 
-The synthesis optimizes the causal closed-loop maps (phi_x, phi_u) from the
-stacked disturbance w = [x_0, w_0, ...] to states and inputs, subject to
+The synthesis reads the system's stacked blocks A_t, B_t directly and
+optimizes the causal closed-loop maps (phi_x, phi_u) from the stacked
+disturbance w = [x_0, w_0, ...] to states and inputs, subject to
 phi_x = S_x + S_u phi_u.  Block column i sees only the cost blocks with both
 timesteps >= i; its optimum is the response of the optimal causal policy to
 a disturbance at step i.  The feedforward (d_x, d_u) solves the
@@ -74,7 +75,7 @@ class SystemResponse:
         """:func:`gain_stationarity` of the response's own gains."""
         return gain_stationarity(self.system, self.cost, self.controller)
 
-    def residuals(self, stacked):
+    def residuals(self, stacked=None):
         """Stationarity of the plan and of the feedback gains; ``stacked`` is not read."""
         return {"stationarity": self.stationarity(),
                 "gain_stationarity": self.gain_stationarity()}
@@ -102,7 +103,7 @@ def gain_stationarity(system, cost, law):
 def _input_adjoint(system, g):
     """S_u'g for columns g (T+1, m, c): one adjoint pass over A_t and B_t."""
     A, B = system.A, system.B
-    out = np.zeros((len(B), B[0].shape[1], g.shape[2]))
+    out = np.zeros((len(B), B.shape[2], g.shape[2]))
     lam = np.zeros(g.shape[1:])    # adjoint of x_{t+1}
     for t in range(len(A) - 1, -1, -1):
         out[t] = B[t].T @ lam
@@ -128,6 +129,10 @@ class Controller:
     whole vector by reference, so a concurrent reader that captured the
     attribute sees either the old or the new feedforward, never a mixture.
     """
+
+    # every attribute _set_steps sets
+    _FIELDS = ("held", "gains", "horizon", "input_dim", "state_dim", "hessian_inv", "_idx",
+               "k", "nominal_x", "nominal_u")
 
     def __init__(self, K, k, nominal_x=None, nominal_u=None):
         if not isinstance(K, BlockLowerTriangular):
@@ -182,9 +187,10 @@ class Controller:
     def with_feedforward(self, k_new):
         """Copy sharing the gains and nominals but carrying a different feedforward."""
         twin = type(self).__new__(type(self))
-        # one by one: copy.copy's __dict__ slows each control() by ~8% on CPython 3.11
-        for name, value in vars(self).items():
-            setattr(twin, name, value)
+        # by name: vars() or copy.copy would give self a __dict__ for good on
+        # CPython 3.11, and each later control() on it would run ~8% slower
+        for name in self._FIELDS:
+            setattr(twin, name, getattr(self, name))
         twin.swap_feedforward(k_new)
         return twin
 
@@ -302,7 +308,7 @@ def riccati_gains(system, cost):
     # one right-hand-side column, kept 2-D so every product is the one a
     # multi-column feedforward_pass makes
     b, u_d = cost.linear_term.reshape(T + 1, m, 1), cost.u_d.reshape(T + 1, n, 1)
-    for name, blocks in [("A_t", np.asarray(system.A)), ("B_t", np.asarray(system.B)),
+    for name, blocks in [("A_t", system.A), ("B_t", system.B),
                          ("R_t", cost.R), ("linear term", b), ("u_d", u_d)]:
         bad = ~np.isfinite(blocks.reshape(T + 1, -1)).all(axis=1)
         if bad.any():
@@ -353,7 +359,7 @@ def feedforward_pass(A, B, R, law, u_d, b=None):
     products and no factorization, in the order the recursion itself makes
     them.
     """
-    T1, m, c = len(law.gains), A[0].shape[0], u_d.shape[2]
+    T1, m, c = len(law.gains), A.shape[1], u_d.shape[2]
     k, p, Ru = np.empty((T1, law.input_dim, c)), np.zeros((m, c)), R @ u_d
     for t in range(T1 - 1, -1, -1):
         k[t], p = _feedforward_step(A[t], B[t], law.hessian_inv[t], law.gains[t],
@@ -362,10 +368,10 @@ def feedforward_pass(A, B, R, law, u_d, b=None):
     return k
 
 
-def solve_esls(stacked, cost):
-    """Synthesize the optimal causal policy and plan for a stacked tracking cost.
+def solve_esls(system, cost):
+    """Synthesize the optimal causal policy and plan for a tracking cost on ``system``.
 
-    Only the per-step blocks A_t, B_t of ``stacked`` are read; the R blocks
+    Only the per-step blocks A_t, B_t of ``system`` are read; the R blocks
     of ``cost`` must be positive definite.  Returns a :class:`SystemResponse`
     with the policy, whose responses to a disturbance at step i are block
     column i of the maps (phi_x, phi_u), and the plan (d_x, d_u) from
@@ -373,7 +379,6 @@ def solve_esls(stacked, cost):
     mismatched or non-finite data and on a step Hessian that is not
     positive definite (the message names the step).
     """
-    system = stacked.system
     law = riccati_gains(system, cost)
     xs, us = _run_policy(system, law, np.zeros(system.state_dim))
     return SystemResponse(system=system, cost=cost, controller=law,

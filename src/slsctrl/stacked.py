@@ -1,4 +1,4 @@
-"""Stacked representation of finite-horizon linear time-varying systems.
+"""Finite-horizon linear time-varying systems and their stacked view.
 
 The whole trajectory is treated as one linear-algebra object: states, inputs
 and disturbances over a horizon of T steps are stacked into single vectors
@@ -14,10 +14,11 @@ the first block subdiagonal).  The two causal response operators
 
 are block lower triangular.  Neither ``Z`` nor the operators are ever
 materialized: the synthesis, the batch plan, the retargeting maps and the
-residuals run recursions over the blocks A_t, B_t (see
-:mod:`slsctrl.solver`), so :func:`build_stacked` is O(1).  The dense
-operators exist only as the tests' oracle.  :class:`BlockLowerTriangular`
-is the one dense view left, of a controller's gain (``Controller.K``).
+residuals run recursions over the blocks A_t, B_t of a
+:class:`TimeVaryingLinearSystem`, which holds them as two stacked arrays
+(see :mod:`slsctrl.solver`).  The dense operators exist only as the tests'
+oracle.  :class:`BlockLowerTriangular` is the one dense view left, of a
+controller's gain (``Controller.K``).
 """
 
 from __future__ import annotations
@@ -78,27 +79,22 @@ class BlockLowerTriangular:
 class TimeVaryingLinearSystem:
     """Discrete linear time-varying dynamics x_{t+1} = A_t x_t + B_t u_t + w_t.
 
-    ``A`` and ``B`` hold T+1 blocks (t = 0..T); the final pair is carried for
-    dimension bookkeeping but never propagates anything (it is shifted out).
+    ``A`` (T+1, m, m) and ``B`` (T+1, m, n) hold the blocks for t = 0..T as
+    float arrays; they may be given as per-step lists or as stacked arrays.
+    The final pair is carried for dimension bookkeeping but never
+    propagates anything (it is shifted out).
     """
 
-    A: list
-    B: list
+    A: np.ndarray
+    B: np.ndarray
 
     def __post_init__(self):
-        self.A = [np.asarray(a, dtype=float) for a in self.A]
-        self.B = [np.asarray(b, dtype=float) for b in self.B]
         if len(self.A) != len(self.B):
-            raise ValueError("A and B block lists must have equal length (T+1)")
-        if not self.A:
+            raise ValueError("A and B must hold the same number of blocks (T+1)")
+        if not len(self.A):
             raise ValueError("need at least one block (T >= 0)")
-        m = self.A[0].shape[0]
-        n = self.B[0].shape[1]
-        for t, (a, b) in enumerate(zip(self.A, self.B)):
-            if a.shape != (m, m):
-                raise ValueError(f"A[{t}] has shape {a.shape}, expected ({m}, {m})")
-            if b.shape != (m, n):
-                raise ValueError(f"B[{t}] has shape {b.shape}, expected ({m}, {n})")
+        m, n = len(self.A[0]), np.shape(self.B[0])[-1]
+        self.A, self.B = _stacked("A", self.A, (m, m)), _stacked("B", self.B, (m, n))
 
     @property
     def horizon(self):
@@ -106,18 +102,31 @@ class TimeVaryingLinearSystem:
 
     @property
     def state_dim(self):
-        return self.A[0].shape[0]
+        return self.A.shape[1]
 
     @property
     def input_dim(self):
-        return self.B[0].shape[1]
+        return self.B.shape[2]
 
     @classmethod
     def constant(cls, A, B, horizon):
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-        return cls([A.copy() for _ in range(horizon + 1)],
-                   [B.copy() for _ in range(horizon + 1)])
+        """The pair (A, B) repeated at every step t = 0..horizon."""
+        return cls(np.repeat(np.asarray(A, dtype=float)[None], horizon + 1, axis=0),
+                   np.repeat(np.asarray(B, dtype=float)[None], horizon + 1, axis=0))
+
+
+def _stacked(name, blocks, shape):
+    """``blocks`` as one float array (T+1, *shape); ValueError names the first misfit."""
+    try:
+        out = np.asarray(blocks, dtype=float)
+        if out.shape[1:] == shape:
+            return out
+    except ValueError:    # blocks of different shapes do not stack
+        pass
+    for t, b in enumerate(blocks):
+        if np.shape(b) != shape:
+            raise ValueError(f"{name}[{t}] has shape {np.shape(b)}, expected {shape}")
+    return np.asarray(blocks, dtype=float)   # every shape fits: numpy's error says what failed
 
 
 class NoiseModel:
@@ -168,30 +177,9 @@ class NoiseModel:
         return w.ravel()
 
 
-class StackedSystem:
-    """A time-varying system viewed as the stacked operators S_x and S_u.
-
-    Only the blocks A_t, B_t are stored; every consumer runs a recursion
-    over them instead of forming the dense operators.
-    """
-
-    def __init__(self, system):
-        self.system = system
-
-    @property
-    def horizon(self):
-        return self.system.horizon
-
-    @property
-    def state_dim(self):
-        return self.system.state_dim
-
-    @property
-    def input_dim(self):
-        return self.system.input_dim
-
-
 def build_stacked(system):
-    """Wrap a time-varying system for synthesis; O(1), nothing dense is built."""
-    return StackedSystem(system)
+    """The system itself: synthesis reads its blocks A_t, B_t directly.
 
+    Kept as the name through which the benchmark traces the stacking layer.
+    """
+    return system

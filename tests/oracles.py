@@ -154,7 +154,7 @@ def solve_sls_column(stacked, cost, col):
     if not (0 <= col <= T):
         raise ValueError(f"column {col} outside horizon [0, {T}]")
     km, kn = col * m, col * n
-    S_x, S_u = dense_stacked_maps(stacked.system.A, stacked.system.B)
+    S_x, S_u = dense_stacked_maps(stacked.A, stacked.B)
     Su_t = S_u[km:, kn:]
     Sx_col = S_x[km:, km:km + m]
 

@@ -21,7 +21,6 @@ from slsctrl import (
     batch_lqt,
     bench_mug_sugar,
     bench_pickplace,
-    build_stacked,
     build_viapoint_cost,
     dp_lqt,
     extract_controller,
@@ -102,7 +101,7 @@ def test_criterion_01_dp_lqt_equivalence():
     for _ in range(20):
         T, m, n, A, B = _random_system(rng)
         cost = _blockdiag_cost(rng, T, m, n)
-        st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+        st = TimeVaryingLinearSystem.constant(A, B, T)
         ctrl = extract_controller(solve_esls(st, cost))
         dp = dp_lqt(TimeVaryingLinearSystem.constant(A, B, T), cost)
         plant = LinearPlant(A, B)
@@ -124,7 +123,7 @@ def test_criterion_02_batch_least_squares_identity():
     for trial in range(20):
         T, m, n, A, B = _random_system(rng, T_max=12)
         cost, _, _ = _tracking_cost(rng, T, m, n, with_correlation=trial % 2 == 0)
-        st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+        st = TimeVaryingLinearSystem.constant(A, B, T)
         resp = solve_esls(st, cost)
         u_hat = batch_lqt(st, cost)
         worst = max(worst, float(np.max(np.abs(resp.d_u - u_hat))))
@@ -143,18 +142,18 @@ def test_criterion_03_structural_residuals():
     for trial in range(20):
         T, m, n, A, B = _random_system(rng, T_max=12)
         cost, _, _ = _tracking_cost(rng, T, m, n, with_correlation=trial % 3 == 0)
-        st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+        st = TimeVaryingLinearSystem.constant(A, B, T)
         solves.append((st, solve_esls(st, cost)))
     scenario = Scenario.from_dict(
         load_scenario(bundled_scenario_path("mug_sugar")).raw)
     plant = build_plant(scenario)
-    st = build_stacked(linear_system_from_plant(plant, scenario.horizon))
+    st = linear_system_from_plant(plant, scenario.horizon)
     solves.append((st, solve_esls(st, build_cost(scenario))))
     for st, resp in solves:
-        res = resp.residuals(st)
+        res = resp.residuals()
         worst = max(worst, res["stationarity"], res["gain_stationarity"],
-                    achievability_residual(st.system, *closed_loop_maps(resp)),
-                    feedforward_residual(st.system, resp.d_x, resp.d_u))
+                    achievability_residual(st, *closed_loop_maps(resp)),
+                    feedforward_residual(st, resp.d_x, resp.d_u))
     _verdict(3, "stationarity, gain stationarity, achievability and feedforward",
              worst <= 1e-10, f"max {worst:.2e} over {len(solves)} solves")
 
@@ -169,7 +168,7 @@ def test_criterion_04_column_solver_vs_dense_kkt():
         n = int(rng.integers(1, 3))
         A_list = [rng.normal(size=(m, m)) * 0.6 for _ in range(T + 1)]
         B_list = [rng.normal(size=(m, n)) for _ in range(T + 1)]
-        st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+        st = TimeVaryingLinearSystem(A_list, B_list)
         cost, vps, corrs = _tracking_cost(rng, T, m, n,
                                           with_correlation=trial % 2 == 0)
         resp = solve_esls(st, cost)
@@ -204,8 +203,7 @@ def test_criterion_06_memory_property_under_impulse():
     plant = build_plant(scenario)
     cost = build_cost(scenario)
     system = linear_system_from_plant(plant, scenario.horizon)
-    st = build_stacked(system)
-    ctrl = extract_controller(solve_esls(st, cost))
+    ctrl = extract_controller(solve_esls(system, cost))
     dp = dp_lqt(system, cost.diagonal_projection())
 
     m = plant.state_dim
@@ -257,7 +255,7 @@ def test_criterion_08_lq_exactness_of_iterative_solver():
             plant, TrackingObjective.from_costspec(cost), rng.normal(size=m),
             config=IslsConfig(regularization=0.0))
         one_step = one_step and res.iterations == 1 and res.converged
-        st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+        st = TimeVaryingLinearSystem.constant(A, B, T)
         direct = extract_controller(solve_esls(st, cost))
         worst = max(worst,
                     float(np.max(np.abs(ctrl.K.dense - direct.K.dense))),
@@ -272,7 +270,7 @@ def test_criterion_09_adaptation_equals_resolve():
     T, m, n = 12, 3, 2
     A = rng.normal(size=(m, m)) * 0.5
     B = rng.normal(size=(m, n))
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     times = (3, 7, T)
     weights = (4.0, 2.0, 9.0)
     targets = {t: rng.normal(size=m) for t in times}

@@ -21,7 +21,6 @@ from slsctrl import (
     adapt_controller,
     adapt_feedforward,
     add_correlation,
-    build_stacked,
     build_cost,
     build_plant,
     build_viapoint_cost,
@@ -56,7 +55,7 @@ from oracles import (
 def _random_instance(rng, T=8, m=2, n=1, with_correlation=True):
     A = rng.normal(size=(m, m)) * 0.6
     B = rng.normal(size=(m, n))
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     vps = [(2, rng.normal(size=m), 3.0), (T, rng.normal(size=m), 10.0)]
     cost = build_viapoint_cost(T, vps, 0.4, state_dim=m, input_dim=n)
     if with_correlation:
@@ -70,7 +69,7 @@ def test_regulator_maps_give_zero_feedforward():
     T, m, n = 6, 2, 1
     A = rng.normal(size=(m, m)) * 0.5
     B = rng.normal(size=(m, n))
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     cost = build_viapoint_cost(T, [(t, np.zeros(m), 1.0) for t in range(T + 1)],
                                1.0, state_dim=m, input_dim=n)
     ctrl = extract_controller(solve_esls(st, cost))
@@ -110,7 +109,7 @@ def test_feedforward_matches_dense_gain_maps():
             corrs.append((1, T - 2, spec.C, spec.c, spec.Q_c))
         if trial >= 2:
             cost.u_d = rng.normal(size=(T + 1) * n)
-        st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+        st = TimeVaryingLinearSystem(A_list, B_list)
         ctrl = extract_controller(solve_esls(st, cost))
         maps = precompute_gain_maps(st, cost, ctrl)
 
@@ -241,14 +240,14 @@ def test_maps_equal_a_second_recursion_bit_for_bit():
                 int(t1), int(t2), rng.normal(size=(m, m)), rng.normal(size=m),
                 float(rng.uniform(0.5, 3.0)) * np.eye(m)))
         cost.u_d = rng.normal(size=(T + 1) * n)
-        st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+        st = TimeVaryingLinearSystem(A_list, B_list)
         maps = precompute_gain_maps(st, cost, extract_controller(solve_esls(st, cost)))
 
-        k = _second_recursion(st.system, cost, *_map_columns(cost)).reshape((T + 1) * n, -1)
+        k = _second_recursion(st, cost, *_map_columns(cost)).reshape((T + 1) * n, -1)
         npt.assert_array_equal(maps.F_x_blocks, k[:, :-1])
         npt.assert_array_equal(maps.k_u0, k[:, -1])
         if trial % 4 == 0:   # no held states: the memoryless tracker carries the same gains
-            dp = precompute_gain_maps(st, cost, dp_lqt(st.system, cost))
+            dp = precompute_gain_maps(st, cost, dp_lqt(st, cost))
             npt.assert_array_equal(dp.F_x_blocks, maps.F_x_blocks)
 
 
@@ -283,7 +282,7 @@ def test_precompute_rejects_a_controller_without_the_gains(tmp_path):
 def _mug_maps():
     scenario = load_scenario(bundled_scenario_path("mug_sugar"))
     cost = build_cost(scenario)
-    st = build_stacked(linear_system_from_plant(build_plant(scenario), scenario.horizon))
+    st = linear_system_from_plant(build_plant(scenario), scenario.horizon)
     return precompute_gain_maps(st, cost, extract_controller(solve_esls(st, cost))), cost
 
 
@@ -327,7 +326,7 @@ def test_map_storage_is_linear_in_horizon():
         cost = build_viapoint_cost(T, vps, 1e-2, state_dim=m, input_dim=n)
         cost = add_correlation(cost, CorrelationSpec(T // 4, 3 * T // 4, np.eye(m),
                                                      np.zeros(m), 5.0 * np.eye(m)))
-        st = build_stacked(linear_system_from_plant(plant, T))
+        st = linear_system_from_plant(plant, T)
         ctrl = extract_controller(solve_esls(st, cost))
         tracemalloc.start()
         try:
@@ -376,7 +375,7 @@ def test_shifted_target_matches_full_resolve():
     T, m, n = 10, 2, 1
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     B = np.array([[0.005], [0.1]])
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     goals = {4: np.array([0.4, 0.0]), T: np.array([-0.3, 0.0])}
     weights = {4: 50.0, T: 200.0}
 
@@ -458,7 +457,7 @@ def test_goal_tracking_after_adaptation():
     T, m, n = 12, 2, 1
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     B = np.array([[0.0], [0.1]])
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     g = np.array([0.6, 0.0])
     cost = build_viapoint_cost(T, [(T, g, 500.0)], 0.05, state_dim=m, input_dim=n)
     ctrl = extract_controller(solve_esls(st, cost))
@@ -480,7 +479,7 @@ def test_mid_rollout_swap_matches_resolved_swap():
     T, m, n = 12, 2, 1
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     B = np.array([[0.005], [0.1]])
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     g = np.array([0.5, 0.0])
     cost = build_viapoint_cost(T, [(T, g, 300.0)], 0.05, state_dim=m, input_dim=n)
     ctrl = extract_controller(solve_esls(st, cost))
@@ -530,7 +529,7 @@ def test_vicinity_retargeting_on_arm():
 
     x_hat = ctrl.nominal_x.reshape(T + 1, m)
     u_hat = ctrl.nominal_u.reshape(T + 1, -1)
-    st = build_stacked(linearize_plant(arm, x_hat, u_hat))
+    st = linearize_plant(arm, x_hat, u_hat)
     sub = obj.quadratize(x_hat, u_hat)
     maps = precompute_gain_maps(st, sub, ctrl)
 

@@ -9,7 +9,6 @@ from slsctrl import (
     LinearPlant,
     StateCostFunction,
     TrackingObjective,
-    build_stacked,
     build_viapoint_cost,
     double_integrator_plant,
     extract_controller,
@@ -73,8 +72,8 @@ def test_lq_problem_converges_in_one_accepted_iteration():
         assert res.reason == "stationary"
         assert res.history[0].alpha == 1.0
 
-        st = build_stacked(linearize_plant(plant, nominal_rollout(
-            plant, x0, np.zeros((T + 1, n))), np.zeros((T + 1, n))))
+        st = linearize_plant(plant, nominal_rollout(
+            plant, x0, np.zeros((T + 1, n))), np.zeros((T + 1, n)))
         direct = extract_controller(solve_esls(st, cost))
         npt.assert_allclose(ctrl.K.dense, direct.K.dense, atol=1e-8)
         npt.assert_allclose(ctrl.absolute_feedforward(), direct.k, atol=1e-8)
@@ -124,8 +123,8 @@ def test_flat_tail_cost_forces_backtracking():
     u_hat = np.zeros((T + 1, 1))
     x_hat = nominal_rollout(plant, x0, u_hat)
     sub = obj.quadratize(x_hat, u_hat, cfg.regularization)
-    first = extract_controller(solve_esls(build_stacked(
-        linearize_plant(plant, x_hat, u_hat)), sub))
+    first = extract_controller(solve_esls(
+        linearize_plant(plant, x_hat, u_hat), sub))
 
     def cost_of_alpha(alpha):
         xs, us = closed_loop_step(plant, first, alpha * first.k, x_hat, u_hat)
@@ -387,7 +386,7 @@ def test_linearize_one_pass_matches_per_step_route():
             calls.append(("step", np.shape(z)))
             return super().step(t, z, u)
 
-        def jacobians(self, t, z, u, fd_step=None):
+        def jacobians(self, t, z, u):
             calls.append(("jacobians", np.shape(z)))
             return super().jacobians(t, z, u)
 

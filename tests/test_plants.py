@@ -11,7 +11,6 @@ from slsctrl import (
     OpenLoopController,
     TimeVaryingLinearSystem,
     batch_lqt,
-    build_stacked,
     build_viapoint_cost,
     double_integrator_plant,
     dp_lqt,
@@ -177,7 +176,7 @@ def test_rollout_determinism_and_impulse_decay():
     plant = LinearPlant(A, B)
     cost = build_viapoint_cost(T, [(t, np.zeros(m), 1.0) for t in range(T + 1)],
                                0.1, state_dim=m, input_dim=n)
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     ctrl = extract_controller(solve_esls(st, cost))
     # stability precheck on the time-invariant midpoint gain
     dp = dp_lqt(TimeVaryingLinearSystem.constant(A, B, T), cost)
@@ -266,7 +265,7 @@ def test_dp_tracking_feedforward_reaches_target():
     tr = rollout(LinearPlant(A, B), dp, w=np.zeros((T + 1) * m))
     npt.assert_allclose(tr.states[T], g, atol=1e-2)
     # matches the batch least-squares plan on the same problem
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     u_batch = batch_lqt(st, cost)
     npt.assert_allclose(tr.stacked_inputs, u_batch, atol=1e-8)
 

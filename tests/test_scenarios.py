@@ -17,7 +17,6 @@ from slsctrl import (
     adapt_feedforward,
     bench_adaptation,
     bench_mug_sugar,
-    build_stacked,
     dp_lqt,
     extract_controller,
     isls_optimize,
@@ -200,8 +199,7 @@ def test_controller_artifact_roundtrip(tmp_path):
     # controllers come back with the same blocks and the same rollouts, bit
     # for bit, with inverse step Hessians exactly when the source had them
     scenario, plant, cost, system = _mug()
-    st = build_stacked(system)
-    ctrl = extract_controller(solve_esls(st, cost))
+    ctrl = extract_controller(solve_esls(system, cost))
     x0 = np.asarray(scenario.initial_state["center"], float)
     isls_ctrl, _ = isls_optimize(plant, TrackingObjective.from_costspec(cost), x0)
     assert any(ctrl.held) and isls_ctrl.nominal_x is not None
@@ -228,7 +226,7 @@ def test_controller_artifact_roundtrip(tmp_path):
         npt.assert_array_equal(runs[1].states, runs[0].states)
         npt.assert_array_equal(runs[1].inputs, runs[0].inputs)
 
-    maps = precompute_gain_maps(st, cost, ctrl)
+    maps = precompute_gain_maps(system, cost, ctrl)
     mpath = tmp_path / "maps.bin"
     write_maps_artifact(mpath, maps, cost)
     loaded_maps, x_d, u_d = load_maps_artifact(mpath)
@@ -251,8 +249,7 @@ def test_controller_artifact_roundtrip(tmp_path):
 
 def _mug_maps_file(tmp_path):
     _, _, cost, system = _mug()
-    st = build_stacked(system)
-    maps = precompute_gain_maps(st, cost, extract_controller(solve_esls(st, cost)))
+    maps = precompute_gain_maps(system, cost, extract_controller(solve_esls(system, cost)))
     path = tmp_path / "maps.bin"
     write_maps_artifact(path, maps, cost)
     with np.load(path) as data:
@@ -319,7 +316,7 @@ def test_controller_loader_rejects_missing_version_and_nan_inputs(tmp_path):
 
 def test_tampered_controller_artifact_names_field(tmp_path):
     scenario, plant, cost, system = _mug()
-    ctrl = extract_controller(solve_esls(build_stacked(system), cost))
+    ctrl = extract_controller(solve_esls(system, cost))
     x = np.zeros(scenario.state_dim * (scenario.horizon + 1))
     u = np.zeros(ctrl.k.size)
     path = tmp_path / "controller.bin"

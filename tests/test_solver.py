@@ -18,7 +18,6 @@ from slsctrl import (
     TimeVaryingLinearSystem,
     add_correlation,
     batch_lqt,
-    build_stacked,
     build_viapoint_cost,
     double_integrator_plant,
     dp_lqt,
@@ -71,8 +70,7 @@ def _random_tracking_cost(rng, T, m, n, with_correlation=False):
 def test_one_step_scalar_closed_form():
     # A=B=1, T=1, Q=R=I: the single Riccati step gives K = -1/2, so the
     # disturbance response is phi_u = (-1/2, 0), phi_x = (1, 1/2)
-    sys1 = TimeVaryingLinearSystem.constant(np.array([[1.0]]), np.array([[1.0]]), 1)
-    st = build_stacked(sys1)
+    st = TimeVaryingLinearSystem.constant(np.array([[1.0]]), np.array([[1.0]]), 1)
     cost = _regulator_cost(1, 1, 1)
     resp = solve_esls(st, cost)
     phi_x, phi_u = closed_loop_maps(resp)
@@ -91,7 +89,7 @@ def test_zero_state_cost_gives_open_loop():
     system = TimeVaryingLinearSystem.constant(
         rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T)
     cost = build_viapoint_cost(T, [], 1.0, state_dim=m, input_dim=n)
-    phi_x, phi_u = closed_loop_maps(solve_esls(build_stacked(system), cost))
+    phi_x, phi_u = closed_loop_maps(solve_esls(system, cost))
     assert np.max(np.abs(phi_u)) < 1e-12
     S_x, _ = dense_stacked_maps(system.A, system.B)
     npt.assert_allclose(phi_x, S_x, atol=1e-12)
@@ -105,7 +103,7 @@ def test_columns_match_dense_kkt_oracle():
         n = int(rng.integers(1, 3))
         A_list = [rng.normal(size=(m, m)) * 0.7 for _ in range(T + 1)]
         B_list = [rng.normal(size=(m, n)) for _ in range(T + 1)]
-        st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+        st = TimeVaryingLinearSystem(A_list, B_list)
         cost, vps, corrs = _random_tracking_cost(rng, T, m, n,
                                                  with_correlation=(trial % 2 == 0))
         resp = solve_esls(st, cost)
@@ -116,16 +114,16 @@ def test_columns_match_dense_kkt_oracle():
         phi_x, phi_u = closed_loop_maps(resp)
         npt.assert_allclose(phi_u, phi_u_ref, atol=1e-9)
         npt.assert_allclose(phi_x, phi_x_ref, atol=1e-9)
-        assert achievability_residual(st.system, phi_x, phi_u) <= 1e-10
-        assert feedforward_residual(st.system, resp.d_x, resp.d_u) <= 1e-10
-        assert max(resp.residuals(st).values()) <= 1e-10
+        assert achievability_residual(st, phi_x, phi_u) <= 1e-10
+        assert feedforward_residual(st, resp.d_x, resp.d_u) <= 1e-10
+        assert max(resp.residuals().values()) <= 1e-10
 
 
 def test_single_column_solver_agrees_with_full_solve():
     rng = np.random.default_rng(2)
     T, m, n = 6, 2, 2
-    st = build_stacked(TimeVaryingLinearSystem.constant(
-        rng.normal(size=(m, m)) * 0.4, rng.normal(size=(m, n)), T))
+    st = TimeVaryingLinearSystem.constant(
+        rng.normal(size=(m, m)) * 0.4, rng.normal(size=(m, n)), T)
     cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
     phi_x, phi_u = closed_loop_maps(solve_esls(st, cost))
     for col in (0, 3, T):
@@ -138,8 +136,8 @@ def test_single_column_solver_agrees_with_full_solve():
 def test_regulator_has_zero_feedforward():
     rng = np.random.default_rng(3)
     T, m, n = 5, 3, 2
-    st = build_stacked(TimeVaryingLinearSystem.constant(
-        rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T))
+    st = TimeVaryingLinearSystem.constant(
+        rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T)
     cost = _regulator_cost(T, m, n)
     resp = solve_esls(st, cost)
     assert np.max(np.abs(resp.d_u)) < 1e-12
@@ -153,7 +151,7 @@ def test_feedback_factorization_and_nominal_rollout():
     T, m, n = 7, 2, 1
     A = rng.normal(size=(m, m)) * 0.5
     B = rng.normal(size=(m, n))
-    st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+    st = TimeVaryingLinearSystem.constant(A, B, T)
     cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
     resp = solve_esls(st, cost)
     ctrl = extract_controller(resp)
@@ -177,9 +175,8 @@ def test_closed_loop_matches_dp_rollouts():
         A = rng.normal(size=(m, m)) * 0.6
         B = rng.normal(size=(m, n))
         system = TimeVaryingLinearSystem.constant(A, B, T)
-        st = build_stacked(system)
         cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=False)
-        resp = solve_esls(st, cost)
+        resp = solve_esls(system, cost)
         esls_ctrl = extract_controller(resp)
         dp_ctrl = dp_lqt(system, cost)
         plant = LinearPlant(A, B)
@@ -192,8 +189,8 @@ def test_closed_loop_matches_dp_rollouts():
 def test_batch_plan_zero_problem():
     rng = np.random.default_rng(6)
     T, m, n = 5, 2, 1
-    st = build_stacked(TimeVaryingLinearSystem.constant(
-        rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T))
+    st = TimeVaryingLinearSystem.constant(
+        rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T)
     cost = _regulator_cost(T, m, n)
     npt.assert_allclose(batch_lqt(st, cost), np.zeros((T + 1) * n), atol=1e-12)
 
@@ -206,7 +203,7 @@ def test_batch_plan_vs_dense_oracle_and_feedforward():
         n = int(rng.integers(1, 3))
         A = rng.normal(size=(m, m)) * 0.6
         B = rng.normal(size=(m, n))
-        st = build_stacked(TimeVaryingLinearSystem.constant(A, B, T))
+        st = TimeVaryingLinearSystem.constant(A, B, T)
         cost, vps, corrs = _random_tracking_cost(rng, T, m, n,
                                                  with_correlation=(trial % 2 == 0))
         x0 = rng.normal(size=m)
@@ -236,9 +233,8 @@ plant = sc.double_integrator_plant(1, 0.1)
 cost = sc.build_viapoint_cost(T, [(T, np.array([1.0, 0.0]), 1.0)], 1e-2,
                               state_dim=2, input_dim=1)
 system = sc.linear_system_from_plant(plant, T)
-stacked = sc.build_stacked(system)
-controller = sc.extract_controller(sc.solve_esls(stacked, cost))
-sc.batch_lqt(stacked, cost, x0=np.ones(2))
+controller = sc.extract_controller(sc.solve_esls(system, cost))
+sc.batch_lqt(system, cost, x0=np.ones(2))
 sc.rollout(plant, controller, x0=np.ones(2))
 sc.rollout(plant, sc.dp_lqt(system, cost), x0=np.ones(2))
 """
@@ -255,7 +251,7 @@ def test_solution_independent_of_noise_scale():
     system = TimeVaryingLinearSystem.constant(
         rng.normal(size=(m, m)) * 0.5, rng.normal(size=(m, n)), T)
     cost, vps, corrs = _random_tracking_cost(rng, T, m, n, with_correlation=True)
-    resp = solve_esls(build_stacked(system), cost)
+    resp = solve_esls(system, cost)
     Qd, _, Rd, _ = dense_tracking_pieces(T, m, n, vps, corrs,
                                          control_weight=cost.R[0])
     phi_x_ref, phi_u_ref = kkt_feedback(*dense_stacked_maps(system.A, system.B),
@@ -304,7 +300,7 @@ def test_recursion_matches_dense_oracle():
             corrs.append((t1, t2, spec.C, spec.c, spec.Q_c))
         if trial >= len(layouts):
             cost.u_d = rng.normal(size=(T + 1) * n)
-        st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+        st = TimeVaryingLinearSystem(A_list, B_list)
         resp = solve_esls(st, cost)
         ctrl = extract_controller(resp)
         maps = precompute_gain_maps(st, cost, ctrl)
@@ -356,7 +352,7 @@ def test_synthesis_rejects_nonfinite_data():
         system, cost = problem()
         poison(system, cost)
         with pytest.raises(ValueError, match="non-finite " + message):
-            solve_esls(build_stacked(system), cost)
+            solve_esls(system, cost)
 
 
 def test_indefinite_step_hessian_names_timestep():
@@ -367,7 +363,7 @@ def test_indefinite_step_hessian_names_timestep():
     cost = build_viapoint_cost(T, [(T, np.ones(m), 1.0)], 1.0, state_dim=m, input_dim=n)
     cost.R[3] = 0.0
     with pytest.raises(ValueError, match="t=3 is not positive definite"):
-        solve_esls(build_stacked(system), cost)
+        solve_esls(system, cost)
     with pytest.raises(ValueError, match="t=3 is not positive definite"):
         dp_lqt(system, cost)
 
@@ -377,15 +373,15 @@ def test_stationarity_residual_detects_scaled_feedforward():
     T, m, n = 40, 4, 2
     A_list = [np.eye(m) + 0.1 * rng.normal(size=(m, m)) for _ in range(T + 1)]
     B_list = [rng.normal(size=(m, n)) for _ in range(T + 1)]
-    st = build_stacked(TimeVaryingLinearSystem(A_list, B_list))
+    st = TimeVaryingLinearSystem(A_list, B_list)
     cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
     resp = solve_esls(st, cost)
-    genuine = resp.residuals(st)
+    genuine = resp.residuals()
     scaled = dataclasses.replace(resp, d_x=resp.d_x * (1 + 1e-6), d_u=resp.d_u * (1 + 1e-6))
-    wrong = scaled.residuals(st)
+    wrong = scaled.residuals()
     # the scaled plan is still a trajectory of the dynamics, so only
     # stationarity can tell it from the optimum
-    assert feedforward_residual(st.system, scaled.d_x, scaled.d_u) <= 1e-12
+    assert feedforward_residual(st, scaled.d_x, scaled.d_u) <= 1e-12
     assert genuine["stationarity"] <= 1e-11
     assert wrong["stationarity"] >= 1e-7
 
@@ -404,7 +400,7 @@ def _long_request(seed, T=400):
         cost = add_correlation(cost, CorrelationSpec(
             int(t1), int(t2), np.eye(m), np.r_[rng.uniform(-0.1, 0.1, d), np.zeros(d)],
             np.diag(np.r_[1e4 * np.ones(d), np.zeros(d)])))
-    st = build_stacked(linear_system_from_plant(double_integrator_plant(d, 0.01), T))
+    st = linear_system_from_plant(double_integrator_plant(d, 0.01), T)
     return st, solve_esls(st, cost)
 
 
@@ -414,7 +410,7 @@ def test_residuals_allocate_no_dense_temporaries():
     st, resp = _long_request(11)
     tracemalloc.start()
     try:
-        res = resp.residuals(st)
+        res = resp.residuals()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -473,6 +469,26 @@ def test_controller_keeps_nonzero_blocks_of_dense_gain():
     npt.assert_array_equal(ctrl.k, k)
 
 
+def test_with_feedforward_copies_exactly_the_source_fields():
+    # the copy carries every field of the source, shares all but k, and a
+    # swap on the copy leaves the source's feedforward alone
+    rng = np.random.default_rng(13)
+    T, m, n = 8, 2, 1
+    system = TimeVaryingLinearSystem.constant(rng.normal(size=(m, m)) * 0.5,
+                                              rng.normal(size=(m, n)), T)
+    cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
+    source = solve_esls(system, cost).controller   # as riccati_gains built it
+    assert any(source.held) and source.hessian_inv is not None
+    k = source.k
+    twin = source.with_feedforward(2 * k)
+    assert set(vars(twin)) == set(vars(source))
+    assert twin.gains is source.gains and twin.hessian_inv is source.hessian_inv
+    assert all(getattr(twin, f) is getattr(source, f) for f in vars(source) if f != "k")
+    twin.swap_feedforward(3 * k)
+    assert source.k is k
+    npt.assert_array_equal(twin.k, 3 * k)
+
+
 def test_controller_rejects_bad_feedforward_and_nominals():
     T, m, n = 4, 2, 1
     K = BlockLowerTriangular(np.eye((T + 1) * n, (T + 1) * m), n, m)
@@ -503,7 +519,7 @@ def test_controller_storage_is_linear_in_horizon():
     for t1, t2 in [(100, 250), (50, 300), (120, T)]:
         cost = add_correlation(cost, CorrelationSpec(t1, t2, np.eye(m), np.zeros(m),
                                                      5.0 * np.eye(m)))
-    resp = solve_esls(build_stacked(linear_system_from_plant(plant, T)), cost)
+    resp = solve_esls(linear_system_from_plant(plant, T), cost)
     w = np.zeros((T + 1) * m)
     w[:m] = rng.normal(size=m)
     tracemalloc.start()
