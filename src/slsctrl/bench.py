@@ -15,7 +15,6 @@ Three experiments, all reproducible from a root seed:
 
 from __future__ import annotations
 
-import copy
 import importlib.resources
 import time
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from .isls import isls_optimize
 from .plants import linear_system_from_plant, mpc_lqt_rollout, rollout
 from .scenarios import (
     Scenario,
+    _json_copy,
     build_cost,
     build_noise,
     build_objective,
@@ -220,8 +220,11 @@ def bench_pickplace(trials=5, seed=0, scenario_path=None, overrides=None):
 
 
 def apply_viapoint_edit(config, t, target):
-    """New scenario config with the viapoint at ``t`` retargeted (weights kept)."""
-    config = copy.deepcopy(config)
+    """New scenario config with the viapoint at ``t`` retargeted (weights kept).
+
+    The result shares nothing mutable with ``config``.
+    """
+    config = _json_copy(config)
     hits = [vp for vp in config["cost"].get("viapoints", []) if vp["t"] == t]
     if not hits:
         raise ValueError(f"no viapoint at t={t} to edit")

@@ -145,12 +145,22 @@ def _check_sizes(scenario, what, law):
                                   f"scenario {key} {getattr(scenario, key)}")
 
 
+def _check_gains(scenario, plant, cost, controller):
+    """ValidationError unless the law's :func:`gain_stationarity` against the
+    scenario's dynamics and ``cost`` is at most GAIN_STATIONARITY_LIMIT."""
+    residual = gain_stationarity(linear_system_from_plant(plant, scenario.horizon), cost,
+                                 controller)
+    if not residual <= GAIN_STATIONARITY_LIMIT:
+        raise ValidationError(f"controller gain_stationarity {residual:.3g} exceeds "
+                              f"{GAIN_STATIONARITY_LIMIT:g}: the artifacts were solved "
+                              "for other weights or dynamics than the scenario's")
+
+
 def _check_law(scenario, cost, controller, maps_law):
     """ValidationError unless both artifacts hold one law, optimal for the scenario.
 
-    Held states and gain blocks must match bit for bit, and the law's
-    :func:`gain_stationarity` against the scenario's dynamics and ``cost``
-    (an edit moves only targets) must not exceed GAIN_STATIONARITY_LIMIT.
+    Held states and gain blocks must match bit for bit, and the law must
+    pass :func:`_check_gains` against ``cost`` (an edit moves only targets).
     """
     if controller.held != maps_law.held or not all(
             np.array_equal(a, b) for a, b in zip(controller.gains, maps_law.gains)):
@@ -159,12 +169,23 @@ def _check_law(scenario, cost, controller, maps_law):
     plant = build_plant(scenario)
     if not plant.is_linear:
         raise ValidationError(f"adapt needs a linear plant, got '{plant.name}'")
-    residual = gain_stationarity(linear_system_from_plant(plant, scenario.horizon), cost,
-                                 controller)
-    if not residual <= GAIN_STATIONARITY_LIMIT:
-        raise ValidationError(f"controller gain_stationarity {residual:.3g} exceeds "
-                              f"{GAIN_STATIONARITY_LIMIT:g}: the artifacts were solved "
-                              "for other weights or dynamics than the scenario's")
+    _check_gains(scenario, plant, cost, controller)
+
+
+def _check_loaded_law(scenario, plant, controller):
+    """ValidationError unless a loaded esls or dp-lqt law on a linear plant passes
+    :func:`_check_gains`.
+
+    An esls law is checked against the scenario's cost, a dp-lqt law against
+    that cost's ``diagonal_projection()``, the cost the solver synthesizes.
+    An open-loop plan has no gains, and an isls law's gains belong to its
+    last subproblem, so neither is checked.
+    """
+    kind = scenario.solver["kind"]
+    if kind in ("esls", "dp-lqt") and isinstance(controller, Controller) and plant.is_linear:
+        cost = build_cost(scenario)
+        _check_gains(scenario, plant, cost if kind == "esls" else cost.diagonal_projection(),
+                     controller)
 
 
 def cmd_rollout(args):
@@ -181,6 +202,7 @@ def cmd_rollout(args):
     plant = build_plant(scenario)
     controller = load_controller_artifact(args.controller)
     _check_sizes(scenario, "controller", controller)
+    _check_loaded_law(scenario, plant, controller)
     traj = rollout(plant, controller, **rollout_draws(scenario, plant, args.seed))
     realized, cumulative = realized_cost(scenario, traj)
     out_dir = _out_dir(args, scenario.name)

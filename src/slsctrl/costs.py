@@ -17,10 +17,14 @@ additive constant, which no minimizer or solver path ever sees.
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def is_symmetric(w):
+    """``np.allclose(w, w.T, atol=1e-12)``, answered by an exact test when w is symmetric."""
+    return bool((w == w.T).all()) or np.allclose(w, w.T, atol=1e-12)
 
 
 @dataclass
@@ -42,8 +46,15 @@ class CorrelationSpec:
         m = self.C.shape[0]
         if self.C.shape != (m, m) or self.Q_c.shape != (m, m) or self.c.shape != (m,):
             raise ValueError("C, Q_c must be (m, m) and c must be (m,)")
-        if not np.allclose(self.Q_c, self.Q_c.T, atol=1e-12):
+        if not is_symmetric(self.Q_c):
             raise ValueError("Q_c must be symmetric")
+
+    def copy(self):
+        """Copy with arrays of its own, in their memory order; no field is checked again."""
+        out = object.__new__(type(self))
+        out.t1, out.t2 = self.t1, self.t2
+        out.C, out.c, out.Q_c = (a.copy(order="K") for a in (self.C, self.c, self.Q_c))
+        return out
 
     def evaluate(self, x_t1, x_t2):
         """Direct evaluation of the correlation cost on two state blocks."""
@@ -93,7 +104,7 @@ class CostSpec:
             w = np.diag(w)
         elif w.shape != (dim, dim):
             raise ValueError(f"weight shape {w.shape} incompatible with dim {dim}")
-        if not np.allclose(w, w.T, atol=1e-12):
+        if not is_symmetric(w):
             raise ValueError("weight matrix must be symmetric")
         return w
 
@@ -144,7 +155,7 @@ class CostSpec:
         out.u_d = self.u_d.copy()
         out._lin = self._lin.copy()
         out.viapoints = [(t, tgt.copy(), w.copy()) for t, tgt, w in self.viapoints]
-        out.correlations = [_copy.deepcopy(c) for c in self.correlations]
+        out.correlations = [c.copy() for c in self.correlations]
         return out
 
     def _coupling_component(self, t_seed):
@@ -298,7 +309,7 @@ def add_correlation(cost, corr):
     if corr.t2 > cost.horizon:
         raise ValueError(f"correlation t2={corr.t2} outside horizon {cost.horizon}")
     out = cost.copy()
-    out._fold_correlation(_copy.deepcopy(corr))
+    out._fold_correlation(corr.copy())
     out._refresh_targets(corr.t1)
     return out
 

@@ -70,6 +70,7 @@ from .costs import (
     StateCostFunction,
     add_correlation,
     build_viapoint_cost,
+    is_symmetric,
 )
 from .isls import IslsConfig, TrackingObjective, isls_optimize
 from .plants import (
@@ -102,6 +103,25 @@ class SolverNotConverged(RuntimeError):
 # -- validation helpers --------------------------------------------------------
 
 
+_JSON_ATOMS = (str, int, float, bool, type(None))
+
+
+def _json_copy(value):
+    """Copy of a JSON document that shares nothing mutable with it.
+
+    Dicts and lists are copied recursively; str, int, float, bool and None
+    are immutable and shared; any other value goes through ``copy.deepcopy``.
+    """
+    kind = type(value)
+    if kind is dict:
+        return {k: v if type(v) in _JSON_ATOMS else _json_copy(v) for k, v in value.items()}
+    if kind is list:
+        return [v if type(v) in _JSON_ATOMS else _json_copy(v) for v in value]
+    if kind in _JSON_ATOMS:
+        return value
+    return copy.deepcopy(value)
+
+
 def _expect_mapping(value, path):
     if not isinstance(value, dict):
         raise ValidationError(f"{path}: expected an object, got {type(value).__name__}")
@@ -130,7 +150,11 @@ def _as_int(value, path, minimum=None, maximum=None):
 def _as_float(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{path}: expected a finite number, got an integer too large for a float") from None
     if not np.isfinite(value):
         raise ValidationError(f"{path}: expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
@@ -138,10 +162,21 @@ def _as_float(value, path, minimum=None):
     return value
 
 
+_REALS = (int, float)
+
+
 def _as_vector(value, path, length=None):
-    if not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value):
-        raise ValidationError(f"{path}: expected a flat list of numbers")
-    vec = np.array([_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)])
+    vec = None
+    if isinstance(value, list) and all(type(v) in _REALS for v in value):
+        try:
+            vec = np.array(value, dtype=float)
+        except OverflowError:
+            pass
+    if vec is None or not np.isfinite(vec).all():
+        # only a failure walks the elements, to name the first bad one
+        if not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value):
+            raise ValidationError(f"{path}: expected a flat list of numbers")
+        vec = np.array([_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)])
     if length is not None and vec.size != length:
         raise ValidationError(f"{path}: expected length {length}, got {vec.size}")
     return vec
@@ -168,7 +203,7 @@ def _as_weight(value, path, dim):
         return _as_float(value, path) * np.eye(dim)
     if isinstance(value, list) and value and isinstance(value[0], list):
         mat = _as_matrix(value, path, shape=(dim, dim))
-        if not np.allclose(mat, mat.T, atol=1e-12):
+        if not is_symmetric(mat):
             raise ValidationError(f"{path}: weight matrix must be symmetric")
         return mat
     if isinstance(value, list):
@@ -236,7 +271,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, config):
-        config = copy.deepcopy(_expect_mapping(config, "scenario"))
+        config = _json_copy(_expect_mapping(config, "scenario"))
         _expect_keys(
             config, "scenario",
             required=("name", "horizon", "dt", "plant", "cost", "solver"),
@@ -368,7 +403,7 @@ class Scenario:
         )
 
     def to_dict(self):
-        return copy.deepcopy(self.raw)
+        return _json_copy(self.raw)
 
 
 def _parse_plant(plant_cfg):
@@ -439,7 +474,7 @@ def _read_config(path):
         raise ValidationError(f"scenario file {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer of too many digits
         raise ValidationError(f"scenario file {path}: invalid JSON ({exc})") from None
 
 
@@ -844,7 +879,7 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=Non
 
 
 def _merge_overrides(config, overrides):
-    config = copy.deepcopy(config)
+    config = _json_copy(config)
     for key, value in overrides.items():
         parts = key.split(".") if isinstance(key, str) else list(key)
         node = config

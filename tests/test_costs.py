@@ -68,6 +68,82 @@ def test_control_weight_validated_once(monkeypatch):
     npt.assert_array_equal(cost.R, np.broadcast_to(W, (51, 2, 2)))
 
 
+def _weight_table():
+    """(label, weight, dim) around the symmetry tolerance of the cost's weights."""
+    L = np.random.default_rng(11).normal(size=(3, 3))
+    S = L @ L.T
+
+    def changed(i, j, value):
+        w = S.copy()
+        w[i, j] = value
+        return w
+
+    inf = changed(0, 1, np.inf)
+    inf[1, 0] = np.inf
+    return [("exactly symmetric", S, 3),
+            ("1e-13 absolute asymmetry", changed(0, 1, S[0, 1] + 1e-13), 3),
+            ("1e-6 relative asymmetry", changed(0, 1, S[0, 1] * (1 + 1e-6)), 3),
+            ("1e-3 relative asymmetry", changed(0, 1, S[0, 1] * (1 + 1e-3)), 3),
+            ("NaN entry", changed(2, 2, np.nan), 3),
+            ("symmetric inf entries", inf, 3),
+            # the scalar and diagonal forms: 0 * inf is NaN off the diagonal
+            ("NaN scalar", np.nan, 3), ("inf scalar", np.inf, 3),
+            ("inf scalar, dim 1", np.inf, 1),
+            ("NaN in a diagonal", [1.0, np.nan, 2.0], 3),
+            ("inf in a diagonal", [1.0, np.inf, 2.0], 3)]
+
+
+def _allclose_accepts(w, dim):
+    """Whether np.allclose(W, W.T, atol=1e-12) holds for the full weight W of w."""
+    w = np.asarray(w, float)
+    with np.errstate(invalid="ignore"):
+        full = np.eye(dim) * float(w) if w.ndim == 0 else (np.diag(w) if w.ndim == 1 else w)
+    return np.allclose(full, full.T, atol=1e-12)
+
+
+def test_symmetry_checks_accept_exactly_what_allclose_accepts():
+    answers = {}
+    for label, w, dim in _weight_table():
+        expected = answers[label] = _allclose_accepts(w, dim)
+        with np.errstate(invalid="ignore"):
+            try:
+                CostSpec._as_weight(w, dim)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "weight matrix must be symmetric"
+                accepted = False
+        assert accepted == expected, label
+        if np.ndim(w) == 2:
+            try:
+                CorrelationSpec(0, 1, np.eye(dim), np.zeros(dim), w)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "Q_c must be symmetric"
+                accepted = False
+            assert accepted == expected, label
+    # the table has both accepted and rejected weights
+    assert answers["1e-6 relative asymmetry"] and answers["symmetric inf entries"]
+    assert not answers["1e-3 relative asymmetry"] and not answers["NaN entry"]
+    assert not answers["NaN scalar"] and answers["inf scalar, dim 1"]
+
+
+def test_correlation_copies_own_their_arrays():
+    C = np.asfortranarray(np.arange(9.0).reshape(3, 3))
+    corr = CorrelationSpec(1, 3, C, np.ones(3), np.eye(3))
+    for copy in (corr.copy(), add_correlation(CostSpec(4, 3, 1, 1.0), corr).correlations[0],
+                 add_correlation(CostSpec(4, 3, 1, 1.0), corr).copy().correlations[0]):
+        assert type(copy) is CorrelationSpec and (copy.t1, copy.t2) == (1, 3)
+        for name in ("C", "c", "Q_c"):
+            a, b = getattr(corr, name), getattr(copy, name)
+            npt.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b)
+            # the memory order is kept, as copy.deepcopy keeps it
+            assert a.flags.f_contiguous == b.flags.f_contiguous
+    copy = corr.copy()
+    copy.C[0, 0] = -1.0
+    assert corr.C[0, 0] == 0.0
+
+
 def test_correlation_zero_cases():
     m = 3
     corr = CorrelationSpec(0, 2, np.eye(m), np.zeros(m), np.eye(m))

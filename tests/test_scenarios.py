@@ -1,6 +1,8 @@
 """Scenario files, artifacts, benchmark reports, and the command line."""
 
+import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +128,111 @@ def test_nonfinite_numbers_name_field(tmp_path):
         scenario_file.write_text(json.dumps(config))
         with pytest.raises(ValidationError, match=field_path + ": expected a finite number"):
             load_scenario(scenario_file)
+
+
+def test_integer_too_large_for_a_float_names_field(tmp_path):
+    # float(10**400) and np.array([10**400], dtype=float) raise OverflowError
+    huge = 10**400
+    weight = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    weight["cost"]["control_weight"] = huge
+    target = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    target["cost"]["viapoints"][0]["target"][2] = huge
+    for config, field_path in [(weight, "cost.control_weight"),
+                               (target, "cost.viapoints[0].target[2]")]:
+        with pytest.raises(ValidationError, match=re.escape(field_path)
+                           + ": expected a finite number, got an integer too large"):
+            Scenario.from_dict(config)
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(config))
+        _assert_validation_error(_cli("solve", "--scenario", str(bad), "--out", str(tmp_path)),
+                                 field_path)
+    # an integer of more digits than Python parses from text fails in json itself
+    bad.write_text(json.dumps(weight).replace(str(huge), "1" + "0" * 5000))
+    with pytest.raises(ValidationError, match="invalid JSON"):
+        load_scenario(bad)
+
+
+def test_bad_vectors_name_the_element():
+    for value, message in [
+            ("x", "expected a number, got 'x'"),
+            (True, "expected a number, got True"),
+            (float("nan"), "expected a finite number, got nan"),
+            (float("-inf"), "expected a finite number, got -inf")]:
+        config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+        config["cost"]["viapoints"][0]["target"][2] = value
+        with pytest.raises(ValidationError) as info:
+            Scenario.from_dict(config)
+        assert str(info.value) == f"cost.viapoints[0].target[2]: {message}"
+    for target, message in [
+            ([0.0, [1.0], 0.0, 0.0, 0.0, 0.0], "expected a flat list of numbers"),
+            ([0.0] * 5, "expected length 6, got 5"),
+            (np.zeros(6), "expected a flat list of numbers")]:
+        config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+        config["cost"]["viapoints"][0]["target"] = target
+        with pytest.raises(ValidationError) as info:
+            Scenario.from_dict(config)
+        assert str(info.value) == f"cost.viapoints[0].target: {message}"
+    # numbers of other types than int and float take the element walk and
+    # are read as before: a float subclass passes, a numpy integer does not
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    config["cost"]["viapoints"][0]["target"][1] = np.float64(0.25)
+    assert Scenario.from_dict(config).viapoints[0][1][1] == 0.25
+    config["cost"]["viapoints"][0]["target"][1] = np.int64(1)
+    with pytest.raises(ValidationError, match=r"target\[1\]: expected a number"):
+        Scenario.from_dict(config)
+
+
+def _shares_mutable(a, b):
+    """Whether two JSON documents share a dict or a list."""
+    def containers(node, out):
+        if isinstance(node, (dict, list)):
+            out.add(id(node))
+            for child in (node.values() if isinstance(node, dict) else node):
+                containers(child, out)
+        return out
+    return bool(containers(a, set()) & containers(b, set()))
+
+
+def test_config_copies_share_nothing_mutable():
+    source = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    pristine = copy.deepcopy(source)
+    scenario = Scenario.from_dict(source)
+    edited = apply_viapoint_edit(source, 70, [0.1] * 6)
+    for other in (scenario.raw, scenario.to_dict(), edited):
+        assert not _shares_mutable(source, other)
+    assert not _shares_mutable(scenario.raw, scenario.to_dict())
+    # mutating a copy leaves the source as it was, and the other way round
+    scenario.to_dict()["cost"]["viapoints"][0]["target"][0] = 9.0
+    edited["cost"]["correlations"][0]["weight"][0] = 9.0
+    edited["noise"]["sigma_noise"].append(1.0)
+    assert source == pristine and scenario.raw == pristine
+    source["cost"]["viapoints"][1]["target"][0] = 7.0
+    source["metadata"]["task"] = "stir"
+    assert scenario.raw == pristine and edited["metadata"]["task"] == "pour"
+    # a value that is not JSON is deep-copied, not shared
+    with_array = dict(pristine, metadata={"offset": np.zeros(3)})
+    copied = Scenario.from_dict(with_array).raw["metadata"]["offset"]
+    assert copied is not with_array["metadata"]["offset"]
+    npt.assert_array_equal(copied, np.zeros(3))
+
+
+def test_apply_viapoint_edit_matches_deepcopy_reference():
+    source = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    source["cost"]["viapoints"].append(dict(copy.deepcopy(source["cost"]["viapoints"][1]),
+                                            weight=5.0))   # a duplicate at t=70
+    rng = np.random.default_rng(3)
+    for t in (20, 70):
+        target = rng.normal(size=6)
+        reference = copy.deepcopy(source)
+        for vp in reference["cost"]["viapoints"]:
+            if vp["t"] == t:
+                vp["target"] = [float(v) for v in target]
+        edited = apply_viapoint_edit(source, t, target)
+        assert edited == reference
+        assert json.dumps(edited) == json.dumps(reference)
+    for t in (0, 21, 100):
+        with pytest.raises(ValueError, match=f"no viapoint at t={t} to edit"):
+            apply_viapoint_edit(source, t, np.zeros(6))
 
 
 def test_control_weight_must_be_positive_definite_unless_isls():
@@ -618,6 +725,27 @@ def test_cli_rollout_rejects_controller_of_other_dimensions(tmp_path, mug_artifa
         proc = _cli("rollout", "--scenario", str(bundled_scenario_path("mug_sugar")),
                     "--controller", str(controller), "--out", str(tmp_path))
         _assert_validation_error(proc, message)
+
+
+def test_cli_rollout_checks_the_gains_of_esls_and_dp_lqt_laws(tmp_path, mug_artifacts):
+    # a law solved for a tenfold control weight reads 0.82; genuine laws about 1e-13
+    mug = str(bundled_scenario_path("mug_sugar"))
+    config = load_scenario(mug).raw
+    config["solver"] = {"kind": "dp-lqt"}
+    dp_file = tmp_path / "mug_dp.json"
+    dp_file.write_text(json.dumps(config))
+    config["cost"]["control_weight"] *= 10
+    dp_dirs = {label: Path(run_scenario(cfg, seed=0, out=tmp_path, label=label)["out_dir"])
+               for label, cfg in (("dp", load_scenario(dp_file).raw), ("dp_tenfold", config))}
+    for scenario, genuine, tenfold in [
+            (mug, mug_artifacts["3d"], mug_artifacts["tenfold"]),
+            (str(dp_file), dp_dirs["dp"], dp_dirs["dp_tenfold"])]:
+        proc = _cli("rollout", "--scenario", scenario, "--controller",
+                    str(genuine / "controller.bin"), "--out", str(tmp_path), "--label", "ok")
+        assert proc.returncode == 0, proc.stderr
+        proc = _cli("rollout", "--scenario", scenario, "--controller",
+                    str(tenfold / "controller.bin"), "--out", str(tmp_path))
+        _assert_validation_error(proc, "exceeds 1e-08: the artifacts were solved for other")
 
 
 def test_cli_adapt_rejects_artifacts_of_other_dimensions(tmp_path, mug_artifacts):
