@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import importlib.resources
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,9 +43,7 @@ from .solver import extract_controller, solve_esls
 
 def bundled_scenario_path(name):
     """Path of a scenario shipped with the package (name without extension)."""
-    res = importlib.resources.files("slsctrl") / "data" / f"{name}.scenario.json"
-    path = str(res)
-    return path
+    return str(importlib.resources.files("slsctrl") / "data" / f"{name}.scenario.json")
 
 
 @dataclass
@@ -66,14 +64,7 @@ class BenchmarkReport:
         return float(np.mean(arr)), float(np.std(arr))
 
     def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "seeds": self.seeds,
-            "per_trial": self.per_trial,
-            "summary": self.summary,
-            "wall_clock": self.wall_clock,
-            "config_sha256": self.config_sha256,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def bench_mug_sugar(trials=10, seed=0, scenario_path=None, overrides=None):

@@ -238,11 +238,8 @@ def _write_trials_csv(path, per_trial):
             if not isinstance(v, (list, dict))]
     lines = [",".join(cols)]
     for row in per_trial:
-        cells = []
-        for c in cols:
-            v = row[c]
-            cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(f"{row[c]:.17g}" if isinstance(row[c], float) else str(row[c])
+                              for c in cols))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -516,10 +516,7 @@ def _replan_from(system, cost, t_r, xs):
     """Riccati re-solve on [t_r, T] with realized correlated targets frozen."""
     T = cost.horizon
     m, n = cost.state_dim, cost.input_dim
-    terms = []
-    for t, target, weight in cost.viapoints:
-        if t >= t_r:
-            terms.append((t - t_r, target, weight))
+    terms = [(t - t_r, target, weight) for t, target, weight in cost.viapoints if t >= t_r]
     for corr in cost.correlations:
         if corr.t2 < t_r:
             continue

@@ -90,6 +90,8 @@ from .stacked import NoiseModel, build_stacked
 
 ARTIFACT_FORMAT_VERSION = 4
 SOLVER_KINDS = ("esls", "isls", "dp-lqt", "mpc-lqt", "batch-lqt")
+# per-step arrays are allocated (T+1)-long and dense in the state
+MAX_HORIZON, MAX_PLANT_DIM = 100_000, 100
 
 
 class ValidationError(ValueError):
@@ -135,6 +137,12 @@ def _expect_keys(d, path, required, optional=()):
     missing = sorted(set(required) - set(d))
     if missing:
         raise ValidationError(f"{path}: missing required key(s) {missing}")
+
+
+def _expect_list(value, path):
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a list, got {type(value).__name__}")
+    return value
 
 
 def _as_int(value, path, minimum=None, maximum=None):
@@ -281,12 +289,13 @@ class Scenario:
         name = config["name"]
         if not isinstance(name, str) or not name:
             raise ValidationError("scenario.name: expected a nonempty string")
-        horizon = _as_int(config["horizon"], "scenario.horizon", minimum=1)
+        horizon = _as_int(config["horizon"], "scenario.horizon", minimum=1,
+                          maximum=MAX_HORIZON)
         dt = _as_float(config["dt"], "scenario.dt", minimum=0.0)
 
         plant_cfg = _expect_mapping(config["plant"], "plant")
         kind = plant_cfg.get("kind")
-        if kind not in _PLANT_KEYS:
+        if not isinstance(kind, str) or kind not in _PLANT_KEYS:
             raise ValidationError(
                 f"plant.kind: unknown kind {kind!r}; expected one of {sorted(_PLANT_KEYS)}"
             )
@@ -300,7 +309,7 @@ class Scenario:
         control_weight = _as_weight(cost_cfg["control_weight"], "cost.control_weight",
                                     input_dim)
         viapoints, targets = [], {}
-        for i, vp in enumerate(cost_cfg.get("viapoints", [])):
+        for i, vp in enumerate(_expect_list(cost_cfg.get("viapoints", []), "cost.viapoints")):
             p = f"cost.viapoints[{i}]"
             _expect_keys(_expect_mapping(vp, p), p, required=("t", "target", "weight"))
             t = _as_int(vp["t"], f"{p}.t", minimum=0, maximum=horizon)
@@ -311,7 +320,8 @@ class Scenario:
             targets[t] = target
             viapoints.append((t, target, _as_weight(vp["weight"], f"{p}.weight", state_dim)))
         correlations = []
-        for i, corr in enumerate(cost_cfg.get("correlations", [])):
+        for i, corr in enumerate(_expect_list(cost_cfg.get("correlations", []),
+                                              "cost.correlations")):
             p = f"cost.correlations[{i}]"
             _expect_keys(_expect_mapping(corr, p), p,
                          required=("t1", "t2", "C", "weight"), optional=("c",))
@@ -340,7 +350,7 @@ class Scenario:
             _validate_initial_state(init_cfg, plant_cfg, state_dim)
 
         perturbations = []
-        for i, pert in enumerate(config.get("perturbations", [])):
+        for i, pert in enumerate(_expect_list(config.get("perturbations", []), "perturbations")):
             p = f"perturbations[{i}]"
             _expect_keys(_expect_mapping(pert, p), p, required=("t", "impulse"))
             perturbations.append((_as_int(pert["t"], f"{p}.t", minimum=0, maximum=horizon),
@@ -414,7 +424,7 @@ def _parse_plant(plant_cfg):
             raise ValidationError(
                 f"plant.{flag}: expected true or false, got {plant_cfg[flag]!r}")
     if kind == "double_integrator":
-        dim = _as_int(plant_cfg["dim"], "plant.dim", minimum=1)
+        dim = _as_int(plant_cfg["dim"], "plant.dim", minimum=1, maximum=MAX_PLANT_DIM)
         return 2 * dim, dim, None, None
     if kind == "linear":
         A = _as_matrix(plant_cfg["A"], "plant.A")
@@ -733,27 +743,19 @@ def _maps(data):
 
 
 def write_trajectory_csv(path, trajectory, cumulative_cost):
-    m = trajectory.states.shape[1]
-    n = trajectory.inputs.shape[1]
-    header = ["t"] + [f"x_{i}" for i in range(m)] + [f"u_{i}" for i in range(n)]
-    header.append("cost_so_far")
-    lines = [",".join(header)]
-    for t in range(trajectory.states.shape[0]):
-        row = [str(t)]
-        row += [f"{v:.17g}" for v in trajectory.states[t]]
-        row += [f"{v:.17g}" for v in trajectory.inputs[t]]
-        row.append(f"{cumulative_cost[t]:.17g}")
-        lines.append(",".join(row))
+    xs, us = trajectory.states, trajectory.inputs
+    lines = [",".join(["t", *(f"x_{i}" for i in range(xs.shape[1])),
+                       *(f"u_{i}" for i in range(us.shape[1])), "cost_so_far"])]
+    for t in range(xs.shape[0]):
+        lines.append(",".join([str(t), *(f"{v:.17g}" for v in (*xs[t], *us[t],
+                                                              cumulative_cost[t]))]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_trace_csv(path, history):
     lines = ["iteration,cost,delta_cost,alpha,step_norm"]
-    for rec in history:
-        lines.append(
-            f"{rec.iteration},{rec.cost:.17g},{rec.delta_cost:.17g},"
-            f"{rec.alpha:.17g},{rec.step_norm:.17g}"
-        )
+    lines += [f"{rec.iteration},{rec.cost:.17g},{rec.delta_cost:.17g},"
+              f"{rec.alpha:.17g},{rec.step_norm:.17g}" for rec in history]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

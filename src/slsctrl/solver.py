@@ -17,13 +17,16 @@ the recursion runs on the augmented state
 
 where terms sharing s share one slot, and gives u_t = K_t z_t + k_t in
 O(T (m (1 + h))^3) time for h held states (h = 0 is the ordinary tracker).
-Only the step Hessian R_t + B_t' P B_t must be positive definite; the
-cost-to-go may be indefinite in the held states.  The law acts on states,
-so K = phi_u phi_x^{-1} and k = d_u - K d_x: its blocks K[t, s], s < t, are
-the memory that lets cross-time terms bind future inputs to realized
-history.  :class:`Controller`, the one carrier of that law from the
-recursion to the artifacts, keeps it per step, O(T) in memory.  The maps
-themselves are never formed: the residuals check the plan and the gains
+Each step is one product G = F_t'P F_t of the cost-to-go z'Pz of z_{t+1}
+through the step's transition z_{t+1} = F_t [z_t; u_t]; its blocks give the
+step Hessian H_t = G_uu + R_t = R_t + B_t'P B_t, the gain and the next P.
+Only the H_t must be positive definite, which one batched Cholesky checks
+after the loop; the cost-to-go may be indefinite in the held states.  The
+law acts on states, so K = phi_u phi_x^{-1} and k = d_u - K d_x: its blocks
+K[t, s], s < t, are the memory that lets cross-time terms bind future
+inputs to realized history.  :class:`Controller`, the one carrier of that
+law from the recursion to the artifacts, keeps it per step, O(T) in memory.
+The maps are never formed: the residuals check the plan and the gains
 against the cost by O(T) forward and adjoint passes.
 """
 
@@ -255,58 +258,69 @@ def _history_indices(held, m):
     return idx
 
 
-def _held_shift(held, t, m):
-    """Selection S with z_{t+1} = diag(A_t, I) S z_t + [B_t; 0] u_t, or None if S = I.
+def _transitions(A, B, held):
+    """Per step t, F_t = [D_t S_t, [B_t; 0]] with z_{t+1} = F_t [z_t; u_t] and D_t = diag(A_t, I).
 
-    S is the identity whenever step t+1 holds the states step t holds, which
-    is every step but the few where a held state enters or leaves.
+    S_t selects from z_t the states step t+1 holds.  Each run of steps with
+    the same (held[t], held[t+1]) is one batched fill, so only the few steps
+    where a held state enters or leaves are filled alone.
     """
-    after = held[t + 1] if t + 1 < len(held) else ()
-    if after == held[t]:
-        return None
-    slots = (t, *held[t])
-    S = np.zeros((1 + len(after), len(slots)))
-    S[0, 0] = 1.0
-    for a, s in enumerate(after, start=1):
-        S[a, slots.index(s)] = 1.0
-    return np.kron(S, np.eye(m))
+    m, n = B.shape[1:]
+    F, t = [], 0
+    for (h, after), run in groupby(zip(held, [*held[1:], ()])):
+        end = t + len(list(run))
+        M = m * (1 + len(h))
+        Fr = np.zeros((end - t, m * (1 + len(after)), M + n))
+        Fr[:, :m, :m], Fr[:, :m, M:] = A[t:end], B[t:end]
+        for a, s in enumerate(after, start=1):
+            c = 0 if s == t else 1 + h.index(s)    # s == t: x_t enters the held states
+            Fr[:, a * m:(a + 1) * m, c * m:(c + 1) * m] = np.eye(m)
+        F.extend(Fr)
+        t = end
+    return F
 
 
-def _feedforward_step(A, B, hinv, gain, S, p, Ru, b=None):
-    """Feedforward half of one backward step: (k_t, p_t) from p_{t+1}, all columns at once.
+def _stage_costs(cost, held, m):
+    """Per step t that Q touches, Q_z with z_t'Q_z z_t = x_t'Q_tt x_t + 2 sum_s x_s'Q_st x_t."""
+    stage = {}
+    for (s, t), Q in cost.Q.items():
+        if s <= t:
+            a = 0 if s == t else 1 + held[t].index(s)
+            Qz = stage.setdefault(t, np.zeros((m * (1 + len(held[t])),) * 2))
+            Qz[a * m:(a + 1) * m, :m] += Q
+            if a:
+                Qz[:m, a * m:(a + 1) * m] += Q.T
+    return stage
 
-    With g = Ru + B_t'p[:m], where Ru is R_t u_d, k_t = (R_t + B_t'P B_t)^{-1} g
-    and p_t = S'D'p + gain' g, plus b on the x_t rows.  Only the step's gain
-    and inverse Hessian enter, not P, so the gains of one pass serve any
-    right-hand side.
-    """
-    m = A.shape[0]
-    g = Ru + B.T @ p[:m]
-    Dp = p.copy()
-    Dp[:m] = A.T @ p[:m]
-    if S is not None:
-        Dp = S.T @ Dp
-    p = Dp + gain.T @ g
-    if b is not None:
-        p[:m] += b
-    return hinv @ g, p
+
+def _check_step_hessians(H):
+    """ValueError naming the largest t with H[t] not PD: one batched Cholesky, then a scan."""
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        for t in range(len(H) - 1, -1, -1):
+            try:
+                np.linalg.cholesky(H[t])
+            except np.linalg.LinAlgError:
+                raise ValueError(f"step Hessian R_t + B_t'P B_t at t={t} is not positive "
+                                 "definite; check that R is PD and Q is PSD") from None
 
 
 def riccati_gains(system, cost):
     """Backward recursion over the held-state augmentation (see module notes).
 
-    Returns the optimal policy u_t = gains[t] z_t + k[t] for the cost's own
-    linear term and input target as a :class:`Controller` that also carries
-    the inverse step Hessians (T+1, n, n), with which
-    :func:`feedforward_pass` carries any other right-hand side.  Raises
-    ValueError on mismatched or non-finite data and on a step Hessian that
-    is not positive definite.
+    Per step, G = F_t'P F_t (:func:`_transitions`) gives H_t = G_uu + R_t,
+    the gain K_t = -H_t^{-1} G_uz and P_t = G_zz + G_zu K_t plus the stage
+    cost of z_t; one batched Cholesky of every H_t follows the loop, and
+    :func:`feedforward_pass` on the same F_t gives the feedforward.  Returns
+    the policy u_t = gains[t] z_t + k[t] as a :class:`Controller` carrying
+    the inverse step Hessians (T+1, n, n).  Raises ValueError on mismatched
+    or non-finite data and on a non-PD step Hessian, naming the largest t.
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
     if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
         raise ValueError("cost dimensions do not match the system")
-    # one right-hand-side column, kept 2-D so every product is the one a
-    # multi-column feedforward_pass makes
+    # one right-hand-side column of feedforward_pass
     b, u_d = cost.linear_term.reshape(T + 1, m, 1), cost.u_d.reshape(T + 1, n, 1)
     for name, blocks in [("A_t", system.A), ("B_t", system.B),
                          ("R_t", cost.R), ("linear term", b), ("u_d", u_d)]:
@@ -317,37 +331,28 @@ def riccati_gains(system, cost):
         if not np.isfinite(blk).all():
             raise ValueError(f"non-finite Q block ({i}, {j})")
     held = held_states(cost)
-    gains, hinv, k = [None] * (T + 1), np.empty((T + 1, n, n)), np.empty((T + 1, n, 1))
-    # cost-to-go of z_{t+1} as z'Pz - 2p'z; nothing follows step T
-    P, p, Ru = np.zeros((m, m)), np.zeros((m, 1)), cost.R @ u_d
-    for t in range(T, -1, -1):
-        A, B, S = system.A[t], system.B[t], _held_shift(held, t, m)
-        # z_{t+1} = D S z_t + [B_t; 0] u_t with D = diag(A_t, I)
-        PD = P.copy()
-        PD[:, :m] = P[:, :m] @ A
-        Huz = B.T @ PD[:m]
-        PD[:m] = A.T @ PD[:m]
-        if S is not None:
-            Huz, PD = Huz @ S, S.T @ PD @ S
-        try:
-            L = np.linalg.cholesky(cost.R[t] + B.T @ P[:m, :m] @ B)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"step Hessian R_t + B_t'P B_t at t={t} is not positive "
-                             "definite; check that R is PD and Q is PSD") from None
-        L_inv = np.linalg.inv(L)
-        hinv[t] = L_inv.T @ L_inv
-        gains[t] = -hinv[t] @ Huz
-        P = PD + Huz.T @ gains[t]
-        # stage cost of z_t: x_t'Q_tt x_t + 2 sum_s x_s'Q_st x_t; its -2 b_t'x_t goes to p
-        for a, s in enumerate((t, *held[t])):
-            Q = cost.Q.get((s, t))
-            if Q is not None:
-                P[a * m:(a + 1) * m, :m] += Q
-                if a:
-                    P[:m, a * m:(a + 1) * m] += Q.T
-        P = (P + P.T) / 2
-        k[t], p = _feedforward_step(A, B, hinv[t], gains[t], S, p, Ru[t], b[t])
-    return Controller.from_gains(held, gains, k.ravel(), hessian_inv=hinv)
+    F, stage = _transitions(system.A, system.B, held), _stage_costs(cost, held, m)
+    gains, H, hinv = [None] * (T + 1), np.zeros((T + 1, n, n)), np.empty((T + 1, n, n))
+    P = np.zeros((m, m))   # cost-to-go of z_{t+1}; nothing follows step T
+    try:
+        # past a non-PD H_t the recursion means nothing and may overflow
+        with np.errstate(all="ignore"):
+            for t in range(T, -1, -1):
+                G = F[t].T @ (P @ F[t])
+                M = G.shape[0] - n
+                H[t] = G[M:, M:] + cost.R[t]
+                hinv[t] = np.linalg.inv(H[t])
+                gains[t] = -hinv[t] @ G[M:, :M]
+                P = G[:M, :M] + G[:M, M:] @ gains[t]
+                if t in stage:
+                    P += stage[t]
+                P = (P + P.T) / 2
+    except np.linalg.LinAlgError:
+        pass   # H[t] is exactly singular: the check names it, or a later step
+    _check_step_hessians(H)
+    law = Controller.from_gains(held, gains, np.zeros((T + 1) * n), hessian_inv=hinv)
+    law.swap_feedforward(_feedforward(F, cost.R, law, u_d, b).ravel())
+    return law
 
 
 def feedforward_pass(A, B, R, law, u_d, b=None):
@@ -356,16 +361,24 @@ def feedforward_pass(A, B, R, law, u_d, b=None):
     ``b`` (T+1, m, c) holds the linear-term columns, zero when None.  The
     gains and inverse step Hessians of ``law``, a :class:`Controller` from
     :func:`riccati_gains`, stay fixed, so each column costs O(T) small
-    products and no factorization, in the order the recursion itself makes
-    them.
+    products and no factorization: on the recursion's F_t, q = F_t'p,
+    g_t = R_t u_d,t + q_u and p_t = q_z + K_t'g_t + [b_t; 0] for the linear
+    cost-to-go -2p'z of z_{t+1}, then one batched k_t = H_t^{-1} g_t.
     """
-    T1, m, c = len(law.gains), A.shape[1], u_d.shape[2]
-    k, p, Ru = np.empty((T1, law.input_dim, c)), np.zeros((m, c)), R @ u_d
+    return _feedforward(_transitions(A, B, law.held), R, law, u_d, b)
+
+
+def _feedforward(F, R, law, u_d, b):
+    """:func:`feedforward_pass` on transitions F from :func:`_transitions`."""
+    T1, m, n, c = len(F), law.state_dim, law.input_dim, u_d.shape[2]
+    g, p, Ru = np.empty((T1, n, c)), np.zeros((m, c)), R @ u_d
     for t in range(T1 - 1, -1, -1):
-        k[t], p = _feedforward_step(A[t], B[t], law.hessian_inv[t], law.gains[t],
-                                    _held_shift(law.held, t, m), p, Ru[t],
-                                    None if b is None else b[t])
-    return k
+        q = F[t].T @ p
+        g[t] = Ru[t] + q[-n:]
+        p = q[:-n] + law.gains[t].T @ g[t]
+        if b is not None:
+            p[:m] += b[t]
+    return law.hessian_inv @ g
 
 
 def solve_esls(system, cost):

@@ -40,7 +40,7 @@ from slsctrl import (
     write_controller_artifact,
 )
 from slsctrl.isls import closed_loop_step
-from slsctrl.solver import _held_shift, held_states
+from slsctrl.solver import _transitions, held_states
 
 from dense_views import dense_F_u, dense_F_x
 from oracles import (
@@ -182,29 +182,37 @@ def _map_columns(cost):
     return b, u_d
 
 
+def _one_step_transition(system, held, t):
+    """F_t with z_{t+1} = F_t [z_t; u_t], built for step t alone from its slots."""
+    m, n = system.state_dim, system.input_dim
+    slots, after = (t, *held[t]), (held[t + 1] if t + 1 < len(held) else ())
+    M = m * len(slots)
+    F = np.zeros((m * (1 + len(after)), M + n))
+    F[:m, :m], F[:m, M:] = system.A[t], system.B[t]
+    for a, s in enumerate(after, start=1):
+        c = slots.index(s)
+        F[a * m:(a + 1) * m, c * m:(c + 1) * m] = np.eye(m)
+    return F
+
+
 def _second_recursion(system, cost, b, u_d):
     """Feedforward columns of a whole held-state Riccati pass over (b, u_d).
 
-    The gains are recomputed from A, B, Q and R, step by step in the
-    package's order of operations, so its columns are what a second
+    The gains are recomputed from A, B, Q and R with transitions built one
+    step at a time, in the package's order of operations (G = F_t'P F_t,
+    then the feedforward on the same F_t), so its columns are what a second
     recursion over the maps' right-hand sides would give.
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
     held = held_states(cost)
-    k = np.empty((T + 1, n, b.shape[2]))
-    P, p, Ru = np.zeros((m, m)), np.zeros((m, b.shape[2])), cost.R @ u_d
+    F = [_one_step_transition(system, held, t) for t in range(T + 1)]
+    gains, hinv, P = [None] * (T + 1), np.empty((T + 1, n, n)), np.zeros((m, m))
     for t in range(T, -1, -1):
-        A, B, S = system.A[t], system.B[t], _held_shift(held, t, m)
-        PD = P.copy()
-        PD[:, :m] = P[:, :m] @ A
-        Huz = B.T @ PD[:m]
-        PD[:m] = A.T @ PD[:m]
-        if S is not None:
-            Huz, PD = Huz @ S, S.T @ PD @ S
-        L_inv = np.linalg.inv(np.linalg.cholesky(cost.R[t] + B.T @ P[:m, :m] @ B))
-        hinv = L_inv.T @ L_inv
-        gain = -hinv @ Huz
-        P = PD + Huz.T @ gain
+        G = F[t].T @ (P @ F[t])
+        M = G.shape[0] - n
+        hinv[t] = np.linalg.inv(G[M:, M:] + cost.R[t])
+        gains[t] = -hinv[t] @ G[M:, :M]
+        P = G[:M, :M] + G[:M, M:] @ gains[t]
         for a, s in enumerate((t, *held[t])):
             Q = cost.Q.get((s, t))
             if Q is not None:
@@ -212,15 +220,13 @@ def _second_recursion(system, cost, b, u_d):
                 if a:
                     P[:m, a * m:(a + 1) * m] += Q.T
         P = (P + P.T) / 2
-        g = Ru[t] + B.T @ p[:m]
-        Dp = p.copy()
-        Dp[:m] = A.T @ p[:m]
-        if S is not None:
-            Dp = S.T @ Dp
-        p = Dp + gain.T @ g
+    g, p, Ru = np.empty((T + 1, n, b.shape[2])), np.zeros((m, b.shape[2])), cost.R @ u_d
+    for t in range(T, -1, -1):
+        q = F[t].T @ p
+        g[t] = Ru[t] + q[-n:]
+        p = q[:-n] + gains[t].T @ g[t]
         p[:m] += b[t]
-        k[t] = hinv @ g
-    return k
+    return hinv @ g
 
 
 def test_maps_equal_a_second_recursion_bit_for_bit():
@@ -249,6 +255,28 @@ def test_maps_equal_a_second_recursion_bit_for_bit():
         if trial % 4 == 0:   # no held states: the memoryless tracker carries the same gains
             dp = precompute_gain_maps(st, cost, dp_lqt(st, cost))
             npt.assert_array_equal(dp.F_x_blocks, maps.F_x_blocks)
+
+
+def test_batched_transitions_equal_a_one_step_build():
+    # 0-3 correlations, a shared t1, nested intervals, t1 = 0 and t2 = T
+    rng = np.random.default_rng(16)
+    T, m, n = 12, 3, 2
+    st = TimeVaryingLinearSystem([rng.normal(size=(m, m)) for _ in range(T + 1)],
+                                 [rng.normal(size=(m, n)) for _ in range(T + 1)])
+    cases = [[], [(3, 8)], [(2, 6), (2, 9)], [(1, 10), (4, 6)], [(0, 5)], [(6, T)],
+             [(0, T), (2, 6), (2, 9)], [(0, 4), (4, T), (5, 7)]]
+    for intervals in cases:
+        cost = build_viapoint_cost(T, [(T, rng.normal(size=m), 1.0)], 0.5,
+                                   state_dim=m, input_dim=n)
+        for t1, t2 in intervals:
+            cost = add_correlation(cost, CorrelationSpec(
+                t1, t2, rng.normal(size=(m, m)), rng.normal(size=m), np.eye(m)))
+        held = held_states(cost)
+        assert all(t1 in held[t] for t1, t2 in intervals for t in range(t1 + 1, t2 + 1))
+        F = _transitions(st.A, st.B, held)
+        assert len(F) == T + 1
+        for t in range(T + 1):
+            npt.assert_array_equal(F[t], _one_step_transition(st, held, t))
 
 
 def test_precompute_rejects_a_controller_without_the_gains(tmp_path):

@@ -34,6 +34,8 @@ from slsctrl.bench import (
 )
 import slsctrl.scenarios
 from slsctrl.scenarios import (
+    MAX_HORIZON,
+    MAX_PLANT_DIM,
     Scenario,
     ValidationError,
     build_cost,
@@ -150,6 +152,53 @@ def test_integer_too_large_for_a_float_names_field(tmp_path):
     bad.write_text(json.dumps(weight).replace(str(huge), "1" + "0" * 5000))
     with pytest.raises(ValidationError, match="invalid JSON"):
         load_scenario(bad)
+
+
+def test_wrong_types_of_kind_and_lists_name_the_field(tmp_path):
+    # an unhashable plant.kind and a non-list viapoints, correlations or
+    # perturbations used to escape as a bare TypeError
+    cases = []
+    for kind in ([1], {"kind": "linear"}):
+        config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+        config["plant"]["kind"] = kind
+        cases.append((config, "plant.kind: unknown kind"))
+    for section, key in [("cost", "viapoints"), ("cost", "correlations"), (None, "perturbations")]:
+        for value in (3, 2.5, True, None):
+            config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+            (config[section] if section else config)[key] = value
+            path = f"{section}.{key}" if section else key
+            cases.append((config, f"{path}: expected a list, got {type(value).__name__}"))
+    for config, message in cases:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Scenario.from_dict(config)
+    for config, message in cases[::4]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        _assert_validation_error(_cli("solve", "--scenario", str(bad), "--out", str(tmp_path)),
+                                 message)
+
+
+def test_plant_dim_and_horizon_have_a_maximum(tmp_path):
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    config["horizon"] = MAX_HORIZON
+    assert Scenario.from_dict(config).horizon == MAX_HORIZON
+    cases = []
+    for value in (MAX_HORIZON + 1, 10**400):
+        config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+        config["horizon"] = value
+        cases.append((config, f"scenario.horizon: {value} above maximum {MAX_HORIZON}"))
+    for value in (MAX_PLANT_DIM + 1, 10**400):
+        config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+        config["plant"]["dim"] = value
+        cases.append((config, f"plant.dim: {value} above maximum {MAX_PLANT_DIM}"))
+    for config, message in cases:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Scenario.from_dict(config)
+    for config, message in cases[1::2]:
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(config))
+        _assert_validation_error(_cli("solve", "--scenario", str(bad), "--out", str(tmp_path)),
+                                 message)
 
 
 def test_bad_vectors_name_the_element():

@@ -27,6 +27,7 @@ from slsctrl import (
     rollout,
     solve_esls,
 )
+from slsctrl.solver import held_states
 
 from dense_views import (
     achievability_residual,
@@ -366,6 +367,56 @@ def test_indefinite_step_hessian_names_timestep():
         solve_esls(system, cost)
     with pytest.raises(ValueError, match="t=3 is not positive definite"):
         dp_lqt(system, cost)
+
+
+def _non_pd_problem(T, bad, correlations, A=0.9, B=None, r=-3.0):
+    """Two-input problem whose control weight at each step in ``bad`` is diag(1, r)."""
+    m, n = 2, 2
+    system = TimeVaryingLinearSystem.constant(
+        A * np.eye(m), np.ones((m, n)) + np.eye(m, n) if B is None else B, T)
+    cost = build_viapoint_cost(T, [(T // 2, np.ones(m), 2.0), (T, np.ones(m), 1.0)], 1.0,
+                               state_dim=m, input_dim=n)
+    for t1, t2 in correlations:
+        cost = add_correlation(cost, CorrelationSpec(t1, t2, np.eye(m), np.zeros(m), np.eye(m)))
+    for t in bad:
+        cost.R[t] = np.diag([1.0, r])
+    return system, cost
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_indefinite_invertible_step_hessian_with_held_states_names_largest_t():
+    # H_7 and H_3 are indefinite but invertible and both steps hold states;
+    # the recursion meets t=7 first, and the message names it
+    system, cost = _non_pd_problem(12, [7, 3], [(2, 9), (1, 5)])
+    assert held_states(cost)[7] and held_states(cost)[3]
+    with pytest.raises(ValueError, match="t=7 is not positive definite"):
+        solve_esls(system, cost)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_pd_step_hessian_at_the_ends_of_the_horizon():
+    for bad, corr in [(12, (2, 12)), (0, (0, 6))]:
+        system, cost = _non_pd_problem(12, [bad], [corr])
+        assert held_states(cost)[max(bad, 1)]
+        with pytest.raises(ValueError, match=f"t={bad} is not positive definite"):
+            solve_esls(system, cost)
+        system, cost = _non_pd_problem(12, [bad], [])
+        with pytest.raises(ValueError, match=f"t={bad} is not positive definite"):
+            dp_lqt(system, cost)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recursion_past_a_non_pd_step_emits_no_warning():
+    # with no input before t=250 and A = 50 I, the cost-to-go past the
+    # indefinite H_250 grows by 2500 per step and overflows; the error
+    # still names t=250, and no overflow warning leaks.  r = 0 makes H_250
+    # exactly singular instead.
+    B = np.eye(2)
+    for r in (-1.0, 0.0):
+        system, cost = _non_pd_problem(300, [250], [(100, 290)], A=50.0, B=B, r=r)
+        system.B[:251] = 0.0
+        with pytest.raises(ValueError, match="t=250 is not positive definite"):
+            solve_esls(system, cost)
 
 
 def test_stationarity_residual_detects_scaled_feedforward():
