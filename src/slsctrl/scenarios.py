@@ -57,6 +57,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import time
 import zipfile
 from dataclasses import dataclass, field
@@ -74,12 +75,12 @@ from .costs import (
 )
 from .isls import IslsConfig, TrackingObjective, isls_optimize
 from .plants import (
-    DEFAULT_JOINT_LIMIT,
     LinearPlant,
     OpenLoopController,
     batch_lqt,
     double_integrator_plant,
     dp_lqt,
+    joint_limits,
     linear_system_from_plant,
     mpc_lqt_rollout,
     planar_arm_plant,
@@ -89,7 +90,6 @@ from .solver import Controller, extract_controller, solve_esls
 from .stacked import NoiseModel, build_stacked
 
 ARTIFACT_FORMAT_VERSION = 4
-SOLVER_KINDS = ("esls", "isls", "dp-lqt", "mpc-lqt", "batch-lqt")
 # per-step arrays are allocated (T+1)-long and dense in the state
 MAX_HORIZON, MAX_PLANT_DIM = 100_000, 100
 
@@ -130,8 +130,8 @@ def _expect_mapping(value, path):
     return value
 
 
-def _expect_keys(d, path, required, optional=()):
-    unknown = sorted(set(d) - set(required) - set(optional))
+def _expect_keys(d, path, required, allowed):
+    unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValidationError(f"{path}: unknown key(s) {unknown}")
     missing = sorted(set(required) - set(d))
@@ -163,19 +163,23 @@ def _as_float(value, path, minimum=None):
     except OverflowError:
         raise ValidationError(
             f"{path}: expected a finite number, got an integer too large for a float") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValidationError(f"{path}: expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{path}: {value} below minimum {minimum}")
     return value
 
 
-_REALS = (int, float)
+def _as_float_or_null(value, path, minimum):
+    return None if value is None else _as_float(value, path, minimum)
+
+
+_REALS = {int, float}
 
 
 def _as_vector(value, path, length=None):
     vec = None
-    if isinstance(value, list) and all(type(v) in _REALS for v in value):
+    if isinstance(value, list) and set(map(type, value)) <= _REALS:
         try:
             vec = np.array(value, dtype=float)
         except OverflowError:
@@ -188,6 +192,20 @@ def _as_vector(value, path, length=None):
     if length is not None and vec.size != length:
         raise ValidationError(f"{path}: expected length {length}, got {vec.size}")
     return vec
+
+
+def _as_nonnegative(value, path, message, length):
+    vec = _as_vector(value, path, length)
+    if (vec < 0).any():
+        raise ValidationError(f"{path}: {message}")
+    return vec
+
+
+def _as_lengths(value, path):
+    links = _as_vector(value, path)
+    if links.size < 1 or (links <= 0).any():
+        raise ValidationError(f"{path}: expected positive lengths")
+    return links
 
 
 def _as_matrix(value, path, shape=None):
@@ -224,22 +242,177 @@ def _as_transform(value, path, dim):
     if value == "identity":
         return np.eye(dim)
     if isinstance(value, dict):
-        _expect_keys(value, path, required=("diag",))
+        _expect_keys(value, path, ("diag",), ("diag",))
         return np.diag(_as_vector(value["diag"], f"{path}.diag", length=dim))
     if isinstance(value, list):
         return _as_matrix(value, path, shape=(dim, dim))
     raise ValidationError(f"{path}: expected 'identity', {{'diag': [...]}} or a matrix")
 
 
-# -- scenario ------------------------------------------------------------------
+def _as_flag(value, path):
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path}: expected true or false, got {value!r}")
+    return value
 
 
-_PLANT_KEYS = {
-    "double_integrator": (("kind", "dim"), ("exact_discretization",)),
-    "linear": (("kind", "A", "B"), ()),
-    "planar_arm": (("kind", "link_lengths"),
-                   ("theta_lower", "theta_upper", "consistent_velocity")),
+def _as_name(value, path):
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{path}: expected a nonempty string")
+    return value
+
+
+def _as_object(value, path):
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: expected an object")
+    return value
+
+
+# -- schema --------------------------------------------------------------------
+#
+# Each section is described once, by a table {key: (default, parse, *args)}
+# that _walk reads in order.  A present key is parsed by
+# parse(value, path, *args), or kept as it is when parse is None; an absent
+# one takes the default, and a _REQUIRED key must be present.  A vector's
+# default is the value of every element.  A last argument HORIZON,
+# STATE_DIM, INPUT_DIM or LINKS is a size read from what was parsed before:
+# the horizon, the state and input dimensions of the plant, the number of
+# links.
+
+_REQUIRED = object()
+HORIZON, STATE_DIM, INPUT_DIM, LINKS = "horizon", "state_dim", "input_dim", "link_lengths"
+_SIZES = {HORIZON, STATE_DIM, INPUT_DIM, LINKS}
+
+
+class _Table(dict):
+    """A section's table, as {key: (default, parse, args, size name or None)};
+    ``required`` holds its _REQUIRED keys."""
+
+    def __init__(self, fields):
+        super().__init__()
+        for key, (default, parse, *args) in fields.items():
+            size = args.pop() if args and args[-1] in _SIZES else None
+            self[key] = (default, parse, tuple(args), size)
+        self.required = {key for key, spec in fields.items() if spec[0] is _REQUIRED}
+
+
+_SCENARIO = _Table({
+    "name": (_REQUIRED, _as_name), "horizon": (_REQUIRED, _as_int, 1, MAX_HORIZON),
+    "dt": (_REQUIRED, _as_float, 0.0), "description": ("", None), "metadata": ({}, _as_object),
+    # the sections, each walked by Scenario.from_dict
+    "plant": (_REQUIRED, None), "cost": (_REQUIRED, None), "noise": (None, None),
+    "initial_state": (None, None), "perturbations": ([], None), "solver": (_REQUIRED, None)})
+_COST = _Table({"control_weight": (_REQUIRED, _as_weight, INPUT_DIM),
+                "viapoints": ([], None), "correlations": ([], None)})
+_VIAPOINT = _Table({"t": (_REQUIRED, _as_int, 0, HORIZON),
+                    "target": (_REQUIRED, _as_vector, STATE_DIM),
+                    "weight": (_REQUIRED, _as_weight, STATE_DIM)})
+_CORRELATION = _Table({"t1": (_REQUIRED, _as_int, 0, HORIZON),
+                       "t2": (_REQUIRED, _as_int, 0, HORIZON),
+                       "C": (_REQUIRED, _as_transform, STATE_DIM),
+                       "c": (0.0, _as_vector, STATE_DIM),
+                       "weight": (_REQUIRED, _as_weight, STATE_DIM)})
+_PERTURBATION = _Table({"t": (_REQUIRED, _as_int, 0, HORIZON),
+                        "impulse": (_REQUIRED, _as_vector, STATE_DIM)})
+# the parameters of NoiseModel
+_NOISE = _Table({"mu_x0": (_REQUIRED, _as_vector, STATE_DIM),
+                 **dict.fromkeys(("sigma_x0", "sigma_noise"), (
+                     _REQUIRED, _as_nonnegative, "variances must be nonnegative", STATE_DIM))})
+# sections of several kinds: {kind: table of the keys besides "kind"}.  A
+# plant's keys are the parameters of its builder (_PLANT_BUILDERS), isls's
+# the fields of IslsConfig.
+_KINDS = {
+    "plant": {
+        "double_integrator": {"dim": (_REQUIRED, _as_int, 1, MAX_PLANT_DIM),
+                              "exact_discretization": (False, _as_flag)},
+        "linear": {"A": (_REQUIRED, _as_matrix), "B": (_REQUIRED, _as_matrix)},
+        # absent limits are None, which joint_limits fills in
+        "planar_arm": {"link_lengths": (_REQUIRED, _as_lengths),
+                       "theta_lower": (None, _as_vector, LINKS),
+                       "theta_upper": (None, _as_vector, LINKS),
+                       "consistent_velocity": (False, _as_flag)}},
+    "initial_state": {
+        "fixed": {"value": (_REQUIRED, _as_vector, STATE_DIM)},
+        "uniform_box": {"center": (_REQUIRED, _as_vector, STATE_DIM), "halfwidth": (
+            _REQUIRED, _as_nonnegative, "must be nonnegative", STATE_DIM)},
+        "arm_joints": {"theta": (_REQUIRED, _as_vector, LINKS),
+                       "theta_dot": (0.0, _as_vector, LINKS),
+                       "perturb_theta": (0.0, _as_float, 0.0)}},
+    "solver": {
+        "esls": {},
+        "isls": {"tolerance": (IslsConfig.tolerance, _as_float, 0.0),
+                 "max_iterations": (IslsConfig.max_iterations, _as_int, 1),
+                 "regularization": (IslsConfig.regularization, _as_float, 0.0),
+                 "hessian_floor": (IslsConfig.hessian_floor, _as_float_or_null, None),
+                 "stationarity_tolerance": (IslsConfig.stationarity_tolerance,
+                                            _as_float_or_null, 0.0)},
+        "dp-lqt": {}, "mpc-lqt": {"recompute_time": (_REQUIRED, _as_int, 1, HORIZON)},
+        "batch-lqt": {}},
 }
+_KINDS = {section: {kind: _Table({"kind": (_REQUIRED, None)} | fields)
+                    for kind, fields in kinds.items()} for section, kinds in _KINDS.items()}
+
+
+def _walk(record, path, table, ctx):
+    """The object ``record`` parsed by ``table``, as {key: value} in table order.
+
+    A parsed value whose key is in ``ctx`` is stored there (a vector as its
+    length), where the fields after it read their sizes.
+    """
+    if not isinstance(record, dict) or not table.required <= record.keys() <= table.keys():
+        _expect_keys(_expect_mapping(record, path), path, table.required, table)
+    out = {}
+    for key, (default, parse, args, size) in table.items():
+        if key not in record:
+            value = (np.full(ctx[size], default) if parse is _as_vector and default is not None
+                     else default)
+        elif parse is None:
+            value = record[key]
+        elif size is None:
+            value = parse(record[key], f"{path}.{key}", *args)
+        else:
+            value = parse(record[key], f"{path}.{key}", *args, ctx[size])
+        out[key] = value
+        if key in ctx:
+            ctx[key] = getattr(value, "size", value)
+    return out
+
+
+def _walk_list(records, path, table, ctx):
+    return [_walk(r, f"{path}[{i}]", table, ctx)
+            for i, r in enumerate(_expect_list(records, path))]
+
+
+def _walk_kind(record, path, ctx):
+    """A section of several kinds, walked by the table of its ``kind``."""
+    kinds = _KINDS[path]
+    kind = _expect_mapping(record, path).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        expected = ("fixed, uniform_box, or arm_joints" if path == "initial_state"
+                    else f"one of {list(kinds)}")
+        raise ValidationError(f"{path}.kind: unknown kind {kind!r}; expected {expected}")
+    return _walk(record, path, kinds[kind], ctx)
+
+
+def _plant_dims(plant):
+    """(state_dim, input_dim) of a parsed plant section; fills in an arm's limits."""
+    if plant["kind"] == "double_integrator":
+        return 2 * plant["dim"], plant["dim"]
+    if plant["kind"] == "linear":
+        A, B = plant["A"], plant["B"]
+        if A.shape[0] != A.shape[1]:
+            raise ValidationError("plant.A: must be square")
+        if B.shape[0] != A.shape[0]:
+            raise ValidationError("plant.B: row count must match plant.A")
+        return B.shape
+    p = plant["link_lengths"].size
+    lower, upper = plant["theta_lower"], plant["theta_upper"] = joint_limits(
+        p, plant["theta_lower"], plant["theta_upper"])
+    if np.any(lower > upper):
+        raise ValidationError("plant.theta_lower: exceeds plant.theta_upper")
+    return 3 * p + 5, p
+
+
+# -- scenario ------------------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -247,20 +420,20 @@ class Scenario:
     """Validated scenario, parsed once.
 
     ``raw`` is the one copy of the source JSON and round-trips it
-    losslessly; the sections ``plant``, ``cost``, ``solver``, ``noise``,
-    ``initial_state`` and ``metadata`` are views into it.  The parsed
-    values are what the builders read: the plant's ``state_dim`` and
-    ``input_dim``, a linear plant's ``plant_matrices`` (A, B), a planar
-    arm's ``joint_limits`` (lower, upper), the ``control_weight`` matrix,
-    the ``viapoints`` as (t, target, weight), the ``correlations`` as
-    :class:`CorrelationSpec` and the ``perturbations`` as (t, impulse).
-    Treat all of it as read-only.
+    losslessly; the sections ``cost``, ``solver``, ``initial_state`` and
+    ``metadata`` are views into it.  The parsed values are what the
+    builders read: the plant's ``state_dim`` and ``input_dim``, the
+    ``control_weight`` matrix, the ``viapoints`` as (t, target, weight), the
+    ``correlations`` as :class:`CorrelationSpec`, the ``perturbations`` as
+    (t, impulse), and in ``settings`` the parsed ``plant``, ``noise``,
+    ``initial_state`` and ``solver`` sections, each a dict with every default
+    filled in (noise and initial_state None when absent).  Treat all of it
+    as read-only.
     """
 
     name: str
     horizon: int
     dt: float
-    plant: dict
     cost: dict
     solver: dict
     state_dim: int
@@ -268,9 +441,7 @@ class Scenario:
     control_weight: np.ndarray
     viapoints: list
     correlations: list
-    plant_matrices: tuple = None
-    joint_limits: tuple = None
-    noise: dict = None
+    settings: dict
     initial_state: dict = None
     perturbations: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
@@ -280,200 +451,65 @@ class Scenario:
     @classmethod
     def from_dict(cls, config):
         config = _json_copy(_expect_mapping(config, "scenario"))
-        _expect_keys(
-            config, "scenario",
-            required=("name", "horizon", "dt", "plant", "cost", "solver"),
-            optional=("description", "metadata", "noise", "initial_state",
-                      "perturbations"),
-        )
-        name = config["name"]
-        if not isinstance(name, str) or not name:
-            raise ValidationError("scenario.name: expected a nonempty string")
-        horizon = _as_int(config["horizon"], "scenario.horizon", minimum=1,
-                          maximum=MAX_HORIZON)
-        dt = _as_float(config["dt"], "scenario.dt", minimum=0.0)
+        ctx = dict.fromkeys((HORIZON, LINKS))
+        top = _walk(config, "scenario", _SCENARIO, ctx)
+        plant = _walk_kind(top["plant"], "plant", ctx)
+        ctx["state_dim"], ctx["input_dim"] = _plant_dims(plant)
 
-        plant_cfg = _expect_mapping(config["plant"], "plant")
-        kind = plant_cfg.get("kind")
-        if not isinstance(kind, str) or kind not in _PLANT_KEYS:
-            raise ValidationError(
-                f"plant.kind: unknown kind {kind!r}; expected one of {sorted(_PLANT_KEYS)}"
-            )
-        required, optional = _PLANT_KEYS[kind]
-        _expect_keys(plant_cfg, "plant", required=required, optional=optional)
-        state_dim, input_dim, plant_matrices, joint_limits = _parse_plant(plant_cfg)
+        cost = _walk(top["cost"], "cost", _COST, ctx)
+        viapoints = _walk_list(cost["viapoints"], "cost.viapoints", _VIAPOINT, ctx)
+        targets = {}
+        for i, vp in enumerate(viapoints):
+            first = targets.setdefault(vp["t"], vp["target"])
+            if first is not vp["target"] and not np.array_equal(first, vp["target"]):
+                raise ValidationError(f"cost.viapoints[{i}].target: conflicts with the "
+                                      f"target of an earlier viapoint at t={vp['t']}")
+        correlations = _walk_list(cost["correlations"], "cost.correlations", _CORRELATION, ctx)
+        for i, corr in enumerate(correlations):
+            if corr["t1"] >= corr["t2"]:
+                raise ValidationError(f"cost.correlations[{i}]: requires t1 < t2, "
+                                      f"got ({corr['t1']}, {corr['t2']})")
 
-        cost_cfg = _expect_mapping(config["cost"], "cost")
-        _expect_keys(cost_cfg, "cost", required=("control_weight",),
-                     optional=("viapoints", "correlations"))
-        control_weight = _as_weight(cost_cfg["control_weight"], "cost.control_weight",
-                                    input_dim)
-        viapoints, targets = [], {}
-        for i, vp in enumerate(_expect_list(cost_cfg.get("viapoints", []), "cost.viapoints")):
-            p = f"cost.viapoints[{i}]"
-            _expect_keys(_expect_mapping(vp, p), p, required=("t", "target", "weight"))
-            t = _as_int(vp["t"], f"{p}.t", minimum=0, maximum=horizon)
-            target = _as_vector(vp["target"], f"{p}.target", length=state_dim)
-            if t in targets and not np.array_equal(targets[t], target):
-                raise ValidationError(
-                    f"{p}.target: conflicts with the target of an earlier viapoint at t={t}")
-            targets[t] = target
-            viapoints.append((t, target, _as_weight(vp["weight"], f"{p}.weight", state_dim)))
-        correlations = []
-        for i, corr in enumerate(_expect_list(cost_cfg.get("correlations", []),
-                                              "cost.correlations")):
-            p = f"cost.correlations[{i}]"
-            _expect_keys(_expect_mapping(corr, p), p,
-                         required=("t1", "t2", "C", "weight"), optional=("c",))
-            t1 = _as_int(corr["t1"], f"{p}.t1", minimum=0, maximum=horizon)
-            t2 = _as_int(corr["t2"], f"{p}.t2", minimum=0, maximum=horizon)
-            if t1 >= t2:
-                raise ValidationError(f"{p}: requires t1 < t2, got ({t1}, {t2})")
-            C = _as_transform(corr["C"], f"{p}.C", state_dim)
-            c = (_as_vector(corr["c"], f"{p}.c", length=state_dim) if "c" in corr
-                 else np.zeros(state_dim))
-            correlations.append(CorrelationSpec(
-                t1, t2, C, c, _as_weight(corr["weight"], f"{p}.weight", state_dim)))
+        noise = None if top["noise"] is None else _walk(top["noise"], "noise", _NOISE, ctx)
+        init = top["initial_state"]
+        if (isinstance(init, dict) and init.get("kind") == "arm_joints"
+                and plant["kind"] != "planar_arm"):
+            raise ValidationError("initial_state.kind: arm_joints requires a planar_arm plant")
+        if init is not None:
+            init = _walk_kind(init, "initial_state", ctx)
+        perturbations = _walk_list(top["perturbations"], "perturbations", _PERTURBATION, ctx)
 
-        noise_cfg = config.get("noise")
-        if noise_cfg is not None:
-            _expect_keys(_expect_mapping(noise_cfg, "noise"), "noise",
-                         required=("mu_x0", "sigma_x0", "sigma_noise"))
-            _as_vector(noise_cfg["mu_x0"], "noise.mu_x0", length=state_dim)
-            for key in ("sigma_x0", "sigma_noise"):
-                vec = _as_vector(noise_cfg[key], f"noise.{key}", length=state_dim)
-                if np.any(vec < 0):
-                    raise ValidationError(f"noise.{key}: variances must be nonnegative")
-
-        init_cfg = config.get("initial_state")
-        if init_cfg is not None:
-            _validate_initial_state(init_cfg, plant_cfg, state_dim)
-
-        perturbations = []
-        for i, pert in enumerate(_expect_list(config.get("perturbations", []), "perturbations")):
-            p = f"perturbations[{i}]"
-            _expect_keys(_expect_mapping(pert, p), p, required=("t", "impulse"))
-            perturbations.append((_as_int(pert["t"], f"{p}.t", minimum=0, maximum=horizon),
-                                  _as_vector(pert["impulse"], f"{p}.impulse",
-                                             length=state_dim)))
-
-        solver_cfg = _expect_mapping(config["solver"], "solver")
-        skind = solver_cfg.get("kind")
-        if skind not in SOLVER_KINDS:
-            raise ValidationError(
-                f"solver.kind: unknown kind {skind!r}; expected one of {list(SOLVER_KINDS)}"
-            )
-        if skind == "isls":
-            _expect_keys(solver_cfg, "solver", required=("kind",),
-                         optional=("tolerance", "max_iterations", "regularization",
-                                   "hessian_floor", "stationarity_tolerance"))
-            if "tolerance" in solver_cfg:
-                _as_float(solver_cfg["tolerance"], "solver.tolerance", minimum=0.0)
-            if "max_iterations" in solver_cfg:
-                _as_int(solver_cfg["max_iterations"], "solver.max_iterations", minimum=1)
-            if "regularization" in solver_cfg:
-                _as_float(solver_cfg["regularization"], "solver.regularization", minimum=0.0)
-            if "hessian_floor" in solver_cfg and solver_cfg["hessian_floor"] is not None:
-                _as_float(solver_cfg["hessian_floor"], "solver.hessian_floor")
-            if ("stationarity_tolerance" in solver_cfg
-                    and solver_cfg["stationarity_tolerance"] is not None):
-                _as_float(solver_cfg["stationarity_tolerance"],
-                          "solver.stationarity_tolerance", minimum=0.0)
-        else:
-            if skind == "mpc-lqt":
-                _expect_keys(solver_cfg, "solver", required=("kind", "recompute_time"))
-                _as_int(solver_cfg["recompute_time"], "solver.recompute_time",
-                        minimum=1, maximum=horizon)
-            else:
-                _expect_keys(solver_cfg, "solver", required=("kind",))
+        solver = _walk_kind(top["solver"], "solver", ctx)
+        if solver["kind"] != "isls":
             # every solver but isls assembles the quadratic cost, whose
             # per-step input weight must factor
             try:
-                np.linalg.cholesky(control_weight)
+                np.linalg.cholesky(cost["control_weight"])
             except np.linalg.LinAlgError:
                 raise ValidationError(
-                    f"cost.control_weight: not positive definite, which solver {skind} "
-                    "requires") from None
-        if skind == "esls" and plant_cfg["kind"] == "planar_arm":
+                    f"cost.control_weight: not positive definite, which solver "
+                    f"{solver['kind']} requires") from None
+        if solver["kind"] == "esls" and plant["kind"] == "planar_arm":
             raise ValidationError(
                 "solver.kind: esls requires a linear plant; use isls for planar_arm"
             )
-
-        metadata = config.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise ValidationError("scenario.metadata: expected an object")
         return cls(
-            name=name, horizon=horizon, dt=dt,
-            plant=plant_cfg, cost=cost_cfg, solver=solver_cfg,
-            state_dim=state_dim, input_dim=input_dim, control_weight=control_weight,
-            viapoints=viapoints, correlations=correlations,
-            plant_matrices=plant_matrices, joint_limits=joint_limits, noise=noise_cfg,
-            initial_state=init_cfg, perturbations=perturbations, metadata=metadata,
-            description=config.get("description", ""), raw=config,
+            name=top["name"], horizon=top["horizon"], dt=top["dt"],
+            cost=top["cost"], solver=top["solver"],
+            state_dim=ctx["state_dim"], input_dim=ctx["input_dim"],
+            control_weight=cost["control_weight"],
+            viapoints=[(vp["t"], vp["target"], vp["weight"]) for vp in viapoints],
+            correlations=[CorrelationSpec(c["t1"], c["t2"], c["C"], c["c"], c["weight"])
+                          for c in correlations],
+            settings={"plant": plant, "noise": noise, "initial_state": init,
+                      "solver": solver},
+            initial_state=top["initial_state"],
+            perturbations=[(p["t"], p["impulse"]) for p in perturbations],
+            metadata=top["metadata"] or {}, description=top["description"], raw=config,
         )
 
     def to_dict(self):
         return _json_copy(self.raw)
-
-
-def _parse_plant(plant_cfg):
-    """(state_dim, input_dim, a linear plant's (A, B), an arm's (lower, upper) limits)."""
-    kind = plant_cfg["kind"]
-    for flag in ("exact_discretization", "consistent_velocity"):
-        if not isinstance(plant_cfg.get(flag, False), bool):
-            raise ValidationError(
-                f"plant.{flag}: expected true or false, got {plant_cfg[flag]!r}")
-    if kind == "double_integrator":
-        dim = _as_int(plant_cfg["dim"], "plant.dim", minimum=1, maximum=MAX_PLANT_DIM)
-        return 2 * dim, dim, None, None
-    if kind == "linear":
-        A = _as_matrix(plant_cfg["A"], "plant.A")
-        if A.shape[0] != A.shape[1]:
-            raise ValidationError("plant.A: must be square")
-        B = _as_matrix(plant_cfg["B"], "plant.B")
-        if B.shape[0] != A.shape[0]:
-            raise ValidationError("plant.B: row count must match plant.A")
-        return A.shape[0], B.shape[1], (A, B), None
-    links = _as_vector(plant_cfg["link_lengths"], "plant.link_lengths")
-    if links.size < 1 or np.any(links <= 0):
-        raise ValidationError("plant.link_lengths: expected positive lengths")
-    lower, upper = (
-        _as_vector(plant_cfg[key], f"plant.{key}", length=links.size) if key in plant_cfg
-        else sign * DEFAULT_JOINT_LIMIT * np.ones(links.size)
-        for key, sign in (("theta_lower", -1.0), ("theta_upper", 1.0)))
-    if np.any(lower > upper):
-        raise ValidationError("plant.theta_lower: exceeds plant.theta_upper")
-    return 3 * links.size + 5, links.size, None, (lower, upper)
-
-
-def _validate_initial_state(init_cfg, plant_cfg, state_dim):
-    init_cfg = _expect_mapping(init_cfg, "initial_state")
-    kind = init_cfg.get("kind")
-    if kind == "fixed":
-        _expect_keys(init_cfg, "initial_state", required=("kind", "value"))
-        _as_vector(init_cfg["value"], "initial_state.value", length=state_dim)
-    elif kind == "uniform_box":
-        _expect_keys(init_cfg, "initial_state", required=("kind", "center", "halfwidth"))
-        _as_vector(init_cfg["center"], "initial_state.center", length=state_dim)
-        hw = _as_vector(init_cfg["halfwidth"], "initial_state.halfwidth", length=state_dim)
-        if np.any(hw < 0):
-            raise ValidationError("initial_state.halfwidth: must be nonnegative")
-    elif kind == "arm_joints":
-        if plant_cfg["kind"] != "planar_arm":
-            raise ValidationError("initial_state.kind: arm_joints requires a planar_arm plant")
-        _expect_keys(init_cfg, "initial_state", required=("kind", "theta"),
-                     optional=("theta_dot", "perturb_theta"))
-        p = len(plant_cfg["link_lengths"])
-        _as_vector(init_cfg["theta"], "initial_state.theta", length=p)
-        if "theta_dot" in init_cfg:
-            _as_vector(init_cfg["theta_dot"], "initial_state.theta_dot", length=p)
-        if "perturb_theta" in init_cfg:
-            _as_float(init_cfg["perturb_theta"], "initial_state.perturb_theta", minimum=0.0)
-    else:
-        raise ValidationError(
-            f"initial_state.kind: unknown kind {kind!r}; "
-            "expected fixed, uniform_box, or arm_joints"
-        )
 
 
 def _read_config(path):
@@ -511,19 +547,14 @@ def config_sha256(config):
 # -- builders ------------------------------------------------------------------
 
 
+# the plant builders, whose parameters are the keys of their kind
+_PLANT_BUILDERS = {"double_integrator": double_integrator_plant, "linear": LinearPlant,
+                   "planar_arm": planar_arm_plant}
+
+
 def build_plant(scenario):
-    cfg = scenario.plant
-    if cfg["kind"] == "double_integrator":
-        return double_integrator_plant(
-            cfg["dim"], scenario.dt,
-            exact_discretization=cfg.get("exact_discretization", False),
-        )
-    if cfg["kind"] == "linear":
-        return LinearPlant(*scenario.plant_matrices, dt=scenario.dt)
-    return planar_arm_plant(
-        np.asarray(cfg["link_lengths"], float), scenario.dt, *scenario.joint_limits,
-        consistent_velocity=cfg.get("consistent_velocity", False),
-    )
+    fields = dict(scenario.settings["plant"])
+    return _PLANT_BUILDERS[fields.pop("kind")](dt=scenario.dt, **fields)
 
 
 def build_cost(scenario):
@@ -547,44 +578,37 @@ def build_objective(scenario):
 
 
 def isls_config(scenario):
-    """The :class:`IslsConfig` of an isls scenario; absent keys keep its defaults.
+    """The :class:`IslsConfig` of an isls scenario, from its parsed solver section.
 
-    The solver section's optional keys are the config's field names.
+    The section's keys besides ``kind`` are the config's field names.
     """
-    return IslsConfig(**{k: v for k, v in scenario.solver.items() if k != "kind"})
+    return IslsConfig(**{k: v for k, v in scenario.settings["solver"].items() if k != "kind"})
 
 
 def build_noise(scenario):
-    m = scenario.state_dim
-    if scenario.noise is None:
-        return NoiseModel.zero(scenario.horizon, m)
-    cfg = scenario.noise
-    return NoiseModel(scenario.horizon,
-                      np.asarray(cfg["mu_x0"], float),
-                      np.asarray(cfg["sigma_x0"], float),
-                      np.asarray(cfg["sigma_noise"], float))
+    noise = scenario.settings["noise"]
+    if noise is None:
+        return NoiseModel.zero(scenario.horizon, scenario.state_dim)
+    return NoiseModel(scenario.horizon, **noise)
 
 
 def draw_initial_state(scenario, rng, plant):
     """One initial state; distribution scenarios consume entropy from rng."""
-    cfg = scenario.initial_state
-    if cfg is None:
-        if scenario.noise is not None:
-            mu = np.asarray(scenario.noise["mu_x0"], float)
-            sig = np.asarray(scenario.noise["sigma_x0"], float)
-            return mu + rng.standard_normal(mu.size) * np.sqrt(sig)
-        return np.zeros(scenario.state_dim)
-    if cfg["kind"] == "fixed":
-        return np.asarray(cfg["value"], float)
-    if cfg["kind"] == "uniform_box":
-        center = np.asarray(cfg["center"], float)
-        hw = np.asarray(cfg["halfwidth"], float)
-        return center + rng.uniform(-1.0, 1.0, size=center.size) * hw
-    theta = np.asarray(cfg["theta"], float)
-    if cfg.get("perturb_theta"):
-        theta = theta + rng.uniform(-1.0, 1.0, size=theta.size) * cfg["perturb_theta"]
-    theta_dot = np.asarray(cfg.get("theta_dot", np.zeros_like(theta)), float)
-    return plant.augment(theta, theta_dot)
+    init, noise = scenario.settings["initial_state"], scenario.settings["noise"]
+    if init is None:
+        if noise is None:
+            return np.zeros(scenario.state_dim)
+        return (noise["mu_x0"]
+                + rng.standard_normal(scenario.state_dim) * np.sqrt(noise["sigma_x0"]))
+    if init["kind"] == "fixed":
+        return init["value"].copy()
+    if init["kind"] == "uniform_box":
+        return (init["center"]
+                + rng.uniform(-1.0, 1.0, size=scenario.state_dim) * init["halfwidth"])
+    theta = init["theta"]
+    if init["perturb_theta"]:
+        theta = theta + rng.uniform(-1.0, 1.0, size=theta.size) * init["perturb_theta"]
+    return plant.augment(theta, init["theta_dot"])
 
 
 def rollout_draws(scenario, plant, seed):
