@@ -29,9 +29,11 @@ import numpy as np
 
 from .adaptation import adapt_feedforward
 from .bench import (
+    apply_viapoint_edit,
     bench_adaptation,
     bench_mug_sugar,
     bench_pickplace,
+    bundled_scenario_path,
 )
 from .plants import linear_system_from_plant, rollout
 from .scenarios import (
@@ -44,6 +46,8 @@ from .scenarios import (
     load_controller_artifact,
     load_maps_artifact,
     load_scenario,
+    parse_edit,
+    parse_edits,
     realized_cost,
     rollout_draws,
     run_scenario,
@@ -256,22 +260,17 @@ def cmd_bench_pickplace(args):
 
 
 def cmd_bench_adapt(args):
-    edits = _load_edits(args.edit_json) if args.edit_json else None
-    report = bench_adaptation(scenario_path=args.scenario, target_edits=edits,
-                              seed=args.seed)
+    path = args.scenario or bundled_scenario_path("mug_sugar")
+    edits = (parse_edits(load_scenario(path), _load_edits(args.edit_json)) if args.edit_json
+             else None)
+    report = bench_adaptation(scenario_path=path, target_edits=edits, seed=args.seed)
     return _finish_bench(args, report)
 
 
 def cmd_adapt(args):
     scenario = load_scenario(args.scenario)
-    edit = _load_edits(args.edit_json)
-    if not isinstance(edit, dict) or "t" not in edit or "target" not in edit:
-        raise ValidationError('--edit-json: expected {"t": int, "target": [...]}')
-    from .bench import apply_viapoint_edit
-    try:
-        new_config = apply_viapoint_edit(scenario.raw, int(edit["t"]), edit["target"])
-    except ValueError as exc:
-        raise ValidationError(f"--edit-json: {exc}") from None
+    edit = parse_edit(scenario, _load_edits(args.edit_json))
+    new_config = apply_viapoint_edit(scenario.raw, edit["t"], edit["target"])
     new_cost = build_cost(Scenario.from_dict(new_config))
     controller = load_controller_artifact(args.controller)
     if not isinstance(controller, Controller):
@@ -290,8 +289,7 @@ def cmd_adapt(args):
     report = {
         "scenario": scenario.name,
         "config_sha256": config_sha256(new_config),
-        "edit": {"t": int(edit["t"]),
-                 "target": [float(v) for v in edit["target"]]},
+        "edit": {"t": edit["t"], "target": edit["target"].tolist()},
         "feedforward_delta": float(np.max(np.abs(k_new - controller.k))),
         "adapt_seconds": adapt_seconds,
         "artifacts": {"controller": "controller_adapted.bin"},

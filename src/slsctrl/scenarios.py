@@ -4,15 +4,15 @@ A scenario is a JSON document that fully specifies one control problem:
 plant, horizon, cost terms, noise, initial-state distribution, perturbation
 schedule, and solver choice.  Scenarios double as test fixtures, so parsing
 is strict: unknown keys are rejected and every error names the offending
-field path.  Parsing happens once: :meth:`Scenario.from_dict` validates
-every field and keeps the parsed values, and every builder reads those
-instead of the JSON.
+field path.  Parsing happens once: each section is described by one table
+(see "schema" below) that :meth:`Scenario.from_dict` walks, and every
+builder reads the parsed values instead of the JSON.
 
 Schema (all weights accept a scalar, a diagonal vector, or a full matrix;
 matrices are lists of rows):
 
     {
-      "name": str,
+      "name": str (one path component: no "/", NUL, "." or ".."),
       "description": str (optional),
       "metadata": {...} (optional, carried through to reports),
       "horizon": int, "dt": float,
@@ -256,8 +256,17 @@ def _as_flag(value, path):
 
 
 def _as_name(value, path):
+    """A nonempty string that is one path component: run artifacts go to <out>/<name>/."""
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{path}: expected a nonempty string")
+    if value in (".", "..") or "/" in value or "\0" in value:
+        raise ValidationError(f"{path}: expected one path component, got {value!r}")
+    return value
+
+
+def _as_str(value, path):
+    if not isinstance(value, str):
+        raise ValidationError(f"{path}: expected a string, got {type(value).__name__}")
     return value
 
 
@@ -297,7 +306,7 @@ class _Table(dict):
 
 _SCENARIO = _Table({
     "name": (_REQUIRED, _as_name), "horizon": (_REQUIRED, _as_int, 1, MAX_HORIZON),
-    "dt": (_REQUIRED, _as_float, 0.0), "description": ("", None), "metadata": ({}, _as_object),
+    "dt": (_REQUIRED, _as_float, 0.0), "description": ("", _as_str), "metadata": ({}, _as_object),
     # the sections, each walked by Scenario.from_dict
     "plant": (_REQUIRED, None), "cost": (_REQUIRED, None), "noise": (None, None),
     "initial_state": (None, None), "perturbations": ([], None), "solver": (_REQUIRED, None)})
@@ -542,6 +551,31 @@ def scenario_from(source, overrides=None):
 def config_sha256(config):
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+_EDIT = {"t": (_REQUIRED, _as_int, 0, HORIZON), "target": (_REQUIRED, _as_vector, STATE_DIM)}
+_ADAPT_EDIT, _BENCH_EDIT = _Table(_EDIT), _Table(_EDIT | {"at": (0, _as_int, 0, HORIZON)})
+
+
+def _parse_edit(scenario, edit, path, table):
+    edit = _walk(edit, path, table, {HORIZON: scenario.horizon, STATE_DIM: scenario.state_dim})
+    if edit["t"] not in {t for t, _, _ in scenario.viapoints}:
+        raise ValidationError(f"{path}.t: no viapoint at t={edit['t']} to edit")
+    return edit
+
+
+def parse_edit(scenario, edit):
+    """The ``--edit-json`` of ``slsctrl adapt``, parsed as the viapoints are:
+    {"t": the time of a viapoint, "target": its new target}."""
+    return _parse_edit(scenario, edit, "--edit-json", _ADAPT_EDIT)
+
+
+def parse_edits(scenario, edits):
+    """The ``--edit-json`` of ``slsctrl bench adapt``: a list of edits as
+    :func:`parse_edit` takes them, each of which may also give ``at``, the
+    rollout step where the new feedforward takes over (default 0)."""
+    return [_parse_edit(scenario, edit, f"--edit-json[{i}]", _BENCH_EDIT)
+            for i, edit in enumerate(_expect_list(edits, "--edit-json"))]
 
 
 # -- builders ------------------------------------------------------------------
@@ -905,12 +939,17 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=Non
 
 
 def _merge_overrides(config, overrides):
+    """``config`` with each dotted key of ``overrides`` set; keys pass through objects only."""
     config = _json_copy(config)
     for key, value in overrides.items():
         parts = key.split(".") if isinstance(key, str) else list(key)
         node = config
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
+        for i, part in enumerate(parts):
+            if not isinstance(node, dict):
+                raise ValidationError(f"override {key!r}: {'.'.join(map(str, parts[:i]))} "
+                                      f"is a {type(node).__name__}, not an object")
+            if i < len(parts) - 1:
+                node = node.setdefault(part, {})
         node[parts[-1]] = value
     return config
 

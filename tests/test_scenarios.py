@@ -45,10 +45,12 @@ from slsctrl.scenarios import (
     config_sha256,
     correlation_residuals,
     draw_initial_state,
+    isls_config,
     load_controller_artifact,
     load_maps_artifact,
     load_scenario,
     run_scenario,
+    scenario_from,
     write_controller_artifact,
     write_maps_artifact,
 )
@@ -310,28 +312,50 @@ def test_plant_flags_must_be_booleans():
         Scenario.from_dict(config)
 
 
+def _built(scenario, solver):
+    """What every builder makes of a scenario, as a flat list of values and arrays."""
+    plant = build_plant(scenario)
+    x, u = np.linspace(-0.5, 0.5, plant.state_dim), np.linspace(0.3, -0.3, plant.input_dim)
+    noise = build_noise(scenario)
+    rng = np.random.default_rng(0)
+    x0 = draw_initial_state(scenario, rng, plant)
+    cost = build_cost(scenario)
+    out = [plant.name, plant.step(0, x, u), noise.mu_x0, noise.sigma_x0, noise.sigma_noise,
+           x0, rng.random(), cost.x_d, cost.u_d, cost.R,
+           *(c.C for c in build_objective(scenario).correlations)]
+    if solver == "isls":
+        out += list(vars(isls_config(scenario)).values())
+    residuals = correlation_residuals(scenario, SimpleNamespace(
+        states=np.tile(x0, (scenario.horizon + 1, 1))))
+    return out + [r["residual"] for r in residuals]
+
+
 def test_builders_read_the_parsed_scenario(monkeypatch):
-    # from_dict is the only parse: with the number parser broken afterwards,
-    # every builder still works on every bundled scenario
+    # from_dict is the only parse: with the number and vector parsers broken
+    # and the noise, initial_state and solver sections of the JSON replaced by
+    # garbage afterwards, every builder gives bit for bit what it gave before
     scenarios = [load_scenario(bundled_scenario_path(name))
                  for name in ("regulator_smoke", "mug_sugar", "pickplace_arm")]
+    solvers = [scenario.solver["kind"] for scenario in scenarios]
+    before = [_built(scenario, solver) for scenario, solver in zip(scenarios, solvers)]
 
-    def no_parse(value, path, minimum=None):
+    def no_parse(value, path, *args):
         raise AssertionError(f"{path} parsed again after from_dict")
 
     monkeypatch.setattr(slsctrl.scenarios, "_as_float", no_parse)
-    for scenario in scenarios:
-        m, n = scenario.state_dim, scenario.input_dim
-        plant = build_plant(scenario)
-        assert (plant.state_dim, plant.input_dim) == (m, n)
-        cost = build_cost(scenario)
-        assert cost.x_d.size == m * (scenario.horizon + 1) and cost.R.shape[1] == n
-        assert build_objective(scenario).correlations == scenario.correlations
-        assert build_noise(scenario).state_dim == m
-        x0 = draw_initial_state(scenario, np.random.default_rng(0), plant)
-        states = np.tile(x0, (scenario.horizon + 1, 1))
-        residuals = correlation_residuals(scenario, SimpleNamespace(states=states))
-        assert len(residuals) == len(scenario.correlations)
+    monkeypatch.setattr(slsctrl.scenarios, "_as_vector", no_parse)
+    garbage = dict.fromkeys(("kind", "mu_x0", "sigma_x0", "sigma_noise", "value", "center",
+                             "halfwidth", "theta", "theta_dot", "perturb_theta", "tolerance",
+                             "max_iterations", "regularization", "hessian_floor",
+                             "stationarity_tolerance", "recompute_time"), "garbage")
+    for scenario, solver, expected in zip(scenarios, solvers, before):
+        for key in ("noise", "initial_state", "solver"):
+            section = scenario.raw.setdefault(key, {})   # the views are these dicts
+            section.clear()
+            section.update(garbage)
+        assert scenario.initial_state["kind"] == "garbage"
+        for a, b in zip(_built(scenario, solver), expected, strict=True):
+            npt.assert_array_equal(a, b)
 
 
 def test_scenario_roundtrip_and_hash():
@@ -820,6 +844,63 @@ def test_cli_adapt_rejects_artifacts_of_other_dimensions(tmp_path, mug_artifacts
         proc = _cli("adapt", "--scenario", mug, "--controller", str(controller),
                     "--maps", str(maps), "--edit-json", edit, "--out", str(tmp_path))
         _assert_validation_error(proc, message)
+
+
+def test_cli_adapt_parses_edits_as_viapoints(tmp_path, mug_artifacts):
+    # each of these crashed with a traceback, moved t, or was ignored
+    mug, base = str(bundled_scenario_path("mug_sugar")), mug_artifacts["3d"]
+    zeros = [0, 0, 0, 0, 0, 0]
+    for edit, message in [
+            ({"t": None, "target": zeros}, "--edit-json.t: expected an integer, got None"),
+            ({"t": 70, "target": {"a": 1}}, "--edit-json.target: expected a flat list"),
+            ({"t": True, "target": zeros}, "--edit-json.t: expected an integer, got True"),
+            ({"t": 70.9, "target": zeros}, "--edit-json.t: expected an integer, got 70.9"),
+            ({"t": 70, "target": zeros, "at": 3}, "--edit-json: unknown key(s) ['at']"),
+            ({"t": 71, "target": zeros}, "--edit-json.t: no viapoint at t=71 to edit")]:
+        proc = _cli("adapt", "--scenario", mug, "--controller", str(base / "controller.bin"),
+                    "--maps", str(base / "maps.bin"), "--edit-json", json.dumps(edit),
+                    "--out", str(tmp_path))
+        _assert_validation_error(proc, message)
+    for edits, message in [
+            ([{"t": None, "target": zeros}], "--edit-json[0].t: expected an integer, got None"),
+            ([{"t": 5, "target": zeros}], "--edit-json[0].t: no viapoint at t=5 to edit"),
+            ([{"t": 70, "target": zeros, "at": 101}], "--edit-json[0].at: 101 above maximum"),
+            ({"t": 70, "target": zeros}, "--edit-json: expected a list, got dict")]:
+        proc = _cli("bench", "adapt", "--edit-json", json.dumps(edits), "--out", str(tmp_path))
+        _assert_validation_error(proc, message)
+
+
+def test_scenario_name_is_one_path_component(tmp_path):
+    # run artifacts go to <out>/<name>/<label>: "../escaped" wrote beside --out
+    # and a NUL byte failed in mkdir
+    for name in ("../escaped", "a/b", ".", "..", "nul\0byte"):
+        config = load_scenario(bundled_scenario_path("regulator_smoke")).raw
+        config["name"] = name
+        with pytest.raises(ValidationError, match=re.escape(
+                f"scenario.name: expected one path component, got {name!r}")):
+            Scenario.from_dict(config)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        _assert_validation_error(_cli("solve", "--scenario", str(bad), "--out",
+                                      str(tmp_path / "out")), "scenario.name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+    config = load_scenario(bundled_scenario_path("regulator_smoke")).raw
+    config["description"] = 5
+    with pytest.raises(ValidationError, match="scenario.description: expected a string, got int"):
+        Scenario.from_dict(config)
+
+
+def test_overrides_through_a_list_or_a_number_name_the_key():
+    mug = bundled_scenario_path("mug_sugar")
+    for key, message in [
+            ("cost.viapoints.0.t", "override 'cost.viapoints.0.t': cost.viapoints is a list, "
+                                   "not an object"),
+            ("dt.scale", "override 'dt.scale': dt is a float, not an object")]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            scenario_from(mug, {key: 3})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            bench_mug_sugar(trials=2, overrides={key: 3})
+    assert scenario_from(mug, {"cost.viapoints": []}).viapoints == []
 
 
 def test_cli_help_lists_subcommands():
