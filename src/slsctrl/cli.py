@@ -37,6 +37,8 @@ from .bench import (
 )
 from .plants import linear_system_from_plant, rollout
 from .scenarios import (
+    ADAPT_EDIT,
+    BENCH_EDIT,
     Scenario,
     SolverNotConverged,
     ValidationError,
@@ -47,9 +49,11 @@ from .scenarios import (
     load_maps_artifact,
     load_scenario,
     parse_edit,
-    parse_edits,
+    parse_json,
+    read_json,
     realized_cost,
     rollout_draws,
+    run_dir,
     run_scenario,
     write_controller_artifact,
     write_trajectory_csv,
@@ -115,22 +119,8 @@ def build_parser():
     return parser
 
 
-def _out_dir(args, name):
-    out = Path(args.out) / name / (args.label or time.strftime("%Y%m%d-%H%M%S"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_edits(raw):
-    if raw.startswith("@"):
-        try:
-            raw = Path(raw[1:]).read_text()
-        except OSError as exc:
-            raise ValidationError(f"edit file {raw[1:]}: {exc}") from None
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--edit-json: invalid JSON ({exc})") from None
+    return read_json(raw[1:], "edit") if raw.startswith("@") else parse_json(raw, "--edit-json")
 
 
 def cmd_solve(args):
@@ -209,7 +199,7 @@ def cmd_rollout(args):
     _check_loaded_law(scenario, plant, controller)
     traj = rollout(plant, controller, **rollout_draws(scenario, plant, args.seed))
     realized, cumulative = realized_cost(scenario, traj)
-    out_dir = _out_dir(args, scenario.name)
+    out_dir = run_dir(args.out, scenario.name, args.label)
     write_trajectory_csv(out_dir / "trajectory.csv", traj, cumulative)
     report = {
         "scenario": scenario.name,
@@ -225,7 +215,7 @@ def cmd_rollout(args):
 
 
 def _finish_bench(args, report):
-    out_dir = _out_dir(args, report.scenario)
+    out_dir = run_dir(args.out, report.scenario, args.label)
     (out_dir / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     )
@@ -260,16 +250,20 @@ def cmd_bench_pickplace(args):
 
 
 def cmd_bench_adapt(args):
-    path = args.scenario or bundled_scenario_path("mug_sugar")
-    edits = (parse_edits(load_scenario(path), _load_edits(args.edit_json)) if args.edit_json
-             else None)
+    path, edits = args.scenario or bundled_scenario_path("mug_sugar"), None
+    if args.edit_json:
+        scenario, edits = load_scenario(path), _load_edits(args.edit_json)
+        if not isinstance(edits, list):
+            raise ValidationError(f"--edit-json: expected a list, got {type(edits).__name__}")
+        edits = [parse_edit(scenario, edit, f"--edit-json[{i}]", BENCH_EDIT)
+                 for i, edit in enumerate(edits)]
     report = bench_adaptation(scenario_path=path, target_edits=edits, seed=args.seed)
     return _finish_bench(args, report)
 
 
 def cmd_adapt(args):
     scenario = load_scenario(args.scenario)
-    edit = parse_edit(scenario, _load_edits(args.edit_json))
+    edit = parse_edit(scenario, _load_edits(args.edit_json), "--edit-json", ADAPT_EDIT)
     new_config = apply_viapoint_edit(scenario.raw, edit["t"], edit["target"])
     new_cost = build_cost(Scenario.from_dict(new_config))
     controller = load_controller_artifact(args.controller)
@@ -284,7 +278,7 @@ def cmd_adapt(args):
     k_new = adapt_feedforward(maps, new_cost.x_d, new_cost.u_d)
     adapt_seconds = time.perf_counter() - t0
     adapted = controller.with_feedforward(k_new)
-    out_dir = _out_dir(args, scenario.name)
+    out_dir = run_dir(args.out, scenario.name, args.label)
     write_controller_artifact(out_dir / "controller_adapted.bin", adapted)
     report = {
         "scenario": scenario.name,

@@ -274,17 +274,15 @@ class PlanarArmPlant(Plant):
 DEFAULT_JOINT_LIMIT = 2.9   # rad, either side of zero
 
 
-def joint_limits(n_links, theta_lower, theta_upper):
-    """(lower, upper) limits of ``n_links`` joints; a None side is -+DEFAULT_JOINT_LIMIT."""
-    return (-DEFAULT_JOINT_LIMIT * np.ones(n_links) if theta_lower is None else theta_lower,
-            DEFAULT_JOINT_LIMIT * np.ones(n_links) if theta_upper is None else theta_upper)
-
-
 def planar_arm_plant(link_lengths, dt, theta_lower=None, theta_upper=None,
                      consistent_velocity=False):
-    """Build a :class:`PlanarArmPlant`; absent limits are those of :func:`joint_limits`."""
-    return PlanarArmPlant(link_lengths, dt,
-                          *joint_limits(len(link_lengths), theta_lower, theta_upper),
+    """Build a :class:`PlanarArmPlant`; limits default to +-DEFAULT_JOINT_LIMIT per joint."""
+    p = len(link_lengths)
+    if theta_lower is None:
+        theta_lower = -DEFAULT_JOINT_LIMIT * np.ones(p)
+    if theta_upper is None:
+        theta_upper = DEFAULT_JOINT_LIMIT * np.ones(p)
+    return PlanarArmPlant(link_lengths, dt, theta_lower, theta_upper,
                           consistent_velocity=consistent_velocity)
 
 

@@ -80,7 +80,6 @@ from .plants import (
     batch_lqt,
     double_integrator_plant,
     dp_lqt,
-    joint_limits,
     linear_system_from_plant,
     mpc_lqt_rollout,
     planar_arm_plant,
@@ -106,6 +105,7 @@ class SolverNotConverged(RuntimeError):
 
 
 _JSON_ATOMS = (str, int, float, bool, type(None))
+_OBJECT, _LIST = "expected an object, got {1}", "expected a list, got {1}"
 
 
 def _json_copy(value):
@@ -124,24 +124,10 @@ def _json_copy(value):
     return copy.deepcopy(value)
 
 
-def _expect_mapping(value, path):
-    if not isinstance(value, dict):
-        raise ValidationError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _expect_keys(d, path, required, allowed):
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValidationError(f"{path}: unknown key(s) {unknown}")
-    missing = sorted(set(required) - set(d))
-    if missing:
-        raise ValidationError(f"{path}: missing required key(s) {missing}")
-
-
-def _expect_list(value, path):
-    if not isinstance(value, list):
-        raise ValidationError(f"{path}: expected a list, got {type(value).__name__}")
+def _as_instance(value, path, kind, message):
+    """``value`` if it is a ``kind``, else the error ``message`` formatted with it."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{path}: " + message.format(value, type(value).__name__))
     return value
 
 
@@ -242,17 +228,10 @@ def _as_transform(value, path, dim):
     if value == "identity":
         return np.eye(dim)
     if isinstance(value, dict):
-        _expect_keys(value, path, ("diag",), ("diag",))
-        return np.diag(_as_vector(value["diag"], f"{path}.diag", length=dim))
+        return np.diag(_walk(value, path, _DIAG, {STATE_DIM: dim})["diag"])
     if isinstance(value, list):
         return _as_matrix(value, path, shape=(dim, dim))
     raise ValidationError(f"{path}: expected 'identity', {{'diag': [...]}} or a matrix")
-
-
-def _as_flag(value, path):
-    if not isinstance(value, bool):
-        raise ValidationError(f"{path}: expected true or false, got {value!r}")
-    return value
 
 
 def _as_name(value, path):
@@ -264,49 +243,33 @@ def _as_name(value, path):
     return value
 
 
-def _as_str(value, path):
-    if not isinstance(value, str):
-        raise ValidationError(f"{path}: expected a string, got {type(value).__name__}")
-    return value
-
-
-def _as_object(value, path):
-    if not isinstance(value, dict):
-        raise ValidationError(f"{path}: expected an object")
-    return value
-
-
 # -- schema --------------------------------------------------------------------
 #
-# Each section is described once, by a table {key: (default, parse, *args)}
-# that _walk reads in order.  A present key is parsed by
-# parse(value, path, *args), or kept as it is when parse is None; an absent
-# one takes the default, and a _REQUIRED key must be present.  A vector's
-# default is the value of every element.  A last argument HORIZON,
-# STATE_DIM, INPUT_DIM or LINKS is a size read from what was parsed before:
-# the horizon, the state and input dimensions of the plant, the number of
-# links.
+# Each section is one table {key: (default, parse, *args)}, which _walk reads
+# in order: a present key is parsed by parse(value, path, *args), or kept as
+# it is when parse is None; an absent one takes the default (a vector's fills
+# it), and a _REQUIRED key must be present.  A last argument HORIZON,
+# STATE_DIM, INPUT_DIM or LINKS is the size parsed before it under that name.
 
 _REQUIRED = object()
-HORIZON, STATE_DIM, INPUT_DIM, LINKS = "horizon", "state_dim", "input_dim", "link_lengths"
-_SIZES = {HORIZON, STATE_DIM, INPUT_DIM, LINKS}
+_SIZES = HORIZON, STATE_DIM, INPUT_DIM, LINKS = "horizon", "state_dim", "input_dim", "link_lengths"
 
 
 class _Table(dict):
-    """A section's table, as {key: (default, parse, args, size name or None)};
-    ``required`` holds its _REQUIRED keys."""
+    """A table as {key: (default, parse, args, size or None)}, and its ``required`` keys."""
 
     def __init__(self, fields):
-        super().__init__()
-        for key, (default, parse, *args) in fields.items():
-            size = args.pop() if args and args[-1] in _SIZES else None
-            self[key] = (default, parse, tuple(args), size)
+        super().__init__({key: (spec[0], spec[1], *((spec[2:-1], spec[-1]) if spec[-1] in _SIZES
+                                                    else (spec[2:], None)))
+                          for key, spec in fields.items()})
         self.required = {key for key, spec in fields.items() if spec[0] is _REQUIRED}
 
 
 _SCENARIO = _Table({
     "name": (_REQUIRED, _as_name), "horizon": (_REQUIRED, _as_int, 1, MAX_HORIZON),
-    "dt": (_REQUIRED, _as_float, 0.0), "description": ("", _as_str), "metadata": ({}, _as_object),
+    "dt": (_REQUIRED, _as_float, 0.0),
+    "description": ("", _as_instance, str, "expected a string, got {1}"),
+    "metadata": ({}, _as_instance, dict, "expected an object"),
     # the sections, each walked by Scenario.from_dict
     "plant": (_REQUIRED, None), "cost": (_REQUIRED, None), "noise": (None, None),
     "initial_state": (None, None), "perturbations": ([], None), "solver": (_REQUIRED, None)})
@@ -322,23 +285,24 @@ _CORRELATION = _Table({"t1": (_REQUIRED, _as_int, 0, HORIZON),
                        "weight": (_REQUIRED, _as_weight, STATE_DIM)})
 _PERTURBATION = _Table({"t": (_REQUIRED, _as_int, 0, HORIZON),
                         "impulse": (_REQUIRED, _as_vector, STATE_DIM)})
+_DIAG = _Table({"diag": (_REQUIRED, _as_vector, STATE_DIM)})
 # the parameters of NoiseModel
 _NOISE = _Table({"mu_x0": (_REQUIRED, _as_vector, STATE_DIM),
                  **dict.fromkeys(("sigma_x0", "sigma_noise"), (
                      _REQUIRED, _as_nonnegative, "variances must be nonnegative", STATE_DIM))})
-# sections of several kinds: {kind: table of the keys besides "kind"}.  A
-# plant's keys are the parameters of its builder (_PLANT_BUILDERS), isls's
-# the fields of IslsConfig.
+# sections of several kinds, {kind: table of the keys besides "kind"}: a plant's
+# keys are the parameters of its builder (_PLANT_BUILDERS), isls's IslsConfig's
+_FLAG = "expected true or false, got {0!r}"
 _KINDS = {
     "plant": {
         "double_integrator": {"dim": (_REQUIRED, _as_int, 1, MAX_PLANT_DIM),
-                              "exact_discretization": (False, _as_flag)},
+                              "exact_discretization": (False, _as_instance, bool, _FLAG)},
         "linear": {"A": (_REQUIRED, _as_matrix), "B": (_REQUIRED, _as_matrix)},
-        # absent limits are None, which joint_limits fills in
+        # absent limits are None, which planar_arm_plant fills in
         "planar_arm": {"link_lengths": (_REQUIRED, _as_lengths),
                        "theta_lower": (None, _as_vector, LINKS),
                        "theta_upper": (None, _as_vector, LINKS),
-                       "consistent_velocity": (False, _as_flag)}},
+                       "consistent_velocity": (False, _as_instance, bool, _FLAG)}},
     "initial_state": {
         "fixed": {"value": (_REQUIRED, _as_vector, STATE_DIM)},
         "uniform_box": {"center": (_REQUIRED, _as_vector, STATE_DIM), "halfwidth": (
@@ -362,13 +326,23 @@ _KINDS = {section: {kind: _Table({"kind": (_REQUIRED, None)} | fields)
 
 
 def _walk(record, path, table, ctx):
-    """The object ``record`` parsed by ``table``, as {key: value} in table order.
-
-    A parsed value whose key is in ``ctx`` is stored there (a vector as its
-    length), where the fields after it read their sizes.
-    """
+    """The object ``record`` parsed by ``table`` (or, for {kind: _Table}, by the
+    table of its ``kind``), as {key: value} in table order.  ``ctx`` holds the
+    sizes by name: a parsed value whose key is there is stored there (a vector
+    as its length) for the fields after it."""
+    if type(table) is dict:
+        kind = _as_instance(record, path, dict, _OBJECT).get("kind")
+        if not isinstance(kind, str) or kind not in table:
+            expected = ("fixed, uniform_box, or arm_joints" if path == "initial_state"
+                        else f"one of {list(table)}")
+            raise ValidationError(f"{path}.kind: unknown kind {kind!r}; expected {expected}")
+        table = table[kind]
     if not isinstance(record, dict) or not table.required <= record.keys() <= table.keys():
-        _expect_keys(_expect_mapping(record, path), path, table.required, table)
+        unknown = sorted(set(_as_instance(record, path, dict, _OBJECT)) - set(table))
+        if unknown:
+            raise ValidationError(f"{path}: unknown key(s) {unknown}")
+        raise ValidationError(f"{path}: missing required key(s) "
+                              f"{sorted(table.required - set(record))}")
     out = {}
     for key, (default, parse, args, size) in table.items():
         if key not in record:
@@ -388,37 +362,7 @@ def _walk(record, path, table, ctx):
 
 def _walk_list(records, path, table, ctx):
     return [_walk(r, f"{path}[{i}]", table, ctx)
-            for i, r in enumerate(_expect_list(records, path))]
-
-
-def _walk_kind(record, path, ctx):
-    """A section of several kinds, walked by the table of its ``kind``."""
-    kinds = _KINDS[path]
-    kind = _expect_mapping(record, path).get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        expected = ("fixed, uniform_box, or arm_joints" if path == "initial_state"
-                    else f"one of {list(kinds)}")
-        raise ValidationError(f"{path}.kind: unknown kind {kind!r}; expected {expected}")
-    return _walk(record, path, kinds[kind], ctx)
-
-
-def _plant_dims(plant):
-    """(state_dim, input_dim) of a parsed plant section; fills in an arm's limits."""
-    if plant["kind"] == "double_integrator":
-        return 2 * plant["dim"], plant["dim"]
-    if plant["kind"] == "linear":
-        A, B = plant["A"], plant["B"]
-        if A.shape[0] != A.shape[1]:
-            raise ValidationError("plant.A: must be square")
-        if B.shape[0] != A.shape[0]:
-            raise ValidationError("plant.B: row count must match plant.A")
-        return B.shape
-    p = plant["link_lengths"].size
-    lower, upper = plant["theta_lower"], plant["theta_upper"] = joint_limits(
-        p, plant["theta_lower"], plant["theta_upper"])
-    if np.any(lower > upper):
-        raise ValidationError("plant.theta_lower: exceeds plant.theta_upper")
-    return 3 * p + 5, p
+            for i, r in enumerate(_as_instance(records, path, list, _LIST))]
 
 
 # -- scenario ------------------------------------------------------------------
@@ -429,15 +373,13 @@ class Scenario:
     """Validated scenario, parsed once.
 
     ``raw`` is the one copy of the source JSON and round-trips it
-    losslessly; the sections ``cost``, ``solver``, ``initial_state`` and
-    ``metadata`` are views into it.  The parsed values are what the
-    builders read: the plant's ``state_dim`` and ``input_dim``, the
-    ``control_weight`` matrix, the ``viapoints`` as (t, target, weight), the
-    ``correlations`` as :class:`CorrelationSpec`, the ``perturbations`` as
-    (t, impulse), and in ``settings`` the parsed ``plant``, ``noise``,
-    ``initial_state`` and ``solver`` sections, each a dict with every default
-    filled in (noise and initial_state None when absent).  Treat all of it
-    as read-only.
+    losslessly; ``cost``, ``solver``, ``initial_state`` and ``metadata`` are
+    views into it.  The builders read the parsed values: ``state_dim`` and
+    ``input_dim``, the ``control_weight`` matrix, ``viapoints`` as (t,
+    target, weight), ``correlations`` as :class:`CorrelationSpec`,
+    ``perturbations`` as (t, impulse), and ``settings``: the plant, noise,
+    initial_state and solver sections with their defaults filled in (noise
+    and initial_state None when absent).  Treat all of it as read-only.
     """
 
     name: str
@@ -459,11 +401,26 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, config):
-        config = _json_copy(_expect_mapping(config, "scenario"))
+        config = _json_copy(_as_instance(config, "scenario", dict, _OBJECT))
         ctx = dict.fromkeys((HORIZON, LINKS))
         top = _walk(config, "scenario", _SCENARIO, ctx)
-        plant = _walk_kind(top["plant"], "plant", ctx)
-        ctx["state_dim"], ctx["input_dim"] = _plant_dims(plant)
+        plant = _walk(top["plant"], "plant", _KINDS["plant"], ctx)
+        if plant["kind"] == "linear":
+            A, B = plant["A"], plant["B"]
+            if A.shape[0] != A.shape[1]:
+                raise ValidationError("plant.A: must be square")
+            if B.shape[0] != A.shape[0]:
+                raise ValidationError("plant.B: row count must match plant.A")
+            ctx[STATE_DIM], ctx[INPUT_DIM] = B.shape
+        elif plant["kind"] == "planar_arm":
+            try:   # the arm checks lower <= upper, the one rule on its fields not checked yet
+                arm = planar_arm_plant(plant["link_lengths"], top["dt"], plant["theta_lower"],
+                                       plant["theta_upper"])
+            except ValueError:
+                raise ValidationError("plant.theta_lower: exceeds plant.theta_upper") from None
+            ctx[STATE_DIM], ctx[INPUT_DIM] = arm.state_dim, arm.input_dim
+        else:
+            ctx[STATE_DIM], ctx[INPUT_DIM] = 2 * plant["dim"], plant["dim"]
 
         cost = _walk(top["cost"], "cost", _COST, ctx)
         viapoints = _walk_list(cost["viapoints"], "cost.viapoints", _VIAPOINT, ctx)
@@ -485,56 +442,54 @@ class Scenario:
                 and plant["kind"] != "planar_arm"):
             raise ValidationError("initial_state.kind: arm_joints requires a planar_arm plant")
         if init is not None:
-            init = _walk_kind(init, "initial_state", ctx)
+            init = _walk(init, "initial_state", _KINDS["initial_state"], ctx)
         perturbations = _walk_list(top["perturbations"], "perturbations", _PERTURBATION, ctx)
 
-        solver = _walk_kind(top["solver"], "solver", ctx)
-        if solver["kind"] != "isls":
-            # every solver but isls assembles the quadratic cost, whose
-            # per-step input weight must factor
+        solver = _walk(top["solver"], "solver", _KINDS["solver"], ctx)
+        if solver["kind"] != "isls":   # the others factor the per-step input weight
             try:
                 np.linalg.cholesky(cost["control_weight"])
             except np.linalg.LinAlgError:
-                raise ValidationError(
-                    f"cost.control_weight: not positive definite, which solver "
-                    f"{solver['kind']} requires") from None
+                raise ValidationError(f"cost.control_weight: not positive definite, which "
+                                      f"solver {solver['kind']} requires") from None
         if solver["kind"] == "esls" and plant["kind"] == "planar_arm":
-            raise ValidationError(
-                "solver.kind: esls requires a linear plant; use isls for planar_arm"
-            )
+            raise ValidationError("solver.kind: esls requires a linear plant; use isls for "
+                                  "planar_arm")
         return cls(
-            name=top["name"], horizon=top["horizon"], dt=top["dt"],
-            cost=top["cost"], solver=top["solver"],
-            state_dim=ctx["state_dim"], input_dim=ctx["input_dim"],
+            **{key: top[key] for key in ("name", "horizon", "dt", "cost", "solver",
+                                         "initial_state", "description")},
+            state_dim=ctx[STATE_DIM], input_dim=ctx[INPUT_DIM],
             control_weight=cost["control_weight"],
             viapoints=[(vp["t"], vp["target"], vp["weight"]) for vp in viapoints],
             correlations=[CorrelationSpec(c["t1"], c["t2"], c["C"], c["c"], c["weight"])
                           for c in correlations],
-            settings={"plant": plant, "noise": noise, "initial_state": init,
-                      "solver": solver},
-            initial_state=top["initial_state"],
+            settings={"plant": plant, "noise": noise, "initial_state": init, "solver": solver},
             perturbations=[(p["t"], p["impulse"]) for p in perturbations],
-            metadata=top["metadata"] or {}, description=top["description"], raw=config,
-        )
+            metadata=top["metadata"] or {}, raw=config)
 
     def to_dict(self):
         return _json_copy(self.raw)
 
 
-def _read_config(path):
+def parse_json(text, what):
+    try:
+        return json.loads(text)
+    except ValueError as exc:   # JSONDecodeError, or an integer of too many digits
+        raise ValidationError(f"{what}: invalid JSON ({exc})") from None
+
+
+def read_json(path, what):
+    """The JSON document of a file; a ValidationError names the ``what`` file."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ValidationError(f"scenario file {path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except ValueError as exc:   # JSONDecodeError, or an integer of too many digits
-        raise ValidationError(f"scenario file {path}: invalid JSON ({exc})") from None
+        raise ValidationError(f"{what} file {path}: {exc}") from None
+    return parse_json(text, f"{what} file {path}")
 
 
 def load_scenario(path):
-    return Scenario.from_dict(_read_config(path))
+    return Scenario.from_dict(read_json(path, "scenario"))
 
 
 def scenario_from(source, overrides=None):
@@ -542,7 +497,7 @@ def scenario_from(source, overrides=None):
 
     ``overrides`` maps dotted keys (``"noise.sigma_noise"``) to values.
     """
-    config = source if isinstance(source, dict) else _read_config(source)
+    config = source if isinstance(source, dict) else read_json(source, "scenario")
     if overrides:
         config = _merge_overrides(config, overrides)
     return Scenario.from_dict(config)
@@ -554,28 +509,15 @@ def config_sha256(config):
 
 
 _EDIT = {"t": (_REQUIRED, _as_int, 0, HORIZON), "target": (_REQUIRED, _as_vector, STATE_DIM)}
-_ADAPT_EDIT, _BENCH_EDIT = _Table(_EDIT), _Table(_EDIT | {"at": (0, _as_int, 0, HORIZON)})
+ADAPT_EDIT, BENCH_EDIT = _Table(_EDIT), _Table(_EDIT | {"at": (0, _as_int, 0, HORIZON)})
 
 
-def _parse_edit(scenario, edit, path, table):
+def parse_edit(scenario, edit, path, table):
+    """A viapoint's time and new target at ``path``, and for BENCH_EDIT the swap step ``at``."""
     edit = _walk(edit, path, table, {HORIZON: scenario.horizon, STATE_DIM: scenario.state_dim})
     if edit["t"] not in {t for t, _, _ in scenario.viapoints}:
         raise ValidationError(f"{path}.t: no viapoint at t={edit['t']} to edit")
     return edit
-
-
-def parse_edit(scenario, edit):
-    """The ``--edit-json`` of ``slsctrl adapt``, parsed as the viapoints are:
-    {"t": the time of a viapoint, "target": its new target}."""
-    return _parse_edit(scenario, edit, "--edit-json", _ADAPT_EDIT)
-
-
-def parse_edits(scenario, edits):
-    """The ``--edit-json`` of ``slsctrl bench adapt``: a list of edits as
-    :func:`parse_edit` takes them, each of which may also give ``at``, the
-    rollout step where the new feedforward takes over (default 0)."""
-    return [_parse_edit(scenario, edit, f"--edit-json[{i}]", _BENCH_EDIT)
-            for i, edit in enumerate(_expect_list(edits, "--edit-json"))]
 
 
 # -- builders ------------------------------------------------------------------
@@ -612,10 +554,7 @@ def build_objective(scenario):
 
 
 def isls_config(scenario):
-    """The :class:`IslsConfig` of an isls scenario, from its parsed solver section.
-
-    The section's keys besides ``kind`` are the config's field names.
-    """
+    """The :class:`IslsConfig` of an isls scenario: its parsed solver settings."""
     return IslsConfig(**{k: v for k, v in scenario.settings["solver"].items() if k != "kind"})
 
 
@@ -629,16 +568,15 @@ def build_noise(scenario):
 def draw_initial_state(scenario, rng, plant):
     """One initial state; distribution scenarios consume entropy from rng."""
     init, noise = scenario.settings["initial_state"], scenario.settings["noise"]
+    m = scenario.state_dim
+    if init is None and noise is None:
+        return np.zeros(m)
     if init is None:
-        if noise is None:
-            return np.zeros(scenario.state_dim)
-        return (noise["mu_x0"]
-                + rng.standard_normal(scenario.state_dim) * np.sqrt(noise["sigma_x0"]))
+        return noise["mu_x0"] + rng.standard_normal(m) * np.sqrt(noise["sigma_x0"])
     if init["kind"] == "fixed":
         return init["value"].copy()
     if init["kind"] == "uniform_box":
-        return (init["center"]
-                + rng.uniform(-1.0, 1.0, size=scenario.state_dim) * init["halfwidth"])
+        return init["center"] + rng.uniform(-1.0, 1.0, size=m) * init["halfwidth"]
     theta = init["theta"]
     if init["perturb_theta"]:
         theta = theta + rng.uniform(-1.0, 1.0, size=theta.size) * init["perturb_theta"]
@@ -879,6 +817,13 @@ def _solve_scenario(scenario, plant, x0, trace=False):
     return controller, info, extras
 
 
+def run_dir(out, name, label):
+    """The directory ``<out>/<name>/<label>`` of a run, created; no label is a timestamp."""
+    out_dir = Path(out) / name / (label or time.strftime("%Y%m%d-%H%M%S"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=None):
     """Solve a scenario, roll it out, and write the artifact set.
 
@@ -889,8 +834,7 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=Non
     """
     scenario = scenario_from(path, overrides)
 
-    out_dir = Path(out) / scenario.name / (label or time.strftime("%Y%m%d-%H%M%S"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = run_dir(out, scenario.name, label)
 
     plant = build_plant(scenario)
     draws = rollout_draws(scenario, plant, seed)
@@ -948,8 +892,7 @@ def _merge_overrides(config, overrides):
             if not isinstance(node, dict):
                 raise ValidationError(f"override {key!r}: {'.'.join(map(str, parts[:i]))} "
                                       f"is a {type(node).__name__}, not an object")
-            if i < len(parts) - 1:
-                node = node.setdefault(part, {})
+            node = node.setdefault(part, {}) if i < len(parts) - 1 else node
         node[parts[-1]] = value
     return config
 

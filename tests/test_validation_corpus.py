@@ -29,11 +29,11 @@ from slsctrl.bench import bundled_scenario_path
 from slsctrl.scenarios import (
     Scenario,
     ValidationError,
-    _read_config,
     build_noise,
     build_plant,
     draw_initial_state,
     isls_config,
+    read_json,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "validation_corpus.txt"
@@ -129,7 +129,7 @@ def rows():
     """Every case of the corpus, as the lines of the golden file."""
     out = []
     for name in SCENARIOS:
-        base = _read_config(bundled_scenario_path(name))
+        base = read_json(bundled_scenario_path(name), "scenario")
         parsed = Scenario.from_dict(base)
         values = VALUES | sized_values((parsed.state_dim, parsed.input_dim))
         for path, node in nodes(base):
