@@ -472,6 +472,7 @@ class Scenario:
 
 
 def parse_json(text, what):
+    """The JSON document ``text``; a ValidationError names ``what``."""
     try:
         return json.loads(text)
     except ValueError as exc:   # JSONDecodeError, or an integer of too many digits
