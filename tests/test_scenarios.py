@@ -354,6 +354,16 @@ def test_builders_read_the_parsed_scenario(monkeypatch):
             section.clear()
             section.update(garbage)
         assert scenario.initial_state["kind"] == "garbage"
+        m, n = scenario.state_dim, scenario.input_dim
+        plant = build_plant(scenario)
+        assert (plant.state_dim, plant.input_dim) == (m, n)
+        cost = build_cost(scenario)
+        assert cost.x_d.size == m * (scenario.horizon + 1) and cost.R.shape[1] == n
+        assert build_objective(scenario).correlations == scenario.correlations
+        assert build_noise(scenario).state_dim == m
+        states = np.zeros((scenario.horizon + 1, m))
+        residuals = correlation_residuals(scenario, SimpleNamespace(states=states))
+        assert len(residuals) == len(scenario.correlations)
         for a, b in zip(_built(scenario, solver), expected, strict=True):
             npt.assert_array_equal(a, b)
 

@@ -9,9 +9,13 @@ one tab-separated line of ``tests/data/validation_corpus.txt``:
 
 The outcome is ``ok``, ``ValidationError`` or the name of any other exception
 that escaped.  For ``ok`` the message is a digest of what the parse gave and
-of what the builders make of it (plant step, noise model, a seeded initial
-state and the entropy it drew, the isls settings), so a change in either
-shows up as well.  Runs of twenty or more digits are shortened.
+of what the builders make of it (plant name and sizes, noise model, a seeded
+initial state and the entropy it drew, the isls settings), so a change in
+either shows up as well.  The digest holds only values that are exact on any
+CPU: parsed numbers and their exact products, and the seeded draws.  An arm's
+initial state passes through sin and cos, whose last bit may differ between
+NumPy builds, so it enters rounded to 12 digits.  Runs of twenty or more
+digits in a message are shortened.
 
 Any change to validation shows up as a diff of the file.  After a deliberate
 change, regenerate it with ``python tests/test_validation_corpus.py`` and
@@ -101,13 +105,12 @@ def digest(scenario):
     parts += [v for c in scenario.correlations for v in (c.t1, c.t2, c.C, c.c, c.Q_c)]
     parts += [v for p in scenario.perturbations for v in p]
     plant = build_plant(scenario)
-    x = np.linspace(-0.5, 0.5, plant.state_dim)
-    u = np.linspace(0.3, -0.3, plant.input_dim)
-    parts += [plant.name, plant.step(0, x, u)]
+    parts += [plant.name, plant.state_dim, plant.input_dim]
     noise = build_noise(scenario)
     parts += [noise.mu_x0, noise.sigma_x0, noise.sigma_noise]
     rng = np.random.default_rng(0)
-    parts += [draw_initial_state(scenario, rng, plant), rng.random()]
+    x0 = draw_initial_state(scenario, rng, plant)
+    parts += [[f"{v:.12g}" for v in x0], rng.random()]
     if scenario.solver["kind"] == "isls":
         cfg = isls_config(scenario)
         parts += [cfg.max_iterations] + [None if v is None else float(v) for v in (
