@@ -245,123 +245,116 @@ def _as_name(value, path):
 
 # -- schema --------------------------------------------------------------------
 #
-# Each section is one table {key: (default, parse, *args)}, which _walk reads
-# in order: a present key is parsed by parse(value, path, *args), or kept as
-# it is when parse is None; an absent one takes the default (a vector's fills
-# it), and a _REQUIRED key must be present.  A last argument HORIZON,
-# STATE_DIM, INPUT_DIM or LINKS is the size parsed before it under that name.
+# Each section is one table {key: _f(default, parse, *args, size=...)}, which
+# _walk reads in order: a present key is parsed by parse(value, path, *args),
+# with sizes[size] appended when the field names a size, or kept as it is when
+# parse is None; an absent key takes the default, _ZEROS a zero vector of the
+# field's size, and a _REQUIRED key must be present.  ``sizes`` maps HORIZON,
+# STATE_DIM, INPUT_DIM and LINKS to the values the caller has parsed so far.
 
-_REQUIRED = object()
-_SIZES = HORIZON, STATE_DIM, INPUT_DIM, LINKS = "horizon", "state_dim", "input_dim", "link_lengths"
-
-
-class _Table(dict):
-    """A table as {key: (default, parse, args, size or None)}, and its ``required`` keys."""
-
-    def __init__(self, fields):
-        super().__init__({key: (spec[0], spec[1], *((spec[2:-1], spec[-1]) if spec[-1] in _SIZES
-                                                    else (spec[2:], None)))
-                          for key, spec in fields.items()})
-        self.required = {key for key, spec in fields.items() if spec[0] is _REQUIRED}
+_REQUIRED, _ZEROS = object(), object()
+HORIZON, STATE_DIM, INPUT_DIM, LINKS = "horizon", "state_dim", "input_dim", "links"
 
 
-_SCENARIO = _Table({
-    "name": (_REQUIRED, _as_name), "horizon": (_REQUIRED, _as_int, 1, MAX_HORIZON),
-    "dt": (_REQUIRED, _as_float, 0.0),
-    "description": ("", _as_instance, str, "expected a string, got {1}"),
-    "metadata": ({}, _as_instance, dict, "expected an object"),
+def _f(default, parse, *args, size=None):
+    return default, parse, args, size
+
+
+_SCENARIO = {
+    "name": _f(_REQUIRED, _as_name), "horizon": _f(_REQUIRED, _as_int, 1, MAX_HORIZON),
+    "dt": _f(_REQUIRED, _as_float, 0.0),
+    "description": _f("", _as_instance, str, "expected a string, got {1}"),
+    "metadata": _f({}, _as_instance, dict, "expected an object"),
     # the sections, each walked by Scenario.from_dict
-    "plant": (_REQUIRED, None), "cost": (_REQUIRED, None), "noise": (None, None),
-    "initial_state": (None, None), "perturbations": ([], None), "solver": (_REQUIRED, None)})
-_COST = _Table({"control_weight": (_REQUIRED, _as_weight, INPUT_DIM),
-                "viapoints": ([], None), "correlations": ([], None)})
-_VIAPOINT = _Table({"t": (_REQUIRED, _as_int, 0, HORIZON),
-                    "target": (_REQUIRED, _as_vector, STATE_DIM),
-                    "weight": (_REQUIRED, _as_weight, STATE_DIM)})
-_CORRELATION = _Table({"t1": (_REQUIRED, _as_int, 0, HORIZON),
-                       "t2": (_REQUIRED, _as_int, 0, HORIZON),
-                       "C": (_REQUIRED, _as_transform, STATE_DIM),
-                       "c": (0.0, _as_vector, STATE_DIM),
-                       "weight": (_REQUIRED, _as_weight, STATE_DIM)})
-_PERTURBATION = _Table({"t": (_REQUIRED, _as_int, 0, HORIZON),
-                        "impulse": (_REQUIRED, _as_vector, STATE_DIM)})
-_DIAG = _Table({"diag": (_REQUIRED, _as_vector, STATE_DIM)})
+    "plant": _f(_REQUIRED, None), "cost": _f(_REQUIRED, None), "noise": _f(None, None),
+    "initial_state": _f(None, None), "perturbations": _f([], None),
+    "solver": _f(_REQUIRED, None)}
+_COST = {"control_weight": _f(_REQUIRED, _as_weight, size=INPUT_DIM),
+         "viapoints": _f([], None), "correlations": _f([], None)}
+_VIAPOINT = {"t": _f(_REQUIRED, _as_int, 0, size=HORIZON),
+             "target": _f(_REQUIRED, _as_vector, size=STATE_DIM),
+             "weight": _f(_REQUIRED, _as_weight, size=STATE_DIM)}
+_CORRELATION = {"t1": _f(_REQUIRED, _as_int, 0, size=HORIZON),
+                "t2": _f(_REQUIRED, _as_int, 0, size=HORIZON),
+                "C": _f(_REQUIRED, _as_transform, size=STATE_DIM),
+                "c": _f(_ZEROS, _as_vector, size=STATE_DIM),
+                "weight": _f(_REQUIRED, _as_weight, size=STATE_DIM)}
+_PERTURBATION = {"t": _f(_REQUIRED, _as_int, 0, size=HORIZON),
+                 "impulse": _f(_REQUIRED, _as_vector, size=STATE_DIM)}
+_DIAG = {"diag": _f(_REQUIRED, _as_vector, size=STATE_DIM)}
 # the parameters of NoiseModel
-_NOISE = _Table({"mu_x0": (_REQUIRED, _as_vector, STATE_DIM),
-                 **dict.fromkeys(("sigma_x0", "sigma_noise"), (
-                     _REQUIRED, _as_nonnegative, "variances must be nonnegative", STATE_DIM))})
+_NOISE = {"mu_x0": _f(_REQUIRED, _as_vector, size=STATE_DIM),
+          **dict.fromkeys(("sigma_x0", "sigma_noise"), _f(
+              _REQUIRED, _as_nonnegative, "variances must be nonnegative", size=STATE_DIM))}
 # sections of several kinds, {kind: table of the keys besides "kind"}: a plant's
 # keys are the parameters of its builder (_PLANT_BUILDERS), isls's IslsConfig's
 _FLAG = "expected true or false, got {0!r}"
 _KINDS = {
     "plant": {
-        "double_integrator": {"dim": (_REQUIRED, _as_int, 1, MAX_PLANT_DIM),
-                              "exact_discretization": (False, _as_instance, bool, _FLAG)},
-        "linear": {"A": (_REQUIRED, _as_matrix), "B": (_REQUIRED, _as_matrix)},
+        "double_integrator": {"dim": _f(_REQUIRED, _as_int, 1, MAX_PLANT_DIM),
+                              "exact_discretization": _f(False, _as_instance, bool, _FLAG)},
+        "linear": {"A": _f(_REQUIRED, _as_matrix), "B": _f(_REQUIRED, _as_matrix)},
         # absent limits are None, which planar_arm_plant fills in
-        "planar_arm": {"link_lengths": (_REQUIRED, _as_lengths),
-                       "theta_lower": (None, _as_vector, LINKS),
-                       "theta_upper": (None, _as_vector, LINKS),
-                       "consistent_velocity": (False, _as_instance, bool, _FLAG)}},
+        "planar_arm": {"link_lengths": _f(_REQUIRED, _as_lengths),
+                       "theta_lower": _f(None, _as_vector), "theta_upper": _f(None, _as_vector),
+                       "consistent_velocity": _f(False, _as_instance, bool, _FLAG)}},
     "initial_state": {
-        "fixed": {"value": (_REQUIRED, _as_vector, STATE_DIM)},
-        "uniform_box": {"center": (_REQUIRED, _as_vector, STATE_DIM), "halfwidth": (
-            _REQUIRED, _as_nonnegative, "must be nonnegative", STATE_DIM)},
-        "arm_joints": {"theta": (_REQUIRED, _as_vector, LINKS),
-                       "theta_dot": (0.0, _as_vector, LINKS),
-                       "perturb_theta": (0.0, _as_float, 0.0)}},
+        "fixed": {"value": _f(_REQUIRED, _as_vector, size=STATE_DIM)},
+        "uniform_box": {"center": _f(_REQUIRED, _as_vector, size=STATE_DIM),
+                        "halfwidth": _f(_REQUIRED, _as_nonnegative, "must be nonnegative",
+                                        size=STATE_DIM)},
+        "arm_joints": {"theta": _f(_REQUIRED, _as_vector, size=LINKS),
+                       "theta_dot": _f(_ZEROS, _as_vector, size=LINKS),
+                       "perturb_theta": _f(0.0, _as_float, 0.0)}},
     "solver": {
         "esls": {},
-        "isls": {"tolerance": (IslsConfig.tolerance, _as_float, 0.0),
-                 "max_iterations": (IslsConfig.max_iterations, _as_int, 1),
-                 "regularization": (IslsConfig.regularization, _as_float, 0.0),
-                 "hessian_floor": (IslsConfig.hessian_floor, _as_float_or_null, None),
-                 "stationarity_tolerance": (IslsConfig.stationarity_tolerance,
-                                            _as_float_or_null, 0.0)},
-        "dp-lqt": {}, "mpc-lqt": {"recompute_time": (_REQUIRED, _as_int, 1, HORIZON)},
+        "isls": {"tolerance": _f(IslsConfig.tolerance, _as_float, 0.0),
+                 "max_iterations": _f(IslsConfig.max_iterations, _as_int, 1),
+                 "regularization": _f(IslsConfig.regularization, _as_float, 0.0),
+                 "hessian_floor": _f(IslsConfig.hessian_floor, _as_float_or_null, None),
+                 "stationarity_tolerance": _f(IslsConfig.stationarity_tolerance,
+                                              _as_float_or_null, 0.0)},
+        "dp-lqt": {}, "mpc-lqt": {"recompute_time": _f(_REQUIRED, _as_int, 1, size=HORIZON)},
         "batch-lqt": {}},
 }
-_KINDS = {section: {kind: _Table({"kind": (_REQUIRED, None)} | fields)
+_KINDS = {section: {kind: {"kind": _f(_REQUIRED, None)} | fields
                     for kind, fields in kinds.items()} for section, kinds in _KINDS.items()}
 
 
-def _walk(record, path, table, ctx):
-    """The object ``record`` parsed by ``table`` (or, for {kind: _Table}, by the
-    table of its ``kind``), as {key: value} in table order.  ``ctx`` holds the
-    sizes by name: a parsed value whose key is there is stored there (a vector
-    as its length) for the fields after it."""
-    if type(table) is dict:
-        kind = _as_instance(record, path, dict, _OBJECT).get("kind")
-        if not isinstance(kind, str) or kind not in table:
-            expected = ("fixed, uniform_box, or arm_joints" if path == "initial_state"
-                        else f"one of {list(table)}")
-            raise ValidationError(f"{path}.kind: unknown kind {kind!r}; expected {expected}")
-        table = table[kind]
-    if not isinstance(record, dict) or not table.required <= record.keys() <= table.keys():
+def _walk(record, path, table, sizes):
+    """The object ``record`` parsed by ``table``, as {key: value} in table order."""
+    if not isinstance(record, dict) or not record.keys() <= table.keys():
         unknown = sorted(set(_as_instance(record, path, dict, _OBJECT)) - set(table))
-        if unknown:
-            raise ValidationError(f"{path}: unknown key(s) {unknown}")
-        raise ValidationError(f"{path}: missing required key(s) "
-                              f"{sorted(table.required - set(record))}")
+        raise ValidationError(f"{path}: unknown key(s) {unknown}")
     out = {}
     for key, (default, parse, args, size) in table.items():
         if key not in record:
-            value = (np.full(ctx[size], default) if parse is _as_vector and default is not None
-                     else default)
+            if default is _REQUIRED:
+                missing = sorted(k for k, spec in table.items()
+                                 if spec[0] is _REQUIRED and k not in record)
+                raise ValidationError(f"{path}: missing required key(s) {missing}")
+            out[key] = np.zeros(sizes[size]) if default is _ZEROS else default
         elif parse is None:
-            value = record[key]
+            out[key] = record[key]
         elif size is None:
-            value = parse(record[key], f"{path}.{key}", *args)
+            out[key] = parse(record[key], f"{path}.{key}", *args)
         else:
-            value = parse(record[key], f"{path}.{key}", *args, ctx[size])
-        out[key] = value
-        if key in ctx:
-            ctx[key] = getattr(value, "size", value)
+            out[key] = parse(record[key], f"{path}.{key}", *args, sizes[size])
     return out
 
 
-def _walk_list(records, path, table, ctx):
-    return [_walk(r, f"{path}[{i}]", table, ctx)
+def _walk_kind(record, section, sizes):
+    """The object ``record`` of ``section`` parsed by the table of its kind."""
+    kinds = _KINDS[section]
+    kind = _as_instance(record, section, dict, _OBJECT).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(f"{section}.kind: unknown kind {kind!r}; "
+                              f"expected one of {list(kinds)}")
+    return _walk(record, section, kinds[kind], sizes)
+
+
+def _walk_list(records, path, table, sizes):
+    return [_walk(r, f"{path}[{i}]", table, sizes)
             for i, r in enumerate(_as_instance(records, path, list, _LIST))]
 
 
@@ -402,50 +395,55 @@ class Scenario:
     @classmethod
     def from_dict(cls, config):
         config = _json_copy(_as_instance(config, "scenario", dict, _OBJECT))
-        ctx = dict.fromkeys((HORIZON, LINKS))
-        top = _walk(config, "scenario", _SCENARIO, ctx)
-        plant = _walk(top["plant"], "plant", _KINDS["plant"], ctx)
+        top = _walk(config, "scenario", _SCENARIO, {})
+        sizes = {HORIZON: top["horizon"]}
+        plant = _walk_kind(top["plant"], "plant", sizes)
         if plant["kind"] == "linear":
             A, B = plant["A"], plant["B"]
             if A.shape[0] != A.shape[1]:
                 raise ValidationError("plant.A: must be square")
             if B.shape[0] != A.shape[0]:
                 raise ValidationError("plant.B: row count must match plant.A")
-            ctx[STATE_DIM], ctx[INPUT_DIM] = B.shape
+            sizes[STATE_DIM], sizes[INPUT_DIM] = B.shape
         elif plant["kind"] == "planar_arm":
-            try:   # the arm checks lower <= upper, the one rule on its fields not checked yet
+            sizes[LINKS] = plant["link_lengths"].size
+            for key in ("theta_lower", "theta_upper"):
+                if plant[key] is not None and plant[key].size != sizes[LINKS]:
+                    raise ValidationError(f"plant.{key}: expected length {sizes[LINKS]}, "
+                                          f"got {plant[key].size}")
+            try:   # the arm gives its sizes, and checks lower <= upper
                 arm = planar_arm_plant(plant["link_lengths"], top["dt"], plant["theta_lower"],
                                        plant["theta_upper"])
             except ValueError:
                 raise ValidationError("plant.theta_lower: exceeds plant.theta_upper") from None
-            ctx[STATE_DIM], ctx[INPUT_DIM] = arm.state_dim, arm.input_dim
+            sizes[STATE_DIM], sizes[INPUT_DIM] = arm.state_dim, arm.input_dim
         else:
-            ctx[STATE_DIM], ctx[INPUT_DIM] = 2 * plant["dim"], plant["dim"]
+            sizes[STATE_DIM], sizes[INPUT_DIM] = 2 * plant["dim"], plant["dim"]
 
-        cost = _walk(top["cost"], "cost", _COST, ctx)
-        viapoints = _walk_list(cost["viapoints"], "cost.viapoints", _VIAPOINT, ctx)
+        cost = _walk(top["cost"], "cost", _COST, sizes)
+        viapoints = _walk_list(cost["viapoints"], "cost.viapoints", _VIAPOINT, sizes)
         targets = {}
         for i, vp in enumerate(viapoints):
             first = targets.setdefault(vp["t"], vp["target"])
             if first is not vp["target"] and not np.array_equal(first, vp["target"]):
                 raise ValidationError(f"cost.viapoints[{i}].target: conflicts with the "
                                       f"target of an earlier viapoint at t={vp['t']}")
-        correlations = _walk_list(cost["correlations"], "cost.correlations", _CORRELATION, ctx)
+        correlations = _walk_list(cost["correlations"], "cost.correlations", _CORRELATION, sizes)
         for i, corr in enumerate(correlations):
             if corr["t1"] >= corr["t2"]:
                 raise ValidationError(f"cost.correlations[{i}]: requires t1 < t2, "
                                       f"got ({corr['t1']}, {corr['t2']})")
 
-        noise = None if top["noise"] is None else _walk(top["noise"], "noise", _NOISE, ctx)
+        noise = None if top["noise"] is None else _walk(top["noise"], "noise", _NOISE, sizes)
         init = top["initial_state"]
         if (isinstance(init, dict) and init.get("kind") == "arm_joints"
                 and plant["kind"] != "planar_arm"):
             raise ValidationError("initial_state.kind: arm_joints requires a planar_arm plant")
         if init is not None:
-            init = _walk(init, "initial_state", _KINDS["initial_state"], ctx)
-        perturbations = _walk_list(top["perturbations"], "perturbations", _PERTURBATION, ctx)
+            init = _walk_kind(init, "initial_state", sizes)
+        perturbations = _walk_list(top["perturbations"], "perturbations", _PERTURBATION, sizes)
 
-        solver = _walk(top["solver"], "solver", _KINDS["solver"], ctx)
+        solver = _walk_kind(top["solver"], "solver", sizes)
         if solver["kind"] != "isls":   # the others factor the per-step input weight
             try:
                 np.linalg.cholesky(cost["control_weight"])
@@ -458,7 +456,7 @@ class Scenario:
         return cls(
             **{key: top[key] for key in ("name", "horizon", "dt", "cost", "solver",
                                          "initial_state", "description")},
-            state_dim=ctx[STATE_DIM], input_dim=ctx[INPUT_DIM],
+            state_dim=sizes[STATE_DIM], input_dim=sizes[INPUT_DIM],
             control_weight=cost["control_weight"],
             viapoints=[(vp["t"], vp["target"], vp["weight"]) for vp in viapoints],
             correlations=[CorrelationSpec(c["t1"], c["t2"], c["C"], c["c"], c["weight"])
@@ -509,8 +507,9 @@ def config_sha256(config):
     return hashlib.sha256(blob).hexdigest()
 
 
-_EDIT = {"t": (_REQUIRED, _as_int, 0, HORIZON), "target": (_REQUIRED, _as_vector, STATE_DIM)}
-ADAPT_EDIT, BENCH_EDIT = _Table(_EDIT), _Table(_EDIT | {"at": (0, _as_int, 0, HORIZON)})
+_EDIT = {"t": _f(_REQUIRED, _as_int, 0, size=HORIZON),
+         "target": _f(_REQUIRED, _as_vector, size=STATE_DIM)}
+ADAPT_EDIT, BENCH_EDIT = _EDIT, _EDIT | {"at": _f(0, _as_int, 0, size=HORIZON)}
 
 
 def parse_edit(scenario, edit, path, table):
