@@ -26,7 +26,9 @@ from .costs import evaluate_trajectory_cost
 from .isls import isls_optimize
 from .plants import linear_system_from_plant, mpc_lqt_rollout, rollout
 from .scenarios import (
+    BENCH_EDIT,
     Scenario,
+    ValidationError,
     _json_copy,
     build_cost,
     build_noise,
@@ -36,6 +38,7 @@ from .scenarios import (
     correlation_residuals,
     draw_initial_state,
     isls_config,
+    parse_edit,
     scenario_from,
 )
 from .solver import extract_controller, solve_esls
@@ -228,13 +231,27 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
     """Retarget through the precomputed maps and compare with full re-solves.
 
     Each edit is a dict {"t": viapoint time, "target": new target,
-    "at": rollout step where the swap happens (0 = before starting)}.
+    "at": rollout step where the swap happens (optional, 0 = before
+    starting)}; a malformed edit raises ValidationError naming its field.
     Rollouts are deterministic (zero noise) so the comparisons isolate the
     adaptation path; every edit reports the feedforward gap to a re-solve,
     both wall-clocks, and trajectory agreement.
     """
     scenario = scenario_from(scenario_path or bundled_scenario_path("mug_sugar"),
                              overrides)
+    if target_edits is None:
+        t_edit, base_target, _ = max(scenario.viapoints, key=lambda vp: vp[0])
+        shifted = base_target.copy()
+        shifted[0] += 0.1
+        target_edits = [
+            {"t": t_edit, "target": shifted.tolist(), "at": 0},
+            {"t": t_edit, "target": shifted.tolist(), "at": scenario.horizon // 2},
+            {"t": t_edit, "target": base_target.tolist(), "at": 0},  # no-op
+        ]
+    if not isinstance(target_edits, list):
+        raise ValidationError(f"target_edits: expected a list, got {type(target_edits).__name__}")
+    target_edits = [parse_edit(scenario, edit, f"target_edits[{i}]", BENCH_EDIT)
+                    for i, edit in enumerate(target_edits)]
     plant = build_plant(scenario)
     cost = build_cost(scenario)
     system = linear_system_from_plant(plant, scenario.horizon)
@@ -248,24 +265,14 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
     x0 = draw_initial_state(scenario, rng, plant)
     base_traj = rollout(plant, controller, x0=x0)
 
-    if target_edits is None:
-        t_edit, base_target, _ = max(scenario.viapoints, key=lambda vp: vp[0])
-        shifted = base_target.copy()
-        shifted[0] += 0.1
-        target_edits = [
-            {"t": t_edit, "target": shifted.tolist(), "at": 0},
-            {"t": t_edit, "target": shifted.tolist(), "at": scenario.horizon // 2},
-            {"t": t_edit, "target": base_target.tolist(), "at": 0},  # no-op
-        ]
-
     report = BenchmarkReport(
         scenario=scenario.name,
         seeds={"root": int(seed)},
         config_sha256=config_sha256(scenario.raw),
     )
     for edit in target_edits:
-        t_edit = int(edit["t"])
-        new_config = apply_viapoint_edit(scenario.raw, t_edit, edit["target"])
+        t_edit, target, at = edit["t"], edit["target"], edit["at"]
+        new_config = apply_viapoint_edit(scenario.raw, t_edit, target)
         new_cost = build_cost(Scenario.from_dict(new_config))
 
         t1 = time.perf_counter()
@@ -276,7 +283,6 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
         resolve_seconds = time.perf_counter() - t1
         k_gap = float(np.max(np.abs(k_adapt - k_resolve)))
 
-        at = int(edit.get("at", 0))
         if at == 0:
             traj_adapt = rollout(plant, controller.with_feedforward(k_adapt), x0=x0)
             traj_resolve = rollout(plant, controller.with_feedforward(k_resolve), x0=x0)
@@ -285,7 +291,6 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
                                  feedforward_schedule=[(at, k_adapt)])
             traj_resolve = rollout(plant, controller, x0=x0,
                                    feedforward_schedule=[(at, k_resolve)])
-        target = np.asarray(edit["target"], float)
         tracking_error = float(np.max(np.abs(traj_adapt.states[t_edit] - target)))
         report.per_trial.append({
             "edit_t": t_edit,

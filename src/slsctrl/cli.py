@@ -33,12 +33,10 @@ from .bench import (
     bench_adaptation,
     bench_mug_sugar,
     bench_pickplace,
-    bundled_scenario_path,
 )
 from .plants import linear_system_from_plant, rollout
 from .scenarios import (
     ADAPT_EDIT,
-    BENCH_EDIT,
     Scenario,
     SolverNotConverged,
     ValidationError,
@@ -250,14 +248,9 @@ def cmd_bench_pickplace(args):
 
 
 def cmd_bench_adapt(args):
-    path, edits = args.scenario or bundled_scenario_path("mug_sugar"), None
-    if args.edit_json:
-        scenario, edits = load_scenario(path), _load_edits(args.edit_json)
-        if not isinstance(edits, list):
-            raise ValidationError(f"--edit-json: expected a list, got {type(edits).__name__}")
-        edits = [parse_edit(scenario, edit, f"--edit-json[{i}]", BENCH_EDIT)
-                 for i, edit in enumerate(edits)]
-    report = bench_adaptation(scenario_path=path, target_edits=edits, seed=args.seed)
+    edits = _load_edits(args.edit_json) if args.edit_json else None
+    report = bench_adaptation(scenario_path=args.scenario, target_edits=edits,
+                              seed=args.seed)
     return _finish_bench(args, report)
 
 

@@ -666,6 +666,12 @@ def test_bench_adaptation_edits():
     print("\nadapt vs resolve seconds:",
           rep.wall_clock["adapt_seconds_mean"],
           rep.wall_clock["resolve_seconds_mean"])
+    # edits from Python are parsed as strictly as --edit-json: t=70.9 was
+    # truncated to 70 and t=True read as 1
+    for t in (70.9, True):
+        with pytest.raises(ValidationError, match=rf"target_edits\[0\]\.t: expected an integer, "
+                                                  rf"got {t}"):
+            bench_adaptation(target_edits=[{"t": t, "target": [0.0] * 6}])
 
 
 def _cli(*args):
@@ -872,10 +878,10 @@ def test_cli_adapt_parses_edits_as_viapoints(tmp_path, mug_artifacts):
                     "--out", str(tmp_path))
         _assert_validation_error(proc, message)
     for edits, message in [
-            ([{"t": None, "target": zeros}], "--edit-json[0].t: expected an integer, got None"),
-            ([{"t": 5, "target": zeros}], "--edit-json[0].t: no viapoint at t=5 to edit"),
-            ([{"t": 70, "target": zeros, "at": 101}], "--edit-json[0].at: 101 above maximum"),
-            ({"t": 70, "target": zeros}, "--edit-json: expected a list, got dict")]:
+            ([{"t": None, "target": zeros}], "target_edits[0].t: expected an integer, got None"),
+            ([{"t": 5, "target": zeros}], "target_edits[0].t: no viapoint at t=5 to edit"),
+            ([{"t": 70, "target": zeros, "at": 101}], "target_edits[0].at: 101 above maximum"),
+            ({"t": 70, "target": zeros}, "target_edits: expected a list, got dict")]:
         proc = _cli("bench", "adapt", "--edit-json", json.dumps(edits), "--out", str(tmp_path))
         _assert_validation_error(proc, message)
 
