@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Controller, feedforward_pass, held_states
+from .solver import Controller, _transitions, feedforward_pass, held_states
 
 
 @dataclass
@@ -73,8 +73,8 @@ class AdaptationMaps:
         k = self.F_x_blocks @ x_d[self._x_idx] + self.k_u0
         du = u_d - self.u_d0
         if du.any():
-            k += feedforward_pass(self.A, self.B, self.R, self.controller,
-                                  du.reshape(T1, n, 1)).ravel()
+            F = _transitions(self.A, self.B, self.controller.held)
+            k += feedforward_pass(F, self.R, self.controller, du.reshape(T1, n, 1)).ravel()
         return k
 
 
@@ -114,7 +114,8 @@ def precompute_gain_maps(system, cost, controller):
         if bad.any():
             raise ValueError(f"non-finite {name} at t={int(np.argmax(bad))}")
     A, B = system.A.copy(), system.B.copy()
-    k = feedforward_pass(A, B, cost.R, controller, u_d, b).reshape((T + 1) * n, c)
+    k = feedforward_pass(_transitions(A, B, controller.held), cost.R, controller, u_d,
+                         b).reshape((T + 1) * n, c)
     return AdaptationMaps(touched=np.array(touched, dtype=int),
                           F_x_blocks=np.ascontiguousarray(k[:, :-1]),
                           u_d0=cost.u_d.copy(), k_u0=k[:, -1].copy(), A=A, B=B,

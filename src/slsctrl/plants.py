@@ -45,6 +45,9 @@ class Plant:
     the single-step call on that slice.  :func:`slsctrl.isls.linearize_plant`
     then makes one call of each for the whole horizon instead of one per
     step.
+
+    ``is_linear = True`` means constant ``A``, ``B`` attributes with
+    f(t, x, u) = A x + B u, which :func:`linear_system_from_plant` reads.
     """
 
     state_dim = None
@@ -292,9 +295,7 @@ def linear_system_from_plant(plant, horizon):
         raise ValueError(
             f"plant '{plant.name}' is nonlinear; linearize around a nominal instead"
         )
-    zeros_x, zeros_u = np.zeros(plant.state_dim), np.zeros(plant.input_dim)
-    return TimeVaryingLinearSystem(*zip(*(plant.jacobians(t, zeros_x, zeros_u)
-                                          for t in range(horizon + 1))))
+    return TimeVaryingLinearSystem.constant(plant.A, plant.B, horizon)
 
 
 # -- trajectories and rollouts ------------------------------------------------

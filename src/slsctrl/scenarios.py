@@ -124,16 +124,21 @@ def _json_copy(value):
     return copy.deepcopy(value)
 
 
+def _shown(value):
+    """repr(value) for a message; one over 60 characters is cut to 60, ending in '...'."""
+    return text[:57] + "..." if len(text := repr(value)) > 60 else text
+
+
 def _as_instance(value, path, kind, message):
-    """``value`` if it is a ``kind``, else the error ``message`` formatted with it."""
+    """``value`` if it is a ``kind``, else ``message`` formatted with it (shown) and its type."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{path}: " + message.format(value, type(value).__name__))
+        raise ValidationError(f"{path}: " + message.format(_shown(value), type(value).__name__))
     return value
 
 
 def _as_int(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+        raise ValidationError(f"{path}: expected an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{path}: {value} below minimum {minimum}")
     if maximum is not None and value > maximum:
@@ -143,14 +148,14 @@ def _as_int(value, path, minimum=None, maximum=None):
 
 def _as_float(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
+        raise ValidationError(f"{path}: expected a number, got {_shown(value)}")
     try:
         value = float(value)
     except OverflowError:
         raise ValidationError(
             f"{path}: expected a finite number, got an integer too large for a float") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{path}: expected a finite number, got {value!r}")
+        raise ValidationError(f"{path}: expected a finite number, got {_shown(value)}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{path}: {value} below minimum {minimum}")
     return value
@@ -210,7 +215,7 @@ def _as_matrix(value, path, shape=None):
 def _as_weight(value, path, dim):
     """Scalar, diagonal vector, or full matrix, normalized to (dim, dim)."""
     if isinstance(value, bool):
-        raise ValidationError(f"{path}: expected a weight, got {value!r}")
+        raise ValidationError(f"{path}: expected a weight, got {_shown(value)}")
     if isinstance(value, (int, float)):
         return _as_float(value, path) * np.eye(dim)
     if isinstance(value, list) and value and isinstance(value[0], list):
@@ -239,7 +244,7 @@ def _as_name(value, path):
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{path}: expected a nonempty string")
     if value in (".", "..") or "/" in value or "\0" in value:
-        raise ValidationError(f"{path}: expected one path component, got {value!r}")
+        raise ValidationError(f"{path}: expected one path component, got {_shown(value)}")
     return value
 
 
@@ -288,7 +293,7 @@ _NOISE = {"mu_x0": _f(_REQUIRED, _as_vector, size=STATE_DIM),
               _REQUIRED, _as_nonnegative, "variances must be nonnegative", size=STATE_DIM))}
 # sections of several kinds, {kind: table of the keys besides "kind"}: a plant's
 # keys are the parameters of its builder (_PLANT_BUILDERS), isls's IslsConfig's
-_FLAG = "expected true or false, got {0!r}"
+_FLAG = "expected true or false, got {0}"
 _KINDS = {
     "plant": {
         "double_integrator": {"dim": _f(_REQUIRED, _as_int, 1, MAX_PLANT_DIM),
@@ -348,7 +353,7 @@ def _walk_kind(record, section, sizes):
     kinds = _KINDS[section]
     kind = _as_instance(record, section, dict, _OBJECT).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
-        raise ValidationError(f"{section}.kind: unknown kind {kind!r}; "
+        raise ValidationError(f"{section}.kind: unknown kind {_shown(kind)}; "
                               f"expected one of {list(kinds)}")
     return _walk(record, section, kinds[kind], sizes)
 
@@ -695,7 +700,7 @@ def _controller(data):
     if kind == "open_loop":
         return OpenLoopController(data["inputs"], int(data["state_dim"]))
     if kind != "affine_memory":
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ValueError(f"unknown kind {_shown(kind)}")
     return _law(data)
 
 
@@ -890,7 +895,7 @@ def _merge_overrides(config, overrides):
         node = config
         for i, part in enumerate(parts):
             if not isinstance(node, dict):
-                raise ValidationError(f"override {key!r}: {'.'.join(map(str, parts[:i]))} "
+                raise ValidationError(f"override {_shown(key)}: {'.'.join(map(str, parts[:i]))} "
                                       f"is a {type(node).__name__}, not an object")
             node = node.setdefault(part, {}) if i < len(parts) - 1 else node
         node[parts[-1]] = value

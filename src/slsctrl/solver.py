@@ -33,6 +33,7 @@ against the cost by O(T) forward and adjoint passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -48,28 +49,38 @@ class SystemResponse:
     The policy is u_t = gains[t] z_t + k[t] with z_t = [x_t; x_s for s in
     held[t]]; ``controller`` also carries the recursion's inverse step
     Hessians, which :func:`feedforward_pass` needs to carry other
-    right-hand sides.
+    right-hand sides.  The plan (d_x, d_u), the policy's trajectory from
+    x_0 = 0, is computed on the first read of ``plan``, ``d_x`` or ``d_u``
+    and kept on this response only: ``dataclasses.replace`` does not carry it.
     """
 
     system: TimeVaryingLinearSystem
     cost: CostSpec
     controller: Controller
-    d_x: np.ndarray
-    d_u: np.ndarray
+    d_x = property(lambda self: self.plan[0], doc="States of the plan, stacked.")
+    d_u = property(lambda self: self.plan[1], doc="Inputs of the plan, stacked.")
 
-    def stationarity(self):
-        """Relative gradient of the deterministic tracking cost at (d_x, d_u).
+    @cached_property
+    def plan(self):
+        """(d_x, d_u), stacked."""
+        xs, us = _run_policy(self.system, self.controller, np.zeros(self.system.state_dim))
+        return xs.ravel(), us.ravel()
 
-        The gradient in u is S_u'(Q d_x - b) + R (d_u - u_d), which is
-        H d_u - r with H = S_u'QS_u + R and r = S_u'b + R u_d when
-        d_x = S_u d_u; this returns its norm over ||r||.  Both S_u' products
-        come from one adjoint pass over A_t and B_t, a route that shares
-        nothing with the recursion.
+    def stationarity(self, plan=None):
+        """Relative gradient of the deterministic tracking cost at ``plan`` (d_x, d_u).
+
+        ``plan`` is the response's own when None.  The gradient in u is
+        S_u'(Q d_x - b) + R (d_u - u_d), which is H d_u - r with
+        H = S_u'QS_u + R and r = S_u'b + R u_d when d_x = S_u d_u; this
+        returns its norm over ||r||.  Both S_u' products come from one
+        adjoint pass over A_t and B_t, a route that shares nothing with the
+        recursion.
         """
+        d_x, d_u = self.plan if plan is None else plan
         cost = self.cost
         T, m, n = self.system.horizon, self.system.state_dim, self.system.input_dim
-        g = np.stack([cost.q_matvec(self.d_x), cost.linear_term], axis=1).reshape(T + 1, m, 2)
-        u = np.stack([self.d_u, cost.u_d], axis=1).reshape(T + 1, n, 2)
+        g = np.stack([cost.q_matvec(d_x), cost.linear_term], axis=1).reshape(T + 1, m, 2)
+        u = np.stack([d_u, cost.u_d], axis=1).reshape(T + 1, n, 2)
         Hu_r = _input_adjoint(self.system, g) + cost.R @ u
         r = np.linalg.norm(Hu_r[..., 1])
         return float(np.linalg.norm(Hu_r[..., 0] - Hu_r[..., 1]) / max(r, np.finfo(float).tiny))
@@ -158,10 +169,12 @@ class Controller:
         n, m = gains[0].shape[0], gains[0].shape[1] // (1 + len(held[0]))
         self.held, self.gains, self.horizon = held, gains, len(gains) - 1
         self.input_dim, self.state_dim = n, m
-        for t, (h, g) in enumerate(zip(held, gains, strict=True)):
-            if g.shape != (n, m * (1 + len(h))) or not np.isfinite(g).all():
-                raise ValueError(f"gain block at t={t} must be finite, shape "
-                                 f"{(n, m * (1 + len(h)))}")
+        shapes = [(n, m * (1 + len(h))) for h in held]
+        # one check over all blocks; only a failure scans for the first bad t
+        if [g.shape for g in gains] != shapes or not np.isfinite(np.concatenate(gains, 1)).all():
+            t = next(t for t, (shape, g) in enumerate(zip(shapes, gains, strict=True))
+                     if g.shape != shape or not np.isfinite(g).all())
+            raise ValueError(f"gain block at t={t} must be finite, shape {shapes[t]}")
         if hessian_inv is not None and (np.shape(hessian_inv) != (len(gains), n, n)
                                         or not np.isfinite(hessian_inv).all()):
             raise ValueError(f"hessian_inv must be finite, shape {(len(gains), n, n)}, "
@@ -351,25 +364,21 @@ def riccati_gains(system, cost):
         pass   # H[t] is exactly singular: the check names it, or a later step
     _check_step_hessians(H)
     law = Controller.from_gains(held, gains, np.zeros((T + 1) * n), hessian_inv=hinv)
-    law.swap_feedforward(_feedforward(F, cost.R, law, u_d, b).ravel())
+    law.swap_feedforward(feedforward_pass(F, cost.R, law, u_d, b).ravel())
     return law
 
 
-def feedforward_pass(A, B, R, law, u_d, b=None):
+def feedforward_pass(F, R, law, u_d, b=None):
     """Feedforward columns (T+1, n, c) for input targets u_d (T+1, n, c) and linear terms b.
 
-    ``b`` (T+1, m, c) holds the linear-term columns, zero when None.  The
-    gains and inverse step Hessians of ``law``, a :class:`Controller` from
+    ``F`` holds the transitions of ``law.held`` (:func:`_transitions`), and
+    ``b`` (T+1, m, c) the linear-term columns, zero when None.  The gains
+    and inverse step Hessians of ``law``, a :class:`Controller` from
     :func:`riccati_gains`, stay fixed, so each column costs O(T) small
     products and no factorization: on the recursion's F_t, q = F_t'p,
     g_t = R_t u_d,t + q_u and p_t = q_z + K_t'g_t + [b_t; 0] for the linear
     cost-to-go -2p'z of z_{t+1}, then one batched k_t = H_t^{-1} g_t.
     """
-    return _feedforward(_transitions(A, B, law.held), R, law, u_d, b)
-
-
-def _feedforward(F, R, law, u_d, b):
-    """:func:`feedforward_pass` on transitions F from :func:`_transitions`."""
     T1, m, n, c = len(F), law.state_dim, law.input_dim, u_d.shape[2]
     g, p, Ru = np.empty((T1, n, c)), np.zeros((m, c)), R @ u_d
     for t in range(T1 - 1, -1, -1):
@@ -388,14 +397,11 @@ def solve_esls(system, cost):
     of ``cost`` must be positive definite.  Returns a :class:`SystemResponse`
     with the policy, whose responses to a disturbance at step i are block
     column i of the maps (phi_x, phi_u), and the plan (d_x, d_u) from
-    x_0 = 0, which solves H d_u = S_u'b + R u_d.  Raises ValueError on
-    mismatched or non-finite data and on a step Hessian that is not
-    positive definite (the message names the step).
+    x_0 = 0, which solves H d_u = S_u'b + R u_d and is computed on its
+    first read.  Raises ValueError on mismatched or non-finite data and on
+    a step Hessian that is not positive definite (the message names it).
     """
-    law = riccati_gains(system, cost)
-    xs, us = _run_policy(system, law, np.zeros(system.state_dim))
-    return SystemResponse(system=system, cost=cost, controller=law,
-                          d_x=xs.ravel(), d_u=us.ravel())
+    return SystemResponse(system=system, cost=cost, controller=riccati_gains(system, cost))
 
 
 def _run_policy(system, law, x0, k=None):

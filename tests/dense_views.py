@@ -10,7 +10,7 @@ are the dense formulas on the oracle's S_x and S_u.
 
 import numpy as np
 
-from slsctrl.solver import feedforward_pass
+from slsctrl.solver import _transitions, feedforward_pass
 
 from oracles import dense_stacked_maps
 
@@ -54,8 +54,8 @@ def dense_F_u(maps):
     """Dense ((T+1)n, (T+1)n) F_u: the feedforward-only pass on every unit input target."""
     T1, n = maps.R.shape[:2]
     cols = np.eye(T1 * n).reshape(T1, n, T1 * n)
-    return feedforward_pass(maps.A, maps.B, maps.R, maps.controller,
-                            cols).reshape(T1 * n, T1 * n)
+    F = _transitions(maps.A, maps.B, maps.controller.held)
+    return feedforward_pass(F, maps.R, maps.controller, cols).reshape(T1 * n, T1 * n)
 
 
 def achievability_residual(system, phi_x, phi_u):

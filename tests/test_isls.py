@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import slsctrl.solver
 from slsctrl import (
     IslsConfig,
     LinearPlant,
@@ -26,6 +27,7 @@ from slsctrl.scenarios import (
     build_objective,
     build_plant,
     draw_initial_state,
+    isls_config,
     load_scenario,
 )
 
@@ -373,6 +375,21 @@ def test_quadratize_refreshes_each_coupled_component_once(monkeypatch):
     for corr in sub.correlations:
         refresh(sub, corr.t1)
     npt.assert_array_equal(sub.x_d, x_d)
+
+
+def test_pickplace_trial_runs_no_plan_pass(monkeypatch):
+    # the outer loop reads only the subproblems' controllers, never a plan
+    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
+    plant = build_plant(scenario)
+    x0 = draw_initial_state(scenario, np.random.default_rng(0), plant)
+    calls = []
+    run = slsctrl.solver._run_policy
+    monkeypatch.setattr(slsctrl.solver, "_run_policy",
+                        lambda *args: calls.append(args) or run(*args))
+    _, result = isls_optimize(plant, build_objective(scenario), x0,
+                              config=isls_config(scenario))
+    assert result.converged and result.iterations > 1
+    assert calls == []
 
 
 def test_linearize_one_pass_matches_per_step_route():

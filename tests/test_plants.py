@@ -149,6 +149,20 @@ def test_linearize_linear_plant_is_exact():
     npt.assert_allclose(sys2.A[0], A)
 
 
+def test_linear_system_from_plant_equals_the_per_step_build():
+    rng = np.random.default_rng(4)
+    T = 9
+    for plant in (double_integrator_plant(3, 0.01, exact_discretization=True),
+                  LinearPlant(rng.normal(size=(4, 4)), rng.normal(size=(4, 2)))):
+        zeros_x, zeros_u = np.zeros(plant.state_dim), np.zeros(plant.input_dim)
+        per_step = TimeVaryingLinearSystem(*zip(*(plant.jacobians(t, zeros_x, zeros_u)
+                                                  for t in range(T + 1))))
+        system = linear_system_from_plant(plant, T)
+        for got, want in ((system.A, per_step.A), (system.B, per_step.B)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            npt.assert_array_equal(got, want)
+
+
 def test_open_loop_and_step_feedback_controllers():
     T, m, n = 3, 2, 1
     inputs = np.arange((T + 1) * n, dtype=float).reshape(T + 1, n)

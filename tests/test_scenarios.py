@@ -203,6 +203,27 @@ def test_plant_dim_and_horizon_have_a_maximum(tmp_path):
                                  message)
 
 
+def test_messages_quote_at_most_sixty_characters_of_a_value():
+    # a long bad value is cut to 57 characters and '...'; a short one is whole
+    matrix, name = np.eye(14).tolist(), "a/" * 40
+    cases = []
+    for value, quoted in [(matrix, repr(matrix)[:57] + "..."), ([1.0] * 3, "[1.0, 1.0, 1.0]")]:
+        config = load_scenario(bundled_scenario_path("pickplace_arm")).raw
+        config["horizon"] = value
+        cases.append((config, f"scenario.horizon: expected an integer, got {quoted}"))
+        config = load_scenario(bundled_scenario_path("pickplace_arm")).raw
+        config["plant"]["kind"] = value
+        cases.append((config, f"plant.kind: unknown kind {quoted}; expected one of"))
+    config = load_scenario(bundled_scenario_path("pickplace_arm")).raw
+    config["name"] = name
+    cases.append((config, "scenario.name: expected one path component, got "
+                          + repr(name)[:57] + "..."))
+    for config, message in cases:
+        with pytest.raises(ValidationError) as info:
+            Scenario.from_dict(config)
+        assert str(info.value).startswith(message)
+
+
 def test_bad_vectors_name_the_element():
     for value, message in [
             ("x", "expected a number, got 'x'"),

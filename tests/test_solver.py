@@ -27,6 +27,7 @@ from slsctrl import (
     rollout,
     solve_esls,
 )
+import slsctrl.solver
 from slsctrl.solver import held_states
 
 from dense_views import (
@@ -428,13 +429,37 @@ def test_stationarity_residual_detects_scaled_feedforward():
     cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
     resp = solve_esls(st, cost)
     genuine = resp.residuals()
-    scaled = dataclasses.replace(resp, d_x=resp.d_x * (1 + 1e-6), d_u=resp.d_u * (1 + 1e-6))
-    wrong = scaled.residuals()
+    scaled = (resp.d_x * (1 + 1e-6), resp.d_u * (1 + 1e-6))
+    wrong = resp.stationarity(scaled)
     # the scaled plan is still a trajectory of the dynamics, so only
     # stationarity can tell it from the optimum
-    assert feedforward_residual(st, scaled.d_x, scaled.d_u) <= 1e-12
+    assert feedforward_residual(st, *scaled) <= 1e-12
     assert genuine["stationarity"] <= 1e-11
-    assert wrong["stationarity"] >= 1e-7
+    assert wrong >= 1e-7
+
+
+def test_plan_is_computed_once_on_first_read(monkeypatch):
+    rng = np.random.default_rng(14)
+    T, m, n = 30, 3, 2
+    st = TimeVaryingLinearSystem([np.eye(m) + 0.1 * rng.normal(size=(m, m)) for _ in range(T + 1)],
+                                 [rng.normal(size=(m, n)) for _ in range(T + 1)])
+    cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
+    calls, run = [], slsctrl.solver._run_policy
+    monkeypatch.setattr(slsctrl.solver, "_run_policy",
+                        lambda *args: calls.append(args) or run(*args))
+    resp = solve_esls(st, cost)
+    assert calls == []
+    d_x, d_u = resp.d_x, resp.d_u
+    assert resp.d_x is d_x and resp.d_u is d_u and len(calls) == 1
+    # the kept plan is the policy's trajectory from x_0 = 0
+    xs, us = run(st, resp.controller, np.zeros(m))
+    npt.assert_array_equal(d_x, xs.ravel())
+    npt.assert_array_equal(d_u, us.ravel())
+    # a response with another law does not inherit the plan already read
+    halved = dataclasses.replace(resp, controller=resp.controller.with_feedforward(
+        0.5 * resp.controller.k))
+    npt.assert_array_equal(halved.d_u, run(st, halved.controller, np.zeros(m))[1].ravel())
+    assert len(calls) == 2 and not np.array_equal(halved.d_u, d_u)
 
 
 def _long_request(seed, T=400):
@@ -478,6 +503,7 @@ def test_gain_stationarity_detects_perturbed_gains():
     for seed in (12, 13):
         st, resp = _long_request(seed)
         assert resp.gain_stationarity() <= 1e-12
+        plan = resp.plan   # the genuine plan, passed with each wrong law
         m = st.state_dim
         law = resp.controller
         memory = [t for t, h in enumerate(law.held) if h]
@@ -488,8 +514,53 @@ def test_gain_stationarity_detects_perturbed_gains():
             gains[t][:, block] *= factor
             wrong = dataclasses.replace(
                 resp, controller=Controller.from_gains(law.held, gains, law.k))
-            assert wrong.stationarity() == resp.stationarity()
+            assert wrong.stationarity(plan) == resp.stationarity()
             assert wrong.gain_stationarity() >= floor
+
+
+def _held_by_definition(cost):
+    """held_states by its definition: s < t with a cost block (s, j), j >= t."""
+    return [tuple(sorted({min(i, j) for (i, j) in cost.Q if min(i, j) < t <= max(i, j)}))
+            for t in range(cost.horizon + 1)]
+
+
+def test_held_states_match_their_definition():
+    # fixed patterns (a shared t1, nested and adjacent intervals, t1 = 0 and
+    # t2 = T) and seeded ones of 0-3 correlations
+    rng = np.random.default_rng(22)
+    T, m = 30, 2
+    patterns = [[], [(0, T)], [(5, 20), (5, 12)], [(3, 25), (8, 15)], [(4, 10), (10, 18)],
+                [(0, 7), (7, T), (2, T)], [(T - 1, T)]]
+    for _ in range(20):
+        pairs = [sorted(rng.choice(T + 1, size=2, replace=False).tolist())
+                 for _ in range(rng.integers(0, 4))]
+        patterns.append([(int(a), int(b)) for a, b in pairs])
+    for pairs in patterns:
+        cost = build_viapoint_cost(T, [(T, np.zeros(m), 1.0)], 1.0, state_dim=m, input_dim=1)
+        for t1, t2 in pairs:
+            cost = add_correlation(cost, CorrelationSpec(t1, t2, np.eye(m), np.zeros(m),
+                                                         np.eye(m)))
+        assert held_states(cost) == _held_by_definition(cost), pairs
+
+
+def test_from_gains_names_the_first_bad_step():
+    # one check covers every block; a failure still names the first bad t
+    rng = np.random.default_rng(23)
+    T, m, n = 20, 3, 2
+    st = TimeVaryingLinearSystem.constant(np.eye(m) + 0.1 * rng.normal(size=(m, m)),
+                                          rng.normal(size=(m, n)), T)
+    cost, _, _ = _random_tracking_cost(rng, T, m, n, with_correlation=True)
+    law = solve_esls(st, cost).controller
+    middle, late = T // 2, T - 2
+    nan_middle = [g.copy() for g in law.gains]
+    nan_middle[middle][0, -1] = np.nan
+    short_late = [g.copy() for g in law.gains]
+    short_late[late] = short_late[late][:, :-1]
+    both = [g.copy() for g in short_late]
+    both[middle] = nan_middle[middle]
+    for gains, t in [(nan_middle, middle), (short_late, late), (both, middle)]:
+        with pytest.raises(ValueError, match=f"gain block at t={t} must be finite, shape"):
+            Controller.from_gains(law.held, gains, law.k)
 
 
 def test_controller_keeps_nonzero_blocks_of_dense_gain():
