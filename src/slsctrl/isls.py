@@ -75,31 +75,28 @@ class TrackingObjective:
         obj.R = cost.R.copy()
         return obj
 
+    def _input_costs(self, us):
+        """(T+1,) input terms (u_t - u_d,t)' R_t (u_t - u_d,t), all steps in one product."""
+        T1, n = self.horizon + 1, self.input_dim
+        e = np.asarray(us, dtype=float).reshape(T1, n) - self.u_d.reshape(T1, n)
+        return (e[:, None, :] @ self.R @ e[:, :, None])[:, 0, 0]
+
     def true_cost(self, xs, us):
         """Exact objective value on a trajectory (blocks or stacked vectors)."""
-        m, n = self.state_dim, self.input_dim
-        xb = np.asarray(xs, dtype=float).reshape(self.horizon + 1, m)
-        ub = np.asarray(us, dtype=float).reshape(self.horizon + 1, n)
-        ud = self.u_d.reshape(self.horizon + 1, n)
-        total = 0.0
+        xb = np.asarray(xs, dtype=float).reshape(self.horizon + 1, self.state_dim)
+        total = float(self._input_costs(us).sum())
         for t in range(self.horizon + 1):
             total += self.state_cost.value(t, xb[t])
-            e = ub[t] - ud[t]
-            total += float(e @ self.R[t] @ e)
         for corr in self.correlations:
             total += corr.evaluate(xb[corr.t1], xb[corr.t2])
         return total
 
     def cumulative_cost(self, xs, us):
         """Per-step cumulative objective; cross-time terms count at their later step."""
-        m, n = self.state_dim, self.input_dim
-        xb = np.asarray(xs, dtype=float).reshape(self.horizon + 1, m)
-        ub = np.asarray(us, dtype=float).reshape(self.horizon + 1, n)
-        ud = self.u_d.reshape(self.horizon + 1, n)
-        inc = np.zeros(self.horizon + 1)
+        xb = np.asarray(xs, dtype=float).reshape(self.horizon + 1, self.state_dim)
+        inc = self._input_costs(us)
         for t in range(self.horizon + 1):
-            e = ub[t] - ud[t]
-            inc[t] = self.state_cost.value(t, xb[t]) + float(e @ self.R[t] @ e)
+            inc[t] += self.state_cost.value(t, xb[t])
         for corr in self.correlations:
             inc[corr.t2] += corr.evaluate(xb[corr.t1], xb[corr.t2])
         return np.cumsum(inc)

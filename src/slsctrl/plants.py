@@ -118,8 +118,16 @@ def double_integrator_plant(dim, dt, exact_discretization=False):
     return LinearPlant(A, B, dt=dt, name=f"double_integrator_{dim}d")
 
 
-def _cumulative_angles(theta):
-    return np.asarray(theta, dtype=float).cumsum(axis=-1)
+def _trig(theta):
+    """Cumulative angles c (..., p) of joint angles and their [cos c; sin c] (..., 2, p).
+
+    The one place the arm's kinematics evaluates trigonometry.
+    """
+    c = np.asarray(theta, dtype=float).cumsum(axis=-1)
+    cs = np.empty(c.shape[:-1] + (2, c.shape[-1]))
+    np.cos(c, out=cs[..., 0, :])
+    np.sin(c, out=cs[..., 1, :])
+    return c, cs
 
 
 def _reverse_cumsum(a):
@@ -148,6 +156,13 @@ class PlanarArmPlant(Plant):
     fresh Jacobian contracted with the pre-update joint velocity;
     ``consistent_velocity=True`` uses theta_dot_{t+1} instead.
 
+    Every kinematic quantity reads the cumulative angles c_k = theta_1 + ...
+    + theta_k and their cos and sin, evaluated once per call.  With
+    r_k = l_k [-sin c_k; cos c_k] = d ee / d c_k, column j of J is the sum
+    of r_k over k >= j, so J v = sum_k r_k (v_1 + ... + v_k): :meth:`step`
+    forms the end-effector velocity from r and cumsum(v) without building J,
+    and takes the orientation as the last cumulative angle.
+
     The dynamics, their Jacobians and the kinematic helpers broadcast over
     leading axes (see :class:`Plant`).
     """
@@ -174,34 +189,34 @@ class PlanarArmPlant(Plant):
         self.state_dim = 3 * p + 5
         self.input_dim = p
         self.name = f"planar_arm_{p}link"
+        # [sin c; cos c] times this is r = d ee / d c
+        self._row_scale = np.array([-self.link_lengths, self.link_lengths])
 
     # -- kinematics ---------------------------------------------------------
 
+    def _rows(self, cs):
+        """(..., 2, p) r_k = d ee / d c_k from the cumulative angles' [cos; sin]."""
+        return cs[..., ::-1, :] * self._row_scale
+
+    def _jacobian(self, cs):
+        # d ee / d theta_j = sum_{k >= j} d ee / d c_k
+        return _reverse_cumsum(self._rows(cs))
+
+    def _jacobian_rate(self, cs, v):
+        V = np.cumsum(np.asarray(v, dtype=float), axis=-1)
+        return _reverse_cumsum(-self.link_lengths * cs * V[..., None, :])
+
     def forward_kinematics(self, theta):
         """(..., 2) end-effector position of joint angles (..., p)."""
-        c = _cumulative_angles(theta)
-        out = np.empty(c.shape[:-1] + (2,))
-        out[..., 0] = np.cos(c) @ self.link_lengths
-        out[..., 1] = np.sin(c) @ self.link_lengths
-        return out
+        return _trig(theta)[1] @ self.link_lengths
 
     def ee_jacobian(self, theta):
         """(..., 2, p) position Jacobian d ee / d theta."""
-        c = _cumulative_angles(theta)
-        rows = np.empty(c.shape[:-1] + (2, self.n_links))
-        rows[..., 0, :] = -self.link_lengths * np.sin(c)
-        rows[..., 1, :] = self.link_lengths * np.cos(c)
-        # d ee / d theta_j = sum_{k >= j} d ee / d c_k
-        return _reverse_cumsum(rows)
+        return self._jacobian(_trig(theta)[1])
 
     def ee_jacobian_rate(self, theta, v):
         """(..., 2, p) derivative of J(theta) v with respect to theta, v held fixed."""
-        c = _cumulative_angles(theta)
-        V = np.cumsum(np.asarray(v, dtype=float), axis=-1)
-        rows = np.empty(np.broadcast_shapes(c.shape, V.shape)[:-1] + (2, self.n_links))
-        rows[..., 0, :] = -self.link_lengths * np.cos(c) * V
-        rows[..., 1, :] = -self.link_lengths * np.sin(c) * V
-        return _reverse_cumsum(rows)
+        return self._jacobian_rate(_trig(theta)[1], v)
 
     def augment(self, theta, theta_dot=None):
         """Consistent full state for a joint configuration (for initial states)."""
@@ -230,23 +245,28 @@ class PlanarArmPlant(Plant):
     def step(self, t, z, u):
         p = self.n_links
         lead, theta_new, theta_dot_new, vel_source = self._advance(z, u)
+        c, cs = _trig(theta_new)
         out = np.empty(lead + (self.state_dim,))
         out[..., :p] = theta_new
         out[..., p:2 * p] = theta_dot_new
-        out[..., 2 * p:2 * p + 2] = self.forward_kinematics(theta_new)
-        out[..., 2 * p + 2:2 * p + 4] = (self.ee_jacobian(theta_new)
-                                         @ vel_source[..., None])[..., 0]
-        out[..., 2 * p + 4] = wrap_angle(theta_new.sum(axis=-1))
-        out[..., 2 * p + 5:] = joint_limit_violation(theta_new, self.theta_lower,
-                                                     self.theta_upper)
+        out[..., 2 * p:2 * p + 2] = cs @ self.link_lengths
+        out[..., 2 * p + 2:2 * p + 4] = (self._rows(cs)
+                                         @ vel_source.cumsum(axis=-1)[..., None])[..., 0]
+        out[..., 2 * p + 4] = wrap_angle(c[..., -1])
+        # joint_limit_violation: the distance to the box's nearest point,
+        # squared (__init__ checked lower <= upper)
+        beyond = theta_new - np.minimum(np.maximum(theta_new, self.theta_lower),
+                                        self.theta_upper)
+        out[..., 2 * p + 5:] = beyond * beyond
         return out
 
     def jacobians(self, t, z, u):
         p = self.n_links
         dt = self.dt
         lead, theta_new, _, vel_source = self._advance(z, u)
-        J = self.ee_jacobian(theta_new)
-        D = self.ee_jacobian_rate(theta_new, vel_source)
+        cs = _trig(theta_new)[1]
+        J = self._jacobian(cs)
+        D = self._jacobian_rate(cs, vel_source)
 
         A = np.zeros(lead + (self.state_dim, self.state_dim))
         B = np.zeros(lead + (self.state_dim, p))

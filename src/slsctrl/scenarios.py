@@ -58,6 +58,7 @@ import copy
 import hashlib
 import json
 import math
+import sys
 import time
 import zipfile
 from dataclasses import dataclass, field
@@ -126,7 +127,25 @@ def _json_copy(value):
 
 def _shown(value):
     """repr(value) for a message; one over 60 characters is cut to 60, ending in '...'."""
-    return text[:57] + "..." if len(text := repr(value)) > 60 else text
+    try:
+        text = repr(value)
+    except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+        text = _huge_repr(value)
+    return text[:57] + "..." if len(text) > 60 else text
+
+
+def _huge_repr(value):
+    """repr of a JSON value with each int too long for repr shown by that bound."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_huge_repr, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_huge_repr(k)}: {_huge_repr(v)}"
+                               for k, v in value.items()) + "}"
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "-" if value < 0 else ""
+        return f"{sign}<integer of over {sys.get_int_max_str_digits()} digits>"
 
 
 def _as_instance(value, path, kind, message):
@@ -140,9 +159,9 @@ def _as_int(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}: expected an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise ValidationError(f"{path}: {value} below minimum {minimum}")
+        raise ValidationError(f"{path}: {_shown(value)} below minimum {minimum}")
     if maximum is not None and value > maximum:
-        raise ValidationError(f"{path}: {value} above maximum {maximum}")
+        raise ValidationError(f"{path}: {_shown(value)} above maximum {maximum}")
     return value
 
 
@@ -157,7 +176,7 @@ def _as_float(value, path, minimum=None):
     if not math.isfinite(value):
         raise ValidationError(f"{path}: expected a finite number, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise ValidationError(f"{path}: {value} below minimum {minimum}")
+        raise ValidationError(f"{path}: {_shown(value)} below minimum {minimum}")
     return value
 
 

@@ -350,6 +350,27 @@ def test_batched_quadratize_matches_per_step_lstsq():
                             rtol=1e-9, atol=1e-9 * np.max(np.abs(lin_ref)))
 
 
+def test_input_effort_in_one_product_matches_per_step_sums():
+    # time-varying, non-diagonal R and a nonzero u_d; blocks and stacked
+    # vectors give the same values
+    T, m, n = 12, 3, 2
+    rng = np.random.default_rng(11)
+    obj = TrackingObjective(T, m, n, StateCostFunction(lambda t, x: (t + 1) * x @ x),
+                            u_d=rng.normal(size=(T + 1) * n))
+    G = rng.normal(size=(T + 1, n, n))
+    obj.R = G @ G.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    xs = rng.normal(size=(T + 1, m))
+    us = rng.normal(size=(T + 1, n))
+    e = us - obj.u_d.reshape(T + 1, n)
+    per_step = np.array([(t + 1) * xs[t] @ xs[t] + e[t] @ obj.R[t] @ e[t]
+                         for t in range(T + 1)])
+    assert np.all(np.abs(obj.R[:, 0, 1]) > 1e-3) and np.ptp(obj.R[:, 0, 1]) > 0.1
+    for x_arg, u_arg in ((xs, us), (xs.ravel(), us.ravel())):
+        npt.assert_allclose(obj.true_cost(x_arg, u_arg), per_step.sum(), rtol=1e-12)
+        npt.assert_allclose(obj.cumulative_cost(x_arg, u_arg), np.cumsum(per_step),
+                            rtol=1e-12)
+
+
 def test_quadratize_refreshes_each_coupled_component_once(monkeypatch):
     # the bundled pick-place correlations share t1 = 40, so their coupled
     # component (40, 60, 100) is solved once per quadratization

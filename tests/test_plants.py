@@ -15,6 +15,7 @@ from slsctrl import (
     double_integrator_plant,
     dp_lqt,
     extract_controller,
+    joint_limit_violation,
     linear_system_from_plant,
     linearize_plant,
     mpc_lqt_rollout,
@@ -108,6 +109,53 @@ def test_arm_augmented_jacobians_vs_fd():
                            np.max(np.abs(Bt - B_ref)) / max(1.0, np.max(np.abs(B_ref))))
         assert worst_row <= 1e-15
         assert worst_fd <= 1e-4
+
+
+def test_arm_step_matches_its_kinematic_definition():
+    # step forms the end-effector velocity without building J and reads the
+    # orientation off the cumulative angles; the reference assembles the
+    # state from the public helpers.  States go beyond the joint limits, sit
+    # on them, and put the angle sum at and next to +-pi, where np.mod in
+    # wrap_angle can round up to 2 pi.
+    rng = np.random.default_rng(7)
+    for p in (1, 2, 3):
+        lower, upper = -1.2 * np.ones(p), np.linspace(0.9, 1.4, p)
+        thetas = list(rng.uniform(-3.5, 3.5, size=(40, p))) + [lower, upper]
+        for angle in (np.pi, -np.pi):
+            for near in (angle, np.nextafter(angle, 4.0), np.nextafter(angle, -4.0)):
+                thetas += [np.roll(np.r_[near, np.zeros(p - 1)], k) for k in range(p)]
+                theta = rng.uniform(-1.0, 1.0, size=p)
+                theta[-1] = near - theta[:-1].sum()
+                thetas.append(theta)
+        n_special = len(thetas) - 40
+        # zero joint velocity on the special states, so that theta' = theta
+        theta_dots = np.vstack([rng.uniform(-2.0, 2.0, size=(40, p)), np.zeros((n_special, p))])
+        Z = np.hstack([thetas, theta_dots, rng.normal(size=(len(thetas), p + 5))])
+        U = rng.uniform(-2.0, 2.0, size=(len(thetas), p))
+        assert np.any(np.asarray(thetas) < lower) and np.any(np.asarray(thetas) > upper)
+        for consistent in (False, True):
+            arm = planar_arm_plant(np.linspace(0.7, 0.3, p), 0.05, theta_lower=lower,
+                                   theta_upper=upper, consistent_velocity=consistent)
+            stacked = arm.step(np.arange(len(Z)), Z, U)
+            sums = []
+            for i, (z, u) in enumerate(zip(Z, U)):
+                theta_new = z[:p] + arm.dt * z[p:2 * p]
+                theta_dot_new = z[p:2 * p] + arm.dt * u
+                v = theta_dot_new if consistent else z[p:2 * p]
+                ref = np.concatenate([
+                    theta_new, theta_dot_new, arm.forward_kinematics(theta_new),
+                    arm.ee_jacobian(theta_new) @ v, [wrap_angle(theta_new.sum())],
+                    joint_limit_violation(theta_new, lower, upper)])
+                single = arm.step(i, z, u)
+                assert np.max(np.abs(single - ref)) <= 1e-15 * np.max(np.abs(ref)), (p, i)
+                npt.assert_array_equal(stacked[i], single)
+                sums.append(theta_new.sum())
+            # the sums hit +-pi exactly and the round-up of np.mod to 2 pi
+            sums = np.array(sums)
+            assert np.any(sums == np.pi) and np.any(sums == -np.pi)
+            assert np.any(np.mod(sums + np.pi, 2 * np.pi) == 2 * np.pi)
+            orientation = stacked[:, 2 * p + 4]
+            assert np.all((-np.pi < orientation) & (orientation <= np.pi))
 
 
 def test_arm_velocity_conventions():

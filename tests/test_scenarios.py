@@ -184,19 +184,35 @@ def test_plant_dim_and_horizon_have_a_maximum(tmp_path):
     config = load_scenario(bundled_scenario_path("mug_sugar")).raw
     config["horizon"] = MAX_HORIZON
     assert Scenario.from_dict(config).horizon == MAX_HORIZON
+    # a huge value is quoted as at most 60 characters; an integer of more
+    # digits than repr allows (sys.get_int_max_str_digits) is named by that bound
+    giant = f"<integer of over {sys.get_int_max_str_digits()} digits>"
     cases = []
-    for value in (MAX_HORIZON + 1, 10**400):
-        config = load_scenario(bundled_scenario_path("mug_sugar")).raw
-        config["horizon"] = value
-        cases.append((config, f"scenario.horizon: {value} above maximum {MAX_HORIZON}"))
-    for value in (MAX_PLANT_DIM + 1, 10**400):
-        config = load_scenario(bundled_scenario_path("mug_sugar")).raw
-        config["plant"]["dim"] = value
-        cases.append((config, f"plant.dim: {value} above maximum {MAX_PLANT_DIM}"))
+    for path, maximum in (("scenario.horizon", MAX_HORIZON), ("plant.dim", MAX_PLANT_DIM)):
+        for value, message in [
+                (maximum + 1, f"{maximum + 1} above maximum {maximum}"),
+                (10**400, f"1{'0' * 56}... above maximum {maximum}"),
+                (10**5000, f"{giant} above maximum {maximum}"),
+                (-10**5000, f"-{giant} below minimum 1"),
+                ([10**5000], f"expected an integer, got [{giant}]")]:
+            config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+            if path == "plant.dim":
+                config["plant"]["dim"] = value
+            else:
+                config["horizon"] = value
+            cases.append((config, f"{path}: {message}"))
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    config["cost"]["viapoints"] = [10**5000]
+    cases.append((config, "cost.viapoints[0]: expected an object, got int"))
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    config["plant"]["kind"] = [10**5000]
+    cases.append((config, f"plant.kind: unknown kind [{giant}]; expected one of "
+                          "['double_integrator', 'linear', 'planar_arm']"))
     for config, message in cases:
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(ValidationError, match=re.escape(message) + "$"):
             Scenario.from_dict(config)
-    for config, message in cases[1::2]:
+    # json reads no integer of that many digits, so the CLI sees only 10**400
+    for config, message in cases[1:10:5]:
         bad = tmp_path / "big.json"
         bad.write_text(json.dumps(config))
         _assert_validation_error(_cli("solve", "--scenario", str(bad), "--out", str(tmp_path)),
