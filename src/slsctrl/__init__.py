@@ -34,7 +34,6 @@ from .solver import (
 )
 from .plants import (
     LinearPlant,
-    OpenLoopController,
     PlanarArmPlant,
     Plant,
     Trajectory,
@@ -99,7 +98,6 @@ __all__ = [
     "IterationState",
     "LinearPlant",
     "NoiseModel",
-    "OpenLoopController",
     "PlanarArmPlant",
     "Plant",
     "Scenario",

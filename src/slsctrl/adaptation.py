@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Controller, _transitions, feedforward_pass, held_states
+from .solver import Controller, _check_structure, _transitions, feedforward_pass
 
 
 @dataclass
@@ -130,16 +130,7 @@ def _check_controller(controller, cost):
         raise ValueError("the controller carries no inverse step Hessians (it was built "
                          "from a dense K); pass the one extract_controller or "
                          "isls_optimize returned")
-    dims = (cost.horizon, cost.state_dim, cost.input_dim)
-    got = (controller.horizon, controller.state_dim, controller.input_dim)
-    if got != dims:
-        raise ValueError(f"controller horizon and state/input sizes {got} differ from "
-                         f"the cost's {dims}")
-    held = held_states(cost)
-    if list(controller.held) != held:
-        t = next(t for t, (a, b) in enumerate(zip(controller.held, held)) if a != b)
-        raise ValueError(f"controller holds timesteps {controller.held[t]} at t={t}, "
-                         f"the cost's correlations need {held[t]}")
+    _check_structure(controller, cost)
 
 
 def adapt_feedforward(maps, x_d_new, u_d_new):

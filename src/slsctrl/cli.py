@@ -12,8 +12,7 @@ Examples::
     slsctrl rollout --scenario mug_sugar.scenario.json \
         --controller out/mug_sugar/run1/controller.bin --seed 7 --out out --label replay
     slsctrl bench mug-sugar --trials 10 --seed 0 --out out --label bench1
-    slsctrl adapt --scenario mug_sugar.scenario.json \
-        --controller controller.bin --maps maps.bin \
+    slsctrl adapt --scenario mug_sugar.scenario.json --maps maps.bin \
         --edit-json '{"t": 70, "target": [0.2, 0.5, 0.1, 0, 0, 0]}' --out out
 """
 
@@ -56,10 +55,7 @@ from .scenarios import (
     write_controller_artifact,
     write_trajectory_csv,
 )
-from .solver import Controller, gain_stationarity
-
-# genuine solves read 1e-15 to 7e-13, gains of a tenfold mug_sugar control weight 0.82
-GAIN_STATIONARITY_LIMIT = 1e-8
+from .solver import check_law
 
 
 def _add_common(parser, scenario_required=True):
@@ -107,9 +103,8 @@ def build_parser():
         p.set_defaults(func=func)
 
     p_adapt = sub.add_parser("adapt",
-                             help="retarget a saved controller through its maps")
+                             help="retarget the law of a saved maps artifact")
     _add_common(p_adapt)
-    p_adapt.add_argument("--controller", required=True)
     p_adapt.add_argument("--maps", required=True)
     p_adapt.add_argument("--edit-json", required=True,
                          help='JSON {"t": int, "target": [...]} or @file')
@@ -137,47 +132,12 @@ def _check_sizes(scenario, what, law):
                                   f"scenario {key} {getattr(scenario, key)}")
 
 
-def _check_gains(scenario, plant, cost, controller):
-    """ValidationError unless the law's :func:`gain_stationarity` against the
-    scenario's dynamics and ``cost`` is at most GAIN_STATIONARITY_LIMIT."""
-    residual = gain_stationarity(linear_system_from_plant(plant, scenario.horizon), cost,
-                                 controller)
-    if not residual <= GAIN_STATIONARITY_LIMIT:
-        raise ValidationError(f"controller gain_stationarity {residual:.3g} exceeds "
-                              f"{GAIN_STATIONARITY_LIMIT:g}: the artifacts were solved "
-                              "for other weights or dynamics than the scenario's")
-
-
-def _check_law(scenario, cost, controller, maps_law):
-    """ValidationError unless both artifacts hold one law, optimal for the scenario.
-
-    Held states and gain blocks must match bit for bit, and the law must
-    pass :func:`_check_gains` against ``cost`` (an edit moves only targets).
-    """
-    if controller.held != maps_law.held or not all(
-            np.array_equal(a, b) for a, b in zip(controller.gains, maps_law.gains)):
-        raise ValidationError("the maps artifact holds another law than the controller "
-                              "artifact: they come from different solves")
-    plant = build_plant(scenario)
-    if not plant.is_linear:
-        raise ValidationError(f"adapt needs a linear plant, got '{plant.name}'")
-    _check_gains(scenario, plant, cost, controller)
-
-
-def _check_loaded_law(scenario, plant, controller):
-    """ValidationError unless a loaded esls or dp-lqt law on a linear plant passes
-    :func:`_check_gains`.
-
-    An esls law is checked against the scenario's cost, a dp-lqt law against
-    that cost's ``diagonal_projection()``, the cost the solver synthesizes.
-    An open-loop plan has no gains, and an isls law's gains belong to its
-    last subproblem, so neither is checked.
-    """
-    kind = scenario.solver["kind"]
-    if kind in ("esls", "dp-lqt") and isinstance(controller, Controller) and plant.is_linear:
-        cost = build_cost(scenario)
-        _check_gains(scenario, plant, cost if kind == "esls" else cost.diagonal_projection(),
-                     controller)
+def _validate_law(scenario, plant, cost, law):
+    """:func:`~slsctrl.solver.check_law` on the scenario's dynamics, as a ValidationError."""
+    try:
+        check_law(linear_system_from_plant(plant, scenario.horizon), cost, law)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def cmd_rollout(args):
@@ -186,7 +146,8 @@ def cmd_rollout(args):
                                             out=args.out, label=args.label,
                                             trace=False))
     scenario = load_scenario(args.scenario)
-    if scenario.solver["kind"] == "mpc-lqt":
+    kind = scenario.solver["kind"]
+    if kind == "mpc-lqt":
         raise ValidationError(
             "solver.kind: mpc-lqt replans during the rollout and cannot replay "
             "a fixed controller artifact; use solve"
@@ -194,7 +155,13 @@ def cmd_rollout(args):
     plant = build_plant(scenario)
     controller = load_controller_artifact(args.controller)
     _check_sizes(scenario, "controller", controller)
-    _check_loaded_law(scenario, plant, controller)
+    # an esls law against the scenario's cost, a dp-lqt law against the cost
+    # that solver synthesizes; a batch-lqt plan has zero gains and an isls
+    # law's gains belong to its last subproblem, so neither is checked
+    if kind in ("esls", "dp-lqt") and plant.is_linear:
+        cost = build_cost(scenario)
+        _validate_law(scenario, plant, cost if kind == "esls" else cost.diagonal_projection(),
+                      controller)
     traj = rollout(plant, controller, **rollout_draws(scenario, plant, args.seed))
     realized, cumulative = realized_cost(scenario, traj)
     out_dir = run_dir(args.out, scenario.name, args.label)
@@ -259,14 +226,11 @@ def cmd_adapt(args):
     edit = parse_edit(scenario, _load_edits(args.edit_json), "--edit-json", ADAPT_EDIT)
     new_config = apply_viapoint_edit(scenario.raw, edit["t"], edit["target"])
     new_cost = build_cost(Scenario.from_dict(new_config))
-    controller = load_controller_artifact(args.controller)
-    if not isinstance(controller, Controller):
-        raise ValidationError(f"controller artifact {args.controller}: an open-loop "
-                              "controller has no feedforward to retarget")
     maps, _, _ = load_maps_artifact(args.maps)
-    _check_sizes(scenario, "controller", controller)
-    _check_sizes(scenario, "maps", maps.controller)
-    _check_law(scenario, new_cost, controller, maps.controller)
+    controller = maps.controller
+    _check_sizes(scenario, "maps", controller)
+    # an edit moves only targets, so the law must be optimal for the edited cost
+    _validate_law(scenario, build_plant(scenario), new_cost, controller)
     t0 = time.perf_counter()
     k_new = adapt_feedforward(maps, new_cost.x_d, new_cost.u_d)
     adapt_seconds = time.perf_counter() - t0

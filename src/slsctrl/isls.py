@@ -28,6 +28,8 @@ from .solver import Controller, extract_controller, solve_esls
 from .stacked import TimeVaryingLinearSystem, build_stacked
 
 NOMINAL_DEFECT_TOL = 1e-8   # largest |f(x_t, u_t) - x_{t+1}| linearize_plant keeps a nominal at
+ALPHAS = tuple(0.5 ** k for k in range(11))   # backtracking schedule of the feedforward scaling
+STATIONARITY_FLOOR = 1e-9   # a subproblem feedforward this small proposes no move
 
 
 class TrackingObjective:
@@ -222,8 +224,8 @@ class IslsConfig:
     than tolerance * max(1, |cost|) arms the stop; the loop then terminates
     once the next subproblem's feedforward is small enough
     (``stationarity_tolerance``; None accepts any size).  A feedforward
-    below ``stationarity_floor`` stops immediately: the subproblem proposes
-    no move, so the nominal is already stationary.  ``alphas`` is the
+    at or below STATIONARITY_FLOOR stops immediately: the subproblem proposes
+    no move, so the nominal is already stationary.  ALPHAS is the
     backtracking schedule for the feedforward scaling; an exhausted schedule
     (no strict decrease) also terminates the loop, unconverged with reason
     "non_finite" when a trial cost was not finite, else with reason "stall",
@@ -232,11 +234,9 @@ class IslsConfig:
 
     tolerance: float = 1e-6
     max_iterations: int = 100
-    alphas: tuple = tuple(0.5 ** k for k in range(11))
     regularization: float = 1e-6
     hessian_floor: float = None
     stationarity_tolerance: float = None
-    stationarity_floor: float = 1e-9
 
 
 @dataclass
@@ -320,7 +320,7 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         ctrl = extract_controller(response)
         step_norm = float(np.max(np.abs(ctrl.k))) if ctrl.k.size else 0.0
 
-        if step_norm <= cfg.stationarity_floor:
+        if step_norm <= STATIONARITY_FLOOR:
             reason = "stationary"
             break
         if pending_tol and (cfg.stationarity_tolerance is None
@@ -332,7 +332,7 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
             break
 
         accepted, non_finite = None, False
-        for alpha in cfg.alphas:
+        for alpha in ALPHAS:
             xs, us = closed_loop_step(plant, ctrl, alpha * ctrl.k, x_hat, u_hat)
             trial = objective.true_cost(xs, us)
             if trial < cost_value:

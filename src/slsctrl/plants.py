@@ -345,24 +345,6 @@ class Trajectory:
         return self.inputs.reshape(-1)
 
 
-class OpenLoopController:
-    """Fixed input sequence wrapped in the controller interface."""
-
-    def __init__(self, inputs, state_dim):
-        self.inputs = np.asarray(inputs, dtype=float)
-        if self.inputs.ndim != 2 or not np.isfinite(self.inputs).all():
-            raise ValueError("inputs must be a finite (T+1, n) array")
-        self.state_dim = state_dim
-        self.input_dim = self.inputs.shape[1]
-
-    @property
-    def horizon(self):
-        return self.inputs.shape[0] - 1
-
-    def control(self, t, x_history):
-        return self.inputs[t].copy()
-
-
 def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=None):
     """Resolve the stacked disturbance for a rollout; explicit w wins, then x0."""
     if w is not None:

@@ -48,8 +48,12 @@ Artifacts written per run: ``controller.bin`` (numpy archive of the control
 law), ``maps.bin`` (the same law plus the retarget maps, ``esls`` only),
 ``trajectory.csv``, ``report.json`` (seeds, config hash, realized cost,
 residuals), and optionally ``trace.csv`` with per-iteration solver progress.
-One codec writes and reads the law of both archives, and one reader turns
-any failure to read or parse one into :class:`ValidationError`.
+Every solver's result is one :class:`Controller`, a ``batch-lqt`` plan the
+law with zero gains, so one codec writes and reads the law of both
+archives (an ``open_loop`` plan file of an earlier version still loads as
+that law), and one reader turns any failure to read or parse one into
+:class:`ValidationError`.  ``slsctrl adapt`` reads its law from
+``maps.bin`` alone.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ from .costs import (
 from .isls import IslsConfig, TrackingObjective, isls_optimize
 from .plants import (
     LinearPlant,
-    OpenLoopController,
     batch_lqt,
     double_integrator_plant,
     dp_lqt,
@@ -106,6 +109,8 @@ class SolverNotConverged(RuntimeError):
 
 
 _JSON_ATOMS = (str, int, float, bool, type(None))
+# the encoding config_sha256 hashes; built once, since each metadata check runs it
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _OBJECT, _LIST = "expected an object, got {1}", "expected a list, got {1}"
 
 
@@ -152,6 +157,16 @@ def _as_instance(value, path, kind, message):
     """``value`` if it is a ``kind``, else ``message`` formatted with it (shown) and its type."""
     if not isinstance(value, kind):
         raise ValidationError(f"{path}: " + message.format(_shown(value), type(value).__name__))
+    return value
+
+
+def _as_metadata(value, path):
+    """An object that the reports can write as JSON, as :func:`config_sha256` does."""
+    _as_instance(value, path, dict, "expected an object")
+    try:
+        _CANONICAL_JSON.encode(value)
+    except (TypeError, ValueError) as exc:   # say an int of over 4300 digits
+        raise ValidationError(f"{path}: cannot be written as JSON ({exc})") from None
     return value
 
 
@@ -288,7 +303,7 @@ _SCENARIO = {
     "name": _f(_REQUIRED, _as_name), "horizon": _f(_REQUIRED, _as_int, 1, MAX_HORIZON),
     "dt": _f(_REQUIRED, _as_float, 0.0),
     "description": _f("", _as_instance, str, "expected a string, got {1}"),
-    "metadata": _f({}, _as_instance, dict, "expected an object"),
+    "metadata": _f({}, _as_metadata),
     # the sections, each walked by Scenario.from_dict
     "plant": _f(_REQUIRED, None), "cost": _f(_REQUIRED, None), "noise": _f(None, None),
     "initial_state": _f(None, None), "perturbations": _f([], None),
@@ -527,7 +542,7 @@ def scenario_from(source, overrides=None):
 
 
 def config_sha256(config):
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    blob = _CANONICAL_JSON.encode(config).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -704,20 +719,14 @@ def _read(path, what, parse):
 
 
 def write_controller_artifact(path, controller):
-    """Serialize a :class:`Controller` (:func:`_law_arrays`) or an open-loop plan (.bin)."""
-    if isinstance(controller, Controller):
-        _write(path, _law_arrays(controller))
-    elif isinstance(controller, OpenLoopController):
-        _write(path, {"kind": np.array("open_loop"), "inputs": controller.inputs,
-                      "state_dim": np.array(controller.state_dim)})
-    else:
-        raise TypeError(f"cannot serialize controller of type {type(controller).__name__}")
+    """Serialize a :class:`Controller` as a .bin archive of :func:`_law_arrays`."""
+    _write(path, _law_arrays(controller))
 
 
 def _controller(data):
     kind = str(data["kind"])
-    if kind == "open_loop":
-        return OpenLoopController(data["inputs"], int(data["state_dim"]))
+    if kind == "open_loop":   # an input plan, as earlier batch-lqt solves wrote it
+        return Controller.open_loop(data["inputs"], int(data["state_dim"]))
     if kind != "affine_memory":
         raise ValueError(f"unknown kind {_shown(kind)}")
     return _law(data)
@@ -830,8 +839,8 @@ def _solve_scenario(scenario, plant, x0, trace=False):
             info["residuals"] = response.residuals()
         elif kind == "batch-lqt":
             u = batch_lqt(build_stacked(system), cost, x0=x0)
-            controller = OpenLoopController(u.reshape(-1, plant.input_dim),
-                                            plant.state_dim)
+            controller = Controller.open_loop(u.reshape(-1, plant.input_dim),
+                                              plant.state_dim)
         else:
             # dp-lqt; for mpc-lqt the plan before its one re-solve
             controller = dp_lqt(system, cost.diagonal_projection())

@@ -114,6 +114,40 @@ def gain_stationarity(system, cost, law):
     return float(np.linalg.norm(SuQx + Ru) / max(scale, np.finfo(float).tiny))
 
 
+# genuine solves read 1e-15 to 7e-13, gains of a tenfold mug_sugar control weight 0.82
+GAIN_STATIONARITY_LIMIT = 1e-8
+
+
+def check_law(system, cost, law):
+    """ValueError unless ``law`` is the optimal law of ``(system, cost)``.
+
+    The law must have the cost's horizon and state/input sizes (``system``
+    has them too), hold the states :func:`held_states` gives, and have its
+    :func:`gain_stationarity` at most GAIN_STATIONARITY_LIMIT.  The message
+    names what differs.
+    """
+    _check_structure(law, cost)
+    residual = gain_stationarity(system, cost, law)
+    if not residual <= GAIN_STATIONARITY_LIMIT:
+        raise ValueError(f"controller gain_stationarity {residual:.3g} exceeds "
+                         f"{GAIN_STATIONARITY_LIMIT:g}: the law was solved for other "
+                         "weights or dynamics than the cost's")
+
+
+def _check_structure(law, cost):
+    """ValueError unless ``law`` has the horizon, sizes and held states of ``cost``."""
+    dims = (cost.horizon, cost.state_dim, cost.input_dim)
+    got = (law.horizon, law.state_dim, law.input_dim)
+    if got != dims:
+        raise ValueError(f"controller horizon and state/input sizes {got} differ from "
+                         f"the cost's {dims}")
+    held = held_states(cost)
+    if list(law.held) != held:
+        t = next(t for t, (a, b) in enumerate(zip(law.held, held)) if a != b)
+        raise ValueError(f"controller holds timesteps {law.held[t]} at t={t}, "
+                         f"the cost's correlations need {held[t]}")
+
+
 def _input_adjoint(system, g):
     """S_u'g for columns g (T+1, m, c): one adjoint pass over A_t and B_t."""
     A, B = system.A, system.B
@@ -131,7 +165,8 @@ class Controller:
     ``gains[t]`` holds the only blocks that can be nonzero, K[t, t] and
     K[t, s] for s in ``held[t]``, side by side.  The constructor keeps those
     blocks of a dense :class:`BlockLowerTriangular`; :meth:`from_gains`
-    takes them directly.  Without a nominal the law acts on absolute states;
+    takes them directly, and :meth:`open_loop` makes an input plan the law
+    with zero gains.  Without a nominal the law acts on absolute states;
     the iterative solver wraps it around a nominal trajectory.
 
     ``hessian_inv`` (T+1, n, n) holds the inverse step Hessians of the
@@ -164,6 +199,15 @@ class Controller:
         ctrl = cls.__new__(cls)
         ctrl._set_steps(held, gains, k, nominal_x, nominal_u, hessian_inv)
         return ctrl
+
+    @classmethod
+    def open_loop(cls, inputs, state_dim):
+        """The K = 0 law u_t = inputs[t] of a (T+1, n) input plan: no held states."""
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim != 2 or not np.isfinite(inputs).all():
+            raise ValueError("inputs must be a finite (T+1, n) array")
+        T1, n = inputs.shape
+        return cls.from_gains([()] * T1, list(np.zeros((T1, n, state_dim))), inputs)
 
     def _set_steps(self, held, gains, k, nominal_x, nominal_u, hessian_inv):
         n, m = gains[0].shape[0], gains[0].shape[1] // (1 + len(held[0]))

@@ -20,7 +20,7 @@ from slsctrl import (
 )
 from slsctrl.bench import bundled_scenario_path
 from slsctrl.costs import CorrelationSpec, CostSpec
-from slsctrl.isls import closed_loop_step, nominal_rollout
+from slsctrl.isls import ALPHAS, closed_loop_step, nominal_rollout
 from slsctrl.plants import PlanarArmPlant
 from slsctrl.scenarios import (
     Scenario,
@@ -133,8 +133,8 @@ def test_flat_tail_cost_forces_backtracking():
         return obj.true_cost(xs, us)
 
     base = obj.true_cost(x_hat, u_hat)
-    _, costs = alpha_scan(cost_of_alpha, cfg.alphas)
-    improving = [a for a, c in zip(cfg.alphas, costs) if c < base]
+    _, costs = alpha_scan(cost_of_alpha, ALPHAS)
+    improving = [a for a, c in zip(ALPHAS, costs) if c < base]
     assert cost_of_alpha(1.0) > base        # full step overshoots
     assert improving and improving[0] < 1.0
 

@@ -8,7 +8,6 @@ from slsctrl import (
     Controller,
     LinearPlant,
     NoiseModel,
-    OpenLoopController,
     TimeVaryingLinearSystem,
     batch_lqt,
     build_viapoint_cost,
@@ -214,9 +213,11 @@ def test_linear_system_from_plant_equals_the_per_step_build():
 def test_open_loop_and_step_feedback_controllers():
     T, m, n = 3, 2, 1
     inputs = np.arange((T + 1) * n, dtype=float).reshape(T + 1, n)
-    ctrl = OpenLoopController(inputs, m)
-    hist = np.zeros((1, m))
-    npt.assert_allclose(ctrl.control(0, hist.ravel()), [0.0])
+    ctrl = Controller.open_loop(inputs, m)
+    assert ctrl.held == [()] * (T + 1) and (ctrl.horizon, ctrl.state_dim) == (T, m)
+    npt.assert_array_equal(ctrl.control(2, np.full(3 * m, 7.0)), inputs[2])
+    with pytest.raises(ValueError, match="inputs must be a finite"):
+        Controller.open_loop(np.r_[inputs[:-1], [[np.nan]]], m)
     gains = np.zeros((T + 1, n, m))
     gains[1] = [[2.0, 0.0]]
     offs = np.zeros((T + 1, n))
@@ -261,7 +262,7 @@ def test_rollout_determinism_and_impulse_decay():
 
 def test_rollout_rejects_nonfinite_start_and_disturbance():
     plant = double_integrator_plant(1, 0.1)
-    ctrl = OpenLoopController(np.zeros((4, 1)), 2)
+    ctrl = Controller.open_loop(np.zeros((4, 1)), 2)
     with pytest.raises(ValueError, match="x0"):
         rollout(plant, ctrl, x0=[np.inf, 0.0])
     w = np.zeros(8)
@@ -272,7 +273,7 @@ def test_rollout_rejects_nonfinite_start_and_disturbance():
 
 def test_realize_disturbance_precedence():
     plant = LinearPlant(np.eye(2), np.eye(2))
-    ctrl = OpenLoopController(np.zeros((4, 2)), 2)
+    ctrl = Controller.open_loop(np.zeros((4, 2)), 2)
     w = np.zeros(8)
     w[0] = 1.0
     with pytest.raises(ValueError):

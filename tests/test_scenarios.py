@@ -14,7 +14,6 @@ import pytest
 
 from slsctrl import (
     Controller,
-    OpenLoopController,
     TrackingObjective,
     adapt_feedforward,
     bench_adaptation,
@@ -297,11 +296,14 @@ def test_config_copies_share_nothing_mutable():
     source["cost"]["viapoints"][1]["target"][0] = 7.0
     source["metadata"]["task"] = "stir"
     assert scenario.raw == pristine and edited["metadata"]["task"] == "pour"
-    # a value that is not JSON is deep-copied, not shared
+    # a value that is not JSON is deep-copied, not shared (from_dict then
+    # rejects it as metadata, which the reports could not write)
     with_array = dict(pristine, metadata={"offset": np.zeros(3)})
-    copied = Scenario.from_dict(with_array).raw["metadata"]["offset"]
+    copied = slsctrl.scenarios._json_copy(with_array)["metadata"]["offset"]
     assert copied is not with_array["metadata"]["offset"]
     npt.assert_array_equal(copied, np.zeros(3))
+    with pytest.raises(ValidationError, match="scenario.metadata: cannot be written as JSON"):
+        Scenario.from_dict(with_array)
 
 
 def test_apply_viapoint_edit_matches_deepcopy_reference():
@@ -524,12 +526,18 @@ def test_tampered_maps_artifact_names_field(tmp_path):
         load_maps_artifact(truncated)
 
 
+def _open_loop_arrays(inputs, state_dim):
+    """The arrays of an input-plan controller.bin as batch-lqt solves once wrote it."""
+    return {"format_version": np.array(4), "kind": np.array("open_loop"),
+            "inputs": np.asarray(inputs, float), "state_dim": np.array(state_dim)}
+
+
 def test_controller_loader_rejects_missing_version_and_nan_inputs(tmp_path):
     path = tmp_path / "open_loop.bin"
-    write_controller_artifact(path, OpenLoopController(np.ones((4, 2)), 3))
-    assert load_controller_artifact(path).inputs.shape == (4, 2)
-    with np.load(path) as data:
-        good = dict(data)
+    good = _open_loop_arrays(np.ones((4, 2)), 3)
+    with open(path, "wb") as fh:
+        np.savez(fh, **good)
+    npt.assert_array_equal(load_controller_artifact(path).k, np.ones(8))
     inputs = good["inputs"].copy()
     inputs[2, 1] = np.nan
     for match, arrays in [("inputs", dict(good, inputs=inputs)),
@@ -539,6 +547,22 @@ def test_controller_loader_rejects_missing_version_and_nan_inputs(tmp_path):
             np.savez(fh, **arrays)
         with pytest.raises(ValidationError, match=match):
             load_controller_artifact(path)
+
+
+def test_open_loop_artifact_of_an_earlier_version_replays_its_inputs(tmp_path):
+    # it loads as the law with zero gains, whose inputs are the plan's
+    # whatever the states
+    scenario, plant, _, _ = _mug()
+    T1 = scenario.horizon + 1
+    inputs = np.random.default_rng(5).normal(size=(T1, scenario.input_dim))
+    path = tmp_path / "open_loop.bin"
+    with open(path, "wb") as fh:
+        np.savez(fh, **_open_loop_arrays(inputs, scenario.state_dim))
+    law = load_controller_artifact(path)
+    assert law.held == [()] * T1 and not np.concatenate(law.gains).any()
+    traj = rollout(plant, law, noise=build_noise(scenario), seed=3)
+    assert traj.states.std() > 0
+    npt.assert_array_equal(traj.inputs, inputs)
 
 
 def test_tampered_controller_artifact_names_field(tmp_path):
@@ -615,10 +639,7 @@ def test_version_2_artifacts_are_rejected(tmp_path):
         load_maps_artifact(path)
     good = _mug_maps_file(tmp_path)
     law_keys = ("kind", "k", "diagonal", "memory_blocks", "memory_rows", "memory_cols")
-    open_loop = tmp_path / "open_loop.bin"
-    write_controller_artifact(open_loop, OpenLoopController(np.zeros((3, 1)), 2))
-    with np.load(open_loop) as data:
-        open_loop = dict(data)
+    open_loop = _open_loop_arrays(np.zeros((3, 1)), 2)
     for version, maps, controllers in [
             (2, good, [open_loop]),
             (3, {key: v for key, v in good.items() if key not in ("kind", "k")},
@@ -780,7 +801,6 @@ def test_cli_adapt_roundtrip(tmp_path):
     new_target[0] += 0.25
     edit = json.dumps({"t": 70, "target": new_target})
     proc = _cli("adapt", "--scenario", mug,
-                "--controller", str(base / "controller.bin"),
                 "--maps", str(base / "maps.bin"),
                 "--edit-json", edit,
                 "--out", str(tmp_path), "--label", "edited")
@@ -871,31 +891,41 @@ def test_cli_rollout_checks_the_gains_of_esls_and_dp_lqt_laws(tmp_path, mug_arti
         assert proc.returncode == 0, proc.stderr
         proc = _cli("rollout", "--scenario", scenario, "--controller",
                     str(tenfold / "controller.bin"), "--out", str(tmp_path))
-        _assert_validation_error(proc, "exceeds 1e-08: the artifacts were solved for other")
+        _assert_validation_error(proc, "exceeds 1e-08: the law was solved for other")
+
+
+def test_cli_rollout_replays_a_batch_lqt_plan(tmp_path):
+    # the plan is a zero-gain law in controller.bin; a rollout with the
+    # solve's seed gives the solve's states and inputs, bit for bit
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    config["solver"] = {"kind": "batch-lqt"}
+    path = tmp_path / "mug_batch.json"
+    path.write_text(json.dumps(config))
+    solved = Path(run_scenario(path, seed=4, out=tmp_path, label="solve")["out_dir"])
+    proc = _cli("rollout", "--scenario", str(path), "--controller",
+                str(solved / "controller.bin"), "--seed", "4", "--out", str(tmp_path),
+                "--label", "replay")
+    assert proc.returncode == 0, proc.stderr
+    # every column but the cost so far, as written (%.17g)
+    rows = [[line.rsplit(",", 1)[0] for line in (d / "trajectory.csv").read_text().split()]
+            for d in (solved, solved.parent / "replay")]
+    assert len(rows[0]) == config["horizon"] + 2 and rows[1] == rows[0]
 
 
 def test_cli_adapt_rejects_artifacts_of_other_dimensions(tmp_path, mug_artifacts):
     mug = str(bundled_scenario_path("mug_sugar"))
     raw = load_scenario(mug).raw
     edit = json.dumps({"t": 70, "target": raw["cost"]["viapoints"][1]["target"]})
-    open_loop = tmp_path / "open_loop.bin"
-    write_controller_artifact(open_loop, OpenLoopController(np.zeros((101, 3)), 6))
     truncated = _truncated_maps(tmp_path, mug_artifacts)
-    base, flat, tenfold = (mug_artifacts[label] for label in ("3d", "2d", "tenfold"))
-    for controller, maps, message in [
-            (flat / "controller.bin", flat / "maps.bin",
-             "controller state_dim 4 does not match scenario state_dim 6"),
-            (base / "controller.bin", flat / "maps.bin",
-             "maps state_dim 4 does not match scenario state_dim 6"),
-            (open_loop, base / "maps.bin", "open-loop controller has no feedforward"),
-            (base / "controller.bin", truncated, f"maps artifact {truncated}"),
-            # the maps of a solve with a tenfold control weight hold another
-            # law than the base controller; that solve's own pair holds one
-            # law, but not the one the scenario's weights give
-            (base / "controller.bin", tenfold / "maps.bin", "maps artifact holds another law"),
-            (tenfold / "controller.bin", tenfold / "maps.bin", "gain_stationarity")]:
-        proc = _cli("adapt", "--scenario", mug, "--controller", str(controller),
-                    "--maps", str(maps), "--edit-json", edit, "--out", str(tmp_path))
+    flat, tenfold = mug_artifacts["2d"], mug_artifacts["tenfold"]
+    for maps, message in [
+            (flat / "maps.bin", "maps state_dim 4 does not match scenario state_dim 6"),
+            (truncated, f"maps artifact {truncated}"),
+            # the law of a solve with a tenfold control weight, not the one
+            # the scenario's weights give
+            (tenfold / "maps.bin", "gain_stationarity")]:
+        proc = _cli("adapt", "--scenario", mug, "--maps", str(maps), "--edit-json", edit,
+                    "--out", str(tmp_path))
         _assert_validation_error(proc, message)
 
 
@@ -910,9 +940,8 @@ def test_cli_adapt_parses_edits_as_viapoints(tmp_path, mug_artifacts):
             ({"t": 70.9, "target": zeros}, "--edit-json.t: expected an integer, got 70.9"),
             ({"t": 70, "target": zeros, "at": 3}, "--edit-json: unknown key(s) ['at']"),
             ({"t": 71, "target": zeros}, "--edit-json.t: no viapoint at t=71 to edit")]:
-        proc = _cli("adapt", "--scenario", mug, "--controller", str(base / "controller.bin"),
-                    "--maps", str(base / "maps.bin"), "--edit-json", json.dumps(edit),
-                    "--out", str(tmp_path))
+        proc = _cli("adapt", "--scenario", mug, "--maps", str(base / "maps.bin"),
+                    "--edit-json", json.dumps(edit), "--out", str(tmp_path))
         _assert_validation_error(proc, message)
     for edits, message in [
             ([{"t": None, "target": zeros}], "target_edits[0].t: expected an integer, got None"),
@@ -921,6 +950,19 @@ def test_cli_adapt_parses_edits_as_viapoints(tmp_path, mug_artifacts):
             ({"t": 70, "target": zeros}, "target_edits: expected a list, got dict")]:
         proc = _cli("bench", "adapt", "--edit-json", json.dumps(edits), "--out", str(tmp_path))
         _assert_validation_error(proc, message)
+
+
+def test_metadata_that_cannot_be_written_as_json_is_rejected(tmp_path):
+    # config_sha256 raised a bare ValueError on these after the solve had
+    # written controller.bin, maps.bin and trajectory.csv
+    mug = bundled_scenario_path("mug_sugar")
+    for value in (10**5000, -10**5000, [10**5000], [[10**5000]], {3: 1, "b": 2}):
+        with pytest.raises(ValidationError, match=re.escape(
+                "scenario.metadata: cannot be written as JSON")):
+            run_scenario(mug, out=tmp_path / "out", overrides={"metadata.task": value})
+    assert not (tmp_path / "out").exists()
+    scenario = scenario_from(mug, {"metadata.task": [10**400, {"a": None}]})
+    assert len(config_sha256(scenario.raw)) == 64
 
 
 def test_scenario_name_is_one_path_component(tmp_path):

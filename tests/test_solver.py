@@ -28,7 +28,7 @@ from slsctrl import (
     solve_esls,
 )
 import slsctrl.solver
-from slsctrl.solver import held_states
+from slsctrl.solver import check_law, held_states
 
 from dense_views import (
     achievability_residual,
@@ -516,6 +516,38 @@ def test_gain_stationarity_detects_perturbed_gains():
                 resp, controller=Controller.from_gains(law.held, gains, law.k))
             assert wrong.stationarity(plan) == resp.stationarity()
             assert wrong.gain_stationarity() >= floor
+
+
+def _law_request(seed, correlations, T=60, control_weight=1e-2):
+    # a 2-D double integrator with three viapoints and ``correlations``
+    # position correlations; the seed fixes the viapoints whatever the rest
+    rng = np.random.default_rng(seed)
+    d, m = 2, 4
+    w = np.diag(np.r_[1e4 * np.ones(d), 1e2 * np.ones(d)])
+    vps = [(t, np.r_[rng.uniform(-0.5, 0.5, d), np.zeros(d)], w) for t in (15, 40, T)]
+    cost = build_viapoint_cost(T, vps, control_weight, state_dim=m, input_dim=d)
+    for _ in range(correlations):
+        t1, t2 = sorted(rng.choice(np.arange(5, T + 1), 2, replace=False))
+        cost = add_correlation(cost, CorrelationSpec(
+            int(t1), int(t2), np.eye(m), np.zeros(m), np.diag(np.r_[1e4 * np.ones(d),
+                                                                    np.zeros(d)])))
+    return linear_system_from_plant(double_integrator_plant(d, 0.01), T), cost
+
+
+def test_check_law_accepts_genuine_laws_and_names_what_differs():
+    for correlations in range(4):
+        st, cost = _law_request(correlations, correlations)
+        check_law(st, cost, solve_esls(st, cost).controller)
+    st, cost = _law_request(3, 3)
+    projected = cost.diagonal_projection()
+    check_law(st, projected, dp_lqt(st, projected))
+    tenfold, no_correlation = _law_request(3, 3, control_weight=0.1), _law_request(3, 0)
+    shorter = _law_request(3, 3, T=50)
+    for (system, other), match in [(tenfold, "gain_stationarity .* exceeds 1e-08"),
+                                   (no_correlation, r"controller holds timesteps \(\) at t="),
+                                   (shorter, r"horizon and state/input sizes \(50, 4, 2\)")]:
+        with pytest.raises(ValueError, match=match):
+            check_law(st, cost, solve_esls(system, other).controller)
 
 
 def _held_by_definition(cost):
