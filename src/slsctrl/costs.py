@@ -49,12 +49,17 @@ class CorrelationSpec:
         if not is_symmetric(self.Q_c):
             raise ValueError("Q_c must be symmetric")
 
+    @classmethod
+    def _unchecked(cls, t1, t2, C, c, Q_c):
+        """A spec of float arrays whose checks the caller has made; none is run again."""
+        out = object.__new__(cls)
+        out.t1, out.t2, out.C, out.c, out.Q_c = t1, t2, C, c, Q_c
+        return out
+
     def copy(self):
         """Copy with arrays of its own, in their memory order; no field is checked again."""
-        out = object.__new__(type(self))
-        out.t1, out.t2 = self.t1, self.t2
-        out.C, out.c, out.Q_c = (a.copy(order="K") for a in (self.C, self.c, self.Q_c))
-        return out
+        return self._unchecked(self.t1, self.t2,
+                               *(a.copy(order="K") for a in (self.C, self.c, self.Q_c)))
 
     def evaluate(self, x_t1, x_t2):
         """Direct evaluation of the correlation cost on two state blocks."""
@@ -86,7 +91,8 @@ class CostSpec:
         T1, m, n = self.horizon + 1, self.state_dim, self.input_dim
         self.Q = {}
         self.R = np.zeros((T1, n, n))
-        self.R[:] = self._as_weight(control_weight if control_weight is not None else 0.0, n)
+        if control_weight is not None:
+            self.R[:] = self._as_weight(control_weight, n)
         self.x_d = np.zeros(T1 * m)
         self.u_d = np.zeros(T1 * n)
         self._lin = np.zeros(T1 * m)
@@ -173,20 +179,53 @@ class CostSpec:
                     frontier.append(s)
         return sorted(comp)
 
+    @classmethod
+    def _assemble(cls, horizon, state_dim, control_weight, viapoints, correlations):
+        """Cost of checked terms, none checked again: the (n, n) weight of every
+        step, (t, target (m,), weight (m, m)) viapoints and correlation specs."""
+        cost = cls(horizon, state_dim, control_weight.shape[0])
+        cost.R[:] = control_weight
+        for t, target, w in viapoints:
+            cost._add_viapoint(t, target, w)
+        cost._add_correlations([corr.copy() for corr in correlations])
+        return cost
+
+    def _add_viapoint(self, t, target, w):
+        """Add the checked term (x_t - target)' w (x_t - target) in place and record it."""
+        m = self.state_dim
+        self._add_q(t, t, w)
+        self._lin[t * m:(t + 1) * m] += w @ target
+        self.x_d[t * m:(t + 1) * m] = target
+        self.viapoints.append((t, target.copy(), w))
+
+    def _add_correlations(self, corrs):
+        """Fold correlations in place, then re-derive x_d once per coupled component.
+
+        x_d on a component depends only on its final Q and linear blocks, so
+        one refresh after every fold gives the x_d of a refresh after each.
+        """
+        for corr in corrs:
+            self._fold_correlation(corr)
+        refreshed = set()
+        for corr in corrs:
+            if corr.t1 not in refreshed:
+                refreshed.update(self._refresh_targets(corr.t1))
+
     def _fold_correlation(self, corr):
         """Add a correlation's Q blocks and linear terms in place and record it.
 
         Expanding (C x_{t1} + c - x_{t2})' Q_c (...) in the shifted variable
         x_{t2} - c contributes C'Q_cC at (t1,t1), Q_c at (t2,t2), -C'Q_c at
         (t1,t2) plus its transpose, and linear parts -C'Q_c c / Q_c c at
-        t1/t2.  x_d is left as it was: refreshing it is the caller's choice.
+        t1/t2.  x_d is left as it was: :meth:`_add_correlations` refreshes it.
         """
         C, c, Qc, m = corr.C, corr.c, corr.Q_c, self.state_dim
-        self._add_q(corr.t1, corr.t1, C.T @ Qc @ C)
+        CtQ, neg_CtQ = C.T @ Qc, -C.T @ Qc
+        self._add_q(corr.t1, corr.t1, CtQ @ C)
         self._add_q(corr.t2, corr.t2, Qc)
-        self._add_q(corr.t1, corr.t2, -C.T @ Qc)
+        self._add_q(corr.t1, corr.t2, neg_CtQ)
         self._add_q(corr.t2, corr.t1, -Qc @ C)
-        self._lin[corr.t1 * m:(corr.t1 + 1) * m] += -C.T @ Qc @ c
+        self._lin[corr.t1 * m:(corr.t1 + 1) * m] += neg_CtQ @ c
         self._lin[corr.t2 * m:(corr.t2 + 1) * m] += Qc @ c
         self.correlations.append(corr)
 
@@ -267,13 +306,10 @@ def build_viapoint_cost(horizon, viapoints, control_weight, state_dim=None, inpu
         input_dim = cw.shape[0]
     elif cw.ndim == 1:
         input_dim = cw.size
-    # every step shares this one weight, so one factorization validates R
     control_weight = CostSpec._as_weight(control_weight, input_dim)
-    try:
-        np.linalg.cholesky(control_weight)
-    except np.linalg.LinAlgError:
-        raise ValueError("control weight is not positive definite") from None
-    cost = CostSpec(horizon, state_dim, input_dim, control_weight=control_weight)
+    check_control_weight(control_weight)
+    cost = CostSpec(horizon, state_dim, input_dim)
+    cost.R[:] = control_weight
 
     seen_targets = {}
     for t, target, weight in viapoints:
@@ -288,12 +324,16 @@ def build_viapoint_cost(horizon, viapoints, control_weight, state_dim=None, inpu
         if t in seen_targets and not np.array_equal(seen_targets[t], target):
             raise ValueError(f"conflicting targets for duplicate viapoint at t={t}")
         seen_targets[t] = target
-        cost._add_q(t, t, w)
-        m = state_dim
-        cost._lin[t * m:(t + 1) * m] += w @ target
-        cost.x_d[t * m:(t + 1) * m] = target
-        cost.viapoints.append((t, target.copy(), w))
+        cost._add_viapoint(t, target, w)
     return cost
+
+
+def check_control_weight(control_weight):
+    """Raise ValueError unless the (n, n) weight, which every step shares, is PD."""
+    try:
+        np.linalg.cholesky(control_weight)
+    except np.linalg.LinAlgError:
+        raise ValueError("control weight is not positive definite") from None
 
 
 def add_correlation(cost, corr):
@@ -309,8 +349,7 @@ def add_correlation(cost, corr):
     if corr.t2 > cost.horizon:
         raise ValueError(f"correlation t2={corr.t2} outside horizon {cost.horizon}")
     out = cost.copy()
-    out._fold_correlation(corr.copy())
-    out._refresh_targets(corr.t1)
+    out._add_correlations([corr.copy()])
     return out
 
 

@@ -149,14 +149,10 @@ class TrackingObjective:
             cost.Q[(t, t)] = Q[t]
         cost._lin[:] = np.einsum("tij,tj->ti", Q, x_d).reshape(-1)
         cost.x_d[:] = x_d.reshape(-1)
-        for corr in self.correlations:
-            r_hat = corr.C @ xb[corr.t1] + corr.c - xb[corr.t2]
-            cost._fold_correlation(CorrelationSpec(corr.t1, corr.t2, corr.C, r_hat, corr.Q_c))
-        # correlations that share a coupled component share one refresh
-        refreshed = set()
-        for corr in cost.correlations:
-            if corr.t1 not in refreshed:
-                refreshed.update(cost._refresh_targets(corr.t1))
+        # each correlation, checked when the objective was built, with offset r_hat
+        cost._add_correlations([CorrelationSpec._unchecked(
+            corr.t1, corr.t2, corr.C, corr.C @ xb[corr.t1] + corr.c - xb[corr.t2], corr.Q_c)
+            for corr in self.correlations])
         return cost
 
 

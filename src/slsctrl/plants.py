@@ -15,6 +15,7 @@ targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,10 +138,12 @@ def _reverse_cumsum(a):
 
 def wrap_angle(a):
     """Wrap to the half-open interval (-pi, pi]."""
+    if np.ndim(a) == 0:
+        # Python's float % keeps np.mod's sign rule, so one number is wrapped
+        # as the array route wraps a float64, bit for bit, without ufunc calls
+        r = (float(a) + math.pi) % (2 * math.pi) - math.pi
+        return math.pi if r == -math.pi else r
     r = np.mod(a + np.pi, 2 * np.pi) - np.pi
-    if np.ndim(r) == 0:
-        return float(np.pi) if r == -np.pi else float(r)
-    r = np.asarray(r)
     r[r == -np.pi] = np.pi
     return r
 

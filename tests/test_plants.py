@@ -48,6 +48,26 @@ def test_wrap_angle():
     npt.assert_allclose(wrap_angle(-np.pi - 0.1), np.pi - 0.1, atol=1e-12)
     npt.assert_allclose(wrap_angle(np.pi), np.pi)
     npt.assert_allclose(wrap_angle(0.3), 0.3)
+    # one number is wrapped with Python's float %, an array with np.mod; both
+    # follow one sign rule, so they agree bit for bit, also just below -pi,
+    # where np.mod rounds up to 2 pi and the result is pi
+    def reference(a):
+        r = np.mod(np.asarray(a, dtype=float) + np.pi, 2 * np.pi) - np.pi
+        return np.where(r == -np.pi, np.pi, r)
+
+    below = np.nextafter(-np.pi, -4.0)
+    assert np.mod(below + np.pi, 2 * np.pi) == 2 * np.pi
+    values = [np.pi, -np.pi, 3 * np.pi, -3 * np.pi, below, np.nextafter(np.pi, 4.0), 0.0,
+              -0.0, 0.3, -7.5, 1e9]
+    for a in values:
+        for given in (float(a), np.float64(a), np.array(a)):
+            got = wrap_angle(given)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == reference(given).tobytes(), given
+    assert wrap_angle(below) == np.pi and wrap_angle(-np.pi) == np.pi
+    wrapped = wrap_angle(np.array(values))
+    assert isinstance(wrapped, np.ndarray)
+    assert wrapped.tobytes() == reference(values).tobytes()
 
 
 def test_arm_forward_kinematics():

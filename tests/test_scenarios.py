@@ -14,10 +14,13 @@ import pytest
 
 from slsctrl import (
     Controller,
+    CostSpec,
     TrackingObjective,
     adapt_feedforward,
+    add_correlation,
     bench_adaptation,
     bench_mug_sugar,
+    build_viapoint_cost,
     dp_lqt,
     extract_controller,
     isls_optimize,
@@ -407,6 +410,132 @@ def test_builders_read_the_parsed_scenario(monkeypatch):
             npt.assert_array_equal(a, b)
 
 
+def _chained_cost(scenario):
+    """The scenario's cost through the public builders, one add_correlation per correlation."""
+    cost = build_viapoint_cost(scenario.horizon, scenario.viapoints, scenario.control_weight,
+                               state_dim=scenario.state_dim, input_dim=scenario.input_dim)
+    for corr in scenario.correlations:
+        cost = add_correlation(cost, corr)
+    return cost
+
+
+def _assert_same_bits(a, b):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+def _assert_same_cost(got, expected):
+    assert list(got.Q) == list(expected.Q)
+    for key, block in expected.Q.items():
+        _assert_same_bits(got.Q[key], block)
+    for name in ("_lin", "x_d", "R", "u_d"):
+        _assert_same_bits(getattr(got, name), getattr(expected, name))
+    assert [t for t, _, _ in got.viapoints] == [t for t, _, _ in expected.viapoints]
+    for (_, *arrays), (_, *reference) in zip(got.viapoints, expected.viapoints, strict=True):
+        for a, b in zip(arrays, reference):
+            _assert_same_bits(a, b)
+    assert len(got.correlations) == len(expected.correlations)
+    for a, b in zip(got.correlations, expected.correlations):
+        assert (a.t1, a.t2) == (b.t1, b.t2)
+        for name in ("C", "c", "Q_c"):
+            _assert_same_bits(getattr(a, name), getattr(b, name))
+
+
+def _weight(rng, m, psd=False):
+    """A scalar, a diagonal list or a full symmetric matrix, at random."""
+    form = rng.integers(3)
+    if form == 0:
+        return float(rng.uniform(0.5, 50.0))
+    if form == 1:
+        return (rng.uniform(0.5, 50.0, m) * (rng.random(m) < 0.7 if psd else 1.0)).tolist()
+    L = rng.normal(size=(m, m))
+    return (L @ L.T + (0.0 if psd else 0.5) * np.eye(m)).tolist()
+
+
+def _times(rng, layout, n, T):
+    """(t1, t2) of n correlations: random, one shared t1, a chain, or nested intervals."""
+    if layout == "random":
+        return [tuple(sorted(rng.choice(T + 1, 2, replace=False).tolist())) for _ in range(n)]
+    ts = sorted(rng.choice(T + 1, 2 * n, replace=False).tolist())
+    if layout == "shared":
+        return [(ts[0], t2) for t2 in ts[-n:]]
+    if layout == "chain":
+        return list(zip(ts[:n], ts[1:n + 1]))
+    return [(ts[i], ts[-1 - i]) for i in range(n)]   # nested
+
+
+def _cost_config(rng, n_corr, layout):
+    d, T = int(rng.integers(1, 4)), int(rng.integers(12, 40))
+    m = 2 * d
+    vps = []
+    for t in rng.choice(T + 1, int(rng.integers(1, 5)), replace=False).tolist():
+        target = rng.normal(size=m).tolist()
+        vps.append({"t": t, "target": target, "weight": _weight(rng, m)})
+        if rng.random() < 0.3:   # a repeated timestep with the same target
+            vps.append({"t": t, "target": target, "weight": _weight(rng, m, psd=True)})
+    corrs = []
+    for t1, t2 in _times(rng, layout, n_corr, T):
+        corr = {"t1": t1, "t2": t2, "weight": _weight(rng, m, psd=True),
+                "C": ["identity", {"diag": rng.uniform(0.5, 1.5, m).tolist()},
+                      (np.eye(m) + 0.1 * rng.normal(size=(m, m))).tolist()][rng.integers(3)]}
+        if rng.random() < 0.5:
+            corr["c"] = rng.normal(size=m).tolist()
+        corrs.append(corr)
+    return {"name": "cost_check", "horizon": T, "dt": 0.05,
+            "plant": {"kind": "double_integrator", "dim": d},
+            "cost": {"control_weight": _weight(rng, d), "viapoints": vps,
+                     "correlations": corrs},
+            "solver": {"kind": "esls"}}
+
+
+def test_build_cost_is_the_chained_public_builders_bit_for_bit():
+    # build_cost assembles in place what build_viapoint_cost and one
+    # add_correlation per correlation build: the same Q keys in the same
+    # order, the same bits in every block, target and record
+    for name in ("regulator_smoke", "mug_sugar", "pickplace_arm"):
+        scenario = load_scenario(bundled_scenario_path(name))
+        _assert_same_cost(build_cost(scenario), _chained_cost(scenario))
+    rng = np.random.default_rng(20)
+    for i in range(48):
+        layout = ("random", "shared", "chain", "nested")[i % 4]
+        config = _cost_config(rng, (i // 4) % 4 if layout == "random" else 2 + (i // 4) % 2,
+                              layout)
+        vp = config["cost"]["viapoints"][-1]
+        edited = apply_viapoint_edit(config, vp["t"], rng.normal(size=len(vp["target"])))
+        for source in (config, edited):
+            scenario = Scenario.from_dict(source)
+            _assert_same_cost(build_cost(scenario), _chained_cost(scenario))
+
+
+def test_build_cost_factors_an_isls_control_weight():
+    # from_dict factors R for every solver but isls, so build_cost does it there
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    config["cost"]["control_weight"] = [0.01, 0.0, 0.01]
+    config["solver"] = {"kind": "isls"}
+    scenario = Scenario.from_dict(config)
+    for build in (build_cost, _chained_cost):
+        with pytest.raises(ValueError, match="control weight is not positive definite"):
+            build(scenario)
+
+
+def test_build_cost_copies_no_cost_and_refreshes_each_component_once(monkeypatch):
+    # three correlations in two coupled components, {20, 60, 100} and {70, 90}
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    corr = config["cost"]["correlations"][0]
+    config["cost"]["correlations"] += [dict(corr, t2=60), dict(corr, t1=70, t2=90)]
+    scenario = Scenario.from_dict(config)
+    calls = []
+    copy_cost, refresh = CostSpec.copy, CostSpec._refresh_targets
+    monkeypatch.setattr(CostSpec, "copy",
+                        lambda self: calls.append("copy") or copy_cost(self))
+    monkeypatch.setattr(CostSpec, "_refresh_targets",
+                        lambda self, t: calls.append(("refresh", t)) or refresh(self, t))
+    cost = build_cost(scenario)
+    assert calls == [("refresh", 20), ("refresh", 70)]
+    calls.clear()
+    _assert_same_cost(cost, _chained_cost(scenario))
+    assert calls.count("copy") == 3 and len(calls) == 6
+
+
 def test_scenario_roundtrip_and_hash():
     raw = load_scenario(bundled_scenario_path("mug_sugar")).raw
     assert json.loads(json.dumps(raw)) == raw
@@ -540,9 +669,15 @@ def test_controller_loader_rejects_missing_version_and_nan_inputs(tmp_path):
     npt.assert_array_equal(load_controller_artifact(path).k, np.ones(8))
     inputs = good["inputs"].copy()
     inputs[2, 1] = np.nan
+    # a state_dim that is a float, a bool, not positive, over the plant
+    # maximum or an array would otherwise load as a law of int(...) states
+    bad_sizes = [dict(good, state_dim=np.array(v))
+                 for v in (6.9, True, 0, -2, MAX_PLANT_DIM + 1, [6], 6.0)]
     for match, arrays in [("inputs", dict(good, inputs=inputs)),
                           ("format_version", {k: v for k, v in good.items()
-                                              if k != "format_version"})]:
+                                              if k != "format_version"}),
+                          *((r"state_dim must be an integer in \[1, 100\]", arrays)
+                            for arrays in bad_sizes)]:
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(ValidationError, match=match):
