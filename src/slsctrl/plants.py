@@ -136,13 +136,20 @@ def _reverse_cumsum(a):
     return a[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
 
+def _wrap_float(a):
+    """:func:`wrap_angle` of one Python float.
+
+    Python's float % keeps np.mod's sign rule, so one number is wrapped as
+    the array route wraps a float64, bit for bit, without ufunc calls.
+    """
+    r = (a + math.pi) % (2 * math.pi) - math.pi
+    return math.pi if r == -math.pi else r
+
+
 def wrap_angle(a):
     """Wrap to the half-open interval (-pi, pi]."""
     if np.ndim(a) == 0:
-        # Python's float % keeps np.mod's sign rule, so one number is wrapped
-        # as the array route wraps a float64, bit for bit, without ufunc calls
-        r = (float(a) + math.pi) % (2 * math.pi) - math.pi
-        return math.pi if r == -math.pi else r
+        return _wrap_float(float(a))
     r = np.mod(a + np.pi, 2 * np.pi) - np.pi
     r[r == -np.pi] = np.pi
     return r
@@ -186,14 +193,17 @@ class PlanarArmPlant(Plant):
         self.theta_upper = np.asarray(theta_upper, dtype=float)
         if self.theta_lower.shape != (p,) or self.theta_upper.shape != (p,):
             raise ValueError("joint limits must have one entry per link")
-        if np.any(self.theta_lower > self.theta_upper):
-            raise ValueError("lower joint limit exceeds upper limit")
+        if not np.all(self.theta_lower <= self.theta_upper):   # a NaN limit fails too
+            raise ValueError("joint limits must satisfy lower <= upper")
         self.consistent_velocity = bool(consistent_velocity)
         self.state_dim = 3 * p + 5
         self.input_dim = p
         self.name = f"planar_arm_{p}link"
         # [sin c; cos c] times this is r = d ee / d c
         self._row_scale = np.array([-self.link_lengths, self.link_lengths])
+        # the constants of the one-state step, as Python floats
+        self._lengths = self.link_lengths.tolist()
+        self._limits = list(zip(self.theta_lower.tolist(), self.theta_upper.tolist()))
 
     # -- kinematics ---------------------------------------------------------
 
@@ -246,15 +256,28 @@ class PlanarArmPlant(Plant):
         return theta_dot_new.shape[:-1], theta_new, theta_dot_new, vel_source
 
     def step(self, t, z, u):
+        """Next state: one state, z (m,) and u (n,), in floats, others in NumPy.
+
+        Both sum link by link in the same order, so each slice of a stacked
+        call equals the one-state call bit for bit.
+        """
+        z = np.asarray(z, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if z.shape == (self.state_dim,) and u.shape == (self.input_dim,):
+            return np.array(self._step_one(z.tolist(), u.tolist()))
         p = self.n_links
         lead, theta_new, theta_dot_new, vel_source = self._advance(z, u)
         c, cs = _trig(theta_new)
+        rows, V = self._rows(cs), vel_source.cumsum(axis=-1)
+        ee_pos = ee_vel = 0.0
+        for k in range(p):
+            ee_pos = ee_pos + cs[..., k] * self.link_lengths[k]
+            ee_vel = ee_vel + rows[..., k] * V[..., k, None]
         out = np.empty(lead + (self.state_dim,))
         out[..., :p] = theta_new
         out[..., p:2 * p] = theta_dot_new
-        out[..., 2 * p:2 * p + 2] = cs @ self.link_lengths
-        out[..., 2 * p + 2:2 * p + 4] = (self._rows(cs)
-                                         @ vel_source.cumsum(axis=-1)[..., None])[..., 0]
+        out[..., 2 * p:2 * p + 2] = ee_pos
+        out[..., 2 * p + 2:2 * p + 4] = ee_vel
         out[..., 2 * p + 4] = wrap_angle(c[..., -1])
         # joint_limit_violation: the distance to the box's nearest point,
         # squared (__init__ checked lower <= upper)
@@ -262,6 +285,31 @@ class PlanarArmPlant(Plant):
                                         self.theta_upper)
         out[..., 2 * p + 5:] = beyond * beyond
         return out
+
+    def _step_one(self, z, u):
+        """:meth:`step` of one state, on lists of floats; returns a list."""
+        p, dt = self.n_links, self.dt
+        theta_dot = z[p:2 * p]
+        theta_new = [a + dt * v for a, v in zip(z, theta_dot)]
+        theta_dot_new = [v + dt * a for v, a in zip(theta_dot, u)]
+        vel_source = theta_dot_new if self.consistent_velocity else theta_dot
+        c = x = y = vx = vy = speed = 0.0
+        for a, v, length in zip(theta_new, vel_source, self._lengths):
+            c += a
+            speed += v
+            try:
+                cos_c, sin_c = math.cos(c), math.sin(c)
+            except ValueError:   # an infinite angle, where np.cos gives NaN
+                cos_c = sin_c = math.nan
+            x += cos_c * length
+            y += sin_c * length
+            vx -= sin_c * length * speed
+            vy += cos_c * length * speed
+        # a's nearest point in [lo, hi], NaN kept, as np.minimum(np.maximum(..)) gives it
+        beyond = [a - (lo if a < lo else hi if a > hi else a)
+                  for a, (lo, hi) in zip(theta_new, self._limits)]
+        return (theta_new + theta_dot_new + [x, y, vx, vy, _wrap_float(c)]
+                + [b * b for b in beyond])
 
     def jacobians(self, t, z, u):
         p = self.n_links
@@ -338,14 +386,6 @@ class Trajectory:
     @property
     def horizon(self):
         return self.states.shape[0] - 1
-
-    @property
-    def stacked_states(self):
-        return self.states.reshape(-1)
-
-    @property
-    def stacked_inputs(self):
-        return self.inputs.reshape(-1)
 
 
 def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=None):

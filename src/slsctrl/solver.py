@@ -384,9 +384,10 @@ def riccati_gains(system, cost):
         bad = ~np.isfinite(blocks.reshape(T + 1, -1)).all(axis=1)
         if bad.any():
             raise ValueError(f"non-finite {name} at t={int(np.argmax(bad))}")
-    for (i, j), blk in cost.Q.items():
-        if not np.isfinite(blk).all():
-            raise ValueError(f"non-finite Q block ({i}, {j})")
+    # one check over all blocks; only a failure scans for the block to name
+    if cost.Q and not np.isfinite(np.concatenate(list(cost.Q.values()))).all():
+        i, j = next(key for key, blk in cost.Q.items() if not np.isfinite(blk).all())
+        raise ValueError(f"non-finite Q block ({i}, {j})")
     held = held_states(cost)
     F, stage = _transitions(system.A, system.B, held), _stage_costs(cost, held, m)
     gains, H, hinv = [None] * (T + 1), np.zeros((T + 1, n, n)), np.empty((T + 1, n, n))

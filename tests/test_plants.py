@@ -135,9 +135,10 @@ def test_arm_step_matches_its_kinematic_definition():
     # orientation off the cumulative angles; the reference assembles the
     # state from the public helpers.  States go beyond the joint limits, sit
     # on them, and put the angle sum at and next to +-pi, where np.mod in
-    # wrap_angle can round up to 2 pi.
+    # wrap_angle can round up to 2 pi.  Seven links are the paper's arm, and
+    # nine pass the eight-element block of NumPy's pairwise summation.
     rng = np.random.default_rng(7)
-    for p in (1, 2, 3):
+    for p in (1, 2, 3, 7, 9):
         lower, upper = -1.2 * np.ones(p), np.linspace(0.9, 1.4, p)
         thetas = list(rng.uniform(-3.5, 3.5, size=(40, p))) + [lower, upper]
         for angle in (np.pi, -np.pi):
@@ -175,6 +176,40 @@ def test_arm_step_matches_its_kinematic_definition():
             assert np.any(np.mod(sums + np.pi, 2 * np.pi) == 2 * np.pi)
             orientation = stacked[:, 2 * p + 4]
             assert np.all((-np.pi < orientation) & (orientation <= np.pi))
+
+
+def test_arm_step_of_one_state_matches_the_stack_on_non_finite_states():
+    # math.cos raises on an infinite angle where np.cos gives NaN; the
+    # one-state step must give the stacked step's output and never raise
+    p = 3
+    rng = np.random.default_rng(11)
+    Z, U = [], []
+    for bad in (np.inf, -np.inf, np.nan):
+        for index in (0, p - 1, p, 2 * p - 1):   # an angle or a velocity
+            z = rng.uniform(-1.0, 1.0, size=3 * p + 5)
+            z[index] = bad
+            Z.append(z)
+            U.append(rng.uniform(-1.0, 1.0, size=p))
+        for index in (0, p - 1):                 # an input
+            Z.append(rng.uniform(-1.0, 1.0, size=3 * p + 5))
+            u = rng.uniform(-1.0, 1.0, size=p)
+            u[index] = bad
+            U.append(u)
+    z = np.zeros(3 * p + 5)                      # angles that cancel to NaN
+    z[:2] = np.inf, -np.inf
+    Z.append(z)
+    U.append(np.zeros(p))
+    Z, U = np.array(Z), np.array(U)
+    for consistent in (False, True):
+        arm = planar_arm_plant([0.4, 0.35, 0.25], 0.05, consistent_velocity=consistent)
+        with np.errstate(invalid="ignore"):
+            stacked = arm.step(np.arange(len(Z)), Z, U)
+        assert np.isnan(stacked).any() and np.isinf(stacked).any()
+        for i, (z, u) in enumerate(zip(Z, U)):
+            npt.assert_array_equal(arm.step(i, z, u), stacked[i])
+    # max(a, nan) is a where np.maximum(a, nan) is NaN, so a NaN limit is refused
+    with pytest.raises(ValueError, match="lower <= upper"):
+        planar_arm_plant([0.4, 0.35, 0.25], 0.05, theta_upper=[1.0, np.nan, 1.0])
 
 
 def test_arm_velocity_conventions():
@@ -350,7 +385,7 @@ def test_dp_tracking_feedforward_reaches_target():
     # matches the batch least-squares plan on the same problem
     st = TimeVaryingLinearSystem.constant(A, B, T)
     u_batch = batch_lqt(st, cost)
-    npt.assert_allclose(tr.stacked_inputs, u_batch, atol=1e-8)
+    npt.assert_allclose(tr.inputs.reshape(-1), u_batch, atol=1e-8)
 
 
 def test_mpc_reduces_to_dp_without_correlations():

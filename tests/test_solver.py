@@ -162,8 +162,8 @@ def test_feedback_factorization_and_nominal_rollout():
     npt.assert_allclose(ctrl.K.dense @ phi_x, phi_u, atol=1e-8)
     # zero disturbances: the closed loop reproduces the feedforward plan
     traj = rollout(LinearPlant(A, B), ctrl, w=np.zeros((T + 1) * m))
-    npt.assert_allclose(traj.stacked_states, resp.d_x, atol=1e-10)
-    npt.assert_allclose(traj.stacked_inputs, resp.d_u, atol=1e-10)
+    npt.assert_allclose(traj.states.reshape(-1), resp.d_x, atol=1e-10)
+    npt.assert_allclose(traj.inputs.reshape(-1), resp.d_u, atol=1e-10)
 
 
 def test_closed_loop_matches_dp_rollouts():
@@ -355,6 +355,19 @@ def test_synthesis_rejects_nonfinite_data():
         poison(system, cost)
         with pytest.raises(ValueError, match="non-finite " + message):
             solve_esls(system, cost)
+
+
+def test_synthesis_names_a_non_finite_q_block_between_others():
+    # all Q blocks are checked at once; a failure still names the bad block,
+    # here neither the first nor the last one
+    T, m, n = 6, 2, 1
+    system = TimeVaryingLinearSystem.constant(0.5 * np.eye(m), np.ones((m, n)), T)
+    cost = build_viapoint_cost(T, [(t, np.ones(m), 1.0) for t in (1, 3, T)], 1.0,
+                               state_dim=m, input_dim=n)
+    assert list(cost.Q) == [(1, 1), (3, 3), (T, T)]
+    cost.Q[(3, 3)][0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite Q block \(3, 3\)$"):
+        solve_esls(system, cost)
 
 
 def test_indefinite_step_hessian_names_timestep():
