@@ -57,7 +57,6 @@ from .isls import (
 )
 from .adaptation import (
     AdaptationMaps,
-    adapt_controller,
     adapt_feedforward,
     precompute_gain_maps,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "Trajectory",
     "TrackingObjective",
     "ValidationError",
-    "adapt_controller",
     "adapt_feedforward",
     "add_correlation",
     "batch_lqt",

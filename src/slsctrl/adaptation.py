@@ -136,12 +136,3 @@ def _check_controller(controller, cost):
 def adapt_feedforward(maps, x_d_new, u_d_new):
     """New feedforward vector for edited targets (no factorization, no solve)."""
     return maps.feedforward(x_d_new, u_d_new)
-
-
-def adapt_controller(controller, maps, x_d_new, u_d_new, in_place=False):
-    """Retarget a controller; in place (atomic swap) or as a copy sharing the gains."""
-    k_new = maps.feedforward(x_d_new, u_d_new)
-    if in_place:
-        controller.swap_feedforward(k_new)
-        return controller
-    return controller.with_feedforward(k_new)

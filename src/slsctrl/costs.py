@@ -370,32 +370,16 @@ def evaluate_trajectory_cost(cost, xs, us):
 # -- pointwise cost functions for the iterative solver -----------------------
 
 
-def finite_difference_gradient(f, x, step=1e-6):
+def central_difference(f, x, step):
+    """Jacobian (..., d) of f at the vector x (d,): column i is
+    (f(x + step e_i) - f(x - step e_i)) / (2 step)."""
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
+    cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = step
-        g[i] = (f(x + e) - f(x - e)) / (2 * step)
-    return g
-
-
-def finite_difference_hessian(f, x, step=1e-4):
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    H = np.zeros((d, d))
-    f0 = f(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = step
-        H[i, i] = (f(x + ei) - 2 * f0 + f(x - ei)) / step**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = step
-            H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4 * step**2)
-    return H
+        cols.append(np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float))
+    return np.stack(cols, axis=-1) / (2 * step)
 
 
 STATE_COST_FD_STEP = 1e-5   # central-difference step of StateCostFunction's fallbacks
@@ -405,8 +389,9 @@ class StateCostFunction:
     """Per-step state cost c(t, x) with first and second derivatives.
 
     Derivatives may be supplied analytically; missing ones fall back to
-    central finite differences of the value (and of the gradient when that
-    one is analytic), of step ``STATE_COST_FD_STEP``.
+    :func:`central_difference` of step ``STATE_COST_FD_STEP``: the gradient
+    of the value, the Hessian of the gradient.  A Hessian of the differenced
+    gradient takes a step of 1e-4.
     """
 
     def __init__(self, value, gradient=None, hessian=None):
@@ -420,23 +405,15 @@ class StateCostFunction:
     def gradient(self, t, x):
         if self._gradient is not None:
             return np.asarray(self._gradient(t, np.asarray(x, dtype=float)), dtype=float)
-        return finite_difference_gradient(lambda z: self._value(t, z), x, STATE_COST_FD_STEP)
+        return central_difference(lambda z: self._value(t, z), x, STATE_COST_FD_STEP)
 
     def hessian(self, t, x):
         if self._hessian is not None:
             return np.asarray(self._hessian(t, np.asarray(x, dtype=float)), dtype=float)
-        if self._gradient is not None:
-            x = np.asarray(x, dtype=float)
-            H = np.zeros((x.size, x.size))
-            for i in range(x.size):
-                e = np.zeros(x.size)
-                e[i] = STATE_COST_FD_STEP
-                H[:, i] = (
-                    np.asarray(self._gradient(t, x + e), dtype=float)
-                    - np.asarray(self._gradient(t, x - e), dtype=float)
-                ) / (2 * STATE_COST_FD_STEP)
-            return (H + H.T) / 2
-        return finite_difference_hessian(lambda z: self._value(t, z), x, step=1e-4)
+        # a differenced gradient carries rounding that a narrow step would amplify
+        step = STATE_COST_FD_STEP if self._gradient is not None else 1e-4
+        H = central_difference(lambda z: self.gradient(t, z), x, step)
+        return (H + H.T) / 2
 
     @classmethod
     def quadratic_viapoints(cls, horizon, viapoints, state_dim):

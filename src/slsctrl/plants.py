@@ -16,12 +16,13 @@ targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import (
     CostSpec,
+    central_difference,
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
@@ -63,20 +64,10 @@ class Plant:
 
     def jacobians(self, t, x, u):
         """(A, B) = (df/dx, df/du) at (t, x, u); default central differences."""
-        fd_step = JACOBIAN_FD_STEP
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        A = np.zeros((self.state_dim, self.state_dim))
-        B = np.zeros((self.state_dim, self.input_dim))
-        for i in range(self.state_dim):
-            e = np.zeros(self.state_dim)
-            e[i] = fd_step
-            A[:, i] = (self.step(t, x + e, u) - self.step(t, x - e, u)) / (2 * fd_step)
-        for i in range(self.input_dim):
-            e = np.zeros(self.input_dim)
-            e[i] = fd_step
-            B[:, i] = (self.step(t, x, u + e) - self.step(t, x, u - e)) / (2 * fd_step)
-        return A, B
+        return (central_difference(lambda z: self.step(t, z, u), x, JACOBIAN_FD_STEP),
+                central_difference(lambda v: self.step(t, x, v), u, JACOBIAN_FD_STEP))
 
 
 class LinearPlant(Plant):
@@ -227,10 +218,6 @@ class PlanarArmPlant(Plant):
         """(..., 2, p) position Jacobian d ee / d theta."""
         return self._jacobian(_trig(theta)[1])
 
-    def ee_jacobian_rate(self, theta, v):
-        """(..., 2, p) derivative of J(theta) v with respect to theta, v held fixed."""
-        return self._jacobian_rate(_trig(theta)[1], v)
-
     def augment(self, theta, theta_dot=None):
         """Consistent full state for a joint configuration (for initial states)."""
         p = self.n_links
@@ -374,14 +361,11 @@ def linear_system_from_plant(plant, horizon):
 
 @dataclass
 class Trajectory:
-    """Realized states and inputs plus everything needed to replay them."""
+    """Realized states and inputs, and the stacked disturbance that drove them."""
 
     states: np.ndarray        # (T+1, m)
     inputs: np.ndarray        # (T+1, n)
     noise: np.ndarray         # (T+1, m) stacked disturbance (block 0 = initial state)
-    seed: object = None
-    perturbations: tuple = ()
-    metadata: dict = field(default_factory=dict)
 
     @property
     def horizon(self):
@@ -409,7 +393,7 @@ def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=N
 
 
 def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
-            perturbations=(), feedforward_schedule=None, metadata=None):
+            perturbations=(), feedforward_schedule=None):
     """Simulate a controller on a plant.
 
     Parameters
@@ -422,22 +406,29 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
     x0 : optional initial-state override (replaces the drawn first block).
     w : optional pre-drawn stacked disturbance (T+1, m); enables paired
         comparisons of different controllers on identical realizations.
-    perturbations : sequence of (t, impulse) added to the state at step t.
+    perturbations : sequence of (t, impulse) added to the state at step t;
+        impulse has shape (m,).
     feedforward_schedule : sequence of (t, k_new); at step t the remaining
         rollout continues with the swapped feedforward (history retained).
 
     Returns a :class:`Trajectory`; identical arguments reproduce it
-    bit-for-bit.
+    bit-for-bit.  ValueError on a perturbation or schedule step outside
+    [0, T] or an impulse of another shape.
     """
     T = controller.horizon
     m, n = plant.state_dim, plant.input_dim
     w = _realize_disturbance(T, m, noise=noise, seed=seed, x0=x0, w=w)
     impulses = {}
     for t, vec in perturbations:
-        impulses[int(t)] = impulses.get(int(t), 0) + np.asarray(vec, dtype=float)
-    schedule = dict() if feedforward_schedule is None else {
-        int(t): np.asarray(k, dtype=float) for t, k in feedforward_schedule
-    }
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (m,):
+            raise ValueError(f"perturbation at t={t} has shape {vec.shape}, expected ({m},)")
+        impulses[int(t)] = impulses.get(int(t), 0) + vec
+    schedule = {int(t): np.asarray(k, dtype=float) for t, k in feedforward_schedule or ()}
+    for what, steps in (("perturbation", impulses), ("feedforward_schedule", schedule)):
+        outside = [t for t in steps if not 0 <= t <= T]
+        if outside:
+            raise ValueError(f"{what} step {outside[0]} outside [0, {T}]")
 
     active = controller
     xs = np.zeros((T + 1, m))
@@ -453,11 +444,7 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
         if t in schedule:
             active = active.with_feedforward(schedule[t])
         us[t] = active.control(t, xs[: t + 1])
-    return Trajectory(
-        states=xs, inputs=us, noise=w, seed=seed,
-        perturbations=tuple((int(t), np.asarray(v, float).copy()) for t, v in perturbations),
-        metadata={} if metadata is None else dict(metadata),
-    )
+    return Trajectory(states=xs, inputs=us, noise=w)
 
 
 # -- baselines ----------------------------------------------------------------
@@ -494,31 +481,8 @@ def dp_lqt(system, cost):
     return riccati_gains(system, cost)
 
 
-def _accumulated_diagonal_cost(horizon, state_dim, input_dim, r_blocks, terms, u_d=None):
-    """Diagonal CostSpec from possibly-overlapping (t, target, weight) terms.
-
-    Unlike the viapoint builder this accumulates conflicting targets into a
-    consistent weighted center per timestep, which is exactly what a
-    re-planning baseline needs when a frozen correlated target lands on a
-    timestep that already carries one.
-    """
-    cost = CostSpec(horizon, state_dim, input_dim)
-    cost.R = np.asarray(r_blocks, dtype=float).copy()
-    if u_d is not None:
-        cost.u_d = np.asarray(u_d, dtype=float).copy()
-    m = state_dim
-    for t, target, weight in terms:
-        w = CostSpec._as_weight(weight, m)
-        cost._add_q(t, t, w)
-        cost._lin[t * m:(t + 1) * m] += w @ np.asarray(target, dtype=float)
-    for t in range(horizon + 1):
-        if np.any(cost.q_block(t, t)):
-            cost._refresh_targets(t)
-    return cost
-
-
 def mpc_lqt_rollout(plant, cost, recompute_time, noise=None, seed=None,
-                    x0=None, w=None, perturbations=(), metadata=None):
+                    x0=None, w=None, perturbations=()):
     """Memoryless tracker with one scheduled re-solve at ``recompute_time``.
 
     Phase 1 runs the Riccati tracker on the diagonal projection of the cost
@@ -534,11 +498,8 @@ def mpc_lqt_rollout(plant, cost, recompute_time, noise=None, seed=None,
         raise ValueError(f"recompute time {t_r} outside (0, {T}]")
     system = linear_system_from_plant(plant, T)
     phase1 = dp_lqt(system, cost.diagonal_projection())
-    meta = {"recompute_time": t_r}
-    if metadata:
-        meta.update(metadata)
     return rollout(plant, _ReplanningController(system, cost, t_r, phase1), noise=noise,
-                   seed=seed, x0=x0, w=w, perturbations=perturbations, metadata=meta)
+                   seed=seed, x0=x0, w=w, perturbations=perturbations)
 
 
 class _ReplanningController:
@@ -574,9 +535,13 @@ def _replan_from(system, cost, t_r, xs):
             xd = cost.x_d_blocks
             terms.append((corr.t1 - t_r, xd[corr.t1], corr.C.T @ corr.Q_c @ corr.C))
             terms.append((corr.t2 - t_r, xd[corr.t2], corr.Q_c))
-    sub_cost = _accumulated_diagonal_cost(
-        T - t_r, m, n, cost.R[t_r:],
-        terms, u_d=cost.u_d_blocks[t_r:].reshape(-1),
-    )
+    # overlapping terms get one weighted center per step, as in CostSpec
+    sub_cost = CostSpec(T - t_r, m, n)
+    sub_cost.R[:] = cost.R[t_r:]
+    sub_cost.u_d[:] = cost.u_d[t_r * n:]
+    for t, target, weight in terms:
+        sub_cost._add_viapoint(t, target, weight)
+    for t in {t for t, _, _ in terms}:
+        sub_cost._refresh_targets(t)
     sub_system = TimeVaryingLinearSystem(system.A[t_r:], system.B[t_r:])
     return dp_lqt(sub_system, sub_cost)

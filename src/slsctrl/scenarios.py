@@ -919,7 +919,7 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=Non
         "x0": [float(v) for v in draws["x0"]],
         "realized_cost": float(realized),
         "correlation_residuals": correlation_residuals(scenario, trajectory),
-        "solver_info": _jsonable(info),
+        "solver_info": info,
         "metadata": scenario.metadata,
         "artifacts": artifacts,
     }
@@ -943,15 +943,3 @@ def _merge_overrides(config, overrides):
             node = node.setdefault(part, {}) if i < len(parts) - 1 else node
         node[parts[-1]] = value
     return config
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj

@@ -271,13 +271,6 @@ class Controller:
             u = u + self.nominal_u[t * n:(t + 1) * n]
         return u
 
-    def absolute_feedforward(self):
-        """The law rewritten as u = K x + k_abs; equals k when no nominal is set."""
-        if self.nominal_x is None:
-            return self.k.copy()
-        Kx = [self._feedback(t, self.nominal_x) for t in range(len(self.gains))]
-        return self.nominal_u + self.k - np.concatenate(Kx)
-
 
 def _checked_vector(name, v, size):
     if v is None:

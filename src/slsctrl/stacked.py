@@ -148,6 +148,9 @@ class NoiseModel:
         m = self.mu_x0.size
         if self.sigma_x0.shape != (m,) or self.sigma_noise.shape != (m,):
             raise ValueError("variance vectors must match the state dimension")
+        for name in ("mu_x0", "sigma_x0", "sigma_noise"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
         if np.any(self.sigma_x0 < 0) or np.any(self.sigma_noise < 0):
             raise ValueError("variances must be nonnegative")
         if self.horizon < 0:

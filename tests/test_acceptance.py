@@ -259,7 +259,8 @@ def test_criterion_08_lq_exactness_of_iterative_solver():
         direct = extract_controller(solve_esls(st, cost))
         worst = max(worst,
                     float(np.max(np.abs(ctrl.K.dense - direct.K.dense))),
-                    float(np.max(np.abs(ctrl.absolute_feedforward() - direct.k))))
+                    float(np.max(np.abs(ctrl.nominal_u + ctrl.k
+                                        - ctrl.K.dense @ ctrl.nominal_x - direct.k))))
     _verdict(8, "one accepted iteration reproduces the direct synthesis",
              one_step and worst <= 1e-8,
              f"single step {one_step}, max controller gap {worst:.2e}")

@@ -18,7 +18,6 @@ from slsctrl import (
     StateCostFunction,
     TimeVaryingLinearSystem,
     TrackingObjective,
-    adapt_controller,
     adapt_feedforward,
     add_correlation,
     build_cost,
@@ -165,7 +164,7 @@ def test_precompute_runs_no_second_recursion(monkeypatch):
     # the extracted controller is a shallow copy: swapping its feedforward in
     # place leaves the response's as it was
     k_before = resp.controller.k
-    adapt_controller(ctrl, maps, 2.0 * cost.x_d, cost.u_d, in_place=True)
+    ctrl.swap_feedforward(maps.feedforward(2.0 * cost.x_d, cost.u_d))
     assert ctrl.k is not k_before and resp.controller.k is k_before
 
 
@@ -388,13 +387,13 @@ def test_noop_edit_keeps_feedforward_and_feedback():
     st, cost = _random_instance(rng)
     ctrl = extract_controller(solve_esls(st, cost))
     maps = precompute_gain_maps(st, cost, ctrl)
-    adapted = adapt_controller(ctrl, maps, cost.x_d, cost.u_d)
+    adapted = ctrl.with_feedforward(maps.feedforward(cost.x_d, cost.u_d))
     assert adapted is not ctrl
     assert adapted.gains is ctrl.gains and adapted.held is ctrl.held
     npt.assert_allclose(adapted.k, ctrl.k, atol=1e-9)
     # and the original controller was not mutated
     k_before = ctrl.k.copy()
-    adapt_controller(ctrl, maps, 2.0 * cost.x_d, cost.u_d)
+    ctrl.with_feedforward(maps.feedforward(2.0 * cost.x_d, cost.u_d))
     npt.assert_array_equal(ctrl.k, k_before)
 
 
@@ -497,7 +496,7 @@ def test_goal_tracking_after_adaptation():
     g_new = 1.05 * g
     cost_new = build_viapoint_cost(T, [(T, g_new, 500.0)], 0.05,
                                    state_dim=m, input_dim=n)
-    adapted = adapt_controller(ctrl, maps, cost_new.x_d, cost_new.u_d)
+    adapted = ctrl.with_feedforward(maps.feedforward(cost_new.x_d, cost_new.u_d))
     res1 = np.linalg.norm(rollout(plant, adapted, w=w).states[T] - g_new)
     assert abs(res1 - res0) <= 0.1 * res0 + 1e-12
 

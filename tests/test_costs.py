@@ -327,6 +327,7 @@ def test_state_cost_fd_fallbacks_match_analytic():
         H_ref = fd_hessian(lambda z: f(0, z), x)
         scale = max(1.0, np.max(np.abs(H_ref)))
         assert np.max(np.abs(analytic.hessian(0, x) - H_ref)) / scale < 1e-4
+        assert np.max(np.abs(fallback.hessian(0, x) - H_ref)) / scale < 1e-4
 
 
 def test_joint_limit_hinge_values():

@@ -78,7 +78,9 @@ def test_lq_problem_converges_in_one_accepted_iteration():
             plant, x0, np.zeros((T + 1, n))), np.zeros((T + 1, n)))
         direct = extract_controller(solve_esls(st, cost))
         npt.assert_allclose(ctrl.K.dense, direct.K.dense, atol=1e-8)
-        npt.assert_allclose(ctrl.absolute_feedforward(), direct.k, atol=1e-8)
+        # the law rewritten as u = K x + k_abs
+        npt.assert_allclose(ctrl.nominal_u + ctrl.k - ctrl.K.dense @ ctrl.nominal_x,
+                            direct.k, atol=1e-8)
 
 
 def test_quartic_terminal_cost_full_steps():

@@ -8,6 +8,7 @@ from slsctrl import (
     Controller,
     LinearPlant,
     NoiseModel,
+    Plant,
     TimeVaryingLinearSystem,
     batch_lqt,
     build_viapoint_cost,
@@ -90,6 +91,27 @@ def test_arm_ee_jacobian_vs_fd():
         J = arm.ee_jacobian(th)
         J_ref = fd_jacobian(arm.forward_kinematics, th)
         npt.assert_allclose(J, J_ref, atol=1e-6)
+
+
+def test_plant_jacobians_fallback_matches_analytic():
+    # a plant that defines only step gets Plant.jacobians' central differences
+    arm = planar_arm_plant([0.8, 0.6, 0.4], 0.05)
+
+    class StepOnly(Plant):
+        state_dim, input_dim, dt = arm.state_dim, arm.input_dim, arm.dt
+
+        def step(self, t, x, u):
+            return arm.step(t, x, u)
+
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(100):
+        z = arm.augment(rng.uniform(-2, 2, size=3), rng.uniform(-1, 1, size=3))
+        u = rng.uniform(-1, 1, size=3)
+        for fd, exact in zip(StepOnly().jacobians(0, z, u), arm.jacobians(0, z, u)):
+            assert fd.shape == exact.shape
+            worst = max(worst, float(np.max(np.abs(fd - exact))))
+    assert worst < 1e-7
 
 
 def test_arm_augmented_jacobians_vs_fd():
@@ -324,6 +346,25 @@ def test_rollout_rejects_nonfinite_start_and_disturbance():
     w[5] = np.nan
     with pytest.raises(ValueError, match="w has"):
         rollout(plant, ctrl, w=w)
+
+
+def test_rollout_rejects_steps_outside_the_horizon_and_misshapen_impulses():
+    plant = double_integrator_plant(1, 0.1)
+    ctrl = Controller.open_loop(np.zeros((11, 1)), 2)
+    for t in (15, -1):
+        with pytest.raises(ValueError, match=rf"perturbation step {t} outside \[0, 10\]"):
+            rollout(plant, ctrl, perturbations=[(t, [1.0, 0.0])])
+    for t in (15, -2):
+        with pytest.raises(ValueError, match=f"feedforward_schedule step {t} outside"):
+            rollout(plant, ctrl, feedforward_schedule=[(t, np.ones(11))])
+    # a scalar impulse is not broadcast into every coordinate
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(2,\)"):
+        rollout(plant, ctrl, perturbations=[(3, 1.0)])
+    # both ends of the horizon are steps
+    tr = rollout(plant, ctrl, perturbations=[(0, [1.0, 0.0]), (10, [0.0, 1.0])],
+                 feedforward_schedule=[(10, np.ones(11))])
+    npt.assert_array_equal(tr.states[[0, 10]], [[1.0, 0.0], [1.0, 1.0]])
+    npt.assert_array_equal(tr.inputs[:, 0], [0.0] * 10 + [1.0])
 
 
 def test_realize_disturbance_precedence():

@@ -629,8 +629,6 @@ def test_controller_keeps_nonzero_blocks_of_dense_gain():
         u_ref = K @ dev + k + (0 if nominal[1] is None else nominal_u)
         u = np.concatenate([ctrl.control(t, xs[:(t + 1) * m]) for t in range(T + 1)])
         npt.assert_allclose(u, u_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(u_ref)))
-    npt.assert_allclose(ctrl.absolute_feedforward(), nominal_u + k - K @ nominal_x,
-                        rtol=1e-12, atol=1e-12)
     twin = ctrl.with_feedforward(2 * k)
     assert twin.gains is ctrl.gains and twin.nominal_x is ctrl.nominal_x
     npt.assert_array_equal(ctrl.k, k)

@@ -97,6 +97,16 @@ def test_noise_model_sampling():
     npt.assert_allclose(samples.std(), 0.2, atol=0.02)
 
 
+def test_noise_model_rejects_nonfinite_parameters():
+    # a NaN variance passes a "< 0" test; sample would return NaN disturbances
+    for name in ("mu_x0", "sigma_x0", "sigma_noise"):
+        for value in (np.nan, np.inf):
+            args = dict(mu_x0=np.zeros(2), sigma_x0=np.zeros(2), sigma_noise=np.zeros(2))
+            args[name] = np.array([0.0, value])
+            with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+                NoiseModel(3, **args)
+
+
 def test_noise_model_zero():
     noise = NoiseModel.zero(5, 3)
     assert np.all(noise.sample(np.random.default_rng(0)) == 0)
