@@ -392,6 +392,12 @@ class StateCostFunction:
     :func:`central_difference` of step ``STATE_COST_FD_STEP``: the gradient
     of the value, the Hessian of the gradient.  A Hessian of the differenced
     gradient takes a step of 1e-4.
+
+    :meth:`values`, :meth:`gradients` and :meth:`hessians` evaluate a whole
+    state stack xs (N, m), step t at xs[t], by one per-step call at each
+    step :meth:`_steps` names and zeros at the others.  Here that is every
+    step; the cost :meth:`quadratic_viapoints` gives names only its keypoint
+    steps, where the per-step methods are zero anyway.
     """
 
     def __init__(self, value, gradient=None, hessian=None):
@@ -415,9 +421,38 @@ class StateCostFunction:
         H = central_difference(lambda z: self.gradient(t, z), x, step)
         return (H + H.T) / 2
 
+    def _steps(self, N):
+        """The steps 0 <= t < N at which the cost can be nonzero: all of them here."""
+        return range(N)
+
+    def values(self, xs):
+        """(N,) values c(t, xs[t]) of a state stack xs (N, m), zero off :meth:`_steps`."""
+        out = np.zeros(len(xs))
+        for t in self._steps(len(xs)):
+            out[t] = self.value(t, xs[t])
+        return out
+
+    def gradients(self, xs):
+        """(N, m) gradients at the steps of a state stack xs (N, m), zero off :meth:`_steps`."""
+        out = np.zeros(np.shape(xs))
+        for t in self._steps(len(xs)):
+            out[t] = self.gradient(t, xs[t])
+        return out
+
+    def hessians(self, xs):
+        """(N, m, m) Hessians at the steps of a state stack xs (N, m), zero off :meth:`_steps`."""
+        N, m = np.shape(xs)
+        out = np.zeros((N, m, m))
+        for t in self._steps(N):
+            out[t] = self.hessian(t, xs[t])
+        return out
+
     @classmethod
     def quadratic_viapoints(cls, horizon, viapoints, state_dim):
-        """Sum of keypoint quadratics (x_t - g_t)' W_t (x_t - g_t) as a step cost."""
+        """Sum of keypoint quadratics (x_t - g_t)' W_t (x_t - g_t) as a step cost.
+
+        Its batched methods evaluate only the keypoint steps of a stack.
+        """
         table = {}
         for t, target, weight in viapoints:
             w = CostSpec._as_weight(weight, state_dim)
@@ -448,7 +483,18 @@ class StateCostFunction:
                 return np.zeros((state_dim, state_dim))
             return 2.0 * table[t][0]
 
-        return cls(value, gradient, hessian)
+        return _KeypointCost(table, value, gradient, hessian)
+
+
+class _KeypointCost(StateCostFunction):
+    """A step cost that is zero at every step but the keys of ``table``."""
+
+    def __init__(self, table, value, gradient, hessian):
+        super().__init__(value, gradient, hessian)
+        self._table = table
+
+    def _steps(self, N):
+        return [t for t in range(N) if t in self._table]
 
 
 def joint_limit_violation(theta, lower, upper):

@@ -58,6 +58,7 @@ class TrackingObjective:
         self.u_d = np.zeros(T1 * n) if u_d is None else np.asarray(u_d, float).reshape(-1).copy()
         if self.u_d.size != T1 * n:
             raise ValueError("u_d length does not match horizon and input_dim")
+        self._eigh = None   # (H, lam, V) of the last eigendecomposition quadratize made
 
     @classmethod
     def from_costspec(cls, cost):
@@ -87,8 +88,10 @@ class TrackingObjective:
         """Exact objective value on a trajectory (blocks or stacked vectors)."""
         xb = np.asarray(xs, dtype=float).reshape(self.horizon + 1, self.state_dim)
         total = float(self._input_costs(us).sum())
-        for t in range(self.horizon + 1):
-            total += self.state_cost.value(t, xb[t])
+        values = self.state_cost.values(xb)
+        # in step order, as a per-step sum; a zero step value adds nothing
+        for value in values[np.flatnonzero(values)].tolist():
+            total += value
         for corr in self.correlations:
             total += corr.evaluate(xb[corr.t1], xb[corr.t2])
         return total
@@ -96,9 +99,7 @@ class TrackingObjective:
     def cumulative_cost(self, xs, us):
         """Per-step cumulative objective; cross-time terms count at their later step."""
         xb = np.asarray(xs, dtype=float).reshape(self.horizon + 1, self.state_dim)
-        inc = self._input_costs(us)
-        for t in range(self.horizon + 1):
-            inc[t] += self.state_cost.value(t, xb[t])
+        inc = self._input_costs(us) + self.state_cost.values(xb)
         for corr in self.correlations:
             inc[corr.t2] += corr.evaluate(xb[corr.t1], xb[corr.t2])
         return np.cumsum(inc)
@@ -108,7 +109,9 @@ class TrackingObjective:
 
         Per-step state costs contribute their second-order expansion
         (C_xx = hessian + regularization, optionally eigenvalue-floored for
-        indefinite costs), all steps in one batched eigendecomposition;
+        indefinite costs), all steps in one batched eigendecomposition,
+        which the objective keeps and reuses while that Hessian stack stays
+        the same; the derivatives come from the state cost's batched methods;
         correlations transfer exactly with the residual
         offset r = C x_hat_{t1} + c - x_hat_{t2}; the input term becomes a
         tracking term toward u_d - u_hat.
@@ -119,13 +122,18 @@ class TrackingObjective:
         cost = CostSpec(self.horizon, m, self.input_dim)
         cost.R = self.R.copy()
         cost.u_d = (self.u_d.reshape(ub.shape) - ub).reshape(-1)
-        H = np.array([self.state_cost.hessian(t, xb[t]) for t in range(T1)]).reshape(T1, m, m)
-        g = np.array([self.state_cost.gradient(t, xb[t]) for t in range(T1)]).reshape(T1, m)
+        H, g = self.state_cost.hessians(xb), self.state_cost.gradients(xb)
         finite = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
         if not finite.all():
             raise ValueError(f"non-finite state cost derivatives at t={int(np.argmin(finite))}")
         H = (H + H.transpose(0, 2, 1)) / 2 + regularization * np.eye(m)
-        lam, V = np.linalg.eigh(H)
+        # a cost whose curvature does not move with the nominal (keypoint
+        # quadratics) gives the same stack at every iteration; read once, so
+        # a concurrent call cannot pair this H with another stack's result
+        cached = self._eigh
+        if cached is None or not np.array_equal(H, cached[0]):
+            cached = self._eigh = (H, *np.linalg.eigh(H))
+        _, lam, V = cached
         if hessian_floor is not None:
             lam = np.maximum(lam, hessian_floor)
             H = (V * lam[:, None, :]) @ V.transpose(0, 2, 1)

@@ -412,19 +412,22 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
         rollout continues with the swapped feedforward (history retained).
 
     Returns a :class:`Trajectory`; identical arguments reproduce it
-    bit-for-bit.  ValueError on a perturbation or schedule step outside
-    [0, T] or an impulse of another shape.
+    bit-for-bit.  ValueError on a perturbation or schedule step that is not
+    an integer (a ``bool`` is not one) or lies outside [0, T], and on an
+    impulse of another shape.
     """
     T = controller.horizon
     m, n = plant.state_dim, plant.input_dim
     w = _realize_disturbance(T, m, noise=noise, seed=seed, x0=x0, w=w)
     impulses = {}
     for t, vec in perturbations:
+        t = _step_index("perturbation", t)
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (m,):
             raise ValueError(f"perturbation at t={t} has shape {vec.shape}, expected ({m},)")
-        impulses[int(t)] = impulses.get(int(t), 0) + vec
-    schedule = {int(t): np.asarray(k, dtype=float) for t, k in feedforward_schedule or ()}
+        impulses[t] = impulses.get(t, 0) + vec
+    schedule = {_step_index("feedforward_schedule", t): np.asarray(k, dtype=float)
+                for t, k in feedforward_schedule or ()}
     for what, steps in (("perturbation", impulses), ("feedforward_schedule", schedule)):
         outside = [t for t in steps if not 0 <= t <= T]
         if outside:
@@ -445,6 +448,13 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
             active = active.with_feedforward(schedule[t])
         us[t] = active.control(t, xs[: t + 1])
     return Trajectory(states=xs, inputs=us, noise=w)
+
+
+def _step_index(what, t):
+    """``t`` as an int; ValueError unless it is an int or NumPy integer, and not a bool."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise ValueError(f"{what} step {t!r} is not an integer")
+    return int(t)
 
 
 # -- baselines ----------------------------------------------------------------

@@ -224,7 +224,7 @@ class Controller:
             raise ValueError(f"hessian_inv must be finite, shape {(len(gains), n, n)}, "
                              f"got {np.shape(hessian_inv)}")
         self.hessian_inv = hessian_inv
-        self._idx = _history_indices(held, m)   # one gather per step
+        self._idx = _history_indices(held, m)   # a view, or one gather, per step
         self.k = _checked_vector("k", k, len(gains) * n)
         if (nominal_x is None) != (nominal_u is None):
             raise ValueError("nominal_x and nominal_u must be supplied together")
@@ -292,18 +292,22 @@ def held_states(cost):
 
 
 def _history_indices(held, m):
-    """Per step t, the flat indices of z_t = [x_t; x_s for s in held[t]] in a stacked history.
+    """Per step t, where z_t = [x_t; x_s for s in held[t]] sits in a stacked history.
 
-    Steps come in runs that hold the same states; each run is one broadcast
-    and its rows are the steps' index arrays.
+    A step that holds no state reads z_t = x_t through the slice of its own
+    block, a view.  The other steps come in runs that hold the same states;
+    each run is one broadcast and its rows are the steps' index arrays.
     """
     idx, ar, t = [], np.arange(m), 0
     for h, run in groupby(held):
         end = t + len(list(run))
-        rows = np.empty((end - t, m * (1 + len(h))), dtype=int)
-        rows[:, :m] = m * np.arange(t, end)[:, None] + ar
-        rows[:, m:] = (m * np.array(h, dtype=int)[:, None] + ar).ravel()
-        idx.extend(rows)
+        if not h:
+            idx.extend(slice(m * s, m * (s + 1)) for s in range(t, end))
+        else:
+            rows = np.empty((end - t, m * (1 + len(h))), dtype=int)
+            rows[:, :m] = m * np.arange(t, end)[:, None] + ar
+            rows[:, m:] = (m * np.array(h, dtype=int)[:, None] + ar).ravel()
+            idx.extend(rows)
         t = end
     return idx
 
@@ -331,15 +335,18 @@ def _transitions(A, B, held):
 
 
 def _stage_costs(cost, held, m):
-    """Per step t that Q touches, Q_z with z_t'Q_z z_t = x_t'Q_tt x_t + 2 sum_s x_s'Q_st x_t."""
+    """Per step t that Q touches, the pieces (rows, block) of its stage cost z_t'Q_z z_t.
+
+    z_t'Q_z z_t = x_t'Q_tt x_t + 2 sum_s x_s'Q_st x_t: Q_tt sits in the rows
+    and columns of x_t, each Q_st in the rows of x_s and the columns of x_t,
+    and its transpose mirrors it.  ``rows`` is a slice of z_t; the blocks are
+    the cost's own, not copies, and the recursion only reads them.
+    """
     stage = {}
     for (s, t), Q in cost.Q.items():
         if s <= t:
             a = 0 if s == t else 1 + held[t].index(s)
-            Qz = stage.setdefault(t, np.zeros((m * (1 + len(held[t])),) * 2))
-            Qz[a * m:(a + 1) * m, :m] += Q
-            if a:
-                Qz[:m, a * m:(a + 1) * m] += Q.T
+            stage.setdefault(t, []).append((slice(a * m, (a + 1) * m), Q))
     return stage
 
 
@@ -395,8 +402,10 @@ def riccati_gains(system, cost):
                 hinv[t] = np.linalg.inv(H[t])
                 gains[t] = -hinv[t] @ G[M:, :M]
                 P = G[:M, :M] + G[:M, M:] @ gains[t]
-                if t in stage:
-                    P += stage[t]
+                for rows, Q in stage.get(t, ()):
+                    P[rows, :m] += Q
+                    if rows.start:   # Q_st of a held s, and its mirror
+                        P[:m, rows] += Q.T
                 P = (P + P.T) / 2
     except np.linalg.LinAlgError:
         pass   # H[t] is exactly singular: the check names it, or a later step
@@ -419,11 +428,13 @@ def feedforward_pass(F, R, law, u_d, b=None):
     """
     T1, m, n, c = len(F), law.state_dim, law.input_dim, u_d.shape[2]
     g, p, Ru = np.empty((T1, n, c)), np.zeros((m, c)), R @ u_d
+    # a zero block of b adds nothing, so only the steps that carry one add it
+    carries = [False] * T1 if b is None else b.any(axis=(1, 2)).tolist()
     for t in range(T1 - 1, -1, -1):
         q = F[t].T @ p
         g[t] = Ru[t] + q[-n:]
         p = q[:-n] + law.gains[t].T @ g[t]
-        if b is not None:
+        if carries[t]:
             p[:m] += b[t]
     return law.hessian_inv @ g
 

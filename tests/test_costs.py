@@ -330,6 +330,35 @@ def test_state_cost_fd_fallbacks_match_analytic():
         assert np.max(np.abs(fallback.hessian(0, x) - H_ref)) / scale < 1e-4
 
 
+def test_batched_state_cost_methods_equal_the_per_step_calls():
+    # keypoint quadratics with a duplicate t (weights accumulate) and one at
+    # the horizon, which the shorter stacks do not reach; a callable cost on
+    # the finite-difference fallbacks
+    rng = np.random.default_rng(14)
+    T, m = 9, 3
+    g = rng.normal(size=m)
+    keypoints = StateCostFunction.quadratic_viapoints(
+        T, [(2, g, [1.0, 2.0, 0.0]), (5, rng.normal(size=m), 3.0),
+            (2, g, np.diag([0.5, 0.0, 4.0])),
+            (T, rng.normal(size=m), 1e3)], m)
+    a = rng.normal(size=m)
+    fallback = StateCostFunction(lambda t, x: float(np.cos(a @ x) + (t + 1) * x @ x))
+    for cost in (keypoints, fallback):
+        for N in (T + 1, 6, 3):
+            xs = rng.normal(size=(N, m))
+            for batched, per_step in ((cost.values, cost.value),
+                                      (cost.gradients, cost.gradient),
+                                      (cost.hessians, cost.hessian)):
+                ref = np.array([per_step(t, xs[t]) for t in range(N)])
+                got = batched(xs)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+    # only the keypoint steps of a stack are nonzero
+    xs = rng.normal(size=(T + 1, m))
+    assert np.flatnonzero(keypoints.values(xs)).tolist() == [2, 5, T]
+    assert np.flatnonzero(keypoints.hessians(xs).any(axis=(1, 2))).tolist() == [2, 5, T]
+
+
 def test_joint_limit_hinge_values():
     lower = np.array([-1.0, -1.0])
     upper = np.array([2.0, 0.5])

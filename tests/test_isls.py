@@ -400,6 +400,53 @@ def test_quadratize_refreshes_each_coupled_component_once(monkeypatch):
     npt.assert_array_equal(sub.x_d, x_d)
 
 
+def _subproblem_bytes(sub):
+    return [sub.x_d.tobytes(), sub.linear_term.tobytes(), sub.u_d.tobytes(),
+            sorted((key, blk.tobytes()) for key, blk in sub.Q.items())]
+
+
+def test_quadratize_recomputes_eigh_only_when_the_hessian_stack_moves(monkeypatch):
+    # a curvature that depends on x is decomposed again at a new nominal and
+    # gives the subproblem of a fresh objective; keypoint quadratics have one
+    # stack at every nominal, decomposed once
+    T, m, n = 5, 2, 1
+    rng = np.random.default_rng(21)
+    quartic = StateCostFunction(lambda t, x: float(x @ x) ** 2,
+                                lambda t, x: 4 * float(x @ x) * x,
+                                lambda t, x: 4 * float(x @ x) * np.eye(m) + 8 * np.outer(x, x))
+    keypoints = StateCostFunction.quadratic_viapoints(T, [(2, rng.normal(size=m), 2.0),
+                                                          (T, rng.normal(size=m), 5.0)], m)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H) or eigh(H))
+    u_hat = rng.normal(size=(T + 1, n))
+    nominals = [rng.normal(size=(T + 1, m)) for _ in range(3)]
+    for state_cost, decompositions in ((quartic, 3), (keypoints, 1)):
+        calls.clear()
+        obj = TrackingObjective(T, m, n, state_cost, control_weight=0.5)
+        subs = [obj.quadratize(x_hat, u_hat, 1e-6) for x_hat in nominals]
+        assert len(calls) == decompositions
+        for x_hat, sub in zip(nominals, subs):
+            fresh = TrackingObjective(T, m, n, state_cost, control_weight=0.5)
+            assert _subproblem_bytes(sub) == _subproblem_bytes(fresh.quadratize(x_hat, u_hat, 1e-6))
+
+
+def test_objective_reused_across_trials_gives_a_fresh_objectives_controller():
+    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
+    plant, cfg = build_plant(scenario), isls_config(scenario)
+    rng = np.random.default_rng(22)
+    x0_first, x0_second = (draw_initial_state(scenario, rng, plant) for _ in range(2))
+    reused = build_objective(scenario)
+    isls_optimize(plant, reused, x0_first, config=cfg)
+    laws = [isls_optimize(plant, objective, x0_second, config=cfg)
+            for objective in (reused, build_objective(scenario))]
+    (a, res_a), (b, res_b) = laws
+    assert res_a.iterations == res_b.iterations and res_a.cost == res_b.cost
+    for name in ("k", "nominal_x", "nominal_u", "hessian_inv"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.held == b.held
+    assert [g.tobytes() for g in a.gains] == [g.tobytes() for g in b.gains]
+
+
 def test_pickplace_trial_runs_no_plan_pass(monkeypatch):
     # the outer loop reads only the subproblems' controllers, never a plan
     scenario = load_scenario(bundled_scenario_path("pickplace_arm"))

@@ -1,5 +1,7 @@
 """Plants, rollouts, and the Riccati/MPC tracking baselines."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -365,6 +367,24 @@ def test_rollout_rejects_steps_outside_the_horizon_and_misshapen_impulses():
                  feedforward_schedule=[(10, np.ones(11))])
     npt.assert_array_equal(tr.states[[0, 10]], [[1.0, 0.0], [1.0, 1.0]])
     npt.assert_array_equal(tr.inputs[:, 0], [0.0] * 10 + [1.0])
+
+
+def test_rollout_rejects_steps_that_are_not_integers():
+    # a fractional step would run at its floor and True at step 1
+    plant = double_integrator_plant(1, 0.1)
+    ctrl = Controller.open_loop(np.zeros((11, 1)), 2)
+    for t in (3.7, 3.0, True, np.True_, "3", np.float64(3.0)):
+        with pytest.raises(ValueError, match=re.escape(f"perturbation step {t!r} is not")):
+            rollout(plant, ctrl, perturbations=[(t, [1.0, 0.0])])
+        with pytest.raises(ValueError, match="feedforward_schedule step .* is not an integer"):
+            rollout(plant, ctrl, feedforward_schedule=[(t, np.ones(11))])
+    # NumPy integers are steps
+    ref = rollout(plant, ctrl, perturbations=[(3, [1.0, 0.0])],
+                  feedforward_schedule=[(5, np.ones(11))])
+    tr = rollout(plant, ctrl, perturbations=[(np.int64(3), [1.0, 0.0])],
+                 feedforward_schedule=[(np.int32(5), np.ones(11))])
+    npt.assert_array_equal(tr.states, ref.states)
+    npt.assert_array_equal(tr.inputs, ref.inputs)
 
 
 def test_realize_disturbance_precedence():

@@ -608,6 +608,68 @@ def test_from_gains_names_the_first_bad_step():
             Controller.from_gains(law.held, gains, law.k)
 
 
+def test_history_reads_match_the_gather_of_every_index():
+    # steps holding no state read x_t through a slice, the others gather; the
+    # dense K, control and _run_policy equal, byte for byte, the same reads
+    # through explicit index arrays
+    rng = np.random.default_rng(15)
+    T, m, n = 12, 2, 1
+    system = TimeVaryingLinearSystem.constant(rng.normal(size=(m, m)) * 0.5,
+                                              rng.normal(size=(m, n)), T)
+    cost = build_viapoint_cost(T, [(4, rng.normal(size=m), 2.0), (T, rng.normal(size=m), 1.0)],
+                               0.7, state_dim=m, input_dim=n)
+    cost = add_correlation(cost, CorrelationSpec(3, 8, rng.normal(size=(m, m)),
+                                                 rng.normal(size=m), np.eye(m)))
+    law = solve_esls(system, cost).controller
+    ctrl = Controller.from_gains(law.held, law.gains, law.k, rng.normal(size=(T + 1) * m),
+                                 rng.normal(size=(T + 1) * n), law.hessian_inv)
+    ar = np.arange(m)
+    gather = [np.concatenate([m * s + ar for s in (t, *h)]) for t, h in enumerate(ctrl.held)]
+    held = [bool(h) for h in ctrl.held]
+    assert any(held) and not all(held)
+    assert [isinstance(i, slice) for i in ctrl._idx] == [not h for h in held]
+    K = np.zeros(((T + 1) * n, (T + 1) * m))
+    for t, idx in enumerate(gather):
+        K[t * n:(t + 1) * n, idx] = ctrl.gains[t]
+    assert ctrl.K.dense.tobytes() == K.tobytes()
+    xs = rng.normal(size=(T + 1) * m)
+    for t, idx in enumerate(gather):
+        u = (ctrl.gains[t] @ (xs[idx] - ctrl.nominal_x[idx]) + ctrl.k[t * n:(t + 1) * n]
+             + ctrl.nominal_u[t * n:(t + 1) * n])
+        assert ctrl.control(t, xs[:(t + 1) * m]).tobytes() == u.tobytes()
+    for x0, k in ((rng.normal(size=m), None),
+                  (rng.normal(size=(m, 3)), rng.normal(size=(T + 1, n, 3)))):
+        kk = ctrl.k.reshape(T + 1, n) if k is None else k
+        x = np.zeros(((T + 1) * m, *np.shape(x0)[1:]))
+        x[:m] = x0
+        us = np.zeros((T + 1, n, *np.shape(x0)[1:]))
+        for t, idx in enumerate(gather):
+            us[t] = ctrl.gains[t] @ x[idx] + kk[t]
+            if t < T:
+                x[(t + 1) * m:(t + 2) * m] = system.A[t] @ x[t * m:(t + 1) * m] + system.B[t] @ us[t]
+        got_x, got_u = slsctrl.solver._run_policy(system, ctrl, x0, k)
+        assert got_x.tobytes() == x.tobytes() and got_u.tobytes() == us.tobytes()
+
+
+def test_synthesis_leaves_the_cost_blocks_as_they_were():
+    # the recursion reads the diagonal blocks of steps without held states
+    # in place, so it must never write to them
+    rng = np.random.default_rng(16)
+    T, m, n = 10, 2, 1
+    system = TimeVaryingLinearSystem.constant(rng.normal(size=(m, m)) * 0.5,
+                                              rng.normal(size=(m, n)), T)
+    cost = build_viapoint_cost(T, [(1, rng.normal(size=m), 2.0), (5, rng.normal(size=m), 1.0),
+                                   (T, rng.normal(size=m), 3.0)],
+                               0.7, state_dim=m, input_dim=n)
+    cost = add_correlation(cost, CorrelationSpec(3, 8, rng.normal(size=(m, m)),
+                                                 rng.normal(size=m), np.eye(m)))
+    before = {key: blk.copy() for key, blk in cost.Q.items()}
+    law = solve_esls(system, cost).controller
+    assert not law.held[1] and not law.held[T] and law.held[5]
+    assert sorted(cost.Q) == sorted(before)
+    assert all(cost.Q[key].tobytes() == blk.tobytes() for key, blk in before.items())
+
+
 def test_controller_keeps_nonzero_blocks_of_dense_gain():
     # a BlockLowerTriangular K with a few memory blocks: the per-step form
     # keeps exactly those, acts like the dense row product and gives K back
