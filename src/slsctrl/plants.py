@@ -26,7 +26,7 @@ from .costs import (
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
-from .solver import _run_policy, riccati_gains
+from .solver import _checked_vector, _run_policy, riccati_gains
 from .stacked import NoiseModel, TimeVaryingLinearSystem
 
 JACOBIAN_FD_STEP = 1e-6   # central-difference step of Plant.jacobians' fallback
@@ -399,22 +399,26 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
     Parameters
     ----------
     plant : Plant
-    controller : object with ``control(t, x_history)`` and ``horizon``
-        Closed-loop laws see the full state history (flattened); memoryless
-        ones just read the last block.
+    controller : Controller, or the re-planning tracker of :func:`mpc_lqt_rollout`
+        The law runs online through a per-episode object that keeps the
+        episode's history: the rollout writes each state in place into its
+        own (T+1, m) buffer, the object gathers z_t from it and reads the
+        feedforward at every step.  A :class:`Controller`'s input at step t
+        has the bits of its ``control(t, states[:t + 1])``.
     noise, seed : NoiseModel and rng seed used to draw the disturbance.
     x0 : optional initial-state override (replaces the drawn first block).
     w : optional pre-drawn stacked disturbance (T+1, m); enables paired
         comparisons of different controllers on identical realizations.
     perturbations : sequence of (t, impulse) added to the state at step t;
         impulse has shape (m,).
-    feedforward_schedule : sequence of (t, k_new); at step t the remaining
-        rollout continues with the swapped feedforward (history retained).
+    feedforward_schedule : sequence of (t, k_new); from step t on the law is
+        ``with_feedforward(k_new)`` of the one before (history retained).
 
     Returns a :class:`Trajectory`; identical arguments reproduce it
-    bit-for-bit.  ValueError on a perturbation or schedule step that is not
-    an integer (a ``bool`` is not one) or lies outside [0, T], and on an
-    impulse of another shape.
+    bit-for-bit.  ValueError, before the first step, on a perturbation or
+    schedule step that is not an integer (a ``bool`` is not one) or lies
+    outside [0, T], on an impulse of another shape, and on a scheduled
+    feedforward of another size or with a non-finite entry.
     """
     T = controller.horizon
     m, n = plant.state_dim, plant.input_dim
@@ -426,27 +430,27 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
         if vec.shape != (m,):
             raise ValueError(f"perturbation at t={t} has shape {vec.shape}, expected ({m},)")
         impulses[t] = impulses.get(t, 0) + vec
-    schedule = {_step_index("feedforward_schedule", t): np.asarray(k, dtype=float)
-                for t, k in feedforward_schedule or ()}
+    schedule = {_step_index("feedforward_schedule", t): k for t, k in feedforward_schedule or ()}
     for what, steps in (("perturbation", impulses), ("feedforward_schedule", schedule)):
         outside = [t for t in steps if not 0 <= t <= T]
         if outside:
             raise ValueError(f"{what} step {outside[0]} outside [0, {T}]")
+    for t in sorted(schedule):
+        schedule[t] = _checked_vector("k", schedule[t], controller.k.size)
 
-    active = controller
-    xs = np.zeros((T + 1, m))
-    us = np.zeros((T + 1, n))
-    for t in range(T + 1):
-        if t == 0:
-            x_t = w[0].copy()
-        else:
-            x_t = plant.step(t - 1, xs[t - 1], us[t - 1]) + w[t]
+    xs, us = np.empty((T + 1, m)), np.empty((T + 1, n))
+    episode = controller._episode(xs, us)
+    control, step, add = episode.control, plant.step, np.add
+    xs[0] = w[0]
+    for t, (x, u, w_t) in enumerate(zip(xs, us, w)):
+        if t:
+            add(step(t - 1, x_prev, u_prev), w_t, out=x)
         if t in impulses:
-            x_t = x_t + impulses[t]
-        xs[t] = x_t
+            add(x, impulses[t], out=x)
         if t in schedule:
-            active = active.with_feedforward(schedule[t])
-        us[t] = active.control(t, xs[: t + 1])
+            episode.law = episode.law.with_feedforward(schedule[t])
+        control(t, x, u)
+        x_prev, u_prev = x, u
     return Trajectory(states=xs, inputs=us, noise=w)
 
 
@@ -517,16 +521,29 @@ class _ReplanningController:
 
     def __init__(self, system, cost, t_r, phase1):
         self.system, self.cost, self.t_r = system, cost, t_r
-        self.phase1, self.phase2 = phase1, None
-        self.horizon = cost.horizon
+        self.phase1, self.horizon = phase1, cost.horizon
 
-    def control(self, t, x_history):
-        if t < self.t_r:
-            return self.phase1.control(t, x_history)
-        xs = np.asarray(x_history, dtype=float).reshape(t + 1, -1)
-        if t == self.t_r:
-            self.phase2 = _replan_from(self.system, self.cost, t, xs)
-        return self.phase2.control(t - self.t_r, xs[self.t_r:])
+    def _episode(self, states, inputs):
+        return _ReplanningEpisode(self, states, inputs)
+
+
+class _ReplanningEpisode:
+    """Phase 1's episode until t_r, then the episode of the re-solve made there.
+
+    The re-solve reads ``states[:t_r + 1]``, and its episode runs on the rows
+    from t_r on.
+    """
+
+    def __init__(self, plan, states, inputs):
+        self.plan, self.states, self.inputs = plan, states, inputs
+        self.active, self.start = plan.phase1._episode(states, inputs), 0
+
+    def control(self, t, x, u):
+        plan = self.plan
+        if t == plan.t_r:
+            law = _replan_from(plan.system, plan.cost, t, self.states[:t + 1])
+            self.active, self.start = law._episode(self.states[t:], self.inputs[t:]), t
+        self.active.control(t - self.start, x, u)
 
 
 def _replan_from(system, cost, t_r, xs):

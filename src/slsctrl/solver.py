@@ -271,6 +271,54 @@ class Controller:
             u = u + self.nominal_u[t * n:(t + 1) * n]
         return u
 
+    def _episode(self, states, inputs):
+        """This law run online on one rollout's buffers: see :class:`_Episode`."""
+        return _Episode(self, states, inputs)
+
+
+class _Episode:
+    """A law run online on one rollout's own buffers, one step per call.
+
+    ``states`` (T+1, m) is C-contiguous, and the caller writes x_t into its
+    row t before :meth:`control` at step t writes u_t into ``inputs[t]``;
+    ``inputs`` is read only for its shape.  z_t is gathered from the flat
+    state buffer, a view at a step that holds no state.  A law with a
+    nominal keeps a deviation buffer instead, one row x_t - nominal_x,t per
+    step.  The gains and nominals are read once; the feedforward is read
+    from ``law`` at every step, so a :meth:`Controller.swap_feedforward` on
+    it, or a ``law`` replaced by its :meth:`Controller.with_feedforward`
+    twin, acts from the next step.  Each u_t has the bits of
+    ``law.control(t, states[:t + 1])``.
+    """
+
+    __slots__ = ("law", "_steps", "_z", "_dev", "_nominal_x", "_nominal_u")
+
+    def __init__(self, law, states, inputs):
+        T1, m, n = len(law.gains), law.state_dim, law.input_dim
+        if states.shape != (T1, m) or inputs.shape != (T1, n):
+            raise ValueError(f"a law on {m} states and {n} inputs over {T1} steps cannot "
+                             f"run on states {states.shape} and inputs {inputs.shape}")
+        self.law = law
+        k_rows = (slice(t * n, (t + 1) * n) for t in range(T1))
+        self._steps = list(zip(law.gains, law._idx, k_rows))   # per step: gain, z_t, k_t
+        self._dev = self._nominal_x = self._nominal_u = None
+        if law.nominal_x is None:
+            self._z = states.reshape(-1)   # a view: the rows are filled in place
+        else:
+            self._dev = np.empty((T1, m))
+            self._z = self._dev.reshape(-1)
+            self._nominal_x = law.nominal_x.reshape(T1, m)
+            self._nominal_u = law.nominal_u.reshape(T1, n)
+
+    def control(self, t, x, u):
+        """Write u_t into ``u``, the row ``inputs[t]``; ``x`` is the row ``states[t]``."""
+        gain, idx, rows = self._steps[t]
+        if self._dev is not None:
+            np.subtract(x, self._nominal_x[t], out=self._dev[t])
+        np.add(gain @ self._z[idx], self.law.k[rows], out=u)
+        if self._nominal_u is not None:
+            np.add(u, self._nominal_u[t], out=u)
+
 
 def _checked_vector(name, v, size):
     if v is None:
@@ -287,8 +335,13 @@ def held_states(cost):
     for (i, j) in cost.Q:
         if i != j:
             reach[min(i, j)] = max(reach.get(min(i, j), 0), i, j)
-    return [tuple(sorted(s for s, e in reach.items() if s < t <= e))
-            for t in range(cost.horizon + 1)]
+    # s is held on (s, e]: the set changes only where some s enters or leaves
+    T1 = cost.horizon + 1
+    cuts = sorted({0, T1, *(s + 1 for s in reach), *(e + 1 for e in reach.values())})
+    held = []
+    for a, b in zip(cuts, cuts[1:]):
+        held += [tuple(sorted(s for s, e in reach.items() if s < a <= e))] * (b - a)
+    return held
 
 
 def _history_indices(held, m):

@@ -8,15 +8,20 @@ import pytest
 
 from slsctrl import (
     Controller,
+    CorrelationSpec,
     LinearPlant,
     NoiseModel,
     Plant,
+    StateCostFunction,
     TimeVaryingLinearSystem,
+    TrackingObjective,
+    add_correlation,
     batch_lqt,
     build_viapoint_cost,
     double_integrator_plant,
     dp_lqt,
     extract_controller,
+    isls_optimize,
     joint_limit_violation,
     linear_system_from_plant,
     linearize_plant,
@@ -26,6 +31,7 @@ from slsctrl import (
     solve_esls,
     wrap_angle,
 )
+from slsctrl.plants import _replan_from
 
 from oracles import (
     fd_jacobian,
@@ -498,3 +504,157 @@ def test_arm_reaching_target_is_reachable():
     sol = two_link_ik([0.8, 0.6], target)
     assert sol is not None
     npt.assert_allclose(planar_fk([0.8, 0.6], sol), target, atol=1e-10)
+
+
+# -- rollout against the stateless query ----------------------------------------
+
+
+def _reference_rollout(plant, law, w, perturbations=(), schedule=()):
+    """The rollout loop on ``law.control(t, xs[:t + 1])``, the single query, at every step."""
+    T = law.horizon
+    w = np.asarray(w, dtype=float).reshape(T + 1, plant.state_dim)
+    kicks, swaps = dict(perturbations), dict(schedule)
+    xs, us = np.zeros((T + 1, plant.state_dim)), np.zeros((T + 1, plant.input_dim))
+    for t in range(T + 1):
+        x = w[0].copy() if t == 0 else plant.step(t - 1, xs[t - 1], us[t - 1]) + w[t]
+        if t in kicks:
+            x = x + kicks[t]
+        xs[t] = x
+        if t in swaps:
+            law = law.with_feedforward(swaps[t])
+        us[t] = law.control(t, xs[:t + 1])
+    return xs, us
+
+
+def _assert_same_bits(traj, xs, us):
+    assert traj.states.tobytes() == xs.tobytes()
+    assert traj.inputs.tobytes() == us.tobytes()
+
+
+def _correlated_cost(T, m, n):
+    cost = build_viapoint_cost(T, [(T // 3, np.full(m, 0.4), 50.0), (T, np.zeros(m), 100.0)],
+                               0.05, state_dim=m, input_dim=n)
+    cost = add_correlation(cost, CorrelationSpec(T // 3, 2 * T // 3, np.eye(m),
+                                                 np.full(m, 0.1), 30.0 * np.eye(m)))
+    return add_correlation(cost, CorrelationSpec(T // 2, T, 0.5 * np.eye(m), np.zeros(m),
+                                                 10.0 * np.eye(m)))
+
+
+def _arm_law_with_nominal(T):
+    """An isls law on the 2-link arm with a held state: gains about a nominal."""
+    arm = planar_arm_plant([0.8, 0.6], 0.05)
+    m = arm.state_dim
+    g, weight, ee = np.zeros(m), np.zeros(m), np.zeros((m, m))
+    g[4:6], weight[4:6], ee[4:6, 4:6] = [0.7, 0.5], 1e3, np.eye(2)
+    obj = TrackingObjective(
+        T, m, arm.input_dim, StateCostFunction.quadratic_viapoints(T, [(T, g, weight)], m),
+        correlations=[CorrelationSpec(T // 3, 2 * T // 3, np.eye(m), np.zeros(m), 10.0 * ee)],
+        control_weight=1e-2)
+    law, _ = isls_optimize(arm, obj, arm.augment(np.array([0.3, 0.4]), np.zeros(2)))
+    assert law.nominal_x is not None and any(law.held)
+    return arm, law
+
+
+def test_rollout_inputs_have_the_bits_of_the_stateless_query():
+    # a memoryless law, one with held states, an open-loop plan and an isls
+    # law with a nominal, bare, kicked and retargeted at step 0, mid-horizon and T
+    rng = np.random.default_rng(31)
+    T, m, n = 24, 4, 2
+    plant = double_integrator_plant(2, 0.1)
+    system = linear_system_from_plant(plant, T)
+    cost = _correlated_cost(T, m, n)
+    arm, arm_law = _arm_law_with_nominal(T)
+    cases = [(plant, dp_lqt(system, cost.diagonal_projection())),
+             (plant, extract_controller(solve_esls(system, cost))),
+             (plant, Controller.open_loop(rng.normal(size=(T + 1, n)), m)),
+             (arm, arm_law)]
+    assert any(cases[1][1].held) and not any(cases[0][1].held)
+    for plant, law in cases:
+        m = plant.state_dim
+        w = 1e-2 * rng.normal(size=(T + 1) * m)
+        kicks = [(t, 1e-2 * rng.normal(size=m)) for t in (0, T // 2, T)]
+        swaps = [(t, law.k * (1 + 0.1 * i) + 1e-3 * rng.normal(size=law.k.size))
+                 for i, t in enumerate((0, T // 2, T))]
+        for options in ({}, {"perturbations": kicks}, {"feedforward_schedule": swaps},
+                        {"perturbations": kicks[1:], "feedforward_schedule": swaps[1:]}):
+            traj = rollout(plant, law, w=w, **options)
+            _assert_same_bits(traj, *_reference_rollout(
+                plant, law, w, options.get("perturbations", ()),
+                options.get("feedforward_schedule", ())))
+        # a schedule acts on a copy: the law itself still has its own feedforward
+        _assert_same_bits(rollout(plant, law, w=w), *_reference_rollout(plant, law, w))
+
+
+def test_mpc_rollout_has_the_bits_of_an_explicit_two_phase_run():
+    rng = np.random.default_rng(32)
+    T, m, n = 20, 4, 2
+    plant = double_integrator_plant(2, 0.1)
+    system = linear_system_from_plant(plant, T)
+    cost = _correlated_cost(T, m, n)
+    phase1 = dp_lqt(system, cost.diagonal_projection())
+    for t_r in (1, T // 3, T // 2 + 1, T):
+        w = 1e-2 * rng.normal(size=(T + 1, m))
+        kicks = {t: 1e-2 * rng.normal(size=m) for t in (0, t_r, T)}
+        traj = mpc_lqt_rollout(plant, cost, t_r, w=w, perturbations=kicks.items())
+        xs, us = np.zeros((T + 1, m)), np.zeros((T + 1, n))
+        for t in range(T + 1):
+            xs[t] = w[0] if t == 0 else plant.step(t - 1, xs[t - 1], us[t - 1]) + w[t]
+            if t in kicks:
+                xs[t] += kicks[t]
+            if t < t_r:
+                us[t] = phase1.control(t, xs[:t + 1])
+                continue
+            if t == t_r:
+                phase2 = _replan_from(system, cost, t_r, xs[:t_r + 1])
+            us[t] = phase2.control(t - t_r, xs[t_r:t + 1])
+        _assert_same_bits(traj, xs, us)
+
+
+def test_swap_feedforward_during_a_plant_step_acts_from_the_next_step():
+    # the law reads its feedforward at every step, so a swap on the live
+    # controller made inside plant.step(s, ...) moves u_{s+1} on, not u_s
+    T, m, n = 16, 4, 2
+    base = double_integrator_plant(2, 0.1)
+    system = linear_system_from_plant(base, T)
+    law = extract_controller(solve_esls(system, _correlated_cost(T, m, n)))
+    k_old, k_new, s = law.k, 2 * law.k + 0.3, 9
+
+    class SwappingPlant(LinearPlant):
+        def step(self, t, x, u):
+            if t == s:
+                law.swap_feedforward(k_new)
+            return super().step(t, x, u)
+
+    plant = SwappingPlant(base.A, base.B)
+    w = np.full((T + 1) * m, 1e-3)
+    traj = rollout(plant, law, w=w)
+    assert law.k is not k_old
+    law.swap_feedforward(k_old)
+    _assert_same_bits(traj, *_reference_rollout(base, law, w, schedule=[(s + 1, k_new)]))
+    assert traj.inputs[s + 1:].tobytes() != rollout(base, law, w=w).inputs[s + 1:].tobytes()
+
+
+def test_rollout_checks_every_scheduled_feedforward_before_the_first_step():
+    class CountingPlant(LinearPlant):
+        steps = 0
+
+        def step(self, t, x, u):
+            self.steps += 1
+            return super().step(t, x, u)
+
+    di = double_integrator_plant(1, 0.1)
+    plant = CountingPlant(di.A, di.B)
+    ctrl = Controller.open_loop(np.zeros((11, 1)), 2)
+    for bad in (np.ones(5), np.r_[np.ones(10), np.nan]):
+        with pytest.raises(ValueError) as direct:
+            ctrl.with_feedforward(bad)
+        for at in (0, 7, 10):
+            with pytest.raises(ValueError) as scheduled:
+                rollout(plant, ctrl, feedforward_schedule=[(3, np.ones(11)), (at, bad)])
+            assert str(scheduled.value) == str(direct.value)
+    # a law on other state or input sizes than the plant's
+    for law in (Controller.open_loop(np.zeros((11, 1)), 3),
+                Controller.open_loop(np.zeros((11, 2)), 2)):
+        with pytest.raises(ValueError, match="cannot run on states"):
+            rollout(plant, law)
+    assert plant.steps == 0
