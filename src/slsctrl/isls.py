@@ -24,7 +24,8 @@ from .costs import (
     CostSpec,
     StateCostFunction,
 )
-from .solver import Controller, extract_controller, solve_esls
+from .plants import rollout
+from .solver import extract_controller, solve_esls
 from .stacked import TimeVaryingLinearSystem, build_stacked
 
 NOMINAL_DEFECT_TOL = 1e-8   # largest |f(x_t, u_t) - x_{t+1}| linearize_plant keeps a nominal at
@@ -259,20 +260,12 @@ def closed_loop_step(plant, controller, k_scaled, x_hat, u_hat):
     """Roll the true plant from x_hat[0] under the deviation law du = K dx + alpha k.
 
     ``controller`` supplies K; deviations are taken from ``x_hat``, not from
-    the controller's nominal.
+    the controller's nominal.  The law, with feedforward ``k_scaled`` around
+    the nominal (x_hat, u_hat), runs through :func:`slsctrl.plants.rollout`
+    without noise; returns its (T+1, m) states and (T+1, n) inputs.
     """
-    n = plant.input_dim
-    T = x_hat.shape[0] - 1
-    xs = np.zeros((T + 1, plant.state_dim))
-    us = np.zeros((T + 1, n))
-    x_flat, x_hat_flat = xs.reshape(-1), x_hat.reshape(-1)
-    xs[0] = x_hat[0]
-    for t in range(T + 1):
-        du = controller._feedback(t, x_flat, x_hat_flat) + k_scaled[t * n:(t + 1) * n]
-        us[t] = u_hat[t] + du
-        if t < T:
-            xs[t + 1] = plant.step(t, xs[t], us[t])
-    return xs, us
+    traj = rollout(plant, controller._around(k_scaled, x_hat, u_hat), x0=x_hat[0])
+    return traj.states, traj.inputs
 
 
 def isls_optimize(plant, objective, x0, init_u=None, config=None):
@@ -352,8 +345,7 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         history.append(IterationState(len(history) + 1, cost_value, delta, alpha, step_norm))
         pending_tol = delta <= cfg.tolerance * max(1.0, abs(cost_value))
 
-    controller = Controller.from_gains(ctrl.held, ctrl.gains, ctrl.k, x_hat, u_hat,
-                                       ctrl.hessian_inv)
+    controller = ctrl._around(ctrl.k, x_hat, u_hat)
     stationarity = float(np.max(np.abs(controller.k)))
     # a stall only shows that no scale of the step improves the cost; it
     # counts as convergence when the step itself is within the bound

@@ -27,7 +27,7 @@ from .costs import (
     joint_limit_violation_jacobian,
 )
 from .solver import _checked_vector, _run_policy, riccati_gains
-from .stacked import NoiseModel, TimeVaryingLinearSystem
+from .stacked import TimeVaryingLinearSystem
 
 JACOBIAN_FD_STEP = 1e-6   # central-difference step of Plant.jacobians' fallback
 
@@ -88,7 +88,7 @@ class LinearPlant(Plant):
         self.name = name
 
     def step(self, t, x, u):
-        return self.A @ np.asarray(x, float) + self.B @ np.asarray(u, float)
+        return self.A @ x + self.B @ u
 
     def jacobians(self, t, x, u):
         return self.A.copy(), self.B.copy()
@@ -381,10 +381,8 @@ def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=N
         if not np.all(np.isfinite(w)):
             raise ValueError("w has non-finite entries")
         return w
-    if noise is None:
-        noise = NoiseModel.zero(horizon, state_dim)
-    rng = np.random.default_rng(seed)
-    w = noise.sample(rng).reshape(horizon + 1, state_dim)
+    w = (np.zeros((horizon + 1, state_dim)) if noise is None   # draws nothing: all +0.0
+         else noise.sample(np.random.default_rng(seed)).reshape(horizon + 1, state_dim))
     if x0 is not None:
         w[0] = np.asarray(x0, dtype=float)
         if not np.all(np.isfinite(w[0])):
@@ -394,7 +392,7 @@ def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=N
 
 def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
             perturbations=(), feedforward_schedule=None):
-    """Simulate a controller on a plant.
+    """Simulate a controller on a plant: the package's one closed-loop simulator.
 
     Parameters
     ----------
@@ -405,7 +403,7 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
         own (T+1, m) buffer, the object gathers z_t from it and reads the
         feedforward at every step.  A :class:`Controller`'s input at step t
         has the bits of its ``control(t, states[:t + 1])``.
-    noise, seed : NoiseModel and rng seed used to draw the disturbance.
+    noise, seed : NoiseModel and rng seed; with no noise nothing is drawn (+0.0 past x0).
     x0 : optional initial-state override (replaces the drawn first block).
     w : optional pre-drawn stacked disturbance (T+1, m); enables paired
         comparisons of different controllers on identical realizations.

@@ -167,7 +167,8 @@ class Controller:
     blocks of a dense :class:`BlockLowerTriangular`; :meth:`from_gains`
     takes them directly, and :meth:`open_loop` makes an input plan the law
     with zero gains.  Without a nominal the law acts on absolute states;
-    the iterative solver wraps it around a nominal trajectory.
+    the iterative solver wraps it around a nominal trajectory by a copy that
+    shares the gains (``_around``), for each line-search trial and its result.
 
     ``hessian_inv`` (T+1, n, n) holds the inverse step Hessians of the
     recursion that produced the gains, so the retarget maps need no second
@@ -254,10 +255,13 @@ class Controller:
         twin.swap_feedforward(k_new)
         return twin
 
-    def _feedback(self, t, x, x_ref=None):
-        """gains[t] times z_t read from the flat history x, less x_ref if given."""
-        idx = self._idx[t]
-        return self.gains[t] @ (x[idx] if x_ref is None else x[idx] - x_ref[idx])
+    def _around(self, k, nominal_x, nominal_u):
+        """Copy sharing the gains, with feedforward ``k`` around a nominal: checks only these."""
+        twin = self.with_feedforward(k)
+        T1 = len(self.gains)
+        twin.nominal_x = _checked_vector("nominal_x", nominal_x, T1 * self.state_dim)
+        twin.nominal_u = _checked_vector("nominal_u", nominal_u, T1 * self.input_dim)
+        return twin
 
     def control(self, t, x_history):
         """Input at step t given the states observed so far (shape (t+1, m) or flat)."""
@@ -265,8 +269,9 @@ class Controller:
         hist = np.asarray(x_history, dtype=float).reshape(-1)
         if hist.size != (t + 1) * self.state_dim:
             raise ValueError(f"history at t={t} must contain t+1 state blocks")
-        k = self.k  # capture once; see swap_feedforward
-        u = self._feedback(t, hist, self.nominal_x) + k[t * n:(t + 1) * n]
+        idx = self._idx[t]
+        z = hist[idx] if self.nominal_x is None else hist[idx] - self.nominal_x[idx]
+        u = self.gains[t] @ z + self.k[t * n:(t + 1) * n]   # one read; see swap_feedforward
         if self.nominal_u is not None:
             u = u + self.nominal_u[t * n:(t + 1) * n]
         return u

@@ -307,6 +307,26 @@ def alpha_scan(cost_of_alpha, grid):
     return float(grid[int(np.argmin(costs))]), costs
 
 
+def closed_loop_step_reference(plant, controller, k_scaled, x_hat, u_hat):
+    """The line search's trial run as its own per-step loop.
+
+    From x_hat[0] on the plant, u_t = u_hat_t + gains[t] z_t + k_scaled_t
+    with z_t = [x_t - x_hat_t; x_s - x_hat_s for s in held[t]]; the
+    controller's own nominal is not read.
+    """
+    n = plant.input_dim
+    T = x_hat.shape[0] - 1
+    xs = np.zeros((T + 1, plant.state_dim))
+    us = np.zeros((T + 1, n))
+    xs[0] = x_hat[0]
+    for t in range(T + 1):
+        z = np.concatenate([xs[s] - x_hat[s] for s in (t, *controller.held[t])])
+        us[t] = u_hat[t] + (controller.gains[t] @ z + k_scaled[t * n:(t + 1) * n])
+        if t < T:
+            xs[t + 1] = plant.step(t, xs[t], us[t])
+    return xs, us
+
+
 def spectral_radius(M):
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 

@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import slsctrl.isls
 import slsctrl.solver
 from slsctrl import (
+    Controller,
     IslsConfig,
     LinearPlant,
     StateCostFunction,
@@ -33,6 +35,7 @@ from slsctrl.scenarios import (
 
 from oracles import (
     alpha_scan,
+    closed_loop_step_reference,
     fd_gradient,
     per_step_quadratization,
     planar_fk,
@@ -566,3 +569,38 @@ def test_correlation_offset_transfers_to_subproblem():
         shifted.c, corr.C @ x_hat[1] + corr.c - x_hat[3], atol=1e-12)
     npt.assert_allclose(shifted.evaluate(np.zeros(m), np.zeros(m)),
                         corr.evaluate(x_hat[1], x_hat[3]), atol=1e-12)
+
+
+def test_trial_runs_equal_the_reference_loop_for_every_alpha():
+    # a pick-place subproblem law holds states, and the controller it comes
+    # in carries a nominal of its own, which a trial must not read
+    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
+    plant, objective, cfg = build_plant(scenario), build_objective(scenario), isls_config(scenario)
+    T, n = objective.horizon, plant.input_dim
+    x0 = draw_initial_state(scenario, np.random.default_rng(3), plant)
+    u_hat = 0.2 * np.random.default_rng(4).normal(size=(T + 1, n))
+    x_hat = nominal_rollout(plant, x0, u_hat)
+    sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor)
+    law = extract_controller(solve_esls(linearize_plant(plant, x_hat, u_hat), sub))
+    assert any(law.held)
+    carrier = Controller.from_gains(law.held, law.gains, law.k, x_hat + 0.01, u_hat - 0.01)
+    for alpha in ALPHAS:
+        got = closed_loop_step(plant, carrier, alpha * law.k, x_hat, u_hat)
+        ref = closed_loop_step_reference(plant, carrier, alpha * law.k, x_hat, u_hat)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref], alpha
+
+
+def test_isls_with_the_reference_trial_loop_gives_the_same_law(monkeypatch):
+    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
+    plant, objective, cfg = build_plant(scenario), build_objective(scenario), isls_config(scenario)
+    rng = np.random.default_rng(0)
+    for x0 in [draw_initial_state(scenario, rng, plant) for _ in range(2)]:
+        a, res_a = isls_optimize(plant, objective, x0, config=cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(slsctrl.isls, "closed_loop_step", closed_loop_step_reference)
+            b, res_b = isls_optimize(plant, objective, x0, config=cfg)
+        assert res_a.iterations > 1 and res_a == res_b
+        for name in ("k", "nominal_x", "nominal_u", "hessian_inv"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.held == b.held
+        assert [g.tobytes() for g in a.gains] == [g.tobytes() for g in b.gains]

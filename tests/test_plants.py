@@ -52,6 +52,16 @@ def test_double_integrator_step():
     npt.assert_allclose(exact.B[:, 0], [0.005, 0.1])
 
 
+def test_linear_step_takes_lists_and_integer_arrays():
+    rng = np.random.default_rng(8)
+    plant = LinearPlant(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)))
+    ref = plant.step(0, np.array([3.0, -2.0, 7.0]), np.array([5.0, 1.0]))
+    for x, u in (([3, -2, 7], [5, 1]), (np.array([3, -2, 7]), np.array([5, 1])),
+                 ([3.0, -2.0, 7.0], (5.0, 1.0))):
+        out = plant.step(0, x, u)
+        assert out.dtype == np.float64 and out.tobytes() == ref.tobytes()
+
+
 def test_wrap_angle():
     npt.assert_allclose(wrap_angle(np.pi + 0.1), -np.pi + 0.1, atol=1e-12)
     npt.assert_allclose(wrap_angle(-np.pi - 0.1), np.pi - 0.1, atol=1e-12)
@@ -402,6 +412,17 @@ def test_realize_disturbance_precedence():
         rollout(plant, ctrl, x0=np.ones(2), w=w)
     tr = rollout(plant, ctrl, x0=np.array([2.0, 0.0]), noise=NoiseModel.zero(3, 2))
     npt.assert_allclose(tr.states[0], [2.0, 0.0])
+
+
+def test_rollout_without_noise_is_reproducible():
+    # no noise draws nothing: every disturbance entry past x0 is +0.0
+    plant = double_integrator_plant(2, 0.1)
+    ctrl = Controller.open_loop(np.ones((21, 2)), 4)
+    x0 = np.array([1.0, -1.0, 0.0, 0.5])
+    a, b = (rollout(plant, ctrl, x0=x0) for _ in range(2))
+    for name in ("states", "inputs", "noise"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert not np.signbit(a.noise[1:]).any()
 
 
 def test_dp_gains_against_riccati_oracle():
