@@ -70,7 +70,7 @@ class BenchmarkReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def bench_mug_sugar(trials=10, seed=0, scenario_path=None, overrides=None):
+def bench_mug_sugar(trials=10, seed=0, scenario_path=None):
     """Paired comparison on the pouring task: same draws for both solvers.
 
     The synthesized controller is solved once (it does not depend on the
@@ -80,8 +80,7 @@ def bench_mug_sugar(trials=10, seed=0, scenario_path=None, overrides=None):
     """
     if trials < 2:
         raise ValueError("paired comparison needs at least 2 trials")
-    scenario = scenario_from(scenario_path or bundled_scenario_path("mug_sugar"),
-                             overrides)
+    scenario = scenario_from(scenario_path or bundled_scenario_path("mug_sugar"))
     plant = build_plant(scenario)
     cost = build_cost(scenario)
     noise = build_noise(scenario)
@@ -142,7 +141,7 @@ def bench_mug_sugar(trials=10, seed=0, scenario_path=None, overrides=None):
     return report
 
 
-def bench_pickplace(trials=5, seed=0, scenario_path=None, overrides=None):
+def bench_pickplace(trials=5, seed=0, scenario_path=None):
     """Iterative synthesis on the arm task across perturbed initial postures.
 
     Reports the grasp height the solver chose (free along the imprecise
@@ -152,8 +151,7 @@ def bench_pickplace(trials=5, seed=0, scenario_path=None, overrides=None):
     """
     if trials < 1:
         raise ValueError("need at least 1 trial")
-    scenario = scenario_from(scenario_path or bundled_scenario_path("pickplace_arm"),
-                             overrides)
+    scenario = scenario_from(scenario_path or bundled_scenario_path("pickplace_arm"))
     plant = build_plant(scenario)
     objective = build_objective(scenario)
     lift = next(c for c in scenario.correlations if np.any(c.c != 0))
@@ -227,7 +225,7 @@ def apply_viapoint_edit(config, t, target):
     return config
 
 
-def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=None):
+def bench_adaptation(scenario_path=None, target_edits=None, seed=0):
     """Retarget through the precomputed maps and compare with full re-solves.
 
     Each edit is a dict {"t": viapoint time, "target": new target,
@@ -237,8 +235,7 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
     adaptation path; every edit reports the feedforward gap to a re-solve,
     both wall-clocks, and trajectory agreement.
     """
-    scenario = scenario_from(scenario_path or bundled_scenario_path("mug_sugar"),
-                             overrides)
+    scenario = scenario_from(scenario_path or bundled_scenario_path("mug_sugar"))
     if target_edits is None:
         t_edit, base_target, _ = max(scenario.viapoints, key=lambda vp: vp[0])
         shifted = base_target.copy()
@@ -283,14 +280,9 @@ def bench_adaptation(scenario_path=None, target_edits=None, seed=0, overrides=No
         resolve_seconds = time.perf_counter() - t1
         k_gap = float(np.max(np.abs(k_adapt - k_resolve)))
 
-        if at == 0:
-            traj_adapt = rollout(plant, controller.with_feedforward(k_adapt), x0=x0)
-            traj_resolve = rollout(plant, controller.with_feedforward(k_resolve), x0=x0)
-        else:
-            traj_adapt = rollout(plant, controller, x0=x0,
-                                 feedforward_schedule=[(at, k_adapt)])
-            traj_resolve = rollout(plant, controller, x0=x0,
-                                   feedforward_schedule=[(at, k_resolve)])
+        traj_adapt, traj_resolve = (
+            rollout(plant, controller, x0=x0, feedforward_schedule=[(at, k)])
+            for k in (k_adapt, k_resolve))
         tracking_error = float(np.max(np.abs(traj_adapt.states[t_edit] - target)))
         report.per_trial.append({
             "edit_t": t_edit,

@@ -84,8 +84,8 @@ def build_parser():
     p_roll = sub.add_parser("rollout",
                             help="simulate a saved controller on a scenario")
     _add_common(p_roll)
-    p_roll.add_argument("--controller", default=None,
-                        help="controller artifact; omitted = solve first")
+    p_roll.add_argument("--controller", required=True,
+                        help="controller artifact to replay")
     p_roll.set_defaults(func=cmd_rollout)
 
     p_bench = sub.add_parser("bench", help="seeded benchmark experiments")
@@ -95,9 +95,10 @@ def build_parser():
                        ("adapt", cmd_bench_adapt)):
         p = bench_sub.add_parser(name)
         _add_common(p, scenario_required=False)
-        p.add_argument("--trials", type=int, default=None,
-                       help="number of trials (experiment-specific default)")
-        if name == "adapt":
+        if name != "adapt":
+            p.add_argument("--trials", type=int, default=None,
+                           help="number of trials (experiment-specific default)")
+        else:
             p.add_argument("--edit-json", default=None,
                            help="JSON list of edits or @file; default: built-in edits")
         p.set_defaults(func=func)
@@ -141,10 +142,6 @@ def _validate_law(scenario, plant, cost, law):
 
 
 def cmd_rollout(args):
-    if args.controller is None:
-        return cmd_solve(argparse.Namespace(scenario=args.scenario, seed=args.seed,
-                                            out=args.out, label=args.label,
-                                            trace=False))
     scenario = load_scenario(args.scenario)
     kind = scenario.solver["kind"]
     if kind == "mpc-lqt":

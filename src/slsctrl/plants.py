@@ -26,7 +26,7 @@ from .costs import (
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
-from .solver import _checked_vector, _run_policy, riccati_gains
+from .solver import _checked_vector, _Episode, _run_policy, riccati_gains
 from .stacked import TimeVaryingLinearSystem
 
 JACOBIAN_FD_STEP = 1e-6   # central-difference step of Plant.jacobians' fallback
@@ -397,12 +397,12 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
     Parameters
     ----------
     plant : Plant
-    controller : Controller, or the re-planning tracker of :func:`mpc_lqt_rollout`
+    controller : Controller
         The law runs online through a per-episode object that keeps the
         episode's history: the rollout writes each state in place into its
         own (T+1, m) buffer, the object gathers z_t from it and reads the
-        feedforward at every step.  A :class:`Controller`'s input at step t
-        has the bits of its ``control(t, states[:t + 1])``.
+        feedforward at every step.  The input at step t has the bits of
+        ``controller.control(t, states[:t + 1])``.
     noise, seed : NoiseModel and rng seed; with no noise nothing is drawn (+0.0 past x0).
     x0 : optional initial-state override (replaces the drawn first block).
     w : optional pre-drawn stacked disturbance (T+1, m); enables paired
@@ -437,7 +437,7 @@ def rollout(plant, controller, noise=None, seed=None, x0=None, w=None,
         schedule[t] = _checked_vector("k", schedule[t], controller.k.size)
 
     xs, us = np.empty((T + 1, m)), np.empty((T + 1, n))
-    episode = controller._episode(xs, us)
+    episode = _Episode(controller, xs, us)
     control, step, add = episode.control, plant.step, np.add
     xs[0] = w[0]
     for t, (x, u, w_t) in enumerate(zip(xs, us, w)):
@@ -495,53 +495,32 @@ def dp_lqt(system, cost):
 
 def mpc_lqt_rollout(plant, cost, recompute_time, noise=None, seed=None,
                     x0=None, w=None, perturbations=()):
-    """Memoryless tracker with one scheduled re-solve at ``recompute_time``.
+    """Memoryless tracker with one scheduled re-solve at ``recompute_time``: two rollouts.
 
     Phase 1 runs the Riccati tracker on the diagonal projection of the cost
     (cross-time blocks dropped, derived targets kept).  At t_r every
     correlation whose earlier timestep is already realized is frozen to the
-    affine image of the realized state, and the remaining horizon is
-    re-solved from the realized state.  Correlations still entirely in the
-    future stay projected: a memoryless plan has nothing to condition on.
+    affine image of the realized state, and phase 2 runs the re-solve of the
+    remaining horizon from x_{t_r} on the rest of the one realized disturbance
+    and the later impulses.  Correlations still entirely in the future stay
+    projected: a memoryless plan has nothing to condition on.
     """
     T = cost.horizon
     t_r = int(recompute_time)
     if not (0 < t_r <= T):
         raise ValueError(f"recompute time {t_r} outside (0, {T}]")
     system = linear_system_from_plant(plant, T)
-    phase1 = dp_lqt(system, cost.diagonal_projection())
-    return rollout(plant, _ReplanningController(system, cost, t_r, phase1), noise=noise,
-                   seed=seed, x0=x0, w=w, perturbations=perturbations)
-
-
-class _ReplanningController:
-    """The phase-1 tracker before ``t_r``, then the re-solve made at ``t_r``."""
-
-    def __init__(self, system, cost, t_r, phase1):
-        self.system, self.cost, self.t_r = system, cost, t_r
-        self.phase1, self.horizon = phase1, cost.horizon
-
-    def _episode(self, states, inputs):
-        return _ReplanningEpisode(self, states, inputs)
-
-
-class _ReplanningEpisode:
-    """Phase 1's episode until t_r, then the episode of the re-solve made there.
-
-    The re-solve reads ``states[:t_r + 1]``, and its episode runs on the rows
-    from t_r on.
-    """
-
-    def __init__(self, plan, states, inputs):
-        self.plan, self.states, self.inputs = plan, states, inputs
-        self.active, self.start = plan.phase1._episode(states, inputs), 0
-
-    def control(self, t, x, u):
-        plan = self.plan
-        if t == plan.t_r:
-            law = _replan_from(plan.system, plan.cost, t, self.states[:t + 1])
-            self.active, self.start = law._episode(self.states[t:], self.inputs[t:]), t
-        self.active.control(t - self.start, x, u)
+    w = _realize_disturbance(T, plant.state_dim, noise=noise, seed=seed, x0=x0, w=w)
+    perturbations = list(perturbations)   # read twice: once per phase
+    first = rollout(plant, dp_lqt(system, cost.diagonal_projection()), w=w,
+                    perturbations=perturbations)
+    w_rest = w[t_r:].copy()
+    w_rest[0] = first.states[t_r]
+    later = [(t - t_r, vec) for t, vec in perturbations if t > t_r]
+    rest = rollout(plant, _replan_from(system, cost, t_r, first.states[:t_r + 1]),
+                   w=w_rest, perturbations=later)
+    return Trajectory(states=np.concatenate([first.states[:t_r], rest.states]),
+                      inputs=np.concatenate([first.inputs[:t_r], rest.inputs]), noise=w)
 
 
 def _replan_from(system, cost, t_r, xs):

@@ -535,14 +535,9 @@ def load_scenario(path):
     return Scenario.from_dict(read_json(path, "scenario"))
 
 
-def scenario_from(source, overrides=None):
-    """Scenario from a config dict or a file path, ``overrides`` merged in first.
-
-    ``overrides`` maps dotted keys (``"noise.sigma_noise"``) to values.
-    """
+def scenario_from(source):
+    """Scenario from a config dict or a file path."""
     config = source if isinstance(source, dict) else read_json(source, "scenario")
-    if overrides:
-        config = _merge_overrides(config, overrides)
     return Scenario.from_dict(config)
 
 
@@ -872,7 +867,7 @@ def run_dir(out, name, label):
     return out_dir
 
 
-def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=None):
+def run_scenario(path, seed=0, out="out", label=None, trace=False):
     """Solve a scenario, roll it out, and write the artifact set.
 
     ``path`` is a scenario file or a config dict.  Returns the report dict
@@ -880,7 +875,7 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=Non
     pair reproduces controller.bin, maps.bin, trajectory.csv and trace.csv
     byte for byte, and report.json up to ``solver_info.solve_seconds``.
     """
-    scenario = scenario_from(path, overrides)
+    scenario = scenario_from(path)
 
     out_dir = run_dir(out, scenario.name, label)
 
@@ -928,18 +923,3 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False, overrides=Non
     )
     report["out_dir"] = str(out_dir)
     return report
-
-
-def _merge_overrides(config, overrides):
-    """``config`` with each dotted key of ``overrides`` set; keys pass through objects only."""
-    config = _json_copy(config)
-    for key, value in overrides.items():
-        parts = key.split(".") if isinstance(key, str) else list(key)
-        node = config
-        for i, part in enumerate(parts):
-            if not isinstance(node, dict):
-                raise ValidationError(f"override {_shown(key)}: {'.'.join(map(str, parts[:i]))} "
-                                      f"is a {type(node).__name__}, not an object")
-            node = node.setdefault(part, {}) if i < len(parts) - 1 else node
-        node[parts[-1]] = value
-    return config

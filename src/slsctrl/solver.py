@@ -276,10 +276,6 @@ class Controller:
             u = u + self.nominal_u[t * n:(t + 1) * n]
         return u
 
-    def _episode(self, states, inputs):
-        """This law run online on one rollout's buffers: see :class:`_Episode`."""
-        return _Episode(self, states, inputs)
-
 
 class _Episode:
     """A law run online on one rollout's own buffers, one step per call.

@@ -617,6 +617,9 @@ def test_mpc_rollout_has_the_bits_of_an_explicit_two_phase_run():
         w = 1e-2 * rng.normal(size=(T + 1, m))
         kicks = {t: 1e-2 * rng.normal(size=m) for t in (0, t_r, T)}
         traj = mpc_lqt_rollout(plant, cost, t_r, w=w, perturbations=kicks.items())
+        # a generator is read once: both phases see every impulse
+        once = mpc_lqt_rollout(plant, cost, t_r, w=w,
+                               perturbations=((t, v) for t, v in kicks.items()))
         xs, us = np.zeros((T + 1, m)), np.zeros((T + 1, n))
         for t in range(T + 1):
             xs[t] = w[0] if t == 0 else plant.step(t - 1, xs[t - 1], us[t - 1]) + w[t]
@@ -629,6 +632,7 @@ def test_mpc_rollout_has_the_bits_of_an_explicit_two_phase_run():
                 phase2 = _replan_from(system, cost, t_r, xs[:t_r + 1])
             us[t] = phase2.control(t - t_r, xs[t_r:t + 1])
         _assert_same_bits(traj, xs, us)
+        _assert_same_bits(once, xs, us)
 
 
 def test_swap_feedforward_during_a_plant_step_acts_from_the_next_step():

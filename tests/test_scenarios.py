@@ -820,12 +820,10 @@ def test_isls_trace_csv(tmp_path):
 
 
 def test_bench_mug_deterministic_under_zero_noise():
-    overrides = {
-        "noise.sigma_noise": [0.0] * 6,
-        "initial_state": {"kind": "fixed",
-                          "value": [0.1, -0.2, 0.12, 0.0, 0.0, 0.0]},
-    }
-    rep = bench_mug_sugar(trials=2, seed=3, overrides=overrides)
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    config["noise"]["sigma_noise"] = [0.0] * 6
+    config["initial_state"] = {"kind": "fixed", "value": [0.1, -0.2, 0.12, 0.0, 0.0, 0.0]}
+    rep = bench_mug_sugar(trials=2, seed=3, scenario_path=config)
     a, b = rep.per_trial
     assert a["cost_esls"] == b["cost_esls"]
     assert a["cost_mpc_lqt"] == b["cost_mpc_lqt"]
@@ -1090,13 +1088,15 @@ def test_cli_adapt_parses_edits_as_viapoints(tmp_path, mug_artifacts):
 def test_metadata_that_cannot_be_written_as_json_is_rejected(tmp_path):
     # config_sha256 raised a bare ValueError on these after the solve had
     # written controller.bin, maps.bin and trajectory.csv
-    mug = bundled_scenario_path("mug_sugar")
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
     for value in (10**5000, -10**5000, [10**5000], [[10**5000]], {3: 1, "b": 2}):
+        config["metadata"]["task"] = value
         with pytest.raises(ValidationError, match=re.escape(
                 "scenario.metadata: cannot be written as JSON")):
-            run_scenario(mug, out=tmp_path / "out", overrides={"metadata.task": value})
+            run_scenario(config, out=tmp_path / "out")
     assert not (tmp_path / "out").exists()
-    scenario = scenario_from(mug, {"metadata.task": [10**400, {"a": None}]})
+    config["metadata"]["task"] = [10**400, {"a": None}]
+    scenario = scenario_from(config)
     assert len(config_sha256(scenario.raw)) == 64
 
 
@@ -1120,17 +1120,22 @@ def test_scenario_name_is_one_path_component(tmp_path):
         Scenario.from_dict(config)
 
 
-def test_overrides_through_a_list_or_a_number_name_the_key():
-    mug = bundled_scenario_path("mug_sugar")
-    for key, message in [
-            ("cost.viapoints.0.t", "override 'cost.viapoints.0.t': cost.viapoints is a list, "
-                                   "not an object"),
-            ("dt.scale", "override 'dt.scale': dt is a float, not an object")]:
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            scenario_from(mug, {key: 3})
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            bench_mug_sugar(trials=2, overrides={key: 3})
-    assert scenario_from(mug, {"cost.viapoints": []}).viapoints == []
+def test_cli_rollout_without_a_controller_exits_2_and_writes_nothing(tmp_path):
+    proc = _cli("rollout", "--scenario", str(bundled_scenario_path("regulator_smoke")),
+                "--out", str(tmp_path / "out"), "--label", "run")
+    assert proc.returncode == 2
+    assert "--controller" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bench_trials_belongs_to_the_trial_experiments(tmp_path):
+    proc = _cli("bench", "adapt", "--trials", "3", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "--trials" in proc.stderr
+    assert not (tmp_path / "out").exists()
+    for experiment in ("mug-sugar", "pickplace"):
+        proc = _cli("bench", experiment, "--help")
+        assert proc.returncode == 0 and "--trials" in proc.stdout
 
 
 def test_cli_help_lists_subcommands():
