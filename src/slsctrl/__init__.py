@@ -8,12 +8,6 @@ nonlinear plants, and precomputed linear maps retarget the feedforward
 without re-solving.
 """
 
-from .stacked import (
-    BlockLowerTriangular,
-    NoiseModel,
-    TimeVaryingLinearSystem,
-    build_stacked,
-)
 from .costs import (
     CorrelationSpec,
     CostSpec,
@@ -27,13 +21,17 @@ from .costs import (
     joint_limit_violation_jacobian,
 )
 from .solver import (
+    BlockLowerTriangular,
     Controller,
     SystemResponse,
+    TimeVaryingLinearSystem,
+    build_stacked,
     extract_controller,
     solve_esls,
 )
 from .plants import (
     LinearPlant,
+    NoiseModel,
     PlanarArmPlant,
     Plant,
     Trajectory,

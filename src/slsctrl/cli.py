@@ -155,7 +155,7 @@ def cmd_rollout(args):
     # an esls law against the scenario's cost, a dp-lqt law against the cost
     # that solver synthesizes; a batch-lqt plan has zero gains and an isls
     # law's gains belong to its last subproblem, so neither is checked
-    if kind in ("esls", "dp-lqt") and plant.is_linear:
+    if kind in ("esls", "dp-lqt"):
         cost = build_cost(scenario)
         _validate_law(scenario, plant, cost if kind == "esls" else cost.diagonal_projection(),
                       controller)

@@ -25,8 +25,7 @@ from .costs import (
     StateCostFunction,
 )
 from .plants import rollout
-from .solver import extract_controller, solve_esls
-from .stacked import TimeVaryingLinearSystem, build_stacked
+from .solver import TimeVaryingLinearSystem, build_stacked, extract_controller, solve_esls
 
 NOMINAL_DEFECT_TOL = 1e-8   # largest |f(x_t, u_t) - x_{t+1}| linearize_plant keeps a nominal at
 ALPHAS = tuple(0.5 ** k for k in range(11))   # backtracking schedule of the feedforward scaling

@@ -26,8 +26,14 @@ from .costs import (
     joint_limit_violation,
     joint_limit_violation_jacobian,
 )
-from .solver import _checked_vector, _Episode, _run_policy, riccati_gains
-from .stacked import TimeVaryingLinearSystem
+from .solver import (
+    Controller,
+    TimeVaryingLinearSystem,
+    _checked_vector,
+    _Episode,
+    _run_policy,
+    riccati_gains,
+)
 
 JACOBIAN_FD_STEP = 1e-6   # central-difference step of Plant.jacobians' fallback
 
@@ -372,6 +378,57 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
+class NoiseModel:
+    """Gaussian disturbance model for the stacked vector w = [x_0, w_0, .., w_{T-1}].
+
+    The first block carries the initial state (mean ``mu_x0``, diagonal
+    covariance ``sigma_x0``); later blocks are zero-mean process noise with
+    shared per-coordinate variances ``sigma_noise``.  Only diagonal
+    covariances are representable, which is all the solver ever consults:
+    the deterministic synthesis does not depend on the noise scale, and the
+    model exists to drive simulations.
+    """
+
+    def __init__(self, horizon, mu_x0, sigma_x0, sigma_noise):
+        self.horizon = int(horizon)
+        self.mu_x0 = np.asarray(mu_x0, dtype=float).copy()
+        self.sigma_x0 = np.asarray(sigma_x0, dtype=float).copy()
+        self.sigma_noise = np.asarray(sigma_noise, dtype=float).copy()
+        m = self.mu_x0.size
+        if self.sigma_x0.shape != (m,) or self.sigma_noise.shape != (m,):
+            raise ValueError("variance vectors must match the state dimension")
+        for name in ("mu_x0", "sigma_x0", "sigma_noise"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
+        if np.any(self.sigma_x0 < 0) or np.any(self.sigma_noise < 0):
+            raise ValueError("variances must be nonnegative")
+        if self.horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+
+    @property
+    def state_dim(self):
+        return self.mu_x0.size
+
+    @property
+    def sigma_diag(self):
+        """(T+1, m) array of per-block diagonal variances."""
+        out = np.tile(self.sigma_noise, (self.horizon + 1, 1))
+        out[0] = self.sigma_x0
+        return out
+
+    @classmethod
+    def zero(cls, horizon, state_dim):
+        z = np.zeros(state_dim)
+        return cls(horizon, z, z, z)
+
+    def sample(self, rng):
+        """Draw one stacked disturbance realization, shape ((T+1)*m,)."""
+        sig = self.sigma_diag
+        w = rng.standard_normal(sig.shape) * np.sqrt(sig)
+        w[0] += self.mu_x0
+        return w.ravel()
+
+
 def _realize_disturbance(horizon, state_dim, noise=None, seed=None, x0=None, w=None):
     """Resolve the stacked disturbance for a rollout; explicit w wins, then x0."""
     if w is not None:
@@ -511,9 +568,16 @@ def mpc_lqt_rollout(plant, cost, recompute_time, noise=None, seed=None,
         raise ValueError(f"recompute time {t_r} outside (0, {T}]")
     system = linear_system_from_plant(plant, T)
     w = _realize_disturbance(T, plant.state_dim, noise=noise, seed=seed, x0=x0, w=w)
-    perturbations = list(perturbations)   # read twice: once per phase
-    first = rollout(plant, dp_lqt(system, cost.diagonal_projection()), w=w,
-                    perturbations=perturbations)
+    # read once per phase, so checked here: phase 2 would name a late step shifted by t_r
+    perturbations = [(_step_index("perturbation", t), vec) for t, vec in perturbations]
+    late = [t for t, _ in perturbations if t > T]
+    if late:
+        raise ValueError(f"perturbation step {late[0]} outside [0, {T}]")
+    # phase 1 stops at t_r: its law cut to the steps [0, t_r] it runs
+    law = dp_lqt(system, cost.diagonal_projection())
+    first = rollout(plant, Controller.from_gains(law.held[:t_r + 1], law.gains[:t_r + 1],
+                                                 law.k[:(t_r + 1) * law.input_dim]),
+                    w=w[:t_r + 1], perturbations=[(t, v) for t, v in perturbations if t <= t_r])
     w_rest = w[t_r:].copy()
     w_rest[0] = first.states[t_r]
     later = [(t - t_r, vec) for t, vec in perturbations if t > t_r]
@@ -539,13 +603,11 @@ def _replan_from(system, cost, t_r, xs):
             xd = cost.x_d_blocks
             terms.append((corr.t1 - t_r, xd[corr.t1], corr.C.T @ corr.Q_c @ corr.C))
             terms.append((corr.t2 - t_r, xd[corr.t2], corr.Q_c))
-    # overlapping terms get one weighted center per step, as in CostSpec
+    # overlapping terms sum their Q blocks and linear terms; dp_lqt reads no x_d
     sub_cost = CostSpec(T - t_r, m, n)
     sub_cost.R[:] = cost.R[t_r:]
     sub_cost.u_d[:] = cost.u_d[t_r * n:]
     for t, target, weight in terms:
         sub_cost._add_viapoint(t, target, weight)
-    for t in {t for t, _, _ in terms}:
-        sub_cost._refresh_targets(t)
     sub_system = TimeVaryingLinearSystem(system.A[t_r:], system.B[t_r:])
     return dp_lqt(sub_system, sub_cost)

@@ -83,6 +83,7 @@ from .costs import (
 from .isls import IslsConfig, TrackingObjective, isls_optimize
 from .plants import (
     LinearPlant,
+    NoiseModel,
     batch_lqt,
     double_integrator_plant,
     dp_lqt,
@@ -91,8 +92,7 @@ from .plants import (
     planar_arm_plant,
     rollout,
 )
-from .solver import Controller, extract_controller, solve_esls
-from .stacked import NoiseModel, build_stacked
+from .solver import Controller, build_stacked, extract_controller, solve_esls
 
 ARTIFACT_FORMAT_VERSION = 4
 # per-step arrays are allocated (T+1)-long and dense in the state
@@ -493,9 +493,9 @@ class Scenario:
             except np.linalg.LinAlgError:
                 raise ValidationError(f"cost.control_weight: not positive definite, which "
                                       f"solver {solver['kind']} requires") from None
-        if solver["kind"] == "esls" and plant["kind"] == "planar_arm":
-            raise ValidationError("solver.kind: esls requires a linear plant; use isls for "
-                                  "planar_arm")
+        if solver["kind"] != "isls" and plant["kind"] == "planar_arm":
+            raise ValidationError(f"solver.kind: {solver['kind']} requires a linear plant; "
+                                  "use isls for planar_arm")
         return cls(
             **{key: top[key] for key in ("name", "horizon", "dt", "cost", "solver",
                                          "initial_state", "description")},
@@ -876,9 +876,6 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False):
     byte for byte, and report.json up to ``solver_info.solve_seconds``.
     """
     scenario = scenario_from(path)
-
-    out_dir = run_dir(out, scenario.name, label)
-
     plant = build_plant(scenario)
     draws = rollout_draws(scenario, plant, seed)
 
@@ -893,6 +890,7 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False):
     realized, cumulative = realized_cost(scenario, trajectory,
                                          extras.get("objective", extras.get("cost")))
 
+    out_dir = run_dir(out, scenario.name, label)   # a failed run writes nothing
     artifacts = {}
     write_controller_artifact(out_dir / "controller.bin", controller)
     artifacts["controller"] = "controller.bin"

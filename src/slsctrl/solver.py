@@ -39,7 +39,68 @@ from itertools import groupby
 import numpy as np
 
 from .costs import CostSpec
-from .stacked import BlockLowerTriangular, TimeVaryingLinearSystem
+
+
+@dataclass
+class TimeVaryingLinearSystem:
+    """Discrete linear time-varying dynamics x_{t+1} = A_t x_t + B_t u_t + w_t.
+
+    ``A`` (T+1, m, m) and ``B`` (T+1, m, n) hold the blocks for t = 0..T as
+    float arrays; they may be given as per-step lists or as stacked arrays.
+    The final pair is carried for dimension bookkeeping but never
+    propagates anything (it is shifted out).
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+
+    def __post_init__(self):
+        if len(self.A) != len(self.B):
+            raise ValueError("A and B must hold the same number of blocks (T+1)")
+        if not len(self.A):
+            raise ValueError("need at least one block (T >= 0)")
+        m, n = len(self.A[0]), np.shape(self.B[0])[-1]
+        self.A, self.B = _stacked("A", self.A, (m, m)), _stacked("B", self.B, (m, n))
+
+    @property
+    def horizon(self):
+        return len(self.A) - 1
+
+    @property
+    def state_dim(self):
+        return self.A.shape[1]
+
+    @property
+    def input_dim(self):
+        return self.B.shape[2]
+
+    @classmethod
+    def constant(cls, A, B, horizon):
+        """The pair (A, B) repeated at every step t = 0..horizon."""
+        return cls(np.repeat(np.asarray(A, dtype=float)[None], horizon + 1, axis=0),
+                   np.repeat(np.asarray(B, dtype=float)[None], horizon + 1, axis=0))
+
+
+def _stacked(name, blocks, shape):
+    """``blocks`` as one float array (T+1, *shape); ValueError names the first misfit."""
+    try:
+        out = np.asarray(blocks, dtype=float)
+        if out.shape[1:] == shape:
+            return out
+    except ValueError:    # blocks of different shapes do not stack
+        pass
+    for t, b in enumerate(blocks):
+        if np.shape(b) != shape:
+            raise ValueError(f"{name}[{t}] has shape {np.shape(b)}, expected {shape}")
+    return np.asarray(blocks, dtype=float)   # every shape fits: numpy's error says what failed
+
+
+def build_stacked(system):
+    """The system itself: synthesis reads its blocks A_t, B_t directly.
+
+    Kept as the name through which the benchmark traces the stacking layer.
+    """
+    return system
 
 
 @dataclass
@@ -157,6 +218,53 @@ def _input_adjoint(system, g):
         out[t] = B[t].T @ lam
         lam = g[t] + A[t].T @ lam
     return out
+
+
+class BlockLowerTriangular:
+    """Block lower triangular matrix with uniform block sizes.
+
+    Stores a dense backing array whose blocks above the diagonal are
+    structurally zero; the constructor checks the shape and enforces the
+    zero pattern.  Instances are treated as immutable once built.
+    """
+
+    def __init__(self, dense, row_block_dim, col_block_dim, copy=True):
+        dense = np.array(dense, dtype=float, copy=copy)
+        if dense.ndim != 2:
+            raise ValueError("expected a 2-D array")
+        rows, cols = dense.shape
+        if rows % row_block_dim or cols % col_block_dim:
+            raise ValueError(
+                f"shape {dense.shape} not divisible by block dims "
+                f"({row_block_dim}, {col_block_dim})"
+            )
+        if rows // row_block_dim != cols // col_block_dim:
+            raise ValueError("row and column block counts differ")
+        self.row_block_dim = int(row_block_dim)
+        self.col_block_dim = int(col_block_dim)
+        self._dense = dense
+        self._mask_upper()
+
+    @property
+    def T_blocks(self):
+        """Number of block rows (= block columns)."""
+        return self._dense.shape[0] // self.row_block_dim
+
+    @property
+    def dense(self):
+        """The dense backing array. Do not mutate."""
+        return self._dense
+
+    def _mask_upper(self):
+        r, c = self.row_block_dim, self.col_block_dim
+        for i in range(self.T_blocks):
+            self._dense[i * r:(i + 1) * r, (i + 1) * c:] = 0.0
+
+    def __repr__(self):
+        return (
+            f"BlockLowerTriangular(T_blocks={self.T_blocks}, "
+            f"block=({self.row_block_dim}x{self.col_block_dim}))"
+        )
 
 
 class Controller:

@@ -606,17 +606,31 @@ def test_rollout_inputs_have_the_bits_of_the_stateless_query():
         _assert_same_bits(rollout(plant, law, w=w), *_reference_rollout(plant, law, w))
 
 
+class _CountingPlant(LinearPlant):
+    """A linear plant that counts its steps."""
+
+    steps = 0
+
+    def step(self, t, x, u):
+        self.steps += 1
+        return super().step(t, x, u)
+
+
 def test_mpc_rollout_has_the_bits_of_an_explicit_two_phase_run():
     rng = np.random.default_rng(32)
     T, m, n = 20, 4, 2
     plant = double_integrator_plant(2, 0.1)
+    counting = _CountingPlant(plant.A, plant.B, plant.dt)
     system = linear_system_from_plant(plant, T)
     cost = _correlated_cost(T, m, n)
     phase1 = dp_lqt(system, cost.diagonal_projection())
     for t_r in (1, T // 3, T // 2 + 1, T):
         w = 1e-2 * rng.normal(size=(T + 1, m))
         kicks = {t: 1e-2 * rng.normal(size=m) for t in (0, t_r, T)}
-        traj = mpc_lqt_rollout(plant, cost, t_r, w=w, perturbations=kicks.items())
+        counting.steps = 0
+        traj = mpc_lqt_rollout(counting, cost, t_r, w=w, perturbations=kicks.items())
+        # phase 1 stops at t_r, so a call makes T plant steps in all
+        assert counting.steps == T
         # a generator is read once: both phases see every impulse
         once = mpc_lqt_rollout(plant, cost, t_r, w=w,
                                perturbations=((t, v) for t, v in kicks.items()))
@@ -633,6 +647,11 @@ def test_mpc_rollout_has_the_bits_of_an_explicit_two_phase_run():
             us[t] = phase2.control(t - t_r, xs[t_r:t + 1])
         _assert_same_bits(traj, xs, us)
         _assert_same_bits(once, xs, us)
+    # a step past T is named as given, before any plant step
+    counting.steps = 0
+    with pytest.raises(ValueError, match=rf"perturbation step {T + 1} outside \[0, {T}\]"):
+        mpc_lqt_rollout(counting, cost, T // 2, w=w, perturbations=[(T + 1, np.ones(m))])
+    assert counting.steps == 0
 
 
 def test_swap_feedforward_during_a_plant_step_acts_from_the_next_step():

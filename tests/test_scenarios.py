@@ -899,10 +899,17 @@ def test_cli_rejects_invalid_scenario(tmp_path):
         arm = load_scenario(bundled_scenario_path("pickplace_arm")).raw
         arm["plant"][key] = value
         limits.append((arm, "plant.theta_lower"))
+    # every solver kind but isls needs a linear plant, which the arm is not
+    linear_only = []
+    for solver in ({"kind": "dp-lqt"}, {"kind": "batch-lqt"},
+                   {"kind": "mpc-lqt", "recompute_time": 50}):
+        arm = load_scenario(bundled_scenario_path("pickplace_arm")).raw
+        arm["solver"] = solver
+        linear_only.append((arm, f"solver.kind: {solver['kind']} requires a linear plant"))
     for i, (config, field_path) in enumerate([
             (out_of_range, "cost.viapoints[0].t"),
             (zero_control, "cost.control_weight"),
-            (conflicting, "cost.viapoints[2].target"), *limits]):
+            (conflicting, "cost.viapoints[2].target"), *limits, *linear_only]):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(config))
         proc = _cli("solve", "--scenario", str(bad), "--out", str(tmp_path))
@@ -919,6 +926,8 @@ def test_cli_reports_non_convergence(tmp_path):
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
     assert err["error"] == "non_convergence"
+    # a failed run writes nothing: no arm_reach/<timestamp> directory, empty or not
+    assert [p.name for p in tmp_path.iterdir()] == ["starved.json"]
 
 
 def test_cli_adapt_roundtrip(tmp_path):
