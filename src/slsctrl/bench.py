@@ -187,6 +187,9 @@ def bench_pickplace(trials=5, seed=0, scenario_path=None):
             "converged": bool(result.converged),
             "reason": result.reason,
             "stationarity": result.stationarity,
+            # the largest joint-limit penalty: a posture folded past a limit shows here
+            "limit_penalty": float(np.max(
+                controller.nominal_x.reshape(-1, plant.state_dim)[:, 2 * plant.n_links + 5:])),
             "cost": result.cost,
             "cost_history": [h.cost for h in result.history],
             "solve_seconds": solve_seconds,

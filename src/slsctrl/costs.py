@@ -496,6 +496,11 @@ class _KeypointCost(StateCostFunction):
     def _steps(self, N):
         return [t for t in range(N) if t in self._table]
 
+    @property
+    def keypoints(self):
+        """(t, weight, target) of every keypoint, in time order."""
+        return [(t, *self._table[t]) for t in sorted(self._table)]
+
 
 def joint_limit_violation(theta, lower, upper):
     """Elementwise squared distance outside the box [lower, upper].

@@ -275,7 +275,8 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
     plant : Plant
     objective : TrackingObjective
     x0 : initial state of the nominal trajectory.
-    init_u : optional initial input sequence ((T+1, n) or stacked).
+    init_u : optional initial input sequence ((T+1, n) or stacked); None
+        starts from ``plant.initial_inputs(objective, x0)``, zeros start cold.
     config : IslsConfig
 
     Returns
@@ -297,11 +298,10 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
     if not np.all(np.isfinite(np.asarray(x0, dtype=float))):
         raise ValueError("x0 has non-finite entries")
     if init_u is None:
-        u_hat = np.zeros((T + 1, n))
-    else:
-        u_hat = np.asarray(init_u, dtype=float).reshape(T + 1, n).copy()
-        if not np.all(np.isfinite(u_hat)):
-            raise ValueError("init_u has non-finite entries")
+        init_u = plant.initial_inputs(objective, x0)
+    u_hat = np.asarray(init_u, dtype=float).reshape(T + 1, n).copy()
+    if not np.all(np.isfinite(u_hat)):
+        raise ValueError("init_u has non-finite entries")
     x_hat = nominal_rollout(plant, x0, u_hat)
     cost_value = objective.true_cost(x_hat, u_hat)
 

@@ -36,6 +36,9 @@ from .solver import (
 )
 
 JACOBIAN_FD_STEP = 1e-6   # central-difference step of Plant.jacobians' fallback
+IK_DAMPING = 1e-6         # the first-nominal IK's damping, relative to the keypoint's largest weight
+IK_STEP_TOL = 1e-9        # rad; the IK stops at a step this small
+IK_MAX_STEPS = 100        # or after this many steps
 
 
 class Plant:
@@ -56,6 +59,9 @@ class Plant:
 
     ``is_linear = True`` means constant ``A``, ``B`` attributes with
     f(t, x, u) = A x + B u, which :func:`linear_system_from_plant` reads.
+
+    :meth:`initial_inputs` gives the first nominal's inputs (T+1, n) of
+    :func:`slsctrl.isls.isls_optimize` without ``init_u``: zeros here.
     """
 
     state_dim = None
@@ -67,6 +73,10 @@ class Plant:
 
     def step(self, t, x, u):
         raise NotImplementedError
+
+    def initial_inputs(self, objective, x0):
+        """First nominal inputs (T+1, n) of an iterative solve from x0: zeros."""
+        return np.zeros((objective.horizon + 1, self.input_dim))
 
     def jacobians(self, t, x, u):
         """(A, B) = (df/dx, df/du) at (t, x, u); default central differences."""
@@ -234,6 +244,49 @@ class PlanarArmPlant(Plant):
             self.ee_jacobian(theta) @ theta_dot, [wrap_angle(float(np.sum(theta)))],
             joint_limit_violation(theta, self.theta_lower, self.theta_upper),
         ])
+
+    def initial_inputs(self, objective, x0):
+        """Inputs of a kinematic first nominal through the state cost's keypoints.
+
+        Each keypoint's posture is a damped-least-squares IK (Nakamura &
+        Hanafusa, 1986) on (ee_x, ee_y, ee_angle) under its weights, from the
+        posture before and clipped to the joint limits; a minimum-jerk path
+        (Flash & Hogan, 1985) joins them and holds the last.  A cost without
+        ``keypoints`` gives zeros.
+        """
+        keypoints = getattr(objective.state_cost, "keypoints", None)
+        if keypoints is None:
+            return super().initial_inputs(objective, x0)
+        T, p, dt = objective.horizon, self.n_links, self.dt
+        task = [2 * p, 2 * p + 1, 2 * p + 4]
+        x0 = np.asarray(x0, dtype=float)
+        # the inputs move no posture before t = 2: theta_1 is x0's own Euler step
+        knots = [(0, x0[:p]), (1, x0[:p] + dt * x0[p:2 * p])]
+        for t, weight, target in keypoints:
+            W = weight[np.ix_(task, task)]
+            if not 1 < t <= T or not W.any():
+                continue
+            damping = IK_DAMPING * np.max(np.abs(W)) * np.eye(p)
+            theta = knots[-1][1]
+            for _ in range(IK_MAX_STEPS):
+                c, cs = _trig(theta)
+                J = np.vstack([self._jacobian(cs), np.ones(p)])
+                e = target[task] - np.append(cs @ self.link_lengths, c[-1])
+                e[2] = _wrap_float(e[2])
+                step = np.linalg.solve(J.T @ W @ J + damping, J.T @ W @ e)
+                last, theta = theta, np.minimum(np.maximum(theta + step, self.theta_lower),
+                                                self.theta_upper)
+                if np.max(np.abs(theta - last)) <= IK_STEP_TOL:
+                    break
+            knots.append((t, theta))
+        path = np.empty((T + 1, p))
+        path[knots[-1][0]:] = knots[-1][1]
+        for (ta, a), (tb, b) in zip(knots, knots[1:]):
+            s = np.arange(tb - ta)[:, None] / (tb - ta)
+            path[ta:tb] = a + (b - a) * s**3 * (10 - 15 * s + 6 * s * s)
+        u = np.zeros((T + 1, p))
+        u[:T - 1] = np.diff(path, 2, axis=0) / (dt * dt)
+        return u
 
     # -- dynamics -----------------------------------------------------------
 

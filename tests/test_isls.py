@@ -20,10 +20,10 @@ from slsctrl import (
     planar_arm_plant,
     solve_esls,
 )
-from slsctrl.bench import bundled_scenario_path
+from slsctrl.bench import bench_pickplace, bundled_scenario_path
 from slsctrl.costs import CorrelationSpec, CostSpec
 from slsctrl.isls import ALPHAS, closed_loop_step, nominal_rollout
-from slsctrl.plants import PlanarArmPlant
+from slsctrl.plants import PlanarArmPlant, Plant
 from slsctrl.scenarios import (
     Scenario,
     build_objective,
@@ -604,3 +604,89 @@ def test_isls_with_the_reference_trial_loop_gives_the_same_law(monkeypatch):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.held == b.held
         assert [g.tobytes() for g in a.gains] == [g.tobytes() for g in b.gains]
+
+
+# -- the first nominal ----------------------------------------------------------
+
+COLD_SEED0_ITERATIONS = [11, 12, 9, 64]   # bench_pickplace(seed=0) trials 0-3 from u = 0
+COST_RTOL = 1e-9   # a kinematic start may end this much above the cold start, relative
+
+
+def _pickplace_postures(seed, trials):
+    """The bundled arm, its objective and config, and the x0 of bench_pickplace's trials."""
+    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
+    plant = build_plant(scenario)
+    x0s = [draw_initial_state(scenario, np.random.default_rng(child), plant)
+           for child in np.random.SeedSequence(seed).spawn(trials)]
+    return plant, build_objective(scenario), isls_config(scenario), x0s
+
+
+def test_first_nominal_is_zero_without_arm_keypoints():
+    T, m, n = 6, 2, 1
+    di = double_integrator_plant(1, 0.1)
+    cost = build_viapoint_cost(T, [(T, np.array([1.0, 0.0]), 5.0)], 0.1, state_dim=m)
+    objective = TrackingObjective.from_costspec(cost)
+    assert di.initial_inputs(objective, np.ones(m)).tobytes() == np.zeros((T + 1, n)).tobytes()
+    # a keypoint-free step cost on the arm
+    arm = planar_arm_plant([0.6, 0.5], 0.05)
+    terminal = _terminal_cost(T, arm.state_dim, lambda x: float(x @ x),
+                              lambda x: 2 * x, lambda x: 2 * np.eye(arm.state_dim))
+    obj = TrackingObjective(T, arm.state_dim, arm.input_dim, terminal, control_weight=1.0)
+    u = arm.initial_inputs(obj, arm.augment([0.2, -0.1]))
+    assert u.tobytes() == np.zeros((T + 1, arm.input_dim)).tobytes()
+    # so a linear plant's solve still takes the one iteration of criterion 8
+    _, res = isls_optimize(di, objective, np.ones(m), config=IslsConfig(regularization=0.0))
+    assert res.converged and res.iterations == 1
+
+
+def test_arm_first_nominal_reaches_its_keypoints_inside_the_joint_limits():
+    plant, objective, _, x0s = _pickplace_postures(9, 12)
+    p = plant.n_links
+    for x0 in x0s:
+        u = plant.initial_inputs(objective, x0)
+        assert u.shape == (objective.horizon + 1, p) and np.isfinite(u).all()
+        xs = nominal_rollout(plant, x0, u)
+        for t, weight, target in objective.state_cost.keypoints:
+            theta = xs[t, :p]
+            assert np.all(theta >= plant.theta_lower - 1e-12)
+            assert np.all(theta <= plant.theta_upper + 1e-12)
+            # the task coordinates the keypoint weighs heavily are reached
+            for i in (2 * p, 2 * p + 4):
+                assert abs(xs[t, i] - target[i]) <= 1e-3, (t, i)
+
+
+def test_arm_first_nominal_is_bit_identical_across_calls():
+    plant, objective, _, (x0,) = _pickplace_postures(0, 1)
+    first = plant.initial_inputs(objective, x0)
+    again = plant.initial_inputs(objective, x0)
+    fresh_plant, fresh_objective, _, _ = _pickplace_postures(0, 1)
+    assert first.tobytes() == again.tobytes()
+    assert first.tobytes() == fresh_plant.initial_inputs(fresh_objective, x0).tobytes()
+
+
+def test_explicit_zero_start_is_the_cold_start_and_no_better_than_the_kinematic_one():
+    plant, objective, cfg, x0s = _pickplace_postures(0, len(COLD_SEED0_ITERATIONS))
+    zeros = np.zeros((objective.horizon + 1, plant.input_dim))
+    cold = [isls_optimize(plant, objective, x0, init_u=zeros, config=cfg)[1] for x0 in x0s]
+    assert [r.iterations for r in cold] == COLD_SEED0_ITERATIONS
+    for x0, c in zip(x0s, cold):
+        _, k = isls_optimize(plant, objective, x0, config=cfg)
+        assert c.converged and k.converged
+        assert k.iterations < 15
+        assert k.cost <= c.cost + COST_RTOL * abs(c.cost)
+
+
+def test_pickplace_sweep_converges_from_the_kinematic_start():
+    # from u = 0, seed 9's trial 0 folds joint 2 past its limit and stalls
+    rep = bench_pickplace(trials=12, seed=9)
+    assert rep.summary["all_converged"]
+    assert all(t["place_residual"] <= 5e-3 and t["limit_penalty"] == 0 for t in rep.per_trial)
+    unused = bench_pickplace(trials=12, seed=23)
+    assert all(t["converged"] and t["iterations"] <= 20 for t in unused.per_trial)
+
+
+def test_a_folded_local_minimum_shows_in_the_pickplace_record(monkeypatch):
+    monkeypatch.setattr(PlanarArmPlant, "initial_inputs", Plant.initial_inputs)
+    (trial,) = bench_pickplace(trials=1, seed=9).per_trial
+    assert not trial["converged"]
+    assert 1.0 < trial["limit_penalty"] < 1.1
