@@ -51,7 +51,6 @@ from .isls import (
     TrackingObjective,
     isls_optimize,
     linearize_plant,
-    nominal_rollout,
 )
 from .adaptation import (
     AdaptationMaps,
@@ -133,7 +132,6 @@ __all__ = [
     "load_maps_artifact",
     "load_scenario",
     "mpc_lqt_rollout",
-    "nominal_rollout",
     "planar_arm_plant",
     "precompute_gain_maps",
     "rollout",

@@ -25,9 +25,14 @@ from .costs import (
     StateCostFunction,
 )
 from .plants import rollout
-from .solver import TimeVaryingLinearSystem, build_stacked, extract_controller, solve_esls
+from .solver import (
+    Controller,
+    TimeVaryingLinearSystem,
+    build_stacked,
+    extract_controller,
+    solve_esls,
+)
 
-NOMINAL_DEFECT_TOL = 1e-8   # largest |f(x_t, u_t) - x_{t+1}| linearize_plant keeps a nominal at
 ALPHAS = tuple(0.5 ** k for k in range(11))   # backtracking schedule of the feedforward scaling
 STATIONARITY_FLOOR = 1e-9   # a subproblem feedforward this small proposes no move
 
@@ -164,26 +169,15 @@ class TrackingObjective:
         return cost
 
 
-def nominal_rollout(plant, x0, us):
-    """Deterministic trajectory of the plant under an input sequence."""
-    us = np.asarray(us, dtype=float).reshape(-1, plant.input_dim)
-    T = us.shape[0] - 1
-    xs = np.zeros((T + 1, plant.state_dim))
-    xs[0] = np.asarray(x0, dtype=float)
-    for t in range(T):
-        xs[t + 1] = plant.step(t, xs[t], us[t])
-    return xs
-
-
 def linearize_plant(plant, x_hat, u_hat):
     """Time-varying linearization of a plant along a nominal trajectory.
 
-    Deviation coordinates presume the nominal is dynamically consistent
-    (each state the image of the previous one); an inconsistent nominal
-    (a defect above ``NOMINAL_DEFECT_TOL``) would carry hidden drift terms,
-    so it is first reprojected by forward simulation from its initial state
-    under the nominal inputs.  A plant that sets ``broadcasts`` is called
-    once for the whole horizon, any other plant once per step.
+    The Jacobians are evaluated at the given points, so the nominal must be
+    dynamically consistent (each state the image of the previous one, as a
+    :func:`slsctrl.plants.rollout` gives it): deviation coordinates of any
+    other trajectory carry drift terms this system does not hold.  A plant
+    that sets ``broadcasts`` is called once for the whole horizon, any
+    other plant once per step.
     """
     m = plant.state_dim
     xb = np.asarray(x_hat, dtype=float).reshape(-1, m)
@@ -191,14 +185,7 @@ def linearize_plant(plant, x_hat, u_hat):
     T = xb.shape[0] - 1
     if ub.shape[0] != T + 1:
         raise ValueError("nominal state and input horizons differ")
-    broadcasts = getattr(plant, "broadcasts", False)
-    if broadcasts:
-        x_next = plant.step(np.arange(T), xb[:-1], ub[:-1])
-    else:
-        x_next = np.array([plant.step(t, xb[t], ub[t]) for t in range(T)]).reshape(T, m)
-    if np.any(np.abs(x_next - xb[1:]) > NOMINAL_DEFECT_TOL):
-        xb = nominal_rollout(plant, xb[0], ub)
-    if broadcasts:
+    if getattr(plant, "broadcasts", False):
         system = TimeVaryingLinearSystem(*plant.jacobians(np.arange(T + 1), xb, ub))
     else:
         system = TimeVaryingLinearSystem(
@@ -277,6 +264,8 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
     x0 : initial state of the nominal trajectory.
     init_u : optional initial input sequence ((T+1, n) or stacked); None
         starts from ``plant.initial_inputs(objective, x0)``, zeros start cold.
+        The first nominal is the :func:`slsctrl.plants.rollout` of their
+        open-loop law from x0.
     config : IslsConfig
 
     Returns
@@ -299,10 +288,11 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         raise ValueError("x0 has non-finite entries")
     if init_u is None:
         init_u = plant.initial_inputs(objective, x0)
-    u_hat = np.asarray(init_u, dtype=float).reshape(T + 1, n).copy()
-    if not np.all(np.isfinite(u_hat)):
+    init_u = np.asarray(init_u, dtype=float).reshape(T + 1, n)
+    if not np.all(np.isfinite(init_u)):
         raise ValueError("init_u has non-finite entries")
-    x_hat = nominal_rollout(plant, x0, u_hat)
+    first = rollout(plant, Controller.open_loop(init_u, m), x0=x0)
+    x_hat, u_hat = first.states, first.inputs
     cost_value = objective.true_cost(x_hat, u_hat)
 
     history = []

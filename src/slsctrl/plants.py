@@ -48,14 +48,13 @@ class Plant:
     :meth:`step`; :meth:`jacobians` falls back to central finite differences
     of step ``JACOBIAN_FD_STEP`` when no analytic form is provided.
 
-    A plant whose :meth:`step` and :meth:`jacobians` broadcast sets
-    ``broadcasts = True``.  Both then take states of shape (..., m) and
-    inputs of shape (..., n) with the same leading axes, and ``t`` as an
-    integer or an integer array over those axes.  They return next states
-    (..., m) and Jacobians (..., m, m) and (..., m, n), each slice equal to
-    the single-step call on that slice.  :func:`slsctrl.isls.linearize_plant`
-    then makes one call of each for the whole horizon instead of one per
-    step.
+    :meth:`step` takes one state (m,) and one input (n,).  A plant whose
+    :meth:`jacobians` broadcasts sets ``broadcasts = True``: it then takes
+    states of shape (..., m) and inputs of shape (..., n) with the same
+    leading axes, and ``t`` as an integer or an integer array over those
+    axes, and returns (..., m, m) and (..., m, n), each slice equal to the
+    single-step call on that slice.  :func:`slsctrl.isls.linearize_plant`
+    then makes one call for the whole horizon instead of one per step.
 
     ``is_linear = True`` means constant ``A``, ``B`` attributes with
     f(t, x, u) = A x + B u, which :func:`linear_system_from_plant` reads.
@@ -110,19 +109,16 @@ class LinearPlant(Plant):
         return self.A.copy(), self.B.copy()
 
 
-def double_integrator_plant(dim, dt, exact_discretization=False):
+def double_integrator_plant(dim, dt):
     """Point mass in ``dim`` spatial dimensions; state [positions, velocities].
 
-    The default discretization is the explicit-Euler form (positions see the
-    input only through the velocity): A = [[I, dt I], [0, I]], B = [[0], [dt I]].
-    ``exact_discretization=True`` switches B's position rows to dt^2/2 I
-    (zero-order-hold on the acceleration).
+    Explicit Euler (positions see the input only through the velocity):
+    A = [[I, dt I], [0, I]], B = [[0], [dt I]].
     """
     dim = int(dim)
     eye = np.eye(dim)
     A = np.block([[eye, dt * eye], [np.zeros((dim, dim)), eye]])
-    top = (dt**2 / 2) * eye if exact_discretization else np.zeros((dim, dim))
-    B = np.vstack([top, dt * eye])
+    B = np.vstack([np.zeros((dim, dim)), dt * eye])
     return LinearPlant(A, B, dt=dt, name=f"double_integrator_{dim}d")
 
 
@@ -170,8 +166,8 @@ class PlanarArmPlant(Plant):
     integrate explicitly; the remaining coordinates are outputs recomputed
     from the new joint configuration, which keeps task-space costs quadratic
     in z.  The end-effector velocity is J(theta_{t+1}) theta_dot_t, i.e. the
-    fresh Jacobian contracted with the pre-update joint velocity;
-    ``consistent_velocity=True`` uses theta_dot_{t+1} instead.
+    fresh Jacobian contracted with the pre-update joint velocity, so every
+    output reads x_t only, not u_t.
 
     Every kinematic quantity reads the cumulative angles c_k = theta_1 + ...
     + theta_k and their cos and sin, evaluated once per call.  With
@@ -180,14 +176,13 @@ class PlanarArmPlant(Plant):
     forms the end-effector velocity from r and cumsum(v) without building J,
     and takes the orientation as the last cumulative angle.
 
-    The dynamics, their Jacobians and the kinematic helpers broadcast over
-    leading axes (see :class:`Plant`).
+    :meth:`step` runs on one state in Python floats; the Jacobians and the
+    kinematic helpers broadcast over leading axes (see :class:`Plant`).
     """
 
     broadcasts = True
 
-    def __init__(self, link_lengths, dt, theta_lower, theta_upper,
-                 consistent_velocity=False):
+    def __init__(self, link_lengths, dt, theta_lower, theta_upper):
         self.link_lengths = np.asarray(link_lengths, dtype=float)
         if self.link_lengths.ndim != 1 or self.link_lengths.size < 1:
             raise ValueError("link_lengths must be a nonempty vector")
@@ -202,25 +197,20 @@ class PlanarArmPlant(Plant):
             raise ValueError("joint limits must have one entry per link")
         if not np.all(self.theta_lower <= self.theta_upper):   # a NaN limit fails too
             raise ValueError("joint limits must satisfy lower <= upper")
-        self.consistent_velocity = bool(consistent_velocity)
         self.state_dim = 3 * p + 5
         self.input_dim = p
         self.name = f"planar_arm_{p}link"
         # [sin c; cos c] times this is r = d ee / d c
         self._row_scale = np.array([-self.link_lengths, self.link_lengths])
-        # the constants of the one-state step, as Python floats
+        # the constants of step, as Python floats
         self._lengths = self.link_lengths.tolist()
         self._limits = list(zip(self.theta_lower.tolist(), self.theta_upper.tolist()))
 
     # -- kinematics ---------------------------------------------------------
 
-    def _rows(self, cs):
-        """(..., 2, p) r_k = d ee / d c_k from the cumulative angles' [cos; sin]."""
-        return cs[..., ::-1, :] * self._row_scale
-
     def _jacobian(self, cs):
-        # d ee / d theta_j = sum_{k >= j} d ee / d c_k
-        return _reverse_cumsum(self._rows(cs))
+        # d ee / d theta_j = sum_{k >= j} r_k, r_k = d ee / d c_k from [cos c; sin c]
+        return _reverse_cumsum(cs[..., ::-1, :] * self._row_scale)
 
     def _jacobian_rate(self, cs, v):
         V = np.cumsum(np.asarray(v, dtype=float), axis=-1)
@@ -290,57 +280,23 @@ class PlanarArmPlant(Plant):
 
     # -- dynamics -----------------------------------------------------------
 
-    def _advance(self, z, u):
-        """Joint update shared by :meth:`step` and :meth:`jacobians`."""
-        p = self.n_links
-        z = np.asarray(z, dtype=float)
-        u = np.asarray(u, dtype=float)
-        theta, theta_dot = z[..., :p], z[..., p:2 * p]
-        theta_new = theta + self.dt * theta_dot
-        theta_dot_new = theta_dot + self.dt * u
-        vel_source = theta_dot_new if self.consistent_velocity else theta_dot
-        return theta_dot_new.shape[:-1], theta_new, theta_dot_new, vel_source
-
     def step(self, t, z, u):
-        """Next state: one state, z (m,) and u (n,), in floats, others in NumPy.
+        """Next state of one state z (m,) under u (n,), in Python floats.
 
-        Both sum link by link in the same order, so each slice of a stacked
-        call equals the one-state call bit for bit.
+        ValueError on a z or u of another shape.
         """
         z = np.asarray(z, dtype=float)
         u = np.asarray(u, dtype=float)
-        if z.shape == (self.state_dim,) and u.shape == (self.input_dim,):
-            return np.array(self._step_one(z.tolist(), u.tolist()))
-        p = self.n_links
-        lead, theta_new, theta_dot_new, vel_source = self._advance(z, u)
-        c, cs = _trig(theta_new)
-        rows, V = self._rows(cs), vel_source.cumsum(axis=-1)
-        ee_pos = ee_vel = 0.0
-        for k in range(p):
-            ee_pos = ee_pos + cs[..., k] * self.link_lengths[k]
-            ee_vel = ee_vel + rows[..., k] * V[..., k, None]
-        out = np.empty(lead + (self.state_dim,))
-        out[..., :p] = theta_new
-        out[..., p:2 * p] = theta_dot_new
-        out[..., 2 * p:2 * p + 2] = ee_pos
-        out[..., 2 * p + 2:2 * p + 4] = ee_vel
-        out[..., 2 * p + 4] = wrap_angle(c[..., -1])
-        # joint_limit_violation: the distance to the box's nearest point,
-        # squared (__init__ checked lower <= upper)
-        beyond = theta_new - np.minimum(np.maximum(theta_new, self.theta_lower),
-                                        self.theta_upper)
-        out[..., 2 * p + 5:] = beyond * beyond
-        return out
-
-    def _step_one(self, z, u):
-        """:meth:`step` of one state, on lists of floats; returns a list."""
+        if z.shape != (self.state_dim,) or u.shape != (self.input_dim,):
+            raise ValueError(f"step takes z ({self.state_dim},) and u ({self.input_dim},), "
+                             f"got {z.shape} and {u.shape}")
         p, dt = self.n_links, self.dt
+        z, u = z.tolist(), u.tolist()
         theta_dot = z[p:2 * p]
         theta_new = [a + dt * v for a, v in zip(z, theta_dot)]
         theta_dot_new = [v + dt * a for v, a in zip(theta_dot, u)]
-        vel_source = theta_dot_new if self.consistent_velocity else theta_dot
         c = x = y = vx = vy = speed = 0.0
-        for a, v, length in zip(theta_new, vel_source, self._lengths):
+        for a, v, length in zip(theta_new, theta_dot, self._lengths):
             c += a
             speed += v
             try:
@@ -354,16 +310,19 @@ class PlanarArmPlant(Plant):
         # a's nearest point in [lo, hi], NaN kept, as np.minimum(np.maximum(..)) gives it
         beyond = [a - (lo if a < lo else hi if a > hi else a)
                   for a, (lo, hi) in zip(theta_new, self._limits)]
-        return (theta_new + theta_dot_new + [x, y, vx, vy, _wrap_float(c)]
-                + [b * b for b in beyond])
+        return np.array(theta_new + theta_dot_new + [x, y, vx, vy, _wrap_float(c)]
+                        + [b * b for b in beyond])
 
     def jacobians(self, t, z, u):
         p = self.n_links
         dt = self.dt
-        lead, theta_new, _, vel_source = self._advance(z, u)
+        z = np.asarray(z, dtype=float)
+        theta_dot = z[..., p:2 * p]
+        theta_new = z[..., :p] + dt * theta_dot
+        lead = theta_new.shape[:-1]
         cs = _trig(theta_new)[1]
         J = self._jacobian(cs)
-        D = self._jacobian_rate(cs, vel_source)
+        D = self._jacobian_rate(cs, theta_dot)
 
         A = np.zeros(lead + (self.state_dim, self.state_dim))
         B = np.zeros(lead + (self.state_dim, p))
@@ -375,11 +334,9 @@ class PlanarArmPlant(Plant):
         # end-effector position: chain through theta_new
         A[..., 2 * p:2 * p + 2, :p] = J
         A[..., 2 * p:2 * p + 2, p:2 * p] = dt * J
-        # end-effector velocity J(theta_new) vel_source
+        # end-effector velocity J(theta_new) theta_dot
         A[..., 2 * p + 2:2 * p + 4, :p] = D
         A[..., 2 * p + 2:2 * p + 4, p:2 * p] = dt * D + J
-        if self.consistent_velocity:
-            B[..., 2 * p + 2:2 * p + 4, :] = dt * J
         # absolute orientation (wrap has unit slope a.e.)
         A[..., 2 * p + 4, :p] = 1.0
         A[..., 2 * p + 4, p:2 * p] = dt
@@ -394,16 +351,14 @@ class PlanarArmPlant(Plant):
 DEFAULT_JOINT_LIMIT = 2.9   # rad, either side of zero
 
 
-def planar_arm_plant(link_lengths, dt, theta_lower=None, theta_upper=None,
-                     consistent_velocity=False):
+def planar_arm_plant(link_lengths, dt, theta_lower=None, theta_upper=None):
     """Build a :class:`PlanarArmPlant`; limits default to +-DEFAULT_JOINT_LIMIT per joint."""
     p = len(link_lengths)
     if theta_lower is None:
         theta_lower = -DEFAULT_JOINT_LIMIT * np.ones(p)
     if theta_upper is None:
         theta_upper = DEFAULT_JOINT_LIMIT * np.ones(p)
-    return PlanarArmPlant(link_lengths, dt, theta_lower, theta_upper,
-                          consistent_velocity=consistent_velocity)
+    return PlanarArmPlant(link_lengths, dt, theta_lower, theta_upper)
 
 
 def linear_system_from_plant(plant, horizon):

@@ -16,13 +16,11 @@ matrices are lists of rows):
       "description": str (optional),
       "metadata": {...} (optional, carried through to reports),
       "horizon": int, "dt": float,
-      "plant": {"kind": "double_integrator", "dim": int,
-                "exact_discretization": bool (optional)}
+      "plant": {"kind": "double_integrator", "dim": int}
              | {"kind": "linear", "A": [[..]], "B": [[..]]}
              | {"kind": "planar_arm", "link_lengths": [..],
                 "theta_lower": [..] (optional, one per link, default -2.9),
-                "theta_upper": [..] (optional, >= theta_lower, default 2.9),
-                "consistent_velocity": bool (optional)},
+                "theta_upper": [..] (optional, >= theta_lower, default 2.9)},
       "cost": {"control_weight": weight,
                "viapoints": [{"t": int, "target": [..], "weight": weight}, ..],
                "correlations": [{"t1": int, "t2": int,
@@ -50,8 +48,7 @@ law), ``maps.bin`` (the same law plus the retarget maps, ``esls`` only),
 residuals), and optionally ``trace.csv`` with per-iteration solver progress.
 Every solver's result is one :class:`Controller`, a ``batch-lqt`` plan the
 law with zero gains, so one codec writes and reads the law of both
-archives (an ``open_loop`` plan file of an earlier version still loads as
-that law), and one reader turns any failure to read or parse one into
+archives, and one reader turns any failure to read or parse one into
 :class:`ValidationError`.  ``slsctrl adapt`` reads its law from
 ``maps.bin`` alone.
 """
@@ -94,7 +91,7 @@ from .plants import (
 )
 from .solver import Controller, build_stacked, extract_controller, solve_esls
 
-ARTIFACT_FORMAT_VERSION = 4
+ARTIFACT_FORMAT_VERSION = 5
 # per-step arrays are allocated (T+1)-long and dense in the state
 MAX_HORIZON, MAX_PLANT_DIM = 100_000, 100
 
@@ -331,16 +328,13 @@ _NOISE = {"mu_x0": _f(_REQUIRED, _as_vector, size=STATE_DIM),
               _REQUIRED, _as_nonnegative, "variances must be nonnegative", size=STATE_DIM))}
 # sections of several kinds, {kind: table of the keys besides "kind"}: a plant's
 # keys are the parameters of its builder (_PLANT_BUILDERS), isls's IslsConfig's
-_FLAG = "expected true or false, got {0}"
 _KINDS = {
     "plant": {
-        "double_integrator": {"dim": _f(_REQUIRED, _as_int, 1, MAX_PLANT_DIM),
-                              "exact_discretization": _f(False, _as_instance, bool, _FLAG)},
+        "double_integrator": {"dim": _f(_REQUIRED, _as_int, 1, MAX_PLANT_DIM)},
         "linear": {"A": _f(_REQUIRED, _as_matrix), "B": _f(_REQUIRED, _as_matrix)},
         # absent limits are None, which planar_arm_plant fills in
         "planar_arm": {"link_lengths": _f(_REQUIRED, _as_lengths),
-                       "theta_lower": _f(None, _as_vector), "theta_upper": _f(None, _as_vector),
-                       "consistent_velocity": _f(False, _as_instance, bool, _FLAG)}},
+                       "theta_lower": _f(None, _as_vector), "theta_upper": _f(None, _as_vector)}},
     "initial_state": {
         "fixed": {"value": _f(_REQUIRED, _as_vector, size=STATE_DIM)},
         "uniform_box": {"center": _f(_REQUIRED, _as_vector, size=STATE_DIM),
@@ -730,13 +724,6 @@ def write_controller_artifact(path, controller):
 
 def _controller(data):
     kind = str(data["kind"])
-    if kind == "open_loop":   # an input plan, as earlier batch-lqt solves wrote it
-        state_dim = data["state_dim"]
-        if (state_dim.shape != () or state_dim.dtype.kind not in "iu"
-                or not 1 <= state_dim <= MAX_PLANT_DIM):
-            raise ValueError(f"state_dim must be an integer in [1, {MAX_PLANT_DIM}], "
-                             f"got {_shown(state_dim)}")
-        return Controller.open_loop(data["inputs"], int(state_dim))
     if kind != "affine_memory":
         raise ValueError(f"unknown kind {_shown(kind)}")
     return _law(data)

@@ -18,11 +18,12 @@ from slsctrl import (
     isls_optimize,
     linearize_plant,
     planar_arm_plant,
+    rollout,
     solve_esls,
 )
 from slsctrl.bench import bench_pickplace, bundled_scenario_path
 from slsctrl.costs import CorrelationSpec, CostSpec
-from slsctrl.isls import ALPHAS, closed_loop_step, nominal_rollout
+from slsctrl.isls import ALPHAS, closed_loop_step
 from slsctrl.plants import PlanarArmPlant, Plant
 from slsctrl.scenarios import (
     Scenario,
@@ -41,6 +42,11 @@ from oracles import (
     planar_fk,
     two_link_ik,
 )
+
+
+def _open_loop_states(plant, x0, us):
+    """States (T+1, m) of the plant run from x0 by the open-loop law of inputs us (T+1, n)."""
+    return rollout(plant, Controller.open_loop(us, plant.state_dim), x0=x0).states
 
 
 def _terminal_cost(horizon, state_dim, value, gradient, hessian):
@@ -77,7 +83,7 @@ def test_lq_problem_converges_in_one_accepted_iteration():
         assert res.reason == "stationary"
         assert res.history[0].alpha == 1.0
 
-        st = linearize_plant(plant, nominal_rollout(
+        st = linearize_plant(plant, _open_loop_states(
             plant, x0, np.zeros((T + 1, n))), np.zeros((T + 1, n)))
         direct = extract_controller(solve_esls(st, cost))
         npt.assert_allclose(ctrl.K.dense, direct.K.dense, atol=1e-8)
@@ -128,7 +134,7 @@ def test_flat_tail_cost_forces_backtracking():
 
     # brute-force scan of the true cost over the backtracking grid
     u_hat = np.zeros((T + 1, 1))
-    x_hat = nominal_rollout(plant, x0, u_hat)
+    x_hat = _open_loop_states(plant, x0, u_hat)
     sub = obj.quadratize(x_hat, u_hat, cfg.regularization)
     first = extract_controller(solve_esls(
         linearize_plant(plant, x_hat, u_hat), sub))
@@ -302,21 +308,6 @@ def test_curvature_that_cannot_carry_gradient_raises():
                        regularization=0.0)
 
 
-def test_linearize_reprojects_inconsistent_nominal():
-    arm = planar_arm_plant([0.6, 0.5], 0.05)
-    T = 5
-    rng = np.random.default_rng(3)
-    u_hat = 0.1 * rng.normal(size=(T + 1, arm.input_dim))
-    x_feasible = nominal_rollout(arm, arm.augment([0.2, -0.1], [0.0, 0.0]), u_hat)
-    x_bad = x_feasible.copy()
-    x_bad[2:] += 0.05  # break dynamic consistency mid-trajectory
-    sys_bad = linearize_plant(arm, x_bad, u_hat)
-    sys_ref = linearize_plant(arm, x_feasible, u_hat)
-    for t in range(T + 1):
-        npt.assert_allclose(sys_bad.A[t], sys_ref.A[t], atol=1e-12)
-        npt.assert_allclose(sys_bad.B[t], sys_ref.B[t], atol=1e-12)
-
-
 def test_batched_quadratize_matches_per_step_lstsq():
     # singular weights (zero diagonal entries as in the bundled pick-place
     # scenario, and a rank-one block) without regularization, where the
@@ -384,7 +375,7 @@ def test_quadratize_refreshes_each_coupled_component_once(monkeypatch):
     objective = build_objective(scenario)
     x0 = draw_initial_state(scenario, np.random.default_rng(0), plant)
     u_hat = np.zeros((scenario.horizon + 1, plant.input_dim))
-    x_hat = nominal_rollout(plant, x0, u_hat)
+    x_hat = _open_loop_states(plant, x0, u_hat)
     refresh = CostSpec._refresh_targets
     seeds = []
 
@@ -466,8 +457,8 @@ def test_pickplace_trial_runs_no_plan_pass(monkeypatch):
 
 
 def test_linearize_one_pass_matches_per_step_route():
-    # the arm broadcasts, so linearize_plant calls step once for the defect
-    # check and jacobians once; a duck-typed wrapper exposing only step and
+    # the arm's jacobians broadcast, so linearize_plant makes one call of it
+    # and none of step; a duck-typed wrapper exposing only step and
     # jacobians is linearized step by step and must give the same system
     calls = []
 
@@ -489,21 +480,37 @@ def test_linearize_one_pass_matches_per_step_route():
     T, m = 30, arm.state_dim
     rng = np.random.default_rng(6)
     u_hat = 0.5 * rng.normal(size=(T + 1, arm.input_dim))
-    x_feasible = nominal_rollout(arm, arm.augment([1.3, -0.8, -0.2], [0.3, 0.0, -0.2]), u_hat)
-    x_bad = x_feasible.copy()
-    x_bad[7:] += 0.05  # inconsistent: forces the reprojection
-    for x_hat, reprojected in ((x_feasible, False), (x_bad, True)):
-        calls.clear()
-        one_pass = linearize_plant(arm, x_hat, u_hat)
-        expected = [("step", (T, m))] + [("step", (m,))] * (T if reprojected else 0)
-        assert calls == expected + [("jacobians", (T + 1, m))]
-        per_step = linearize_plant(PerStep(arm), x_hat, u_hat)
-        for t in range(T + 1):
-            npt.assert_allclose(one_pass.A[t], per_step.A[t], rtol=0, atol=1e-12)
-            npt.assert_allclose(one_pass.B[t], per_step.B[t], rtol=0, atol=1e-12)
-        if reprojected:
-            ref = linearize_plant(arm, x_feasible, u_hat)
-            npt.assert_allclose(np.array(one_pass.A), np.array(ref.A), rtol=0, atol=1e-12)
+    x_hat = _open_loop_states(arm, arm.augment([1.3, -0.8, -0.2], [0.3, 0.0, -0.2]), u_hat)
+    calls.clear()
+    one_pass = linearize_plant(arm, x_hat, u_hat)
+    assert calls == [("jacobians", (T + 1, m))]
+    per_step = linearize_plant(PerStep(arm), x_hat, u_hat)
+    for t in range(T + 1):
+        npt.assert_allclose(one_pass.A[t], per_step.A[t], rtol=0, atol=1e-12)
+        npt.assert_allclose(one_pass.B[t], per_step.B[t], rtol=0, atol=1e-12)
+
+
+def test_first_nominal_is_the_rollout_of_the_open_loop_law():
+    # max_iterations=0 returns the law around the first nominal
+    plant, objective, cfg, x0s = _pickplace_postures(0, 2)
+    T, n = objective.horizon, plant.input_dim
+    cfg.max_iterations = 0
+    zeros = np.zeros((T + 1, n))
+    for x0, init_u in ((x0s[0], None), (x0s[1], zeros),
+                       (x0s[1], 0.3 * np.random.default_rng(8).normal(size=(T + 1, n)))):
+        law, result = isls_optimize(plant, objective, x0, init_u=init_u, config=cfg)
+        assert result.reason == "max_iterations" and result.iterations == 0
+        us = plant.initial_inputs(objective, x0) if init_u is None else init_u
+        first = rollout(plant, Controller.open_loop(us, plant.state_dim), x0=x0)
+        assert law.nominal_x.tobytes() == first.states.tobytes()
+        assert law.nominal_u.tobytes() == first.inputs.tobytes()
+        assert result.cost == objective.true_cost(first.states, first.inputs)
+        # the plant's own steps from x0 under the inputs
+        xs = [np.asarray(x0, dtype=float)]
+        for t in range(T):
+            xs.append(plant.step(t, xs[-1], us[t]))
+        npt.assert_array_equal(first.states, xs)
+        npt.assert_array_equal(first.inputs, us)
 
 
 def test_nonfinite_inputs_name_their_source():
@@ -579,7 +586,7 @@ def test_trial_runs_equal_the_reference_loop_for_every_alpha():
     T, n = objective.horizon, plant.input_dim
     x0 = draw_initial_state(scenario, np.random.default_rng(3), plant)
     u_hat = 0.2 * np.random.default_rng(4).normal(size=(T + 1, n))
-    x_hat = nominal_rollout(plant, x0, u_hat)
+    x_hat = _open_loop_states(plant, x0, u_hat)
     sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor)
     law = extract_controller(solve_esls(linearize_plant(plant, x_hat, u_hat), sub))
     assert any(law.held)
@@ -645,7 +652,7 @@ def test_arm_first_nominal_reaches_its_keypoints_inside_the_joint_limits():
     for x0 in x0s:
         u = plant.initial_inputs(objective, x0)
         assert u.shape == (objective.horizon + 1, p) and np.isfinite(u).all()
-        xs = nominal_rollout(plant, x0, u)
+        xs = _open_loop_states(plant, x0, u)
         for t, weight, target in objective.state_cost.keypoints:
             theta = xs[t, :p]
             assert np.all(theta >= plant.theta_lower - 1e-12)

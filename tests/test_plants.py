@@ -46,10 +46,8 @@ def test_double_integrator_step():
     plant = double_integrator_plant(1, 0.1)
     npt.assert_allclose(plant.step(0, np.array([0.0, 1.0]), np.zeros(1)), [0.1, 1.0])
     npt.assert_allclose(plant.step(0, np.zeros(2), np.zeros(1)), [0.0, 0.0])
-    # Euler input enters velocity only; exact discretization adds dt^2/2
+    # explicit Euler: the input enters the velocity only
     npt.assert_allclose(plant.B[:, 0], [0.0, 0.1])
-    exact = double_integrator_plant(1, 0.1, exact_discretization=True)
-    npt.assert_allclose(exact.B[:, 0], [0.005, 0.1])
 
 
 def test_linear_step_takes_lists_and_integer_arrays():
@@ -138,36 +136,41 @@ def test_arm_augmented_jacobians_vs_fd():
     # central differences of the dynamics
     rng = np.random.default_rng(2)
     T = 20
-    for consistent in (False, True):
-        arm = planar_arm_plant([0.5, 0.4], 0.05, theta_lower=[-1.5, -1.5],
-                               theta_upper=[1.5, 1.5], consistent_velocity=consistent)
-        Z = np.array([arm.augment(rng.uniform(-2.2, 2.2, size=2), rng.uniform(-1, 1, size=2))
-                      for _ in range(T + 1)])
-        U = rng.uniform(-1, 1, size=(T + 1, 2))
-        assert np.any(np.abs(Z[:, :2]) > 1.5)
-        steps = np.arange(T + 1)
-        Z_next = arm.step(steps, Z, U)
-        A, B = arm.jacobians(steps, Z, U)
-        assert Z_next.shape == Z.shape
-        assert A.shape == (T + 1, 11, 11) and B.shape == (T + 1, 11, 2)
-        fk = arm.forward_kinematics(Z[:, :2])
-        J_ee = arm.ee_jacobian(Z[:, :2])
-        worst_row, worst_fd = 0.0, 0.0
-        for t in range(T + 1):
-            z, u = Z[t], U[t]
-            At, Bt = arm.jacobians(t, z, u)
-            for stacked, single in ((Z_next[t], arm.step(t, z, u)), (A[t], At), (B[t], Bt),
-                                    (fk[t], arm.forward_kinematics(z[:2])),
-                                    (J_ee[t], arm.ee_jacobian(z[:2]))):
-                scale = max(1.0, np.max(np.abs(single)))
-                worst_row = max(worst_row, np.max(np.abs(stacked - single)) / scale)
-            A_ref = fd_jacobian(lambda zz: arm.step(t, zz, u), z)
-            B_ref = fd_jacobian(lambda uu: arm.step(t, z, uu), u)
-            worst_fd = max(worst_fd,
-                           np.max(np.abs(At - A_ref)) / max(1.0, np.max(np.abs(A_ref))),
-                           np.max(np.abs(Bt - B_ref)) / max(1.0, np.max(np.abs(B_ref))))
-        assert worst_row <= 1e-15
-        assert worst_fd <= 1e-4
+    arm = planar_arm_plant([0.5, 0.4], 0.05, theta_lower=[-1.5, -1.5], theta_upper=[1.5, 1.5])
+    Z = np.array([arm.augment(rng.uniform(-2.2, 2.2, size=2), rng.uniform(-1, 1, size=2))
+                  for _ in range(T + 1)])
+    U = rng.uniform(-1, 1, size=(T + 1, 2))
+    assert np.any(np.abs(Z[:, :2]) > 1.5)
+    A, B = arm.jacobians(np.arange(T + 1), Z, U)
+    assert A.shape == (T + 1, 11, 11) and B.shape == (T + 1, 11, 2)
+    fk = arm.forward_kinematics(Z[:, :2])
+    J_ee = arm.ee_jacobian(Z[:, :2])
+    worst_row, worst_fd = 0.0, 0.0
+    for t in range(T + 1):
+        z, u = Z[t], U[t]
+        At, Bt = arm.jacobians(t, z, u)
+        for stacked, single in ((A[t], At), (B[t], Bt),
+                                (fk[t], arm.forward_kinematics(z[:2])),
+                                (J_ee[t], arm.ee_jacobian(z[:2]))):
+            scale = max(1.0, np.max(np.abs(single)))
+            worst_row = max(worst_row, np.max(np.abs(stacked - single)) / scale)
+        A_ref = fd_jacobian(lambda zz: arm.step(t, zz, u), z)
+        B_ref = fd_jacobian(lambda uu: arm.step(t, z, uu), u)
+        worst_fd = max(worst_fd,
+                       np.max(np.abs(At - A_ref)) / max(1.0, np.max(np.abs(A_ref))),
+                       np.max(np.abs(Bt - B_ref)) / max(1.0, np.max(np.abs(B_ref))))
+    assert worst_row <= 1e-15
+    assert worst_fd <= 1e-4
+
+
+def _step_reference(arm, z, u):
+    """The arm's next state assembled from the public kinematic helpers, in NumPy."""
+    p = arm.n_links
+    theta_new = z[:p] + arm.dt * z[p:2 * p]
+    return np.concatenate([
+        theta_new, z[p:2 * p] + arm.dt * u, arm.forward_kinematics(theta_new),
+        arm.ee_jacobian(theta_new) @ z[p:2 * p], [wrap_angle(theta_new.sum())],
+        joint_limit_violation(theta_new, arm.theta_lower, arm.theta_upper)])
 
 
 def test_arm_step_matches_its_kinematic_definition():
@@ -193,34 +196,24 @@ def test_arm_step_matches_its_kinematic_definition():
         Z = np.hstack([thetas, theta_dots, rng.normal(size=(len(thetas), p + 5))])
         U = rng.uniform(-2.0, 2.0, size=(len(thetas), p))
         assert np.any(np.asarray(thetas) < lower) and np.any(np.asarray(thetas) > upper)
-        for consistent in (False, True):
-            arm = planar_arm_plant(np.linspace(0.7, 0.3, p), 0.05, theta_lower=lower,
-                                   theta_upper=upper, consistent_velocity=consistent)
-            stacked = arm.step(np.arange(len(Z)), Z, U)
-            sums = []
-            for i, (z, u) in enumerate(zip(Z, U)):
-                theta_new = z[:p] + arm.dt * z[p:2 * p]
-                theta_dot_new = z[p:2 * p] + arm.dt * u
-                v = theta_dot_new if consistent else z[p:2 * p]
-                ref = np.concatenate([
-                    theta_new, theta_dot_new, arm.forward_kinematics(theta_new),
-                    arm.ee_jacobian(theta_new) @ v, [wrap_angle(theta_new.sum())],
-                    joint_limit_violation(theta_new, lower, upper)])
-                single = arm.step(i, z, u)
-                assert np.max(np.abs(single - ref)) <= 1e-15 * np.max(np.abs(ref)), (p, i)
-                npt.assert_array_equal(stacked[i], single)
-                sums.append(theta_new.sum())
-            # the sums hit +-pi exactly and the round-up of np.mod to 2 pi
-            sums = np.array(sums)
-            assert np.any(sums == np.pi) and np.any(sums == -np.pi)
-            assert np.any(np.mod(sums + np.pi, 2 * np.pi) == 2 * np.pi)
-            orientation = stacked[:, 2 * p + 4]
-            assert np.all((-np.pi < orientation) & (orientation <= np.pi))
+        arm = planar_arm_plant(np.linspace(0.7, 0.3, p), 0.05, theta_lower=lower,
+                               theta_upper=upper)
+        steps = np.array([arm.step(i, z, u) for i, (z, u) in enumerate(zip(Z, U))])
+        for i, (z, u) in enumerate(zip(Z, U)):
+            ref = _step_reference(arm, z, u)
+            assert np.max(np.abs(steps[i] - ref)) <= 1e-15 * np.max(np.abs(ref)), (p, i)
+        # the sums hit +-pi exactly and the round-up of np.mod to 2 pi
+        sums = (Z[:, :p] + arm.dt * Z[:, p:2 * p]).sum(axis=1)
+        assert np.any(sums == np.pi) and np.any(sums == -np.pi)
+        assert np.any(np.mod(sums + np.pi, 2 * np.pi) == 2 * np.pi)
+        orientation = steps[:, 2 * p + 4]
+        assert np.all((-np.pi < orientation) & (orientation <= np.pi))
 
 
 def test_arm_step_of_one_state_matches_the_stack_on_non_finite_states():
-    # math.cos raises on an infinite angle where np.cos gives NaN; the
-    # one-state step must give the stacked step's output and never raise
+    # math.cos raises on an infinite angle where np.cos gives NaN; the step
+    # must never raise, and on each state of the stack it gives the NaN and
+    # inf entries of the NumPy reference over the public helpers
     p = 3
     rng = np.random.default_rng(11)
     Z, U = [], []
@@ -239,37 +232,28 @@ def test_arm_step_of_one_state_matches_the_stack_on_non_finite_states():
     z[:2] = np.inf, -np.inf
     Z.append(z)
     U.append(np.zeros(p))
-    Z, U = np.array(Z), np.array(U)
-    for consistent in (False, True):
-        arm = planar_arm_plant([0.4, 0.35, 0.25], 0.05, consistent_velocity=consistent)
-        with np.errstate(invalid="ignore"):
-            stacked = arm.step(np.arange(len(Z)), Z, U)
-        assert np.isnan(stacked).any() and np.isinf(stacked).any()
-        for i, (z, u) in enumerate(zip(Z, U)):
-            npt.assert_array_equal(arm.step(i, z, u), stacked[i])
+    arm = planar_arm_plant([0.4, 0.35, 0.25], 0.05)
+    steps = np.array([arm.step(i, z, u) for i, (z, u) in enumerate(zip(Z, U))])
+    with np.errstate(invalid="ignore"):
+        refs = np.array([_step_reference(arm, z, u) for z, u in zip(Z, U)])
+    assert np.isnan(steps).any() and np.isinf(steps).any()
+    for pattern in (np.isnan, np.isposinf, np.isneginf):
+        npt.assert_array_equal(pattern(steps), pattern(refs))
+    finite = np.isfinite(refs)
+    npt.assert_allclose(steps[finite], refs[finite], rtol=1e-15, atol=1e-15)
     # max(a, nan) is a where np.maximum(a, nan) is NaN, so a NaN limit is refused
     with pytest.raises(ValueError, match="lower <= upper"):
         planar_arm_plant([0.4, 0.35, 0.25], 0.05, theta_upper=[1.0, np.nan, 1.0])
 
 
-def test_arm_velocity_conventions():
-    # default keeps the one-step index mismatch in the ee-velocity row;
-    # consistent_velocity uses the updated joint velocity instead
-    th = np.array([0.7, -0.4])
-    thd = np.array([0.3, 0.2])
-    u = np.array([0.5, -0.1])
-    lagged = planar_arm_plant([0.5, 0.4], 0.05)
-    consistent = planar_arm_plant([0.5, 0.4], 0.05, consistent_velocity=True)
-    z = lagged.augment(th, thd)
-    z_lag = lagged.step(0, z, u)
-    z_con = consistent.step(0, z, u)
-    p = 2
-    th_next = z_lag[:p]
-    npt.assert_allclose(z_con[:p], th_next)
-    J_next = lagged.ee_jacobian(th_next)
-    npt.assert_allclose(z_lag[2 * p + 2:2 * p + 4], J_next @ thd, atol=1e-12)
-    npt.assert_allclose(z_con[2 * p + 2:2 * p + 4], J_next @ z_con[p:2 * p],
-                        atol=1e-12)
+def test_arm_step_rejects_misshaped_states_and_inputs():
+    # the float body zips z and u with the links, which would truncate them
+    arm = planar_arm_plant([0.5, 0.4], 0.05)
+    z, u = arm.augment([0.7, -0.4], [0.3, 0.2]), np.array([0.5, -0.1])
+    for bad_z, bad_u in ((z[:-1], u), (np.r_[z, 0.0], u), (z, u[:1]), (z, np.r_[u, 0.0]),
+                         (np.array([z, z]), np.array([u, u])), (z, u[None])):
+        with pytest.raises(ValueError, match=r"step takes z \(11,\) and u \(2,\)"):
+            arm.step(0, bad_z, bad_u)
 
 
 def test_linearize_linear_plant_is_exact():
@@ -294,7 +278,7 @@ def test_linearize_linear_plant_is_exact():
 def test_linear_system_from_plant_equals_the_per_step_build():
     rng = np.random.default_rng(4)
     T = 9
-    for plant in (double_integrator_plant(3, 0.01, exact_discretization=True),
+    for plant in (double_integrator_plant(3, 0.01),
                   LinearPlant(rng.normal(size=(4, 4)), rng.normal(size=(4, 2)))):
         zeros_x, zeros_u = np.zeros(plant.state_dim), np.zeros(plant.input_dim)
         per_step = TimeVaryingLinearSystem(*zip(*(plant.jacobians(t, zeros_x, zeros_u)

@@ -341,17 +341,16 @@ def test_control_weight_must_be_positive_definite_unless_isls():
     assert Scenario.from_dict(config).control_weight[1, 1] == 0.0
 
 
-def test_plant_flags_must_be_booleans():
-    # a string or a number would otherwise be used by its truthiness
+def test_removed_plant_flags_are_unknown_keys():
+    # the double integrator is explicit Euler and the arm's end-effector
+    # velocity reads x_t only; neither has a switch any more
     for name, key in [("mug_sugar", "exact_discretization"),
                       ("pickplace_arm", "consistent_velocity")]:
-        for value in ["no", "false", 1, 0, None]:
+        for value in [True, False]:
             config = load_scenario(bundled_scenario_path(name)).raw
             config["plant"][key] = value
-            with pytest.raises(ValidationError, match=rf"plant\.{key}: expected true or false"):
+            with pytest.raises(ValidationError, match=rf"plant: unknown key\(s\) \['{key}'\]"):
                 Scenario.from_dict(config)
-        config["plant"][key] = False
-        Scenario.from_dict(config)
 
 
 def _built(scenario, solver):
@@ -662,42 +661,34 @@ def _open_loop_arrays(inputs, state_dim):
 
 
 def test_controller_loader_rejects_missing_version_and_nan_inputs(tmp_path):
-    path = tmp_path / "open_loop.bin"
-    good = _open_loop_arrays(np.ones((4, 2)), 3)
-    with open(path, "wb") as fh:
-        np.savez(fh, **good)
+    # an input plan is written as the affine law with zero gains
+    path = tmp_path / "plan.bin"
+    write_controller_artifact(path, Controller.open_loop(np.ones((4, 2)), 3))
+    with np.load(path) as data:
+        good = dict(data)
+    assert str(good["kind"]) == "affine_memory"
     npt.assert_array_equal(load_controller_artifact(path).k, np.ones(8))
-    inputs = good["inputs"].copy()
-    inputs[2, 1] = np.nan
-    # a state_dim that is a float, a bool, not positive, over the plant
-    # maximum or an array would otherwise load as a law of int(...) states
-    bad_sizes = [dict(good, state_dim=np.array(v))
-                 for v in (6.9, True, 0, -2, MAX_PLANT_DIM + 1, [6], 6.0)]
-    for match, arrays in [("inputs", dict(good, inputs=inputs)),
+    k = good["k"].copy()
+    k[5] = np.nan
+    for match, arrays in [("k must be 8 finite numbers", dict(good, k=k)),
                           ("format_version", {k: v for k, v in good.items()
-                                              if k != "format_version"}),
-                          *((r"state_dim must be an integer in \[1, 100\]", arrays)
-                            for arrays in bad_sizes)]:
+                                              if k != "format_version"})]:
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(ValidationError, match=match):
             load_controller_artifact(path)
 
 
-def test_open_loop_artifact_of_an_earlier_version_replays_its_inputs(tmp_path):
-    # it loads as the law with zero gains, whose inputs are the plan's
-    # whatever the states
-    scenario, plant, _, _ = _mug()
-    T1 = scenario.horizon + 1
-    inputs = np.random.default_rng(5).normal(size=(T1, scenario.input_dim))
+def test_open_loop_artifact_of_an_earlier_version_is_rejected(tmp_path):
+    # version 4 still named input plans "open_loop"; version 5 writes every
+    # law as affine_memory and knows no other kind
     path = tmp_path / "open_loop.bin"
-    with open(path, "wb") as fh:
-        np.savez(fh, **_open_loop_arrays(inputs, scenario.state_dim))
-    law = load_controller_artifact(path)
-    assert law.held == [()] * T1 and not np.concatenate(law.gains).any()
-    traj = rollout(plant, law, noise=build_noise(scenario), seed=3)
-    assert traj.states.std() > 0
-    npt.assert_array_equal(traj.inputs, inputs)
+    arrays = _open_loop_arrays(np.ones((4, 2)), 3)
+    for version, match in [(4, "format version 4"), (5, "unknown kind 'open_loop'")]:
+        with open(path, "wb") as fh:
+            np.savez(fh, **dict(arrays, format_version=np.array(version)))
+        with pytest.raises(ValidationError, match=match):
+            load_controller_artifact(path)
 
 
 def test_tampered_controller_artifact_names_field(tmp_path):
@@ -765,7 +756,8 @@ def test_version_1_artifacts_are_rejected(tmp_path):
 
 def test_version_2_artifacts_are_rejected(tmp_path):
     # v2 maps held the dense F_x and F_u; v3 maps held no law kind or k and
-    # v3 controllers no inverse step Hessians, otherwise v4's layout
+    # v3 controllers no inverse step Hessians, otherwise v4's layout, which
+    # is today's but for the open_loop plans it also named
     path = tmp_path / "v2.bin"
     with open(path, "wb") as fh:
         np.savez(fh, format_version=np.array(2), F_x=np.eye(2), F_u=np.eye(2),
@@ -778,7 +770,8 @@ def test_version_2_artifacts_are_rejected(tmp_path):
     for version, maps, controllers in [
             (2, good, [open_loop]),
             (3, {key: v for key, v in good.items() if key not in ("kind", "k")},
-             [open_loop, {key: good[key] for key in law_keys}])]:
+             [open_loop, {key: good[key] for key in law_keys}]),
+            (4, good, [open_loop, {key: good[key] for key in law_keys}])]:
         for loader, arrays in [(load_maps_artifact, maps),
                                *((load_controller_artifact, c) for c in controllers)]:
             with open(path, "wb") as fh:
