@@ -184,6 +184,7 @@ def bench_pickplace(trials=5, seed=0, scenario_path=None):
             "lift_target": grasp_height + lift_offset,
             "place_residual": float(abs(ee_y[t_p] - ee_y[t_g])),
             "iterations": result.iterations,
+            "second_order_iterations": sum(h.second_order for h in result.history),
             "converged": bool(result.converged),
             "reason": result.reason,
             "stationarity": result.stationarity,

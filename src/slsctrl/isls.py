@@ -11,6 +11,10 @@ is preserved through the outer loop.
 On a linear plant with a quadratic objective the very first subproblem is
 the problem itself, so one iteration with a full step reproduces the direct
 synthesis; tests pin this down.
+
+Each subproblem is a Gauss-Newton model; once the steps are small, the
+dynamics' second-order term makes it exact Newton, as in differential dynamic
+programming (Jacobson & Mayne, 1970), on plants that give that term.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .solver import (
 
 ALPHAS = tuple(0.5 ** k for k in range(11))   # backtracking schedule of the feedforward scaling
 STATIONARITY_FLOOR = 1e-9   # a subproblem feedforward this small proposes no move
+NEWTON_SWITCH = 1e-2        # a previous step this small adds the dynamics' second-order term
 
 
 class TrackingObjective:
@@ -109,11 +114,12 @@ class TrackingObjective:
             inc[corr.t2] += corr.evaluate(xb[corr.t1], xb[corr.t2])
         return np.cumsum(inc)
 
-    def quadratize(self, x_hat, u_hat, regularization=1e-6, hessian_floor=None):
+    def quadratize(self, x_hat, u_hat, regularization=1e-6, hessian_floor=None, curvature=None):
         """Quadratic model of the objective in deviations around a nominal.
 
         Per-step state costs contribute their second-order expansion
-        (C_xx = hessian + regularization, optionally eigenvalue-floored for
+        (C_xx = hessian + regularization, plus the (T+1, m, m) stack
+        ``curvature`` when given, optionally eigenvalue-floored for
         indefinite costs), all steps in one batched eigendecomposition,
         which the objective keeps and reuses while that Hessian stack stays
         the same; the derivatives come from the state cost's batched methods;
@@ -128,6 +134,8 @@ class TrackingObjective:
         cost.R = self.R.copy()
         cost.u_d = (self.u_d.reshape(ub.shape) - ub).reshape(-1)
         H, g = self.state_cost.hessians(xb), self.state_cost.gradients(xb)
+        if curvature is not None:
+            H = H + curvature
         finite = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
         if not finite.all():
             raise ValueError(f"non-finite state cost derivatives at t={int(np.argmin(finite))}")
@@ -205,6 +213,7 @@ class IterationState:
     delta_cost: float
     alpha: float
     step_norm: float
+    second_order: bool   # the step's subproblem carried the dynamics' second-order term
 
 
 @dataclass
@@ -238,7 +247,7 @@ class IslsResult:
     reason: str           # "tolerance", "stationary", "stall", "non_finite" or "max_iterations"
     iterations: int
     cost: float
-    stationarity: float   # max |k| of the subproblem at the final nominal
+    stationarity: float   # max |k| of the Gauss-Newton subproblem at the final nominal
     history: list = field(default_factory=list)
 
 
@@ -252,6 +261,30 @@ def closed_loop_step(plant, controller, k_scaled, x_hat, u_hat):
     """
     traj = rollout(plant, controller._around(k_scaled, x_hat, u_hat), x0=x_hat[0])
     return traj.states, traj.inputs
+
+
+def _subproblem_law(objective, system, x_hat, u_hat, cfg, curvature=None):
+    """The law of the subproblem at (x_hat, u_hat) on its linearization ``system``."""
+    sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor, curvature)
+    return extract_controller(solve_esls(system, sub))
+
+
+def _costate_curvature(plant, objective, A, x_hat, u_hat):
+    """The plant's :meth:`~slsctrl.plants.Plant.costate_hessian` along a nominal, or None.
+
+    Step t's term contracts f with lam_{t+1}, where lam_T = g_T and
+    lam_t = g_t + A_t' lam_{t+1}, g_t the state cost's gradient plus each
+    correlation's at t1 and t2.
+    """
+    g = objective.state_cost.gradients(x_hat)
+    for corr in objective.correlations:
+        e = corr.Q_c @ (corr.C @ x_hat[corr.t1] + corr.c - x_hat[corr.t2])
+        g[corr.t1] += 2 * corr.C.T @ e
+        g[corr.t2] -= 2 * e
+    lam = np.zeros_like(g)   # lam[t] is lam_{t+1}; nothing follows step T
+    for t in range(len(g) - 2, -1, -1):
+        lam[t] = g[t + 1] + A[t + 1].T @ lam[t + 1]
+    return plant.costate_hessian(x_hat, u_hat, lam)
 
 
 def isls_optimize(plant, objective, x0, init_u=None, config=None):
@@ -279,6 +312,11 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         carries that subproblem's gains and inverse step Hessians, so
         :func:`slsctrl.adaptation.precompute_gain_maps` takes it with the
         subproblem ``objective.quadratize`` gives at the final nominal.
+
+    A pass after a step with max |k| <= NEWTON_SWITCH adds the plant's
+    costate Hessian to the state curvature, or is Gauss-Newton if the plant
+    has none or that subproblem raises ``ValueError``.  A stopping pass with
+    the term is solved once more without, and that law is returned.
     """
     cfg = config or IslsConfig()
     T, m, n = objective.horizon, objective.state_dim, objective.input_dim
@@ -297,13 +335,22 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
 
     history = []
     pending_tol = False
+    step_norm = np.inf
     while True:
         # every pass starts by solving the subproblem at the current nominal,
         # so on any exit the controller in hand belongs to that nominal
         system = build_stacked(linearize_plant(plant, x_hat, u_hat))
-        sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor)
-        response = solve_esls(system, sub)
-        ctrl = extract_controller(response)
+        ctrl = None
+        if step_norm <= NEWTON_SWITCH:
+            curvature = _costate_curvature(plant, objective, system.A, x_hat, u_hat)
+            if curvature is not None:
+                try:
+                    ctrl = _subproblem_law(objective, system, x_hat, u_hat, cfg, curvature)
+                except ValueError:   # no minimizer with the term: this pass is Gauss-Newton
+                    pass
+        second_order = ctrl is not None
+        if ctrl is None:
+            ctrl = _subproblem_law(objective, system, x_hat, u_hat, cfg)
         step_norm = float(np.max(np.abs(ctrl.k))) if ctrl.k.size else 0.0
 
         if step_norm <= STATIONARITY_FLOOR:
@@ -331,15 +378,19 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         alpha, x_hat, u_hat, new_cost = accepted
         delta = cost_value - new_cost
         cost_value = new_cost
-        history.append(IterationState(len(history) + 1, cost_value, delta, alpha, step_norm))
+        history.append(IterationState(len(history) + 1, cost_value, delta, alpha, step_norm,
+                                      second_order))
         pending_tol = delta <= cfg.tolerance * max(1.0, abs(cost_value))
 
+    if second_order:
+        # the law that ships is the one objective.quadratize describes
+        ctrl = _subproblem_law(objective, system, x_hat, u_hat, cfg)
     controller = ctrl._around(ctrl.k, x_hat, u_hat)
     stationarity = float(np.max(np.abs(controller.k)))
     # a stall only shows that no scale of the step improves the cost; it
     # counts as convergence when the step itself is within the bound
     stall_ok = reason == "stall" and (cfg.stationarity_tolerance is None
-                                      or step_norm <= cfg.stationarity_tolerance)
+                                      or stationarity <= cfg.stationarity_tolerance)
     result = IslsResult(
         converged=reason in ("tolerance", "stationary") or stall_ok,
         reason=reason,

@@ -84,6 +84,13 @@ class Plant:
         return (central_difference(lambda z: self.step(t, z, u), x, JACOBIAN_FD_STEP),
                 central_difference(lambda v: self.step(t, x, v), u, JACOBIAN_FD_STEP))
 
+    def costate_hessian(self, x, u, lam):
+        """(T+1, m, m) sum_i lam[t, i] d^2 f_i(t, x_t, u_t) / dx_t^2 of stacks, or None.
+
+        A plant that gives it has no u or xu second derivatives; None here.
+        """
+        return None
+
 
 class LinearPlant(Plant):
     """Constant-coefficient linear plant x_{t+1} = A x + B u."""
@@ -346,6 +353,36 @@ class PlanarArmPlant(Plant):
         A[..., 2 * p + 5 + joints, joints] = dlim
         A[..., 2 * p + 5 + joints, p + joints] = dt * dlim
         return A, B
+
+    def costate_hessian(self, z, u, lam):
+        """sum_i lam_i d^2 f_i / dz^2 (see :class:`Plant`), over any leading axes.
+
+        The outputs read phi = theta + dt theta_dot and v = theta_dot only:
+        position and velocity give sums over the links k >= max(a, b), the
+        joint-limit penalty 2 lam past a limit, the orientation nothing.
+        """
+        p, dt, lengths = self.n_links, self.dt, self.link_lengths
+        z, lam = np.asarray(z, dtype=float), np.asarray(lam, dtype=float)
+        theta_dot = z[..., p:2 * p]
+        phi = z[..., :p] + dt * theta_dot
+        cs = _trig(phi)[1]
+        cos, sin = cs[..., 0, :], cs[..., 1, :]
+        px, py, vx, vy = (lam[..., 2 * p + i, None] for i in range(4))
+        # per link k: d^2 / dc_k^2 of lam . (position, velocity), and d^2 / dc_k dV_k
+        # of the velocity, V = cumsum(theta_dot)
+        w = lengths * (np.cumsum(theta_dot, axis=-1) * (vx * sin - vy * cos) - px * cos - py * sin)
+        wv = -lengths * (vx * cos + vy * sin)
+        later = np.maximum.outer(np.arange(p), np.arange(p))   # c_k moves with phi_a iff a <= k
+        H_pp, H_pv = _reverse_cumsum(w)[..., later], _reverse_cumsum(wv)[..., later]
+        joints = np.arange(p)
+        past = (phi > self.theta_upper) | (phi < self.theta_lower)
+        H_pp[..., joints, joints] += 2.0 * past * lam[..., 2 * p + 5:]
+        # chain through phi = [I, dt I] (theta, theta_dot) and v = [0, I] (theta, theta_dot)
+        out = np.zeros(z.shape[:-1] + (self.state_dim, self.state_dim))
+        out[..., :p, :p] = H_pp
+        out[..., :p, p:2 * p] = out[..., p:2 * p, :p] = dt * H_pp + H_pv
+        out[..., p:2 * p, p:2 * p] = dt * dt * H_pp + 2 * dt * H_pv
+        return out
 
 
 DEFAULT_JOINT_LIMIT = 2.9   # rad, either side of zero

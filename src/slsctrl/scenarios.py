@@ -779,9 +779,10 @@ def write_trajectory_csv(path, trajectory, cumulative_cost):
 
 
 def write_trace_csv(path, history):
-    lines = ["iteration,cost,delta_cost,alpha,step_norm"]
+    lines = ["iteration,cost,delta_cost,alpha,step_norm,second_order"]
     lines += [f"{rec.iteration},{rec.cost:.17g},{rec.delta_cost:.17g},"
-              f"{rec.alpha:.17g},{rec.step_norm:.17g}" for rec in history]
+              f"{rec.alpha:.17g},{rec.step_norm:.17g},{int(rec.second_order)}"
+              for rec in history]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

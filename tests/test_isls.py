@@ -21,9 +21,10 @@ from slsctrl import (
     rollout,
     solve_esls,
 )
+from slsctrl.adaptation import precompute_gain_maps
 from slsctrl.bench import bench_pickplace, bundled_scenario_path
-from slsctrl.costs import CorrelationSpec, CostSpec
-from slsctrl.isls import ALPHAS, closed_loop_step
+from slsctrl.costs import CorrelationSpec, CostSpec, central_difference
+from slsctrl.isls import ALPHAS, NEWTON_SWITCH, closed_loop_step
 from slsctrl.plants import PlanarArmPlant, Plant
 from slsctrl.scenarios import (
     Scenario,
@@ -33,6 +34,7 @@ from slsctrl.scenarios import (
     isls_config,
     load_scenario,
 )
+from slsctrl.solver import check_law
 
 from oracles import (
     alpha_scan,
@@ -615,7 +617,7 @@ def test_isls_with_the_reference_trial_loop_gives_the_same_law(monkeypatch):
 
 # -- the first nominal ----------------------------------------------------------
 
-COLD_SEED0_ITERATIONS = [11, 12, 9, 64]   # bench_pickplace(seed=0) trials 0-3 from u = 0
+COLD_SEED0_ITERATIONS = [7, 8, 7, 60]   # bench_pickplace(seed=0) trials 0-3 from u = 0
 COST_RTOL = 1e-9   # a kinematic start may end this much above the cold start, relative
 
 
@@ -679,7 +681,7 @@ def test_explicit_zero_start_is_the_cold_start_and_no_better_than_the_kinematic_
     for x0, c in zip(x0s, cold):
         _, k = isls_optimize(plant, objective, x0, config=cfg)
         assert c.converged and k.converged
-        assert k.iterations < 15
+        assert k.iterations <= 9
         assert k.cost <= c.cost + COST_RTOL * abs(c.cost)
 
 
@@ -689,11 +691,111 @@ def test_pickplace_sweep_converges_from_the_kinematic_start():
     assert rep.summary["all_converged"]
     assert all(t["place_residual"] <= 5e-3 and t["limit_penalty"] == 0 for t in rep.per_trial)
     unused = bench_pickplace(trials=12, seed=23)
-    assert all(t["converged"] and t["iterations"] <= 20 for t in unused.per_trial)
+    assert all(t["converged"] and t["iterations"] <= 9 for t in unused.per_trial)
 
 
 def test_a_folded_local_minimum_shows_in_the_pickplace_record(monkeypatch):
     monkeypatch.setattr(PlanarArmPlant, "initial_inputs", Plant.initial_inputs)
     (trial,) = bench_pickplace(trials=1, seed=9).per_trial
-    assert not trial["converged"]
+    # the cold start converges, to a minimum folded past joint 2's limit
+    assert trial["reason"] == "stationary"
     assert 1.0 < trial["limit_penalty"] < 1.1
+
+
+# -- the second-order tail --------------------------------------------------------
+
+
+def _hook_gap(plant, xs, us, seed):
+    """Largest relative gap of the arm hook to central differences of ``jacobians``."""
+    lam = np.random.default_rng(seed).normal(size=xs.shape)
+    H = plant.costate_hessian(xs, us, lam)
+    worst = 0.0
+    for t, (x, u) in enumerate(zip(xs, us)):
+        fd = central_difference(lambda z: lam[t] @ plant.jacobians(t, z, u)[0], x, 1e-6)
+        worst = max(worst, float(np.max(np.abs(fd - H[t])) / np.max(np.abs(H[t]))))
+    return worst
+
+
+def test_arm_costate_hessian_matches_differenced_jacobians():
+    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
+    plant, objective, cfg = build_plant(scenario), build_objective(scenario), isls_config(scenario)
+    ctrl, _ = isls_optimize(plant, objective,
+                            plant.augment(scenario.initial_state["theta"]), config=cfg)
+    m, n, p, dt = plant.state_dim, plant.input_dim, plant.n_links, plant.dt
+    xs, us = ctrl.nominal_x.reshape(-1, m), ctrl.nominal_u.reshape(-1, n)
+    assert _hook_gap(plant, xs, us, 0) <= 1e-6
+    # postures past a joint limit, at least 1e-3 rad from every kink of the penalty
+    rng = np.random.default_rng(1)
+    zs = xs.copy()
+    zs[:, :p] = rng.uniform(-3.5, 3.5, size=(len(zs), p))
+    zs[:, p:2 * p] = rng.normal(size=(len(zs), p))
+    phi = zs[:, :p] + dt * zs[:, p:2 * p]
+    kink = np.minimum(np.abs(phi - plant.theta_lower), np.abs(phi - plant.theta_upper))
+    zs = zs[np.min(kink, axis=1) > 1e-3]
+    phi = zs[:, :p] + dt * zs[:, p:2 * p]
+    assert ((phi > plant.theta_upper) | (phi < plant.theta_lower)).any(axis=1).sum() >= 20
+    assert _hook_gap(plant, zs, us[:len(zs)], 2) <= 1e-6
+
+
+def test_linear_plants_stay_gauss_newton(monkeypatch):
+    plant = LinearPlant(np.array([[1.0]]), np.array([[1.0]]))
+    T = 4
+    assert plant.costate_hessian(np.zeros((T + 1, 1)), np.zeros((T + 1, 1)),
+                                 np.ones((T + 1, 1))) is None
+    # the quartic's tail takes steps below the switch, where only the hook is consulted
+    obj = TrackingObjective(
+        T, 1, 1,
+        _terminal_cost(T, 1, lambda x: float(x[0] ** 4), lambda x: np.array([4 * x[0] ** 3]),
+                       lambda x: np.array([[12 * x[0] ** 2]])),
+        control_weight=1e-8)
+    cfg = IslsConfig(tolerance=1e-12, regularization=0.0)
+    a, res_a = isls_optimize(plant, obj, np.array([1.0]), config=cfg)
+    assert min(h.step_norm for h in res_a.history) <= NEWTON_SWITCH
+    monkeypatch.setattr(slsctrl.isls, "NEWTON_SWITCH", -np.inf)
+    b, res_b = isls_optimize(plant, obj, np.array([1.0]), config=cfg)
+    assert res_a == res_b and not any(h.second_order for h in res_a.history)
+    for name in ("k", "nominal_x", "nominal_u", "hessian_inv"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert [g.tobytes() for g in a.gains] == [g.tobytes() for g in b.gains]
+
+
+def test_an_indefinite_second_order_pass_falls_back_to_gauss_newton(monkeypatch):
+    plant, objective, cfg, (x0,) = _pickplace_postures(0, 1)
+    raised = []
+
+    def solve(system, cost):
+        try:
+            return solve_esls(system, cost)
+        except ValueError as err:
+            raised.append(str(err))
+            raise
+
+    monkeypatch.setattr(slsctrl.isls, "NEWTON_SWITCH", np.inf)
+    monkeypatch.setattr(slsctrl.isls, "solve_esls", solve)
+    _, res = isls_optimize(plant, objective, x0, config=cfg)
+    assert any("at t=1 is not positive definite" in msg for msg in raised)
+    assert res.converged and res.reason in ("tolerance", "stationary")
+    assert not all(h.second_order for h in res.history)
+
+
+def test_the_shipped_law_is_the_gauss_newton_subproblem_law():
+    plant, objective, cfg, x0s = _pickplace_postures(0, 2)
+    for x0 in x0s:
+        ctrl, res = isls_optimize(plant, objective, x0, config=cfg)
+        # the step before the stopping pass turned the term on for that pass
+        assert res.history[-1].second_order and res.history[-1].step_norm <= NEWTON_SWITCH
+        m, n = plant.state_dim, plant.input_dim
+        x_hat, u_hat = ctrl.nominal_x.reshape(-1, m), ctrl.nominal_u.reshape(-1, n)
+        system = linearize_plant(plant, x_hat, u_hat)
+        sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor)
+        fresh = extract_controller(solve_esls(system, sub))
+        for name in ("k", "hessian_inv"):
+            assert getattr(ctrl, name).tobytes() == getattr(fresh, name).tobytes()
+        assert [g.tobytes() for g in ctrl.gains] == [g.tobytes() for g in fresh.gains]
+        assert res.stationarity == float(np.max(np.abs(fresh.k)))
+        # the stopping pass's own law, with the term, is another one
+        curvature = slsctrl.isls._costate_curvature(plant, objective, system.A, x_hat, u_hat)
+        newton = slsctrl.isls._subproblem_law(objective, system, x_hat, u_hat, cfg, curvature)
+        assert newton.k.tobytes() != ctrl.k.tobytes()
+        check_law(system, sub, ctrl)
+        precompute_gain_maps(system, sub, ctrl)

@@ -806,8 +806,9 @@ def test_isls_trace_csv(tmp_path):
                           trace=True)
     trace = (tmp_path / "arm_reach" / "run" / "trace.csv").read_text()
     lines = trace.strip().split("\n")
-    assert lines[0] == "iteration,cost,delta_cost,alpha,step_norm"
+    assert lines[0] == "iteration,cost,delta_cost,alpha,step_norm,second_order"
     assert len(lines) == 1 + report["solver_info"]["iterations"]
+    assert {l.split(",")[-1] for l in lines[1:]} <= {"0", "1"}
     costs = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(c2 < c1 for c1, c2 in zip(costs, costs[1:]))
 
