@@ -315,8 +315,10 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
 
     A pass after a step with max |k| <= NEWTON_SWITCH adds the plant's
     costate Hessian to the state curvature, or is Gauss-Newton if the plant
-    has none or that subproblem raises ``ValueError``.  A stopping pass with
-    the term is solved once more without, and that law is returned.
+    has none or that subproblem raises ``ValueError``.  A pass whose stop is
+    armed (the step before it met ``tolerance``) is Gauss-Newton: its law
+    both decides the stop and is the one returned.  Any other stopping pass
+    with the term is solved once more without, and that law is returned.
     """
     cfg = config or IslsConfig()
     T, m, n = objective.horizon, objective.state_dim, objective.input_dim
@@ -341,7 +343,8 @@ def isls_optimize(plant, objective, x0, init_u=None, config=None):
         # so on any exit the controller in hand belongs to that nominal
         system = build_stacked(linearize_plant(plant, x_hat, u_hat))
         ctrl = None
-        if step_norm <= NEWTON_SWITCH:
+        # an armed pass solves only the law that ships: its step decides the stop
+        if step_norm <= NEWTON_SWITCH and not pending_tol:
             curvature = _costate_curvature(plant, objective, system.A, x_hat, u_hat)
             if curvature is not None:
                 try:

@@ -61,6 +61,7 @@ import json
 import math
 import sys
 import time
+import tokenize
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -571,18 +572,45 @@ def build_cost(scenario):
 
     Equal, bit for bit, to :func:`build_viapoint_cost` and then
     :func:`add_correlation` per correlation, but built in place from the
-    parsed terms, which :meth:`Scenario.from_dict` has checked.  The one check
-    made here is the control weight's factorization for isls, whose parse
-    skips it.
+    parsed terms, which :meth:`Scenario.from_dict` has checked.  The checks
+    made here are the control weight's factorization for isls, whose parse
+    skips it, and that assembling the cost does not overflow, which finite
+    numbers can; only a failure looks for the term to name.
     """
     if scenario.solver["kind"] == "isls":
         check_control_weight(scenario.control_weight)
-    return CostSpec._assemble(scenario.horizon, scenario.state_dim, scenario.control_weight,
-                              scenario.viapoints, scenario.correlations)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return CostSpec._assemble(scenario.horizon, scenario.state_dim,
+                                      scenario.control_weight, scenario.viapoints,
+                                      scenario.correlations)
+    except FloatingPointError:
+        _check_linear_terms(scenario)
+        raise ValidationError("cost: the sum of its viapoint and correlation terms "
+                              "overflows") from None
+
+
+def _check_linear_terms(scenario):
+    """ValidationError naming the first linear term of the cost that is not finite.
+
+    Finite weights, targets and offsets can still overflow in w target,
+    C'Q_c c or Q_c c, the terms the cost's linear part sums.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (_, target, weight) in enumerate(scenario.viapoints):
+            if not np.isfinite(weight @ target).all():
+                raise ValidationError(f"cost.viapoints[{i}].target: weight @ target "
+                                      "is not finite")
+        for i, corr in enumerate(scenario.correlations):
+            for product, term in (("C' weight c", corr.C.T @ corr.Q_c @ corr.c),
+                                  ("weight @ c", corr.Q_c @ corr.c)):
+                if not np.isfinite(term).all():
+                    raise ValidationError(f"cost.correlations[{i}].c: {product} is not finite")
 
 
 def build_objective(scenario):
     """The scenario cost as a pointwise objective for the iterative solver."""
+    _check_linear_terms(scenario)
     m = scenario.state_dim
     state_cost = StateCostFunction.quadratic_viapoints(scenario.horizon,
                                                        scenario.viapoints, m)
@@ -712,8 +740,9 @@ def _read(path, what, parse):
             if version != ARTIFACT_FORMAT_VERSION:
                 raise ValueError(f"unsupported format version {version}")
             return parse(data)
-    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
-            zipfile.BadZipFile) as exc:
+    # numpy's parse of a member's .npy header can also raise TokenError or SyntaxError
+    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, SyntaxError,
+            tokenize.TokenError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"{what} artifact {path}: {exc}") from None
 
 

@@ -33,7 +33,7 @@ against the cost by O(T) forward and adjoint passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -385,6 +385,12 @@ class Controller:
         return u
 
 
+@lru_cache(maxsize=32)   # a few horizons per process; bounded for one that sees many
+def _k_rows(T1, n):
+    """The slices of k_t, t = 0..T1-1, in a flat feedforward of n inputs per step."""
+    return tuple(slice(t * n, (t + 1) * n) for t in range(T1))
+
+
 class _Episode:
     """A law run online on one rollout's own buffers, one step per call.
 
@@ -408,8 +414,7 @@ class _Episode:
             raise ValueError(f"a law on {m} states and {n} inputs over {T1} steps cannot "
                              f"run on states {states.shape} and inputs {inputs.shape}")
         self.law = law
-        k_rows = (slice(t * n, (t + 1) * n) for t in range(T1))
-        self._steps = list(zip(law.gains, law._idx, k_rows))   # per step: gain, z_t, k_t
+        self._steps = list(zip(law.gains, law._idx, _k_rows(T1, n)))   # per step: gain, z_t, k_t
         self._dev = self._nominal_x = self._nominal_u = None
         if law.nominal_x is None:
             self._z = states.reshape(-1)   # a view: the rows are filled in place

@@ -1,5 +1,7 @@
 """Iterative synthesis: line search, termination, and nonlinear tracking."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -630,6 +632,14 @@ def _pickplace_postures(seed, trials):
     return plant, build_objective(scenario), isls_config(scenario), x0s
 
 
+def _bundled_posture():
+    """The bundled arm, its objective and config, and its scenario's initial posture."""
+    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
+    plant = build_plant(scenario)
+    return (plant, build_objective(scenario), isls_config(scenario),
+            plant.augment(scenario.initial_state["theta"]))
+
+
 def test_first_nominal_is_zero_without_arm_keypoints():
     T, m, n = 6, 2, 1
     di = double_integrator_plant(1, 0.1)
@@ -717,10 +727,8 @@ def _hook_gap(plant, xs, us, seed):
 
 
 def test_arm_costate_hessian_matches_differenced_jacobians():
-    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
-    plant, objective, cfg = build_plant(scenario), build_objective(scenario), isls_config(scenario)
-    ctrl, _ = isls_optimize(plant, objective,
-                            plant.augment(scenario.initial_state["theta"]), config=cfg)
+    plant, objective, cfg, x0 = _bundled_posture()
+    ctrl, _ = isls_optimize(plant, objective, x0, config=cfg)
     m, n, p, dt = plant.state_dim, plant.input_dim, plant.n_links, plant.dt
     xs, us = ctrl.nominal_x.reshape(-1, m), ctrl.nominal_u.reshape(-1, n)
     assert _hook_gap(plant, xs, us, 0) <= 1e-6
@@ -778,24 +786,69 @@ def test_an_indefinite_second_order_pass_falls_back_to_gauss_newton(monkeypatch)
     assert not all(h.second_order for h in res.history)
 
 
+def _assert_ships_the_gauss_newton_law(plant, objective, cfg, ctrl, res):
+    """``ctrl`` is the law of the subproblem ``objective.quadratize`` gives at its nominal."""
+    m, n = plant.state_dim, plant.input_dim
+    x_hat, u_hat = ctrl.nominal_x.reshape(-1, m), ctrl.nominal_u.reshape(-1, n)
+    system = linearize_plant(plant, x_hat, u_hat)
+    sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor)
+    fresh = extract_controller(solve_esls(system, sub))
+    for name in ("k", "hessian_inv"):
+        assert getattr(ctrl, name).tobytes() == getattr(fresh, name).tobytes()
+    assert [g.tobytes() for g in ctrl.gains] == [g.tobytes() for g in fresh.gains]
+    assert res.stationarity == float(np.max(np.abs(fresh.k)))
+    check_law(system, sub, ctrl)
+    return system, sub
+
+
 def test_the_shipped_law_is_the_gauss_newton_subproblem_law():
     plant, objective, cfg, x0s = _pickplace_postures(0, 2)
     for x0 in x0s:
         ctrl, res = isls_optimize(plant, objective, x0, config=cfg)
-        # the step before the stopping pass turned the term on for that pass
+        # the last step carried the term; the stopping pass, armed, did not
         assert res.history[-1].second_order and res.history[-1].step_norm <= NEWTON_SWITCH
+        system, sub = _assert_ships_the_gauss_newton_law(plant, objective, cfg, ctrl, res)
+        # the law with the term at that nominal is another one
         m, n = plant.state_dim, plant.input_dim
         x_hat, u_hat = ctrl.nominal_x.reshape(-1, m), ctrl.nominal_u.reshape(-1, n)
-        system = linearize_plant(plant, x_hat, u_hat)
-        sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor)
-        fresh = extract_controller(solve_esls(system, sub))
-        for name in ("k", "hessian_inv"):
-            assert getattr(ctrl, name).tobytes() == getattr(fresh, name).tobytes()
-        assert [g.tobytes() for g in ctrl.gains] == [g.tobytes() for g in fresh.gains]
-        assert res.stationarity == float(np.max(np.abs(fresh.k)))
-        # the stopping pass's own law, with the term, is another one
         curvature = slsctrl.isls._costate_curvature(plant, objective, system.A, x_hat, u_hat)
         newton = slsctrl.isls._subproblem_law(objective, system, x_hat, u_hat, cfg, curvature)
         assert newton.k.tobytes() != ctrl.k.tobytes()
-        check_law(system, sub, ctrl)
         precompute_gain_maps(system, sub, ctrl)
+
+
+def test_an_armed_pass_solves_only_the_gauss_newton_subproblem(monkeypatch):
+    plant, objective, cfg, x0 = _bundled_posture()
+    calls = {"solve_esls": 0, "curvature": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(slsctrl.isls, "solve_esls",
+                        counted("solve_esls", slsctrl.isls.solve_esls))
+    monkeypatch.setattr(slsctrl.isls, "_costate_curvature",
+                        counted("curvature", slsctrl.isls._costate_curvature))
+    _, res = isls_optimize(plant, objective, x0, config=cfg)
+    # one solve per pass: 7 passes that step and the armed one that stops;
+    # the term only on the two un-armed passes after a step below the switch
+    assert (res.reason, res.iterations) == ("tolerance", 7)
+    assert calls == {"solve_esls": 8, "curvature": 2}
+
+
+def test_an_armed_pass_that_misses_the_stop_steps_on_and_converges():
+    plant, objective, cfg, x0 = _bundled_posture()
+    _, base = isls_optimize(plant, objective, x0, config=cfg)
+    # the armed eighth pass stopped the bundled solve; its step misses this bound
+    tight = dataclasses.replace(cfg, stationarity_tolerance=1e-9)
+    ctrl, res = isls_optimize(plant, objective, x0, config=tight)
+    assert (base.reason, base.iterations) == ("tolerance", 7)
+    assert res.history[:7] == base.history
+    assert res.history[7].step_norm > tight.stationarity_tolerance
+    assert not res.history[7].second_order
+    assert res.converged and res.reason in ("tolerance", "stationary")
+    assert res.stationarity <= tight.stationarity_tolerance
+    assert res.cost <= base.cost
+    _assert_ships_the_gauss_newton_law(plant, objective, tight, ctrl, res)

@@ -32,6 +32,7 @@ from slsctrl import (
     wrap_angle,
 )
 from slsctrl.plants import _replan_from
+from slsctrl.solver import _Episode
 
 from oracles import (
     fd_jacobian,
@@ -588,6 +589,17 @@ def test_rollout_inputs_have_the_bits_of_the_stateless_query():
                 options.get("feedforward_schedule", ())))
         # a schedule acts on a copy: the law itself still has its own feedforward
         _assert_same_bits(rollout(plant, law, w=w), *_reference_rollout(plant, law, w))
+
+
+def test_rollouts_of_one_shape_share_their_feedforward_rows():
+    # the k_t slices are made once per (T+1, n), not once per rollout
+    T, m, n = 24, 4, 2
+    xs, us = np.zeros((T + 1, m)), np.zeros((T + 1, n))
+    rows = [[k_rows for _, _, k_rows in _Episode(law, xs, us)._steps]
+            for law in (Controller.open_loop(np.zeros((T + 1, n)), m),
+                        Controller.open_loop(np.ones((T + 1, n)), m))]
+    assert rows[0] == [slice(t * n, (t + 1) * n) for t in range(T + 1)]
+    assert all(a is b for a, b in zip(*rows))
 
 
 class _CountingPlant(LinearPlant):

@@ -859,9 +859,9 @@ def test_bench_adaptation_edits():
             bench_adaptation(target_edits=[{"t": t, "target": [0.0] * 6}])
 
 
-def _cli(*args):
+def _cli(*args, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "slsctrl.cli", *args],
+        [sys.executable, *python_flags, "-m", "slsctrl.cli", *args],
         capture_output=True, text=True)
 
 
@@ -1149,3 +1149,63 @@ def test_cli_help_lists_subcommands():
     proc = _cli("bench", "--help")
     for name in ("mug-sugar", "pickplace", "adapt"):
         assert name in proc.stdout
+
+
+# -- inputs that once escaped as tracebacks ---------------------------------------
+
+
+def test_arm_controller_with_byte_3121_flipped_exits_2(tmp_path):
+    # byte 3121 of the arm's controller.bin is the "{" that opens a member's
+    # .npy header; 0xF0 there made numpy's header parser raise TokenError
+    arm = bundled_scenario_path("pickplace_arm")
+    good = Path(run_scenario(arm, seed=0, out=tmp_path, label="base")["out_dir"])
+    data = (good / "controller.bin").read_bytes()
+    assert data[3121:3122] == b"{"
+    bad = tmp_path / "flipped.bin"
+    bad.write_bytes(data[:3121] + b"\xf0" + data[3122:])
+    proc = _cli("rollout", "--scenario", str(arm), "--controller", str(bad),
+                "--out", str(tmp_path), "--label", "replay")
+    _assert_validation_error(proc, f"controller artifact {bad}")
+    assert not (tmp_path / "pickplace_arm" / "replay").exists()
+    # the same flip in every member's header
+    headers = [m.end() + 4 for m in re.finditer(rb"\x93NUMPY", data)]
+    assert 3121 in headers
+    for i in headers:
+        bad.write_bytes(data[:i] + b"\xf0" + data[i + 1:])
+        with pytest.raises(ValidationError, match="controller artifact"):
+            load_controller_artifact(bad)
+
+
+@pytest.mark.parametrize("name, index", [("mug_sugar", 0), ("pickplace_arm", 6)])
+def test_a_target_whose_weighted_term_overflows_exits_2(tmp_path, name, index):
+    # 1e308 is a finite number, but weight @ target is not
+    config = load_scenario(bundled_scenario_path(name)).raw
+    config["cost"]["viapoints"][0]["target"][index] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    proc = _cli("solve", "--scenario", str(path), "--out", str(tmp_path), "--label", "huge",
+                python_flags=("-W", "error::RuntimeWarning"))
+    _assert_validation_error(proc, "cost.viapoints[0].target: weight @ target is not finite")
+    assert not (tmp_path / name).exists()
+
+
+def test_linear_terms_that_overflow_are_rejected_by_both_builders():
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    corr = config["cost"]["correlations"][0]
+    corr["c"] = [1e307] * 6
+    cases = [(r"cost.correlations\[0\].c: C' weight c", copy.deepcopy(config))]
+    # with C = 0, C' weight c vanishes and only weight @ c is left to overflow
+    corr["C"] = {"diag": [0.0] * 6}
+    cases.append((r"cost.correlations\[0\].c: weight @ c", copy.deepcopy(config)))
+    for match, case in cases:
+        scenario = Scenario.from_dict(case)   # the parse checks each number alone
+        for build in (build_cost, build_objective):
+            with pytest.raises(ValidationError, match=match):
+                build(scenario)
+    # finite terms whose sum at one step is not: a second viapoint at t=20
+    summed = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    first = summed["cost"]["viapoints"][0]
+    first.update(target=[1e303] + first["target"][1:], weight=1e5)
+    summed["cost"]["viapoints"].append(copy.deepcopy(first))
+    with pytest.raises(ValidationError, match="cost: the sum of its viapoint and correlation"):
+        build_cost(Scenario.from_dict(summed))
