@@ -3,8 +3,9 @@
 Every command is seeded and writes its artifacts under
 ``<out>/<scenario-name>/<label>/`` (label defaults to a timestamp; pass
 ``--label`` for stable paths).  Exit codes: 0 success, 2 configuration or
-artifact validation error, 3 solver non-convergence.  Errors are emitted as
-single-line JSON on stderr so callers can parse them.
+artifact validation error (a step Hessian that is not positive definite and
+a realized cost past float range included), 3 solver non-convergence.
+Errors are emitted as single-line JSON on stderr so callers can parse them.
 
 Examples::
 
@@ -53,9 +54,10 @@ from .scenarios import (
     run_dir,
     run_scenario,
     write_controller_artifact,
+    write_report,
     write_trajectory_csv,
 )
-from .solver import check_law
+from .solver import StepHessianError, check_law
 
 
 def _add_common(parser, scenario_required=True):
@@ -171,16 +173,14 @@ def cmd_rollout(args):
         "realized_cost": float(realized),
         "artifacts": {"trajectory": "trajectory.csv"},
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_report(out_dir / "report.json", report)
     print(json.dumps({"out_dir": str(out_dir), "realized_cost": float(realized)}))
     return 0
 
 
 def _finish_bench(args, report):
     out_dir = run_dir(args.out, report.scenario, args.label)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_report(out_dir / "report.json", report.to_dict())
     _write_trials_csv(out_dir / "trials.csv", report.per_trial)
     print(json.dumps({"out_dir": str(out_dir), "summary": report.summary}))
     return 0
@@ -242,7 +242,7 @@ def cmd_adapt(args):
         "adapt_seconds": adapt_seconds,
         "artifacts": {"controller": "controller_adapted.bin"},
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_report(out_dir / "report.json", report)
     print(json.dumps({"out_dir": str(out_dir),
                       "feedforward_delta": report["feedforward_delta"]}))
     return 0
@@ -253,7 +253,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, StepHessianError) as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}),
               file=sys.stderr)
         return 2

@@ -671,9 +671,14 @@ def realized_cost(scenario, trajectory, judge=None):
         judge = (build_objective(scenario) if scenario.solver["kind"] == "isls"
                  else build_cost(scenario))
     xs, us = trajectory.states, trajectory.inputs
-    total = (judge.true_cost(xs, us) if isinstance(judge, TrackingObjective)
-             else judge.evaluate(xs, us))
-    return total, judge.cumulative_cost(xs, us)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below, by name
+        total = (judge.true_cost(xs, us) if isinstance(judge, TrackingObjective)
+                 else judge.evaluate(xs, us))
+        cumulative = judge.cumulative_cost(xs, us)
+    if not np.isfinite(total):
+        raise ValidationError(f"realized_cost is {total}: the scenario's targets and weights "
+                              "drive the rollout's cost past float range")
+    return total, cumulative
 
 
 # -- artifacts -----------------------------------------------------------------
@@ -807,6 +812,11 @@ def write_trajectory_csv(path, trajectory, cumulative_cost):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_report(path, report):
+    """``report`` as indented JSON with sorted keys; ValueError on a non-finite number."""
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def write_trace_csv(path, history):
     lines = ["iteration,cost,delta_cost,alpha,step_norm,second_order"]
     lines += [f"{rec.iteration},{rec.cost:.17g},{rec.delta_cost:.17g},"
@@ -933,8 +943,6 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False):
         "metadata": scenario.metadata,
         "artifacts": artifacts,
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    write_report(out_dir / "report.json", report)
     report["out_dir"] = str(out_dir)
     return report

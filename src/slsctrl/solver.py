@@ -17,9 +17,11 @@ the recursion runs on the augmented state
 
 where terms sharing s share one slot, and gives u_t = K_t z_t + k_t in
 O(T (m (1 + h))^3) time for h held states (h = 0 is the ordinary tracker).
-Each step is one product G = F_t'P F_t of the cost-to-go z'Pz of z_{t+1}
-through the step's transition z_{t+1} = F_t [z_t; u_t]; its blocks give the
-step Hessian H_t = G_uu + R_t = R_t + B_t'P B_t, the gain and the next P.
+The sweep carries the affine cost-to-go z~'P z~ of z~_{t+1} = [1; z_{t+1}], so
+one pass gives the gain and the feedforward (DDP's single backward sweep).
+Each step is one product G = F~_t'P F~_t through the step's transition
+[1; z_{t+1}] = F~_t [1; z_t; u_t]; its blocks give the step Hessian
+H_t = G_uu + R_t = R_t + B_t'P B_t, [k_t, K_t] and the next P.
 Only the H_t must be positive definite, which one batched Cholesky checks
 after the loop; the cost-to-go may be indefinite in the held states.  The
 law acts on states, so K = phi_u phi_x^{-1} and k = d_u - K d_x: its blocks
@@ -142,7 +144,7 @@ class SystemResponse:
         T, m, n = self.system.horizon, self.system.state_dim, self.system.input_dim
         g = np.stack([cost.q_matvec(d_x), cost.linear_term], axis=1).reshape(T + 1, m, 2)
         u = np.stack([d_u, cost.u_d], axis=1).reshape(T + 1, n, 2)
-        Hu_r = _input_adjoint(self.system, g) + cost.R @ u
+        [Hu_r] = _scaled(_input_adjoint(self.system, g) + cost.R @ u)
         r = np.linalg.norm(Hu_r[..., 1])
         return float(np.linalg.norm(Hu_r[..., 0] - Hu_r[..., 1]) / max(r, np.finfo(float).tiny))
 
@@ -170,9 +172,20 @@ def gain_stationarity(system, cost, law):
     T, m, n = system.horizon, system.state_dim, system.input_dim
     xs, us = _run_policy(system, law, np.eye(m), np.zeros((T + 1, n, m)))
     SuQx = _input_adjoint(system, cost.q_matvec(xs.reshape((T + 1) * m, m)).reshape(xs.shape))
-    Ru = cost.R @ us
+    SuQx, Ru = _scaled(SuQx, cost.R @ us)
     scale = np.linalg.norm(SuQx) + np.linalg.norm(Ru)
     return float(np.linalg.norm(SuQx + Ru) / max(scale, np.finfo(float).tiny))
+
+
+def _scaled(*arrays):
+    """``arrays`` times one power of two that brings their largest |entry| near 1.
+
+    The scaling is exact, so a ratio of norms keeps its bits, and no norm of
+    finite entries overflows on the way.
+    """
+    top = max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+    e = -np.frexp(top)[1] if 0.0 < top < np.inf else 0
+    return [np.ldexp(a, e) for a in arrays]
 
 
 # genuine solves read 1e-15 to 7e-13, gains of a tenfold mug_sugar control weight 0.82
@@ -479,46 +492,74 @@ def _history_indices(held, m):
     return idx
 
 
-def _transitions(A, B, held):
-    """Per step t, F_t = [D_t S_t, [B_t; 0]] with z_{t+1} = F_t [z_t; u_t] and D_t = diag(A_t, I).
+def _transition_runs(A, B, held, affine=False, backward=False):
+    """(t0, F) per run of steps t0.. with the same (held[t], held[t+1]), F[t - t0] = F_t.
 
-    S_t selects from z_t the states step t+1 holds.  Each run of steps with
-    the same (held[t], held[t+1]) is one batched fill, so only the few steps
-    where a held state enters or leaves are filled alone.
+    F_t = [D_t S_t, [B_t; 0]] gives z_{t+1} = F_t [z_t; u_t], with
+    D_t = diag(A_t, I) and S_t selecting from z_t the states step t+1 holds;
+    ``affine`` gives F~_t = diag(1, F_t) instead, [1; z_{t+1}] = F~_t [1; z_t; u_t],
+    which carries the constant of an affine cost-to-go.  Each run is one
+    batched fill, built when the iteration reaches it (last run first when
+    ``backward``), so only the few steps where a held state enters or leaves
+    are filled alone and one run's stack is alive at a time.
     """
     m, n = B.shape[1:]
-    F, t = [], 0
+    runs, t, c = [], 0, int(affine)
     for (h, after), run in groupby(zip(held, [*held[1:], ()])):
-        end = t + len(list(run))
-        M = m * (1 + len(h))
-        Fr = np.zeros((end - t, m * (1 + len(after)), M + n))
-        Fr[:, :m, :m], Fr[:, :m, M:] = A[t:end], B[t:end]
+        runs.append((t, t + len(list(run)), h, after))
+        t = runs[-1][1]
+    for t, end, h, after in reversed(runs) if backward else runs:
+        M = c + m * (1 + len(h))
+        F = np.zeros((end - t, c + m * (1 + len(after)), M + n))
+        F[:, c:c + m, c:c + m], F[:, c:c + m, M:] = A[t:end], B[t:end]
+        if affine:
+            F[:, 0, 0] = 1.0
         for a, s in enumerate(after, start=1):
-            c = 0 if s == t else 1 + h.index(s)    # s == t: x_t enters the held states
-            Fr[:, a * m:(a + 1) * m, c * m:(c + 1) * m] = np.eye(m)
-        F.extend(Fr)
-        t = end
-    return F
+            i = 0 if s == t else 1 + h.index(s)    # s == t: x_t enters the held states
+            F[:, c + a * m:c + (a + 1) * m, c + i * m:c + (i + 1) * m] = np.eye(m)
+        yield t, F
+
+
+def _transitions(A, B, held):
+    """Per step t, the plain F_t of :func:`_transition_runs`, a view of its run's stack."""
+    return [F for _, run in _transition_runs(A, B, held) for F in run]
 
 
 def _stage_costs(cost, held, m):
-    """Per step t that Q touches, the pieces (rows, block) of its stage cost z_t'Q_z z_t.
+    """Per step t that the cost touches, the leading block S_t of its stage cost z~_t'S_t z~_t.
 
-    z_t'Q_z z_t = x_t'Q_tt x_t + 2 sum_s x_s'Q_st x_t: Q_tt sits in the rows
-    and columns of x_t, each Q_st in the rows of x_s and the columns of x_t,
-    and its transpose mirrors it.  ``rows`` is a slice of z_t; the blocks are
-    the cost's own, not copies, and the recursion only reads them.
+    On z~_t = [1; z_t] the stage cost is x_t'Q_tt x_t - 2 b_t'x_t
+    + 2 sum_s x_s'Q_st x_t: -b_t sits beside Q_tt in the constant's row and
+    column, and each Q_st of a held s in the rows of x_s and the columns of
+    x_t, mirrored.  S_t covers [1; x_t], or all of z~_t at a step with a
+    cross-time block; the steps of the first kind are filled in one batch.
     """
-    stage = {}
+    b = cost.linear_term.reshape(-1, m)
+    steps = sorted({t for s, t in cost.Q if s == t} | set(np.flatnonzero(b.any(axis=1)).tolist()))
+    zero = np.zeros((m, m))
+    S = np.zeros((len(steps), 1 + m, 1 + m))
+    S[:, 0, 1:] = S[:, 1:, 0] = -b[steps]
+    S[:, 1:, 1:] = np.reshape([cost.Q.get((t, t), zero) for t in steps], (-1, m, m))
+    stage = dict(zip(steps, S))
     for (s, t), Q in cost.Q.items():
-        if s <= t:
-            a = 0 if s == t else 1 + held[t].index(s)
-            stage.setdefault(t, []).append((slice(a * m, (a + 1) * m), Q))
+        if s < t:
+            M = 1 + m * (1 + len(held[t]))
+            if len(stage.get(t, ())) != M:    # widen to all of z~_t
+                St = np.zeros((M, M))
+                St[:1 + m, :1 + m] = stage.get(t, 0.0)
+                stage[t] = St
+            a = 1 + m * (1 + held[t].index(s))
+            stage[t][a:a + m, 1:1 + m] += Q
+            stage[t][1:1 + m, a:a + m] += Q.T
     return stage
 
 
+class StepHessianError(ValueError):
+    """A step Hessian R_t + B_t'P B_t of the recursion is not positive definite."""
+
+
 def _check_step_hessians(H):
-    """ValueError naming the largest t with H[t] not PD: one batched Cholesky, then a scan."""
+    """StepHessianError naming the largest t with H[t] not PD: a batched Cholesky, then a scan."""
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
@@ -526,28 +567,33 @@ def _check_step_hessians(H):
             try:
                 np.linalg.cholesky(H[t])
             except np.linalg.LinAlgError:
-                raise ValueError(f"step Hessian R_t + B_t'P B_t at t={t} is not positive "
-                                 "definite; check that R is PD and Q is PSD") from None
+                raise StepHessianError(
+                    f"step Hessian R_t + B_t'P B_t at t={t} is not positive definite; "
+                    "check that R is PD, Q is PSD and the weights and targets are of "
+                    "a size whose products stay finite") from None
 
 
 def riccati_gains(system, cost):
     """Backward recursion over the held-state augmentation (see module notes).
 
-    Per step, G = F_t'P F_t (:func:`_transitions`) gives H_t = G_uu + R_t,
-    the gain K_t = -H_t^{-1} G_uz and P_t = G_zz + G_zu K_t plus the stage
-    cost of z_t; one batched Cholesky of every H_t follows the loop, and
-    :func:`feedforward_pass` on the same F_t gives the feedforward.  Returns
-    the policy u_t = gains[t] z_t + k[t] as a :class:`Controller` carrying
-    the inverse step Hessians (T+1, n, n).  Raises ValueError on mismatched
-    or non-finite data and on a non-PD step Hessian, naming the largest t.
+    One sweep on z~_t = [1; z_t] gives K_t and k_t.  Per step,
+    G = F~_t'P F~_t (:func:`_transition_runs`), with -R_t u_d,t beside the
+    u block in the constant's row and column, gives H_t = G_uu + R_t,
+    [k_t, K_t] = -H_t^{-1} G_uz~ and P_t = G_z~z~ + G_z~u [k_t, K_t] plus the
+    stage cost of z~_t (:func:`_stage_costs`).  The constant's own entry of
+    P_t is zeroed, so an overflowing constant cannot reach K or k through a
+    0*inf product.  One batched Cholesky of every H_t follows the loop.
+    Returns the policy u_t = gains[t] z_t + k[t] as a :class:`Controller`
+    carrying the inverse step Hessians (T+1, n, n).  Raises ValueError on
+    mismatched or non-finite data, and its subclass :class:`StepHessianError`
+    on a non-PD step Hessian, naming the largest t.
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
     if cost.horizon != T or cost.state_dim != m or cost.input_dim != n:
         raise ValueError("cost dimensions do not match the system")
-    # one right-hand-side column of feedforward_pass
-    b, u_d = cost.linear_term.reshape(T + 1, m, 1), cost.u_d.reshape(T + 1, n, 1)
-    for name, blocks in [("A_t", system.A), ("B_t", system.B),
-                         ("R_t", cost.R), ("linear term", b), ("u_d", u_d)]:
+    u_d = cost.u_d.reshape(T + 1, n)
+    for name, blocks in [("A_t", system.A), ("B_t", system.B), ("R_t", cost.R),
+                         ("linear term", cost.linear_term.reshape(T + 1, m)), ("u_d", u_d)]:
         bad = ~np.isfinite(blocks.reshape(T + 1, -1)).all(axis=1)
         if bad.any():
             raise ValueError(f"non-finite {name} at t={int(np.argmax(bad))}")
@@ -556,42 +602,55 @@ def riccati_gains(system, cost):
         i, j = next(key for key, blk in cost.Q.items() if not np.isfinite(blk).all())
         raise ValueError(f"non-finite Q block ({i}, {j})")
     held = held_states(cost)
-    F, stage = _transitions(system.A, system.B, held), _stage_costs(cost, held, m)
-    gains, H, hinv = [None] * (T + 1), np.zeros((T + 1, n, n)), np.empty((T + 1, n, n))
-    P = np.zeros((m, m))   # cost-to-go of z_{t+1}; nothing follows step T
+    stage = _stage_costs(cost, held, m)
+    Ru = np.einsum("tij,tj->ti", cost.R, u_d)
+    targets = Ru.any(axis=1).tolist()   # only a step with an input target adds one
+    gains, k = [None] * (T + 1), np.empty((T + 1, n))
+    H, hinv = np.zeros((T + 1, n, n)), np.empty((T + 1, n, n))
+    P = np.zeros((1 + m, 1 + m))   # cost-to-go of z~_{t+1}; nothing follows step T
     try:
         # past a non-PD H_t the recursion means nothing and may overflow
         with np.errstate(all="ignore"):
-            for t in range(T, -1, -1):
-                G = F[t].T @ (P @ F[t])
-                M = G.shape[0] - n
-                H[t] = G[M:, M:] + cost.R[t]
-                hinv[t] = np.linalg.inv(H[t])
-                gains[t] = -hinv[t] @ G[M:, :M]
-                P = G[:M, :M] + G[:M, M:] @ gains[t]
-                for rows, Q in stage.get(t, ()):
-                    P[rows, :m] += Q
-                    if rows.start:   # Q_st of a held s, and its mirror
-                        P[:m, rows] += Q.T
-                P = (P + P.T) / 2
+            for t0, F in _transition_runs(system.A, system.B, held, affine=True, backward=True):
+                K = np.empty((len(F), n, F.shape[2] - n))   # -[k_t, K_t] per step
+                for i in range(len(F) - 1, -1, -1):
+                    t, Ft = t0 + i, F[i]
+                    G = Ft.T @ (P @ Ft)
+                    M = G.shape[0] - n
+                    if targets[t]:
+                        G[M:, 0] -= Ru[t]
+                        G[0, M:] -= Ru[t]
+                    np.add(G[M:, M:], cost.R[t], out=H[t])
+                    hinv[t] = np.linalg.inv(H[t])
+                    Kt = np.matmul(hinv[t], G[M:, :M], out=K[i])
+                    P = G[:M, :M] - G[:M, M:] @ Kt
+                    S = stage.get(t)
+                    if S is not None:
+                        P[:len(S), :len(S)] += S
+                    # the constant's row -p_t' sums p_t = q_z + K_t'g_t as the
+                    # feedforward pass does; its column takes those bits, and the
+                    # constant's own entry, never read, goes
+                    P[0, 0] = 0.0
+                    P[1:, 0] = P[0, 1:]
+                    P = (P + P.T) / 2
+                k[t0:t0 + len(F)], gains[t0:t0 + len(F)] = -K[:, :, 0], -K[:, :, 1:]
     except np.linalg.LinAlgError:
         pass   # H[t] is exactly singular: the check names it, or a later step
     _check_step_hessians(H)
-    law = Controller.from_gains(held, gains, np.zeros((T + 1) * n), hessian_inv=hinv)
-    law.swap_feedforward(feedforward_pass(F, cost.R, law, u_d, b).ravel())
-    return law
+    return Controller.from_gains(held, gains, k, hessian_inv=hinv)
 
 
 def feedforward_pass(F, R, law, u_d, b=None):
     """Feedforward columns (T+1, n, c) for input targets u_d (T+1, n, c) and linear terms b.
 
-    ``F`` holds the transitions of ``law.held`` (:func:`_transitions`), and
-    ``b`` (T+1, m, c) the linear-term columns, zero when None.  The gains
+    ``F`` holds the plain transitions of ``law.held`` (:func:`_transitions`),
+    and ``b`` (T+1, m, c) the linear-term columns, zero when None.  The gains
     and inverse step Hessians of ``law``, a :class:`Controller` from
     :func:`riccati_gains`, stay fixed, so each column costs O(T) small
-    products and no factorization: on the recursion's F_t, q = F_t'p,
-    g_t = R_t u_d,t + q_u and p_t = q_z + K_t'g_t + [b_t; 0] for the linear
-    cost-to-go -2p'z of z_{t+1}, then one batched k_t = H_t^{-1} g_t.
+    products and no factorization: q = F_t'p, g_t = R_t u_d,t + q_u and
+    p_t = q_z + K_t'g_t + [b_t; 0] for the linear cost-to-go -2p'z of
+    z_{t+1}, then one batched k_t = H_t^{-1} g_t.  The synthesis carries its
+    own column inside its sweep; this pass carries the retarget maps' columns.
     """
     T1, m, n, c = len(F), law.state_dim, law.input_dim, u_d.shape[2]
     g, p, Ru = np.empty((T1, n, c)), np.zeros((m, c)), R @ u_d

@@ -55,6 +55,7 @@ from slsctrl.scenarios import (
     scenario_from,
     write_controller_artifact,
     write_maps_artifact,
+    write_report,
 )
 
 from dense_views import dense_F_u, dense_F_x
@@ -1187,6 +1188,36 @@ def test_a_target_whose_weighted_term_overflows_exits_2(tmp_path, name, index):
                 python_flags=("-W", "error::RuntimeWarning"))
     _assert_validation_error(proc, "cost.viapoints[0].target: weight @ target is not finite")
     assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # weight @ target is finite, but the cost-to-go overflows and the step
+    # Hessian at t=14 is not positive definite
+    ("weight", 1e300, "step Hessian R_t + B_t'P B_t at t=14 is not positive definite"),
+    # the solve and its residuals are finite, the rollout's cost is not
+    ("target", 1e200, "realized_cost is inf"),
+])
+def test_a_cost_past_float_range_exits_2(tmp_path, field, value, message):
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    viapoint = config["cost"]["viapoints"][0]
+    if field == "weight":
+        viapoint["weight"] = value
+    else:
+        viapoint["target"][0] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    proc = _cli("solve", "--scenario", str(path), "--out", str(tmp_path), "--label", "huge",
+                python_flags=("-W", "error::RuntimeWarning"))
+    _assert_validation_error(proc, message)
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "mug_sugar").exists()
+
+
+def test_reports_are_strict_json(tmp_path):
+    with pytest.raises(ValueError, match="Out of range float values"):
+        write_report(tmp_path / "report.json", {"realized_cost": float("inf")})
+    write_report(tmp_path / "report.json", {"realized_cost": 1.5})
+    assert json.loads((tmp_path / "report.json").read_text()) == {"realized_cost": 1.5}
 
 
 def test_linear_terms_that_overflow_are_rejected_by_both_builders():

@@ -27,14 +27,19 @@ from slsctrl import (
     rollout,
     solve_esls,
 )
+import slsctrl.isls
 import slsctrl.solver
-from slsctrl.solver import check_law, held_states
+from slsctrl.bench import bundled_scenario_path
+from slsctrl.isls import isls_optimize, linearize_plant
+from slsctrl.scenarios import build_objective, build_plant, isls_config, load_scenario
+from slsctrl.solver import _transitions, check_law, feedforward_pass, held_states, riccati_gains
 
 from dense_views import (
     achievability_residual,
     closed_loop_maps,
     dense_F_u,
     dense_F_x,
+    dense_q,
     feedforward_residual,
 )
 from oracles import (
@@ -758,3 +763,131 @@ def test_controller_storage_is_linear_in_horizon():
     dense_bytes = (T + 1) * n * (T + 1) * m * 8
     assert peak < dense_bytes / 10
     assert np.all(np.isfinite(traj.inputs))
+
+
+def _assert_one_sweep_is_the_two_pass_law(system, cost, dense=True):
+    """The one-sweep law against feedforward_pass (1e-12) and the dense KKT oracle (1e-9).
+
+    The feedforward-only pass on the law's own gains and inverse step
+    Hessians is a second route to the feedforward; the dense oracle gives
+    the gains, the feedforward and each inverse step Hessian, the (t, t)
+    block of the inverse of the trailing Hessian S_u'QS_u + R over u_t..u_T.
+    """
+    T, m, n = system.horizon, system.state_dim, system.input_dim
+    law = riccati_gains(system, cost)
+    k = feedforward_pass(_transitions(system.A, system.B, law.held), cost.R, law,
+                         cost.u_d.reshape(T + 1, n, 1),
+                         cost.linear_term.reshape(T + 1, m, 1)).ravel()
+    assert np.all(np.isfinite(law.k))
+    assert np.max(np.abs(law.k - k)) <= 1e-12 * np.max(np.abs(k))
+    if not dense:
+        return law
+    S_x, S_u = dense_stacked_maps(system.A, system.B)
+    Qd, Rd = dense_q(cost), np.zeros(((T + 1) * n, (T + 1) * n))
+    for t in range(T + 1):
+        Rd[t * n:(t + 1) * n, t * n:(t + 1) * n] = cost.R[t]
+    K, k_dense = dense_esls(S_x, S_u, Qd, Rd, cost.linear_term, cost.u_d, m, n)[4:]
+    _assert_rel(law.K.dense, K, 1e-9)
+    _assert_rel(law.k, k_dense, 1e-9)
+    H = S_u.T @ Qd @ S_u + Rd
+    hinv = np.array([np.linalg.inv(H[t * n:, t * n:])[:n, :n] for t in range(T + 1)])
+    _assert_rel(law.hessian_inv, hinv, 1e-9)
+    return law
+
+
+def test_one_sweep_feedforward_equals_the_feedforward_pass_and_the_dense_oracle():
+    # time-varying dynamics with 0-3 correlations (a shared t1, nested
+    # intervals, t1 = 0), an input target at every step, held ones included,
+    # and linear terms at held steps that Q does not touch
+    rng = np.random.default_rng(32)
+    T, m, n = 12, 3, 2
+    layouts = [[], [(2, 7), (2, T)], [(1, T - 1), (3, 6)], [(0, 5), (4, 9), (6, T)]]
+    for layout in layouts:
+        system = TimeVaryingLinearSystem([np.eye(m) + 0.3 * rng.normal(size=(m, m))
+                                          for _ in range(T + 1)],
+                                         [rng.normal(size=(m, n)) for _ in range(T + 1)])
+        cost, _, _ = _random_tracking_cost(rng, T, m, n)
+        for t1, t2 in layout:
+            L = rng.normal(size=(m, m))
+            cost = add_correlation(cost, CorrelationSpec(
+                t1, t2, rng.normal(size=(m, m)), rng.normal(size=m), L @ L.T + 0.1 * np.eye(m)))
+        cost.u_d = rng.normal(size=(T + 1) * n)
+        held = held_states(cost)
+        for t in range(T + 1):
+            if held[t] and (t, t) not in cost.Q:
+                cost._lin[t * m:(t + 1) * m] += rng.normal(size=m)
+        law = _assert_one_sweep_is_the_two_pass_law(system, cost)
+        assert law.held == held
+
+
+def test_one_sweep_feedforward_on_the_arms_newton_subproblem():
+    # the costate-curvature subproblem of the bundled posture's sixth pass,
+    # the first to carry the term: an input target u_d - u_hat and a linear
+    # term at every step, and a feedforward of about 7e-4 (at convergence it
+    # is the 1e-9 difference of two O(1) terms, with no relative digits left)
+    scenario = load_scenario(bundled_scenario_path("pickplace_arm"))
+    plant, objective, cfg = build_plant(scenario), build_objective(scenario), isls_config(scenario)
+    ctrl, res = isls_optimize(plant, objective, plant.augment(scenario.initial_state["theta"]),
+                              config=dataclasses.replace(cfg, max_iterations=5))
+    assert res.history[-1].step_norm <= slsctrl.isls.NEWTON_SWITCH
+    m, n = plant.state_dim, plant.input_dim
+    x_hat, u_hat = ctrl.nominal_x.reshape(-1, m), ctrl.nominal_u.reshape(-1, n)
+    system = linearize_plant(plant, x_hat, u_hat)
+    curvature = slsctrl.isls._costate_curvature(plant, objective, system.A, x_hat, u_hat)
+    sub = objective.quadratize(x_hat, u_hat, cfg.regularization, cfg.hessian_floor, curvature)
+    assert sub.u_d.any() and sub.linear_term.any()
+    _assert_one_sweep_is_the_two_pass_law(system, sub)
+
+
+def test_an_overflowing_cost_to_go_constant_leaves_the_law_finite():
+    # linear terms of 1e150 against weights of 1e-12: the constant k'H k of
+    # the cost-to-go overflows at some step, the gains and feedforward do not
+    rng = np.random.default_rng(33)
+    T, m, n = 10, 2, 1
+    system = TimeVaryingLinearSystem.constant(np.array([[1.0, 0.1], [0.0, 1.0]]),
+                                              np.array([[0.0], [0.1]]), T)
+    cost = build_viapoint_cost(T, [(t, np.zeros(m), 1e-12) for t in (3, 7, T)], 1e-12,
+                               state_dim=m, input_dim=n)
+    cost = add_correlation(cost, CorrelationSpec(2, 8, np.eye(m), np.zeros(m), 1e-12 * np.eye(m)))
+    plain = riccati_gains(system, cost)
+    cost._lin[:] = 1e150 * rng.normal(size=(T + 1) * m)
+    law = _assert_one_sweep_is_the_two_pass_law(system, cost, dense=False)
+    ks = law.k.reshape(T + 1, n)
+    with np.errstate(over="ignore"):
+        constants = np.einsum("ti,tij,tj->t", ks, np.linalg.inv(law.hessian_inv), ks)
+    assert np.isinf(constants).any()
+    for g, g_plain in zip(law.gains, plain.gains):
+        npt.assert_allclose(g, g_plain, rtol=1e-12, atol=0)
+
+
+def test_a_target_of_1e200_keeps_finite_residuals():
+    # the residuals scale before their norms, whose squares would overflow
+    T, m, n = 20, 2, 1
+    system = TimeVaryingLinearSystem.constant(np.array([[1.0, 0.1], [0.0, 1.0]]),
+                                              np.array([[0.0], [0.1]]), T)
+    cost = build_viapoint_cost(T, [(T, np.array([1e200, 0.0]), 10.0)], 1e-2,
+                               state_dim=m, input_dim=n)
+    res = solve_esls(system, cost).residuals()
+    assert max(res.values()) <= 1e-10
+
+
+def test_synthesis_and_maps_memory_is_linear_in_horizon():
+    # the traced peak of solve_esls plus precompute_gain_maps grows about 8x
+    # from T=400 to T=3200; an operator dense in T would grow about 64x
+    def peak(T):
+        d, m = 3, 6
+        w = np.diag(np.r_[1e4 * np.ones(d), 1e2 * np.ones(d)])
+        vps = [(t, np.r_[0.3 * np.ones(d), np.zeros(d)], w) for t in (T // 4, T // 2, T)]
+        cost = build_viapoint_cost(T, vps, 1e-2, state_dim=m, input_dim=d)
+        Q_c = np.diag(np.r_[1e4 * np.ones(d), np.zeros(d)])
+        cost = add_correlation(cost, CorrelationSpec(T // 4, 3 * T // 4, np.eye(m),
+                                                     np.zeros(m), Q_c))
+        st = linear_system_from_plant(double_integrator_plant(d, 0.01), T)
+        tracemalloc.start()
+        try:
+            precompute_gain_maps(st, cost, extract_controller(solve_esls(st, cost)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3200) <= 10 * peak(400)
