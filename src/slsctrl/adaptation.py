@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Controller, _check_structure, _transitions, feedforward_pass
+from .solver import Controller, _check_structure, feedforward_pass
 
 
 @dataclass
@@ -73,8 +73,8 @@ class AdaptationMaps:
         k = self.F_x_blocks @ x_d[self._x_idx] + self.k_u0
         du = u_d - self.u_d0
         if du.any():
-            F = _transitions(self.A, self.B, self.controller.held)
-            k += feedforward_pass(F, self.R, self.controller, du.reshape(T1, n, 1)).ravel()
+            k += feedforward_pass(self.A, self.B, self.R, self.controller,
+                                  du.reshape(T1, n, 1)).ravel()
         return k
 
 
@@ -114,8 +114,7 @@ def precompute_gain_maps(system, cost, controller):
         if bad.any():
             raise ValueError(f"non-finite {name} at t={int(np.argmax(bad))}")
     A, B = system.A.copy(), system.B.copy()
-    k = feedforward_pass(_transitions(A, B, controller.held), cost.R, controller, u_d,
-                         b).reshape((T + 1) * n, c)
+    k = feedforward_pass(A, B, cost.R, controller, u_d, b).reshape((T + 1) * n, c)
     return AdaptationMaps(touched=np.array(touched, dtype=int),
                           F_x_blocks=np.ascontiguousarray(k[:, :-1]),
                           u_d0=cost.u_d.copy(), k_u0=k[:, -1].copy(), A=A, B=B,

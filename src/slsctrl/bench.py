@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adaptation import adapt_feedforward, precompute_gain_maps
-from .costs import evaluate_trajectory_cost
 from .isls import isls_optimize
 from .plants import linear_system_from_plant, mpc_lqt_rollout, rollout
 from .scenarios import (
@@ -39,6 +38,7 @@ from .scenarios import (
     draw_initial_state,
     isls_config,
     parse_edit,
+    realized_cost,
     scenario_from,
 )
 from .solver import extract_controller, solve_esls
@@ -76,13 +76,14 @@ def bench_mug_sugar(trials=10, seed=0, scenario_path=None):
     The synthesized controller is solved once (it does not depend on the
     realization); the baseline re-solves its remaining horizon at the first
     correlation's earlier timestep, which is when the information it wants
-    to condition on becomes available.
+    to condition on becomes available.  Both rollouts are scored by
+    :func:`~slsctrl.scenarios.realized_cost`, the scenario's own terms.
     """
     if trials < 2:
         raise ValueError("paired comparison needs at least 2 trials")
     scenario = scenario_from(scenario_path or bundled_scenario_path("mug_sugar"))
     plant = build_plant(scenario)
-    cost = build_cost(scenario)
+    cost, objective = build_cost(scenario), build_objective(scenario)
     noise = build_noise(scenario)
     if not cost.correlations:
         raise ValueError("the pouring benchmark needs at least one correlation term")
@@ -111,8 +112,8 @@ def bench_mug_sugar(trials=10, seed=0, scenario_path=None):
         traj_mpc = mpc_lqt_rollout(plant, cost, t_r, w=w)
         mpc_seconds.append(time.perf_counter() - t1)
 
-        cost_sls = evaluate_trajectory_cost(cost, traj_sls.states, traj_sls.inputs)
-        cost_mpc = evaluate_trajectory_cost(cost, traj_mpc.states, traj_mpc.inputs)
+        cost_sls, _ = realized_cost(scenario, traj_sls, objective)
+        cost_mpc, _ = realized_cost(scenario, traj_mpc, objective)
         report.per_trial.append({
             "trial": i,
             "x0": x0.tolist(),

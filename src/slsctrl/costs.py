@@ -12,7 +12,9 @@ the exact linear part of the accumulated quadratic is tracked separately and
 x_d is re-derived per coupled component as a consistent center (minimum-norm
 solution of Q x_d = lin, which always exists for sums of PSD terms).  The
 assembled quadratic then matches the sum of the underlying terms up to an
-additive constant, which no minimizer or solver path ever sees.
+additive constant, which no minimizer or solver path ever sees, and no report
+either: a rollout is scored by the terms themselves
+(:meth:`slsctrl.isls.TrackingObjective.cumulative_cost`).
 """
 
 from __future__ import annotations
@@ -119,10 +121,6 @@ class CostSpec:
     @property
     def x_d_blocks(self):
         return self.x_d.reshape(self.horizon + 1, self.state_dim)
-
-    @property
-    def u_d_blocks(self):
-        return self.u_d.reshape(self.horizon + 1, self.input_dim)
 
     def q_block(self, i, j):
         m = self.state_dim
@@ -253,22 +251,6 @@ class CostSpec:
     def evaluate(self, xs, us):
         return evaluate_trajectory_cost(self, xs, us)
 
-    def cumulative_cost(self, xs, us):
-        """Per-step cumulative cost; entry t counts every term fully contained in [0, t].
-
-        Cross-time terms are attributed to their later timestep, so the last
-        entry equals :func:`evaluate_trajectory_cost` exactly.
-        """
-        m, n = self.state_dim, self.input_dim
-        xe = np.asarray(xs, float).reshape(self.horizon + 1, m) - self.x_d_blocks
-        ue = np.asarray(us, float).reshape(self.horizon + 1, n) - self.u_d_blocks
-        inc = np.zeros(self.horizon + 1)
-        for (i, j), blk in self.Q.items():
-            inc[max(i, j)] += float(xe[i] @ blk @ xe[j])
-        for t in range(self.horizon + 1):
-            inc[t] += float(ue[t] @ self.R[t] @ ue[t])
-        return np.cumsum(inc)
-
     def diagonal_projection(self):
         """Copy with off-diagonal Q blocks dropped; x_d keeps the derived targets."""
         out = self.copy()
@@ -357,14 +339,17 @@ def evaluate_trajectory_cost(cost, xs, us):
     """(x - x_d)' Q (x - x_d) + (u - u_d)' R (u - u_d) on stacked trajectories."""
     m, n = cost.state_dim, cost.input_dim
     xe = np.asarray(xs, float).reshape(-1) - cost.x_d
-    ue = np.asarray(us, float).reshape(-1) - cost.u_d
-    if xe.size != (cost.horizon + 1) * m or ue.size != (cost.horizon + 1) * n:
+    if xe.size != (cost.horizon + 1) * m or np.size(us) != (cost.horizon + 1) * n:
         raise ValueError("trajectory length does not match the cost horizon")
-    total = float(xe @ cost.q_matvec(xe))
-    ueb = ue.reshape(-1, n)
-    for t in range(cost.horizon + 1):
-        total += float(ueb[t] @ cost.R[t] @ ueb[t])
-    return total
+    return float(xe @ cost.q_matvec(xe)) + float(_input_costs(cost.R, cost.u_d, us).sum())
+
+
+def _input_costs(R, u_d, us):
+    """(T+1,) input terms (u_t - u_d,t)' R_t (u_t - u_d,t) of R (T+1, n, n), all steps
+    in one product; ``u_d`` is an array and ``us`` array-like, blocks or stacked."""
+    T1, n = R.shape[:2]
+    e = np.asarray(us, dtype=float).reshape(T1, n) - u_d.reshape(T1, n)
+    return (e[:, None, :] @ R @ e[:, :, None])[:, 0, 0]
 
 
 # -- pointwise cost functions for the iterative solver -----------------------

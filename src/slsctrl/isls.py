@@ -27,6 +27,7 @@ from .costs import (
     CorrelationSpec,
     CostSpec,
     StateCostFunction,
+    _input_costs,
 )
 from .plants import rollout
 from .solver import (
@@ -88,16 +89,10 @@ class TrackingObjective:
         obj.R = cost.R.copy()
         return obj
 
-    def _input_costs(self, us):
-        """(T+1,) input terms (u_t - u_d,t)' R_t (u_t - u_d,t), all steps in one product."""
-        T1, n = self.horizon + 1, self.input_dim
-        e = np.asarray(us, dtype=float).reshape(T1, n) - self.u_d.reshape(T1, n)
-        return (e[:, None, :] @ self.R @ e[:, :, None])[:, 0, 0]
-
     def true_cost(self, xs, us):
         """Exact objective value on a trajectory (blocks or stacked vectors)."""
         xb = np.asarray(xs, dtype=float).reshape(self.horizon + 1, self.state_dim)
-        total = float(self._input_costs(us).sum())
+        total = float(_input_costs(self.R, self.u_d, us).sum())
         values = self.state_cost.values(xb)
         # in step order, as a per-step sum; a zero step value adds nothing
         for value in values[np.flatnonzero(values)].tolist():
@@ -109,7 +104,7 @@ class TrackingObjective:
     def cumulative_cost(self, xs, us):
         """Per-step cumulative objective; cross-time terms count at their later step."""
         xb = np.asarray(xs, dtype=float).reshape(self.horizon + 1, self.state_dim)
-        inc = self._input_costs(us) + self.state_cost.values(xb)
+        inc = _input_costs(self.R, self.u_d, us) + self.state_cost.values(xb)
         for corr in self.correlations:
             inc[corr.t2] += corr.evaluate(xb[corr.t1], xb[corr.t2])
         return np.cumsum(inc)

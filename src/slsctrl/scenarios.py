@@ -482,12 +482,11 @@ class Scenario:
         perturbations = _walk_list(top["perturbations"], "perturbations", _PERTURBATION, sizes)
 
         solver = _walk_kind(top["solver"], "solver", sizes)
-        if solver["kind"] != "isls":   # the others factor the per-step input weight
-            try:
-                np.linalg.cholesky(cost["control_weight"])
-            except np.linalg.LinAlgError:
-                raise ValidationError(f"cost.control_weight: not positive definite, which "
-                                      f"solver {solver['kind']} requires") from None
+        try:   # every solver factors a step Hessian that is R_T alone at t = T
+            check_control_weight(cost["control_weight"])
+        except ValueError:
+            raise ValidationError(f"cost.control_weight: not positive definite, which "
+                                  f"solver {solver['kind']} requires") from None
         if solver["kind"] != "isls" and plant["kind"] == "planar_arm":
             raise ValidationError(f"solver.kind: {solver['kind']} requires a linear plant; "
                                   "use isls for planar_arm")
@@ -572,13 +571,13 @@ def build_cost(scenario):
 
     Equal, bit for bit, to :func:`build_viapoint_cost` and then
     :func:`add_correlation` per correlation, but built in place from the
-    parsed terms, which :meth:`Scenario.from_dict` has checked.  The checks
-    made here are the control weight's factorization for isls, whose parse
-    skips it, and that assembling the cost does not overflow, which finite
-    numbers can; only a failure looks for the term to name.
+    parsed terms, which :meth:`Scenario.from_dict` has checked, the control
+    weight's factorization included.  The one check made here is that
+    assembling the cost does not overflow, which finite numbers can; only a
+    failure looks for the term to name.  Its shared centers hold the
+    scenario's cost only up to an additive constant: it drives the linear
+    solvers, and :func:`realized_cost` scores their runs by the terms.
     """
-    if scenario.solver["kind"] == "isls":
-        check_control_weight(scenario.control_weight)
     try:
         with np.errstate(over="raise", invalid="raise"):
             return CostSpec._assemble(scenario.horizon, scenario.state_dim,
@@ -661,20 +660,20 @@ def rollout_draws(scenario, plant, seed):
             "perturbations": scenario.perturbations}
 
 
-def realized_cost(scenario, trajectory, judge=None):
-    """(total, per-step cumulative) cost of a rollout of the scenario.
+def realized_cost(scenario, trajectory, objective=None):
+    """(total, per-step cumulative) cost of a rollout of the scenario, by its own terms.
 
-    ``judge`` is what scores it: the pointwise objective for isls, the
-    quadratic cost for every other solver; built here when not given.
+    Whatever the solver, the :class:`TrackingObjective` of
+    :func:`build_objective` (built here when not given) sums each viapoint
+    quadratic at its step, each correlation at its later step and the input
+    effort, so the running cost never falls on PSD weights; the total is its
+    last entry.
     """
-    if judge is None:
-        judge = (build_objective(scenario) if scenario.solver["kind"] == "isls"
-                 else build_cost(scenario))
-    xs, us = trajectory.states, trajectory.inputs
+    if objective is None:
+        objective = build_objective(scenario)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below, by name
-        total = (judge.true_cost(xs, us) if isinstance(judge, TrackingObjective)
-                 else judge.evaluate(xs, us))
-        cumulative = judge.cumulative_cost(xs, us)
+        cumulative = objective.cumulative_cost(trajectory.states, trajectory.inputs)
+    total = float(cumulative[-1])
     if not np.isfinite(total):
         raise ValidationError(f"realized_cost is {total}: the scenario's targets and weights "
                               "drive the rollout's cost past float range")
@@ -914,8 +913,7 @@ def run_scenario(path, seed=0, out="out", label=None, trace=False):
                                      scenario.solver["recompute_time"], **draws)
     else:
         trajectory = rollout(plant, controller, **draws)
-    realized, cumulative = realized_cost(scenario, trajectory,
-                                         extras.get("objective", extras.get("cost")))
+    realized, cumulative = realized_cost(scenario, trajectory, extras.get("objective"))
 
     out_dir = run_dir(out, scenario.name, label)   # a failed run writes nothing
     artifacts = {}

@@ -492,23 +492,24 @@ def _history_indices(held, m):
     return idx
 
 
-def _transition_runs(A, B, held, affine=False, backward=False):
-    """(t0, F) per run of steps t0.. with the same (held[t], held[t+1]), F[t - t0] = F_t.
+def _transition_runs(A, B, held, affine=False):
+    """(t0, F) per run of steps t0.. with the same (held[t], held[t+1]), F[t - t0] = F_t,
+    last run first, as the backward passes walk them.
 
     F_t = [D_t S_t, [B_t; 0]] gives z_{t+1} = F_t [z_t; u_t], with
     D_t = diag(A_t, I) and S_t selecting from z_t the states step t+1 holds;
     ``affine`` gives F~_t = diag(1, F_t) instead, [1; z_{t+1}] = F~_t [1; z_t; u_t],
     which carries the constant of an affine cost-to-go.  Each run is one
-    batched fill, built when the iteration reaches it (last run first when
-    ``backward``), so only the few steps where a held state enters or leaves
-    are filled alone and one run's stack is alive at a time.
+    batched fill, built when the iteration reaches it, so only the few steps
+    where a held state enters or leaves are filled alone and one run's stack
+    is alive at a time.
     """
     m, n = B.shape[1:]
     runs, t, c = [], 0, int(affine)
     for (h, after), run in groupby(zip(held, [*held[1:], ()])):
         runs.append((t, t + len(list(run)), h, after))
         t = runs[-1][1]
-    for t, end, h, after in reversed(runs) if backward else runs:
+    for t, end, h, after in reversed(runs):
         M = c + m * (1 + len(h))
         F = np.zeros((end - t, c + m * (1 + len(after)), M + n))
         F[:, c:c + m, c:c + m], F[:, c:c + m, M:] = A[t:end], B[t:end]
@@ -518,11 +519,6 @@ def _transition_runs(A, B, held, affine=False, backward=False):
             i = 0 if s == t else 1 + h.index(s)    # s == t: x_t enters the held states
             F[:, c + a * m:c + (a + 1) * m, c + i * m:c + (i + 1) * m] = np.eye(m)
         yield t, F
-
-
-def _transitions(A, B, held):
-    """Per step t, the plain F_t of :func:`_transition_runs`, a view of its run's stack."""
-    return [F for _, run in _transition_runs(A, B, held) for F in run]
 
 
 def _stage_costs(cost, held, m):
@@ -611,7 +607,7 @@ def riccati_gains(system, cost):
     try:
         # past a non-PD H_t the recursion means nothing and may overflow
         with np.errstate(all="ignore"):
-            for t0, F in _transition_runs(system.A, system.B, held, affine=True, backward=True):
+            for t0, F in _transition_runs(system.A, system.B, held, affine=True):
                 K = np.empty((len(F), n, F.shape[2] - n))   # -[k_t, K_t] per step
                 for i in range(len(F) - 1, -1, -1):
                     t, Ft = t0 + i, F[i]
@@ -640,28 +636,31 @@ def riccati_gains(system, cost):
     return Controller.from_gains(held, gains, k, hessian_inv=hinv)
 
 
-def feedforward_pass(F, R, law, u_d, b=None):
+def feedforward_pass(A, B, R, law, u_d, b=None):
     """Feedforward columns (T+1, n, c) for input targets u_d (T+1, n, c) and linear terms b.
 
-    ``F`` holds the plain transitions of ``law.held`` (:func:`_transitions`),
-    and ``b`` (T+1, m, c) the linear-term columns, zero when None.  The gains
-    and inverse step Hessians of ``law``, a :class:`Controller` from
+    ``A``, ``B`` and ``R`` are the per-step blocks, whose plain transitions
+    over ``law.held`` the pass walks (:func:`_transition_runs`), and ``b``
+    (T+1, m, c) the linear-term columns, zero when None.  The gains and
+    inverse step Hessians of ``law``, a :class:`Controller` from
     :func:`riccati_gains`, stay fixed, so each column costs O(T) small
     products and no factorization: q = F_t'p, g_t = R_t u_d,t + q_u and
     p_t = q_z + K_t'g_t + [b_t; 0] for the linear cost-to-go -2p'z of
     z_{t+1}, then one batched k_t = H_t^{-1} g_t.  The synthesis carries its
     own column inside its sweep; this pass carries the retarget maps' columns.
     """
-    T1, m, n, c = len(F), law.state_dim, law.input_dim, u_d.shape[2]
+    T1, m, n, c = len(A), law.state_dim, law.input_dim, u_d.shape[2]
     g, p, Ru = np.empty((T1, n, c)), np.zeros((m, c)), R @ u_d
     # a zero block of b adds nothing, so only the steps that carry one add it
     carries = [False] * T1 if b is None else b.any(axis=(1, 2)).tolist()
-    for t in range(T1 - 1, -1, -1):
-        q = F[t].T @ p
-        g[t] = Ru[t] + q[-n:]
-        p = q[:-n] + law.gains[t].T @ g[t]
-        if carries[t]:
-            p[:m] += b[t]
+    for t0, F in _transition_runs(A, B, law.held):
+        for i in range(len(F) - 1, -1, -1):
+            t = t0 + i
+            q = F[i].T @ p
+            g[t] = Ru[t] + q[-n:]
+            p = q[:-n] + law.gains[t].T @ g[t]
+            if carries[t]:
+                p[:m] += b[t]
     return law.hessian_inv @ g
 
 

@@ -39,7 +39,7 @@ from slsctrl import (
     write_controller_artifact,
 )
 from slsctrl.isls import closed_loop_step
-from slsctrl.solver import _transitions, held_states
+from slsctrl.solver import _transition_runs, held_states
 
 from dense_views import dense_F_u, dense_F_x
 from oracles import (
@@ -272,10 +272,12 @@ def test_batched_transitions_equal_a_one_step_build():
                 t1, t2, rng.normal(size=(m, m)), rng.normal(size=m), np.eye(m)))
         held = held_states(cost)
         assert all(t1 in held[t] for t1, t2 in intervals for t in range(t1 + 1, t2 + 1))
-        F = _transitions(st.A, st.B, held)
-        assert len(F) == T + 1
-        for t in range(T + 1):
-            npt.assert_array_equal(F[t], _one_step_transition(st, held, t))
+        steps = []
+        for t0, F in _transition_runs(st.A, st.B, held):
+            for i, Ft in enumerate(F):
+                steps.append(t0 + i)
+                npt.assert_array_equal(Ft, _one_step_transition(st, held, t0 + i))
+        assert sorted(steps) == list(range(T + 1))
 
 
 def test_precompute_rejects_a_controller_without_the_gains(tmp_path):

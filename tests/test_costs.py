@@ -259,23 +259,6 @@ def test_evaluate_unit_norm_and_dense_oracle():
                             rtol=1e-9)
 
 
-def test_cumulative_cost_consistency():
-    rng = np.random.default_rng(5)
-    T, m, n = 8, 2, 1
-    vps = [(3, rng.normal(size=m), 1.5), (8, rng.normal(size=m), 2.0)]
-    cost = build_viapoint_cost(T, vps, 0.3, state_dim=m, input_dim=n)
-    cost = add_correlation(cost, CorrelationSpec(
-        3, 7, np.eye(m), rng.normal(size=m), np.eye(m)))
-    xs = rng.normal(size=(T + 1, m))
-    us = rng.normal(size=(T + 1, n))
-    # running decomposition books cross-time terms when both endpoints are
-    # realized, so the last entry recovers the total (steps may go negative)
-    running = cost.cumulative_cost(xs, us)
-    assert running.shape == (T + 1,)
-    npt.assert_allclose(running[-1], evaluate_trajectory_cost(cost, xs, us),
-                        rtol=1e-12)
-
-
 def test_diagonal_projection_drops_cross_terms():
     rng = np.random.default_rng(6)
     T, m = 5, 2

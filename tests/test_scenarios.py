@@ -105,6 +105,45 @@ def test_mug_scenario_artifacts(tmp_path):
     assert on_disk["realized_cost"] == report["realized_cost"]
 
 
+@pytest.mark.parametrize("name, solver", [
+    ("mug_sugar", {"kind": "esls"}), ("mug_sugar", {"kind": "dp-lqt"}),
+    ("mug_sugar", {"kind": "batch-lqt"}),
+    ("mug_sugar", {"kind": "mpc-lqt", "recompute_time": 50}),
+    ("pickplace_arm", None)])
+def test_cost_so_far_never_falls_and_ends_at_realized_cost(tmp_path, name, solver):
+    # every solver's run is scored by the scenario's terms, a correlation at
+    # its later step, so on PSD weights the running cost cannot fall
+    config = load_scenario(bundled_scenario_path(name)).raw
+    if solver is not None:
+        config["solver"] = solver
+    report = run_scenario(config, seed=0, out=tmp_path, label="run")
+    rows = (Path(report["out_dir"]) / "trajectory.csv").read_text().split()[1:]
+    running = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+    assert running.size == config["horizon"] + 1
+    assert np.all(np.diff(running) >= 0)
+    assert running[-1] == report["realized_cost"]
+
+
+def test_realized_cost_is_the_sum_of_the_scenarios_terms(tmp_path):
+    # a second viapoint at t=100, 0.1 off the correlated target in x, so the
+    # assembled cost's shared center there is right only up to a constant
+    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
+    target = [*config["cost"]["viapoints"][0]["target"]]
+    target[0] += 0.1
+    config["cost"]["viapoints"].append({"t": 100, "target": target, "weight": 1000.0})
+    scenario = Scenario.from_dict(config)
+    report = run_scenario(config, seed=0, out=tmp_path, label="run")
+    rows = np.array([[float(v) for v in row.split(",")] for row in
+                     (Path(report["out_dir"]) / "trajectory.csv").read_text().split()[1:]])
+    m = scenario.state_dim
+    xs, us = rows[:, 1:1 + m], rows[:, 1 + m:-1]
+    direct = sum(float((xs[t] - g) @ w @ (xs[t] - g)) for t, g, w in scenario.viapoints)
+    direct += sum(corr.evaluate(xs[corr.t1], xs[corr.t2]) for corr in scenario.correlations)
+    direct += sum(float(u @ scenario.control_weight @ u) for u in us)
+    npt.assert_allclose(report["realized_cost"], direct, rtol=1e-12, atol=0)
+    assert rows[-1, -1] == report["realized_cost"]
+
+
 def test_out_of_range_viapoint_names_field():
     config = load_scenario(bundled_scenario_path("mug_sugar")).raw
     config["cost"]["viapoints"][0]["t"] = 200
@@ -329,17 +368,16 @@ def test_apply_viapoint_edit_matches_deepcopy_reference():
             apply_viapoint_edit(source, t, np.zeros(6))
 
 
-def test_control_weight_must_be_positive_definite_unless_isls():
-    # every solver but isls assembles the quadratic cost and factors R
+def test_control_weight_must_be_positive_definite_for_every_solver():
+    # every solver factors R: the step Hessian at t = T is R_T alone
     config = load_scenario(bundled_scenario_path("mug_sugar")).raw
     config["cost"]["control_weight"] = [0.01, 0.0, 0.01]
     for solver in ({"kind": "esls"}, {"kind": "dp-lqt"}, {"kind": "batch-lqt"},
-                   {"kind": "mpc-lqt", "recompute_time": 20}):
+                   {"kind": "mpc-lqt", "recompute_time": 20}, {"kind": "isls"}):
         config["solver"] = solver
-        with pytest.raises(ValidationError, match=r"cost\.control_weight: not positive"):
+        with pytest.raises(ValidationError, match=r"cost\.control_weight: not positive "
+                           rf"definite, which solver {solver['kind']} requires"):
             Scenario.from_dict(config)
-    config["solver"] = {"kind": "isls"}
-    assert Scenario.from_dict(config).control_weight[1, 1] == 0.0
 
 
 def test_removed_plant_flags_are_unknown_keys():
@@ -506,15 +544,15 @@ def test_build_cost_is_the_chained_public_builders_bit_for_bit():
             _assert_same_cost(build_cost(scenario), _chained_cost(scenario))
 
 
-def test_build_cost_factors_an_isls_control_weight():
-    # from_dict factors R for every solver but isls, so build_cost does it there
-    config = load_scenario(bundled_scenario_path("mug_sugar")).raw
-    config["cost"]["control_weight"] = [0.01, 0.0, 0.01]
-    config["solver"] = {"kind": "isls"}
-    scenario = Scenario.from_dict(config)
-    for build in (build_cost, _chained_cost):
-        with pytest.raises(ValueError, match="control weight is not positive definite"):
-            build(scenario)
+def test_an_isls_control_weight_is_factored_at_parse():
+    # from_dict factors R for isls as for every other solver, so no build_*
+    # function sees a weight that is not positive definite
+    config = load_scenario(bundled_scenario_path("pickplace_arm")).raw
+    for weight in (0.0, -1.0, [0.01, 0.0, 0.01], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]):
+        config["cost"]["control_weight"] = weight
+        with pytest.raises(ValidationError, match=r"cost\.control_weight: not positive "
+                           "definite, which solver isls requires"):
+            Scenario.from_dict(config)
 
 
 def test_build_cost_copies_no_cost_and_refreshes_each_component_once(monkeypatch):
@@ -997,6 +1035,23 @@ def _assert_validation_error(proc, message):
     err = json.loads(proc.stderr)
     assert err["error"] == "validation"
     assert message in err["message"]
+
+
+def test_an_isls_scenario_with_a_zero_control_weight_exits_2(tmp_path):
+    # the parse rejects the weight, so adapt fails before it reads the maps
+    config = load_scenario(bundled_scenario_path("pickplace_arm")).raw
+    config["cost"]["control_weight"] = 0
+    path = tmp_path / "arm_r0.json"
+    path.write_text(json.dumps(config))
+    message = "cost.control_weight: not positive definite, which solver isls requires"
+    proc = _cli("adapt", "--scenario", str(path), "--maps", str(tmp_path / "maps.bin"),
+                "--edit-json", json.dumps({"t": 40, "target": [0.0] * 14}),
+                "--out", str(tmp_path), "--label", "adapt")
+    _assert_validation_error(proc, message)
+    assert "Traceback" not in proc.stderr
+    proc = _cli("solve", "--scenario", str(path), "--out", str(tmp_path), "--label", "solve")
+    _assert_validation_error(proc, message)
+    assert not (tmp_path / "pickplace_arm").exists()
 
 
 def test_cli_rollout_rejects_controller_of_other_dimensions(tmp_path, mug_artifacts):

@@ -32,7 +32,7 @@ import slsctrl.solver
 from slsctrl.bench import bundled_scenario_path
 from slsctrl.isls import isls_optimize, linearize_plant
 from slsctrl.scenarios import build_objective, build_plant, isls_config, load_scenario
-from slsctrl.solver import _transitions, check_law, feedforward_pass, held_states, riccati_gains
+from slsctrl.solver import check_law, feedforward_pass, held_states, riccati_gains
 
 from dense_views import (
     achievability_residual,
@@ -775,7 +775,7 @@ def _assert_one_sweep_is_the_two_pass_law(system, cost, dense=True):
     """
     T, m, n = system.horizon, system.state_dim, system.input_dim
     law = riccati_gains(system, cost)
-    k = feedforward_pass(_transitions(system.A, system.B, law.held), cost.R, law,
+    k = feedforward_pass(system.A, system.B, cost.R, law,
                          cost.u_d.reshape(T + 1, n, 1),
                          cost.linear_term.reshape(T + 1, m, 1)).ravel()
     assert np.all(np.isfinite(law.k))
